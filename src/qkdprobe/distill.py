@@ -20,6 +20,10 @@ capacity per transmitted bit becomes
 
     C' = (1 - E - max_{E' <= E} (1 - E') I(E')) / 2.
 
+Both maxima are taken over grids that are evaluated as numpy arrays by
+:func:`qkdprobe.optimum.optimal_renyi_bits`, one pass per block of
+FRONTIER_BLOCK error counts for t_F and one pass for the capacity grid.
+
 The inverse error function is computed from first principles (Maclaurin
 series for small arguments, a continued fraction for the complement at
 large arguments, guarded Newton for the inverse) so the toolkit carries
@@ -51,6 +55,9 @@ NORMALIZATION_TOL = 1e-9
 MAX_EMPIRICAL_BITS = 14
 # Grid step for the inner maximization of the capacity formula.
 CAPACITY_GRID_STEP = 1e-4
+# Error counts the defense frontier evaluates per array pass; bounds its
+# memory independently of e_t.
+FRONTIER_BLOCK = 2**16
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
@@ -299,10 +306,6 @@ def xi(n: int, p_fail: float) -> float:
     return inverse_erf(1.0 - p_fail) / math.sqrt(2.0 * n)
 
 
-def _optimal_renyi(error_rate: float, geom: SignalGeometry) -> float:
-    return optimum.optimal_overlap(error_rate, geom).renyi_bits
-
-
 def defense_frontier(
     config: DistillationConfig,
     geom: SignalGeometry,
@@ -312,33 +315,46 @@ def defense_frontier(
     """Upper bound t_F on the eavesdropper's Renyi information.
 
     Maximizes n (1 - e/n) I(e/n + xi) + xi n sqrt(1 - e/n) exactly over
-    the integers e in [0, e_t].  Arguments e/n + xi beyond the branch
-    domain of the Renyi-gain formula are clamped to the domain edge
-    (where the gain is largest, so clamping is conservative) with a
+    the integers e in [0, e_t].  The counts are evaluated as arrays, one
+    pass per block of FRONTIER_BLOCK counts, so memory does not grow with
+    e_t; the first strict maximum wins, as in a loop over e.  numpy's
+    vectorised log2 may differ from the C library's in the last place, so
+    t_F is re-evaluated at the maximizing count with a float argument and
+    is the float a per-count loop gives.  Arguments e/n + xi beyond
+    the branch domain of the Renyi-gain formula are clamped to the domain
+    edge (where the gain is largest, so clamping is conservative) with a
     DomainClampWarning; with ``clamp=False`` they raise OutOfDomainError.
     """
     n = config.n
     allowance = xi(n, config.p_fail)
     e_max = min(optimum.max_error_rate(geom), 0.5 - 1e-12)
+
+    def value(e: int | np.ndarray) -> float | np.ndarray:
+        kept = 1.0 - e / n
+        arg = np.minimum(e / n + allowance, e_max)
+        return n * kept * optimum.optimal_renyi_bits(arg, geom) + (
+            allowance * n * np.sqrt(kept)
+        )
+
     best = -math.inf
     best_e = 0
     clamped = 0
-    for e in range(config.e_t + 1):
-        arg = e / n + allowance
-        if arg > e_max:
+    for start in range(0, config.e_t + 1, FRONTIER_BLOCK):
+        e = np.arange(start, min(start + FRONTIER_BLOCK, config.e_t + 1))
+        over = e / n + allowance > e_max
+        if over.any():
             if not clamp:
+                arg = e[over][0] / n + allowance
                 raise OutOfDomainError(
-                    f"Renyi-gain argument {arg!r} exceeds the branch domain "
-                    f"edge {e_max!r} and clamping is disabled"
+                    f"Renyi-gain argument {float(arg)!r} exceeds the branch "
+                    f"domain edge {e_max!r} and clamping is disabled"
                 )
-            arg = e_max
-            clamped += 1
-        value = n * (1.0 - e / n) * _optimal_renyi(arg, geom) + (
-            allowance * n * math.sqrt(1.0 - e / n)
-        )
-        if value > best:
-            best = value
-            best_e = e
+            clamped += int(over.sum())
+        values = value(e)
+        k = int(values.argmax())
+        if values[k] > best:
+            best = values[k]
+            best_e = start + k
     if clamped:
         warnings.warn(
             f"{clamped} of {config.e_t + 1} Renyi-gain arguments were "
@@ -346,7 +362,9 @@ def defense_frontier(
             DomainClampWarning,
             stacklevel=2,
         )
-    return FrontierResult(t_f=best, argmax_e=best_e, xi=allowance)
+    return FrontierResult(
+        t_f=float(value(best_e)), argmax_e=best_e, xi=allowance
+    )
 
 
 def compression_level(
@@ -384,8 +402,9 @@ def asymptotic_capacity(
     """Long-transmission secrecy capacity per transmitted bit.
 
     C' = (1 - E - max_{E' <= E} (1 - E') I(E')) / 2.  The inner maximum
-    is located on a dense grid (step 1e-4) and sharpened by golden
-    section to 1e-10; the grid guards against multiple local maxima.
+    is located on a dense grid (step 1e-4), evaluated as one array, and
+    sharpened by golden section to 1e-10 on floats; the grid guards
+    against multiple local maxima.
     """
     if not 0.0 <= error_rate < 0.5:
         raise DomainError("error rate must lie in [0, 1/2)")
@@ -395,16 +414,15 @@ def asymptotic_capacity(
             f"alpha = {geom.alpha!r}"
         )
 
-    def gain(e_prime: float) -> float:
-        return (1.0 - e_prime) * _optimal_renyi(e_prime, geom)
+    def gain(e_prime: float | np.ndarray) -> float | np.ndarray:
+        return (1.0 - e_prime) * optimum.optimal_renyi_bits(e_prime, geom)
 
     if error_rate == 0.0:
         best_x = 0.0
     else:
         steps = max(2, int(error_rate / CAPACITY_GRID_STEP) + 1)
         grid = np.linspace(0.0, error_rate, steps)
-        values = [gain(float(x)) for x in grid]
-        k = int(np.argmax(values))
+        k = int(np.argmax(gain(grid)))
         lo = float(grid[max(0, k - 1)])
         hi = float(grid[min(len(grid) - 1, k + 1)])
         best_x = _golden_section_max(gain, lo, hi)

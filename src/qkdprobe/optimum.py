@@ -36,7 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import probe
 from .errors import DegenerateModelError, DomainError, OutOfDomainError
@@ -193,29 +195,70 @@ def max_error_rate(geom: SignalGeometry) -> float:
     return geom.cos_sq_two_alpha
 
 
-def _check_error_rate(target_error: float) -> None:
+def _check_error_rate(target_error: float | np.ndarray) -> float:
+    """Raise DomainError unless every error rate lies in [0, 1/2).
+
+    Returns the largest error rate (0 for an empty array).
+    """
+    if isinstance(target_error, np.ndarray):
+        if not target_error.size:
+            return 0.0
+        # The scalar route raises for an offending extreme.
+        _check_error_rate(float(target_error.min()))
+        return _check_error_rate(float(target_error.max()))
     if not 0.0 <= target_error < 0.5:
         raise DomainError(
             f"error rate must lie in [0, 1/2); got {target_error!r}"
         )
+    return target_error
 
 
-def csc_branch_overlap(target_error: float, geom: SignalGeometry) -> float:
+def _branch_formula(
+    target_error: float | np.ndarray, trig_sq: float
+) -> float | np.ndarray:
+    """[1 + (1 - 2 / trig_sq) E] / (1 - E), unchecked."""
+    inv_sq = 1.0 / trig_sq
+    return (1.0 + (1.0 - 2.0 * inv_sq) * target_error) / (1.0 - target_error)
+
+
+def csc_branch_overlap(
+    target_error: float | np.ndarray, geom: SignalGeometry
+) -> float | np.ndarray:
     """Lower-branch formula [1 + (1 - 2 csc^2 2a) E] / (1 - E).
 
     Evaluated raw at any alpha, even where it is not the constrained
-    minimum, so the two branches can be compared.
+    minimum, so the two branches can be compared.  A float gives a float;
+    a numpy array of error rates gives an array, elementwise, and raises
+    DomainError if any element leaves [0, 1/2).
     """
     _check_error_rate(target_error)
-    csc_sq = 1.0 / geom.sin_sq_two_alpha
-    return (1.0 + (1.0 - 2.0 * csc_sq) * target_error) / (1.0 - target_error)
+    return _branch_formula(target_error, geom.sin_sq_two_alpha)
 
 
-def sec_branch_overlap(target_error: float, geom: SignalGeometry) -> float:
-    """Upper-branch formula [1 + (1 - 2 sec^2 2a) E] / (1 - E), raw."""
+def sec_branch_overlap(
+    target_error: float | np.ndarray, geom: SignalGeometry
+) -> float | np.ndarray:
+    """Upper-branch formula [1 + (1 - 2 sec^2 2a) E] / (1 - E), raw.
+
+    Takes a float or a numpy array like :func:`csc_branch_overlap`.
+    """
     _check_error_rate(target_error)
-    sec_sq = 1.0 / geom.cos_sq_two_alpha
-    return (1.0 + (1.0 - 2.0 * sec_sq) * target_error) / (1.0 - target_error)
+    return _branch_formula(target_error, geom.cos_sq_two_alpha)
+
+
+def _branch_minimum(
+    target_error: float | np.ndarray, geom: SignalGeometry
+) -> float | np.ndarray:
+    """Q_min at this alpha, for a float or an array of error rates."""
+    top = _check_error_rate(target_error)
+    e_max = max_error_rate(geom)
+    if top > e_max + SEAM_TOL:
+        raise OutOfDomainError(
+            f"error rate {top!r} exceeds the attainable maximum "
+            f"{e_max!r} at alpha = {geom.alpha!r}"
+        )
+    # The branch's trig factor, sin^2 2a or cos^2 2a, is E_max itself.
+    return _branch_formula(target_error, e_max)
 
 
 def optimal_overlap(
@@ -226,21 +269,23 @@ def optimal_overlap(
     Raises OutOfDomainError when E exceeds :func:`max_error_rate`, where
     no probe setting attains the formula value.
     """
-    _check_error_rate(target_error)
-    branch = branch_for(geom)
-    e_max = max_error_rate(geom)
-    if target_error > e_max + SEAM_TOL:
-        raise OutOfDomainError(
-            f"error rate {target_error!r} exceeds the attainable maximum "
-            f"{e_max!r} at alpha = {geom.alpha!r}"
-        )
-    if branch is Branch.CSC:
-        q = csc_branch_overlap(target_error, geom)
-    else:
-        q = sec_branch_overlap(target_error, geom)
+    q = _branch_minimum(target_error, geom)
     return BranchedOptimum(
-        overlap=q, renyi_bits=probe.renyi_info(q), branch=branch
+        overlap=q, renyi_bits=probe.renyi_info(q), branch=branch_for(geom)
     )
+
+
+def optimal_renyi_bits(
+    target_error: float | np.ndarray, geom: SignalGeometry
+) -> float | np.ndarray:
+    """Maximum Renyi gain log2(2 - Q_min^2) at fixed alpha.
+
+    The ``renyi_bits`` of :func:`optimal_overlap`, with the same domain
+    checks.  A float gives a float; a numpy array of error rates is
+    evaluated elementwise in one pass and gives an array, and any
+    offending element raises.
+    """
+    return probe.renyi_info(_branch_minimum(target_error, geom))
 
 
 def _family_constant(target_error: float, geom: SignalGeometry) -> float:
@@ -660,7 +705,7 @@ def _min_distance(x: float, pool: Sequence[float]) -> float:
 
 
 def possibility_d_feasibility(
-    geom: SignalGeometry, e_grid: Sequence[float]
+    geom: SignalGeometry, e_grid: Iterable[float]
 ) -> DFeasibilityReport:
     """Check numerically that possibility (D) admits no solution.
 
@@ -674,6 +719,7 @@ def possibility_d_feasibility(
     E = 1/2) are excluded.  ``feasible`` is True only if some chain
     matches within 1e-6.
     """
+    e_grid = list(e_grid)
     s2 = geom.sin_sq_two_alpha
     c2 = geom.cos_sq_two_alpha
     best = math.inf
@@ -719,7 +765,7 @@ def possibility_d_feasibility(
     return DFeasibilityReport(
         min_joint_residual=best,
         feasible=best < JOINT_ROOT_TOL,
-        grid_size=len(list(e_grid)),
+        grid_size=len(e_grid),
     )
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegenerateModelError,
     DomainError,
@@ -313,9 +315,23 @@ def mu_from_constraint(
     return half_arc if half_arc >= 0.0 else half_arc + math.pi
 
 
-def renyi_info(q_overlap: float) -> float:
-    """Renyi information gain, in bits, for a given overlap: log2(2 - Q^2)."""
-    if abs(q_overlap) > 1.0 + IDENTITY_TOL:
+def renyi_info(q_overlap: float | np.ndarray) -> float | np.ndarray:
+    """Renyi information gain, in bits, for a given overlap: log2(2 - Q^2).
+
+    Raises DomainError for |Q| > 1 beyond tolerance or a NaN overlap.  A
+    float gives a Python float.  A numpy array is evaluated elementwise
+    in one pass and gives an array, and any offending element raises.
+    The array route uses numpy's log2, which on some CPUs differs from
+    the C library's in the last place.
+    """
+    if isinstance(q_overlap, np.ndarray):
+        if q_overlap.size:
+            # The scalar route raises for an offending extreme.
+            for extreme in (q_overlap.min(), q_overlap.max()):
+                renyi_info(float(extreme))
+        q_clamped = np.clip(q_overlap, -1.0, 1.0)
+        return np.log2(2.0 - q_clamped * q_clamped)
+    if not abs(q_overlap) <= 1.0 + IDENTITY_TOL:
         raise DomainError(f"|overlap| must not exceed 1; got {q_overlap!r}")
     q_clamped = max(-1.0, min(1.0, q_overlap))
     return math.log2(2.0 - q_clamped * q_clamped)

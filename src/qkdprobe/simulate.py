@@ -11,7 +11,10 @@ By default errors are drawn per sifted bit with the scalar error rate
 E(params); the full four-state sampler (equiprobable sent states with
 per-state conditional flip probabilities, which differ through the skew
 coefficient c) is available behind ``four_state_sampler`` and is used by
-the tests to verify the scalar reduction.  The probe's own measurement
+the tests to verify the scalar reduction.  It draws counts, not bits:
+the number of sifted bits sent in state u is Binomial(n, 1/2), and the
+errors of each state are one Binomial draw with that state's flip
+probability, so memory does not grow with m.  The probe's own measurement
 outcomes are not simulated: eavesdropper knowledge enters only through
 the compression level.
 """
@@ -126,14 +129,12 @@ def run(config: SimulationConfig) -> SimulationReport:
 
     if config.four_state_sampler:
         probs = probe.detection_probabilities(coeffs, config.geom)
-        flip = np.array(
-            [
-                min(max(probs.p_u_ubar, 0.0), 1.0),
-                min(max(probs.p_ubar_u, 0.0), 1.0),
-            ]
+        flip_u = min(max(probs.p_u_ubar, 0.0), 1.0)
+        flip_ubar = min(max(probs.p_ubar_u, 0.0), 1.0)
+        sent_u = int(rng.binomial(n, 0.5))
+        e_t = int(rng.binomial(sent_u, flip_u)) + int(
+            rng.binomial(n - sent_u, flip_ubar)
         )
-        sent = rng.integers(0, 2, size=n)
-        e_t = int((rng.random(n) < flip[sent]).sum())
     else:
         e_t = int(rng.binomial(n, analytic_error))
 

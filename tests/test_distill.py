@@ -20,15 +20,26 @@ from qkdprobe import (
     renyi_information,
     xi,
 )
-from qkdprobe.distill import DomainClampWarning, binary_entropy, erf
+from qkdprobe import distill
+from qkdprobe.distill import (
+    CAPACITY_GRID_STEP,
+    CapacityPoint,
+    DomainClampWarning,
+    FrontierResult,
+    _golden_section_max,
+    binary_entropy,
+    erf,
+)
 from qkdprobe.errors import (
     DomainError,
     NotNormalizedError,
     OutOfDomainError,
     TooLargeError,
 )
+from qkdprobe.optimum import max_error_rate
 
 PI = math.pi
+ORACLE_ALPHAS = [PI / 12, PI / 10, PI / 8, PI / 6]
 
 # Pinned on first verified computation (bisection of the capacity formula
 # at alpha = pi/8 to 1e-9).
@@ -181,6 +192,126 @@ class TestXi:
             xi(0, 0.5)
         with pytest.raises(DomainError):
             xi(100, 0.0)
+
+
+def loop_frontier(config, geom, *, clamp=True):
+    """Reference defense frontier: one scalar Renyi gain per error count."""
+    n = config.n
+    allowance = xi(n, config.p_fail)
+    e_max = min(max_error_rate(geom), 0.5 - 1e-12)
+    best = -math.inf
+    best_e = 0
+    clamped = 0
+    for e in range(config.e_t + 1):
+        arg = e / n + allowance
+        if arg > e_max:
+            if not clamp:
+                raise OutOfDomainError(
+                    f"Renyi-gain argument {arg!r} exceeds the branch domain "
+                    f"edge {e_max!r} and clamping is disabled"
+                )
+            arg = e_max
+            clamped += 1
+        value = n * (1.0 - e / n) * optimal_overlap(arg, geom).renyi_bits + (
+            allowance * n * math.sqrt(1.0 - e / n)
+        )
+        if value > best:
+            best = value
+            best_e = e
+    if clamped:
+        warnings.warn(
+            f"{clamped} of {config.e_t + 1} Renyi-gain arguments were "
+            f"clamped to the domain edge {e_max}",
+            DomainClampWarning,
+            stacklevel=2,
+        )
+    return FrontierResult(t_f=best, argmax_e=best_e, xi=allowance)
+
+
+def grid_capacity(error_rate, geom):
+    """Reference capacity: the inner grid evaluated one point at a time."""
+
+    def gain(e_prime):
+        return (1.0 - e_prime) * optimal_overlap(e_prime, geom).renyi_bits
+
+    if error_rate == 0.0:
+        best_x = 0.0
+    else:
+        steps = max(2, int(error_rate / CAPACITY_GRID_STEP) + 1)
+        grid = np.linspace(0.0, error_rate, steps)
+        values = [gain(float(x)) for x in grid]
+        k = int(np.argmax(values))
+        lo = float(grid[max(0, k - 1)])
+        hi = float(grid[min(len(grid) - 1, k + 1)])
+        best_x = _golden_section_max(gain, lo, hi)
+        if gain(float(grid[k])) > gain(best_x):
+            best_x = float(grid[k])
+    return CapacityPoint(
+        error_rate=error_rate,
+        capacity=0.5 * (1.0 - error_rate - gain(best_x)),
+        inner_argmax=best_x,
+    )
+
+
+def with_warnings(fn, *args):
+    """fn(*args) and the (category, text) of every warning it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestFrontierOracle:
+    """The blocked array frontier against the per-count loop, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize("fraction", [0.05, 0.7])
+    def test_matches_loop(self, alpha, n, fraction):
+        # e_t = 0.7 n runs into the clamp region at every alpha, and at
+        # n = 10^5 spans two blocks of FRONTIER_BLOCK = 2^16 counts.
+        geom = SignalGeometry(alpha)
+        config = DistillationConfig(n=n, e_t=int(fraction * n), p_fail=0.01)
+        got, got_warnings = with_warnings(defense_frontier, config, geom)
+        want, want_warnings = with_warnings(loop_frontier, config, geom)
+        assert got == want
+        assert type(got.t_f) is float and type(got.argmax_e) is int
+        assert got_warnings == want_warnings
+        assert bool(got_warnings) == (fraction == 0.7)
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_block_size_does_not_change_result(
+        self, monkeypatch, block, alpha
+    ):
+        geom = SignalGeometry(alpha)
+        config = DistillationConfig(n=2000, e_t=1400, p_fail=0.1)
+        want = with_warnings(loop_frontier, config, geom)
+        monkeypatch.setattr(distill, "FRONTIER_BLOCK", block)
+        assert config.e_t + 1 > block
+        assert with_warnings(defense_frontier, config, geom) == want
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_clamp_disabled_raises_like_loop(self, alpha):
+        geom = SignalGeometry(alpha)
+        config = DistillationConfig(n=10**4, e_t=7000, p_fail=0.01)
+        with pytest.raises(OutOfDomainError) as got:
+            defense_frontier(config, geom, clamp=False)
+        with pytest.raises(OutOfDomainError) as want:
+            loop_frontier(config, geom, clamp=False)
+        assert str(got.value) == str(want.value)
+
+
+class TestCapacityOracle:
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_matches_per_point_grid(self, alpha):
+        geom = SignalGeometry(alpha)
+        top = min(max_error_rate(geom), 0.49)
+        for fraction in (0.0, 0.1, 0.3, 0.6, 0.9, 1.0):
+            error_rate = fraction * top
+            assert asymptotic_capacity(error_rate, geom) == grid_capacity(
+                error_rate, geom
+            )
 
 
 class TestDefenseFrontier:

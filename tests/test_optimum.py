@@ -27,6 +27,7 @@ from qkdprobe.optimum import (
     constant_error_overlap,
     lambda_cubic_coefficients,
     max_error_rate,
+    optimal_renyi_bits,
     phi_neg_lambda_window,
     quintic_coefficients,
     sin2phi_cubic_coefficients,
@@ -116,6 +117,64 @@ class TestBranchFormulas:
             max_error_rate(SignalGeometry(0.2 * PI)),
             math.cos(0.4 * PI) ** 2,
         )
+
+
+def raised(fn, *args):
+    """(class, message) of the exception fn(*args) raises."""
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestArrayKernel:
+    """The branch formulas and the optimal gain take floats or arrays."""
+
+    RATES = np.linspace(0.0, 0.34, 69)
+    GEOM = SignalGeometry(PI / 10)  # E_max = sin^2(pi/5) ~ 0.345
+
+    @pytest.mark.parametrize(
+        "formula", [csc_branch_overlap, sec_branch_overlap]
+    )
+    def test_branch_formula_matches_scalar_route(self, formula):
+        assert type(formula(0.1, self.GEOM)) is float
+        values = formula(self.RATES, self.GEOM)
+        assert isinstance(values, np.ndarray)
+        scalars = [formula(float(e), self.GEOM) for e in self.RATES]
+        np.testing.assert_array_equal(values, scalars)
+
+    def test_optimal_gain_matches_scalar_route(self):
+        # numpy's vectorised log2 may differ from math.log2 by one ulp.
+        for alpha in (PI / 10, 0.2 * PI):
+            geom = SignalGeometry(alpha)
+            rates = np.linspace(0.0, max_error_rate(geom), 69)
+            assert type(optimal_renyi_bits(0.05, geom)) is float
+            values = optimal_renyi_bits(rates, geom)
+            assert isinstance(values, np.ndarray)
+            scalars = [
+                optimal_overlap(float(e), geom).renyi_bits for e in rates
+            ]
+            np.testing.assert_array_max_ulp(values, scalars, maxulp=1)
+
+    @pytest.mark.parametrize(
+        "formula", [csc_branch_overlap, sec_branch_overlap, optimal_renyi_bits]
+    )
+    @pytest.mark.parametrize("bad", [0.5, -0.01, math.nan])
+    def test_error_rate_checked_elementwise(self, formula, bad):
+        rates = np.array([0.1, bad, 0.2])
+        assert raised(formula, rates, self.GEOM) == raised(
+            formula, bad, self.GEOM
+        )
+
+    def test_attainable_maximum_checked_elementwise(self):
+        geom = SignalGeometry(PI / 12)  # E_max = 1/4
+        rates = np.array([0.0, 0.3, 0.1])
+        assert raised(optimal_renyi_bits, rates, geom) == raised(
+            optimal_overlap, 0.3, geom
+        )
+        assert raised(optimal_renyi_bits, rates, geom)[0] is OutOfDomainError
+
+    def test_empty_array(self):
+        assert optimal_renyi_bits(np.array([]), self.GEOM).shape == (0,)
 
 
 class TestFamilies:
@@ -484,6 +543,13 @@ class TestPossibilityD:
         )
         assert not report.feasible
         assert report.min_joint_residual > 1e-6
+
+    def test_generator_grid_is_counted(self):
+        geom = SignalGeometry(PI / 9)
+        rates = (0.1, 0.25, 0.4)
+        report = possibility_d_feasibility(geom, (e for e in rates))
+        assert report.grid_size == 3
+        assert report == possibility_d_feasibility(geom, list(rates))
 
     def test_ghost_root_filtered_at_standard_angle(self, geom_pi8):
         # At alpha = pi/8 all three polynomials share the spurious root

@@ -12,7 +12,9 @@ from qkdprobe import (
     SignalGeometry,
     SimulationConfig,
     asymptotic_capacity,
+    coefficients,
     defense_frontier,
+    detection_probabilities,
     optimal_overlap,
 )
 from qkdprobe import run as run_simulation
@@ -95,6 +97,33 @@ class TestRun:
         for report in (scalar, four_state):
             sigma = math.sqrt(0.1 * 0.9 / report.n)
             assert abs(report.empirical_error - 0.1) < 4.0 * sigma
+
+    def test_four_state_sampler_memory_independent_of_m(self):
+        # Counts are drawn, not bits: per-bit arrays at m = 10^12 would
+        # need terabytes.
+        params = ProbeParams(lam=0.0, mu=0.0, theta=0.0, phi=PI / 4)
+        report = run_simulation(
+            set_e_config(attack=params, m=10**12, four_state_sampler=True)
+        )
+        assert report.e_t == 0
+        assert abs(report.n / 10**12 - 0.5) < 5.0 * sifting_sigma(10**12)
+
+    def test_four_state_sampler_skewed_attack(self):
+        # c != 0 makes the two sent states' flip probabilities differ
+        # (about 0.07 and 0.57 here); errors follow their mean.
+        params = ProbeParams(lam=0.0, mu=0.0, theta=PI / 8, phi=0.0)
+        geom = SignalGeometry(PI / 8)
+        probs = detection_probabilities(coefficients(params), geom)
+        assert probs.p_ubar_u - probs.p_u_ubar > 0.4
+        mean_flip = 0.5 * (probs.p_u_ubar + probs.p_ubar_u)
+        for seed in range(8):
+            report = run_simulation(
+                set_e_config(
+                    attack=params, seed=seed, four_state_sampler=True
+                )
+            )
+            sigma = math.sqrt(mean_flip * (1.0 - mean_flip) / report.n)
+            assert abs(report.e_t / report.n - mean_flip) < 5.0 * sigma
 
     def test_explicit_params_attack(self):
         params = ProbeParams(lam=0.0, mu=0.0, theta=0.0, phi=PI / 4)
