@@ -221,11 +221,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         tolerance=args.tolerance,
     )
-    report = search.constrained_scan(config)
-    if args.samples_out is not None:
-        rows = list(iter_scan_samples(config))
+    if args.samples_out is None:
+        report = search.constrained_scan(config)
+    else:
+        blocks: list[np.ndarray] = []
+        report = search.constrained_scan(config, sink=blocks.append)
         _write_output(
-            _csv(("lam", "theta", "phi", "mu", "E", "Q"), rows),
+            _csv(
+                ("lam", "theta", "phi", "mu", "E", "Q"),
+                (row for block in blocks for row in block.tolist()),
+            ),
             args.samples_out,
         )
     results = {
@@ -247,55 +252,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         render_json(_envelope("verify", inputs, results, [])), args.out
     )
     return 1 if report.violations > 0 else 0
-
-
-def iter_scan_samples(config: search.SearchConfig):
-    """Scalar re-walk of the scan grid yielding (lam, theta, phi, mu, E, Q)."""
-    geom = config.geom
-    grid = np.linspace(0.0, math.pi, config.grid_resolution)
-    for lam in grid:
-        if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
-            for q, params in search._singular_lambda_points(
-                float(lam), grid, config.target_error, geom
-            ):
-                coeffs = probe.coefficients(params)
-                yield (
-                    params.lam,
-                    params.theta,
-                    params.phi,
-                    params.mu,
-                    probe.error_rate(coeffs, geom),
-                    q,
-                )
-            continue
-        for theta in grid:
-            for phi in grid:
-                try:
-                    mu = probe.mu_from_constraint(
-                        float(lam),
-                        float(theta),
-                        float(phi),
-                        config.target_error,
-                        geom,
-                    )
-                except QkdProbeError:
-                    continue
-                params = ProbeParams(
-                    lam=float(lam), mu=mu, theta=float(theta), phi=float(phi)
-                )
-                coeffs = probe.coefficients(params)
-                try:
-                    q = probe.overlap(coeffs, geom)
-                except QkdProbeError:
-                    continue
-                yield (
-                    params.lam,
-                    params.theta,
-                    params.phi,
-                    params.mu,
-                    probe.error_rate(coeffs, geom),
-                    q,
-                )
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
@@ -606,7 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples-out",
         default=None,
-        help="also write every sampled (lam,theta,phi,mu,E,Q) row as CSV",
+        help=(
+            "also write as CSV every sample the scan evaluated, as "
+            "(lam,theta,phi,mu,E,Q) rows: grid nodes in order, then "
+            "restarts, one row per sample counted in samples_evaluated"
+        ),
     )
     add_common(p)
     p.set_defaults(func=cmd_verify)

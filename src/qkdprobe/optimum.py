@@ -520,10 +520,6 @@ def mu_eliminated_q(
     )
 
 
-def _skew_coefficient(lam: float, theta: float, phi: float) -> float:
-    return math.cos(lam) ** 2 * math.sin(2.0 * theta) * math.cos(2.0 * phi)
-
-
 def constant_error_overlap(
     lam: float,
     theta: float,
@@ -536,10 +532,12 @@ def constant_error_overlap(
     Q = [(q - 1)/2 + E] / sqrt((1 - E)^2 - c^2 sin^2(2a)/4) with q from
     :func:`mu_eliminated_q`.  This is the objective whose stationary
     points the possibility analysis enumerates; it is evaluated formally
-    whether or not a mu realizes the constraint at this point.
+    whether or not a mu realizes the constraint at this point.  The
+    angles lie in [0, pi], as in :class:`ProbeParams`.
     """
     q = mu_eliminated_q(lam, theta, phi, target_error, geom)
-    c = _skew_coefficient(lam, theta, phi)
+    # The skew coefficient c does not depend on mu.
+    c = probe.coefficients(ProbeParams(lam, 0.0, theta, phi)).c
     radicand = (1.0 - target_error) ** 2 - 0.25 * c * c * geom.sin_sq_two_alpha
     if radicand <= 0.0:
         raise DegenerateModelError(

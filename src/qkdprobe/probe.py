@@ -14,7 +14,9 @@ together with the signal geometry: the basis half-angle alpha in
 pi/2 - 2*alpha.  From (a, b, c, d; alpha) the module evaluates the four
 detection probabilities, the induced receiver error rate E, the overlap Q
 of the correlated probe states, and the Renyi information gain
-log2(2 - Q^2).
+log2(2 - Q^2).  Each formula is written once over floats or numpy
+arrays: the scalar functions feed it ``math`` values, and
+:func:`constrained_observables` feeds it arrays for whole scans.
 
 Everything in this module is a pure function of immutable value types and
 is safe for unrestricted concurrent use.
@@ -82,11 +84,6 @@ class SignalGeometry:
         return SignalGeometry(math.pi / 4 - self.alpha)
 
 
-def interchange_geometry(geom: SignalGeometry) -> SignalGeometry:
-    """Map alpha -> pi/4 - alpha (an involution; pi/8 is its fixed point)."""
-    return geom.interchanged()
-
-
 @dataclass(frozen=True)
 class ProbeParams:
     """The four probe angles, each confined to [0, pi].
@@ -111,7 +108,11 @@ class ProbeParams:
 
 @dataclass(frozen=True)
 class ProbeCoefficients:
-    """Derived quadruple (a, b, c, d); each lies in [-1, 1]."""
+    """Derived quadruple (a, b, c, d); each lies in [-1, 1].
+
+    Inside :func:`constrained_observables` the fields are numpy arrays of
+    one shape, which :func:`error_rate` and the overlap terms accept too.
+    """
 
     a: float
     b: float
@@ -143,20 +144,36 @@ class AttackEvaluation:
     renyi_info: float
 
 
+def _quadruple(
+    sin_sq_lam,
+    cos_sq_lam,
+    sin_two_mu,
+    cos_two_theta,
+    sin_two_theta,
+    sin_two_phi,
+    cos_two_phi,
+):
+    """(a, b, c, d) from the trig factors of the angles; floats or arrays."""
+    return (
+        sin_sq_lam * sin_two_mu + cos_sq_lam * cos_two_theta * sin_two_phi,
+        sin_sq_lam * sin_two_mu + cos_sq_lam * sin_two_phi,
+        cos_sq_lam * sin_two_theta * cos_two_phi,
+        sin_sq_lam + cos_sq_lam * cos_two_theta,
+    )
+
+
 def coefficients(params: ProbeParams) -> ProbeCoefficients:
     """Evaluate the coefficient quadruple (a, b, c, d) at a probe setting."""
-    sin_sq_lam = math.sin(params.lam) ** 2
-    cos_sq_lam = math.cos(params.lam) ** 2
-    sin_two_mu = math.sin(2.0 * params.mu)
-    cos_two_theta = math.cos(2.0 * params.theta)
-    sin_two_theta = math.sin(2.0 * params.theta)
-    sin_two_phi = math.sin(2.0 * params.phi)
-    cos_two_phi = math.cos(2.0 * params.phi)
     return ProbeCoefficients(
-        a=sin_sq_lam * sin_two_mu + cos_sq_lam * cos_two_theta * sin_two_phi,
-        b=sin_sq_lam * sin_two_mu + cos_sq_lam * sin_two_phi,
-        c=cos_sq_lam * sin_two_theta * cos_two_phi,
-        d=sin_sq_lam + cos_sq_lam * cos_two_theta,
+        *_quadruple(
+            math.sin(params.lam) ** 2,
+            math.cos(params.lam) ** 2,
+            math.sin(2.0 * params.mu),
+            math.cos(2.0 * params.theta),
+            math.sin(2.0 * params.theta),
+            math.sin(2.0 * params.phi),
+            math.cos(2.0 * params.phi),
+        )
     )
 
 
@@ -205,6 +222,13 @@ def _overlap_denominator_sq(
     return half_sum * half_sum - 0.25 * coeffs.c * coeffs.c * s2
 
 
+def _overlap_numerator(
+    coeffs: ProbeCoefficients, geom: SignalGeometry
+) -> float:
+    s2 = geom.sin_sq_two_alpha
+    return 0.5 * (coeffs.a + coeffs.b) + 0.5 * (coeffs.d - coeffs.a) * s2
+
+
 def overlap(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     """Overlap Q of the probe states correlated with the receiver outcomes.
 
@@ -214,38 +238,33 @@ def overlap(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     Raises DegenerateModelError when the radicand is non-positive (error
     rate approaching one, or unphysical coefficients).
     """
-    s2 = geom.sin_sq_two_alpha
     radicand = _overlap_denominator_sq(coeffs, geom)
     if radicand <= 0.0:
         raise DegenerateModelError(
             f"overlap denominator radicand {radicand!r} is non-positive"
         )
-    numerator = 0.5 * (coeffs.a + coeffs.b) + 0.5 * (coeffs.d - coeffs.a) * s2
-    return numerator / math.sqrt(radicand)
-
-
-def overlap_from_error(
-    coeffs: ProbeCoefficients, geom: SignalGeometry
-) -> float:
-    """Equivalent overlap form Q = [(a+b+d-1)/2 + E] / sqrt((1-E)^2 - c^2 sin^2(2a)/4).
-
-    Algebraically identical to :func:`overlap`; kept as an independent
-    evaluation route for consistency checks.
-    """
-    e = error_rate(coeffs, geom)
-    radicand = (1.0 - e) ** 2 - 0.25 * coeffs.c**2 * geom.sin_sq_two_alpha
-    if radicand <= 0.0:
-        raise DegenerateModelError(
-            f"overlap denominator radicand {radicand!r} is non-positive"
-        )
-    return (0.5 * (coeffs.a + coeffs.b + coeffs.d - 1.0) + e) / math.sqrt(
-        radicand
-    )
+    return _overlap_numerator(coeffs, geom) / math.sqrt(radicand)
 
 
 def q_value(coeffs: ProbeCoefficients) -> float:
     """The combination q = a + b + d through which the overlap is expressed."""
     return coeffs.a + coeffs.b + coeffs.d
+
+
+def _constraint_sin_two_mu(
+    sin_sq_lam, cos_sq_lam, cos_two_theta, sin_two_phi, target_error, s2
+):
+    """sin(2 mu) that meets the target error rate; floats or arrays."""
+    return (
+        cos_sq_lam * (1.0 - cos_two_theta)
+        + s2
+        * (
+            sin_sq_lam
+            + cos_sq_lam * cos_two_theta
+            - cos_sq_lam * cos_two_theta * sin_two_phi
+        )
+        - 2.0 * target_error
+    ) / (s2 * sin_sq_lam)
 
 
 def mu_from_constraint(
@@ -288,31 +307,82 @@ def mu_from_constraint(
         raise SingularLambdaError(
             f"sin(lam) = {sin_lam!r} ~ 0: mu has no effect on any observable"
         )
-    sin_sq_lam = sin_lam * sin_lam
-    cos_sq_lam = math.cos(lam) ** 2
-    cos_two_theta = math.cos(2.0 * theta)
-    sin_two_phi = math.sin(2.0 * phi)
-    s2 = geom.sin_sq_two_alpha
-    rhs = (
-        cos_sq_lam * (1.0 - cos_two_theta)
-        + s2
-        * (
-            sin_sq_lam
-            + cos_sq_lam * cos_two_theta
-            - cos_sq_lam * cos_two_theta * sin_two_phi
-        )
-        - 2.0 * target_error
-    ) / (s2 * sin_sq_lam)
+    rhs = _constraint_sin_two_mu(
+        sin_lam * sin_lam,
+        math.cos(lam) ** 2,
+        math.cos(2.0 * theta),
+        math.sin(2.0 * phi),
+        target_error,
+        geom.sin_sq_two_alpha,
+    )
     if abs(rhs) > 1.0 + ARCSINE_CLAMP_TOL:
         raise InfeasibleConstraintError(
             f"sin(2 mu) would need to be {rhs!r}; no mu achieves error rate "
             f"{target_error!r} at this (lam, theta, phi)"
         )
-    rhs = max(-1.0, min(1.0, rhs))
-    half_arc = 0.5 * math.asin(rhs)
+    half_arc = 0.5 * math.asin(max(-1.0, min(1.0, rhs)))
     if alternate_branch:
         return 0.5 * math.pi - half_arc
     return half_arc if half_arc >= 0.0 else half_arc + math.pi
+
+
+def constrained_observables(
+    lam: float | np.ndarray,
+    theta: float | np.ndarray,
+    phi: float | np.ndarray,
+    target_error: float,
+    geom: SignalGeometry,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of :func:`mu_from_constraint` followed by :func:`evaluate`.
+
+    lam, theta and phi broadcast together; returns (mu, E, Q, feasible)
+    on their common shape, mu on the default branch.  feasible is False
+    exactly where the scalar route raises: sin(lam) ~ 0, no mu meets the
+    target error rate, or the overlap radicand is non-positive.  Q is
+    +inf there, and mu and E are unspecified.  The coefficients take the
+    solved sin(2 mu) itself rather than the sine of 2 mu, so E and Q agree
+    with the scalar route to rounding.  target_error must lie in [0, 1/2).
+    """
+    sin_lam = np.sin(lam)
+    sin_sq_lam = sin_lam**2
+    cos_sq_lam = np.cos(lam) ** 2
+    cos_two_theta = np.cos(2.0 * theta)
+    sin_two_phi = np.sin(2.0 * phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = _constraint_sin_two_mu(
+            sin_sq_lam,
+            cos_sq_lam,
+            cos_two_theta,
+            sin_two_phi,
+            target_error,
+            geom.sin_sq_two_alpha,
+        )
+    feasible = (np.abs(sin_lam) > SINGULAR_SIN_LAMBDA) & (
+        np.abs(rhs) <= 1.0 + ARCSINE_CLAMP_TOL
+    )
+    sin_two_mu = np.clip(rhs, -1.0, 1.0)
+    coeffs = ProbeCoefficients(
+        *_quadruple(
+            sin_sq_lam,
+            cos_sq_lam,
+            sin_two_mu,
+            cos_two_theta,
+            np.sin(2.0 * theta),
+            sin_two_phi,
+            np.cos(2.0 * phi),
+        )
+    )
+    radicand = _overlap_denominator_sq(coeffs, geom)
+    feasible &= radicand > 0.0
+    q = np.where(
+        feasible,
+        _overlap_numerator(coeffs, geom)
+        / np.sqrt(np.where(feasible, radicand, 1.0)),
+        math.inf,
+    )
+    half_arc = 0.5 * np.arcsin(sin_two_mu)
+    mu = np.where(half_arc >= 0.0, half_arc, half_arc + math.pi)
+    return mu, error_rate(coeffs, geom), q, feasible
 
 
 def renyi_info(q_overlap: float | np.ndarray) -> float | np.ndarray:

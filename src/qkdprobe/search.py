@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -91,58 +92,6 @@ def _analytic_reference(config: SearchConfig) -> float:
     return optimum.sec_branch_overlap(config.target_error, config.geom)
 
 
-def _plane_overlap(
-    lam: float,
-    theta_grid: np.ndarray,
-    phi_grid: np.ndarray,
-    target_error: float,
-    geom: SignalGeometry,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized overlap over one (theta, phi) plane at fixed lam.
-
-    Solves sin(2 mu) from the error-rate constraint at every node;
-    returns (Q, feasibility mask, mu).  Mirrors the scalar route through
-    probe.mu_from_constraint / probe.coefficients / probe.overlap, which
-    the test suite cross-checks point by point.
-    """
-    s2 = geom.sin_sq_two_alpha
-    sin_sq_lam = math.sin(lam) ** 2
-    cos_sq_lam = math.cos(lam) ** 2
-    theta = theta_grid[:, None]
-    phi = phi_grid[None, :]
-    cos_two_theta = np.cos(2.0 * theta)
-    sin_two_phi = np.sin(2.0 * phi)
-    rhs = (
-        cos_sq_lam * (1.0 - cos_two_theta)
-        + s2
-        * (
-            sin_sq_lam
-            + cos_sq_lam * cos_two_theta
-            - cos_sq_lam * cos_two_theta * sin_two_phi
-        )
-        - 2.0 * target_error
-    ) / (s2 * sin_sq_lam)
-    feasible = np.abs(rhs) <= 1.0 + probe.ARCSINE_CLAMP_TOL
-    sin_two_mu = np.clip(rhs, -1.0, 1.0)
-    half_arc = 0.5 * np.arcsin(sin_two_mu)
-    mu = np.where(half_arc >= 0.0, half_arc, half_arc + math.pi)
-
-    a = sin_sq_lam * sin_two_mu + cos_sq_lam * cos_two_theta * sin_two_phi
-    b = sin_sq_lam * sin_two_mu + cos_sq_lam * sin_two_phi
-    c = cos_sq_lam * np.sin(2.0 * theta) * np.cos(2.0 * phi)
-    d = sin_sq_lam + cos_sq_lam * cos_two_theta
-    half_sum = 0.5 * (1.0 + d + (a - d) * s2)
-    radicand = half_sum * half_sum - 0.25 * c * c * s2
-    feasible &= radicand > 0.0
-    q = np.where(
-        feasible,
-        (0.5 * (a + b) + 0.5 * (d - a) * s2)
-        / np.sqrt(np.where(feasible, radicand, 1.0)),
-        _INFEASIBLE,
-    )
-    return q, feasible, mu
-
-
 def _singular_lambda_points(
     lam: float,
     theta_grid: np.ndarray,
@@ -183,7 +132,11 @@ def _singular_lambda_points(
     return out
 
 
-def constrained_scan(config: SearchConfig) -> SearchReport:
+def constrained_scan(
+    config: SearchConfig,
+    *,
+    sink: Callable[[np.ndarray], None] | None = None,
+) -> SearchReport:
     """Grid scan of (lam, theta, phi) at exactly the target error rate.
 
     Scans a uniform grid over [0, pi]^3 plus ``random_restarts`` uniform
@@ -192,10 +145,17 @@ def constrained_scan(config: SearchConfig) -> SearchReport:
     overlap found, the matching parameters, and how many samples fell
     below the branch formula by more than the configured tolerance.
 
+    ``sink``, if given, receives every evaluated sample as rows
+    (lam, theta, phi, mu, E, Q) of a float array, one call per block:
+    the lam planes of the grid in lexicographic order, then the random
+    restarts.  The rows are exactly the samples counted in
+    ``samples_evaluated``.
+
     Raises EmptyFeasibleSetError if no sampled point can meet the error
     constraint.
     """
     geom = config.geom
+    target = config.target_error
     grid = np.linspace(0.0, math.pi, config.grid_resolution)
     analytic_q = _analytic_reference(config)
 
@@ -204,58 +164,52 @@ def constrained_scan(config: SearchConfig) -> SearchReport:
     violations = 0
     samples = 0
 
+    def take(columns: tuple, feasible: np.ndarray) -> None:
+        """Count one block of nodes; the columns (lam, theta, phi, mu, E,
+        Q) broadcast to the shape of Q and feasible, and Q is inf off it."""
+        nonlocal best_q, best_params, violations, samples
+        q = columns[-1]
+        q_feasible = q[feasible]
+        if not q_feasible.size:
+            return
+        samples += q_feasible.size
+        violations += int((q_feasible < analytic_q - config.tolerance).sum())
+        k = int(np.argmin(q))
+        if q.flat[k] < best_q:
+            best_q = float(q.flat[k])
+            lam, theta, phi, mu = (
+                float(np.broadcast_to(c, q.shape).flat[k]) for c in columns[:4]
+            )
+            best_params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
+        if sink is not None:
+            sink(np.column_stack(
+                [np.broadcast_to(c, q.shape)[feasible] for c in columns]
+            ))
+
+    theta, phi = grid[:, None], grid[None, :]
     for lam in grid:
         if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
-            for q, params in _singular_lambda_points(
-                float(lam), grid, config.target_error, geom
-            ):
-                samples += 1
-                if q < analytic_q - config.tolerance:
-                    violations += 1
-                if q < best_q:
-                    best_q, best_params = q, params
-            continue
-        q_plane, feasible, mu_plane = _plane_overlap(
-            float(lam), grid, grid, config.target_error, geom
-        )
-        n_feasible = int(feasible.sum())
-        if n_feasible == 0:
-            continue
-        samples += n_feasible
-        violations += int(
-            (q_plane[feasible] < analytic_q - config.tolerance).sum()
-        )
-        flat_index = int(np.argmin(q_plane))
-        plane_min = float(q_plane.flat[flat_index])
-        if plane_min < best_q:
-            i, j = np.unravel_index(flat_index, q_plane.shape)
-            best_q = plane_min
-            best_params = ProbeParams(
-                lam=float(lam),
-                mu=float(mu_plane[i, j]),
-                theta=float(grid[i]),
-                phi=float(grid[j]),
+            points = _singular_lambda_points(float(lam), grid, target, geom)
+            rows = [
+                (p.lam, p.theta, p.phi, p.mu,
+                 probe.error_rate(probe.coefficients(p), geom), q)
+                for q, p in points
+            ]
+            take(np.array(rows).reshape(-1, 6).T, np.full(len(rows), True))
+        else:
+            mu, e, q, feasible = probe.constrained_observables(
+                float(lam), theta, phi, target, geom
             )
+            take((lam, theta, phi, mu, e, q), feasible)
 
     rng = np.random.default_rng([config.seed, _RESTART_STREAM])
-    for point in rng.uniform(0.0, math.pi, size=(config.random_restarts, 3)):
-        lam, theta, phi = map(float, point)
-        try:
-            mu = probe.mu_from_constraint(
-                lam, theta, phi, config.target_error, geom
-            )
-        except (InfeasibleConstraintError, SingularLambdaError):
-            continue
-        params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
-        try:
-            q = probe.overlap(probe.coefficients(params), geom)
-        except DegenerateModelError:
-            continue
-        samples += 1
-        if q < analytic_q - config.tolerance:
-            violations += 1
-        if q < best_q:
-            best_q, best_params = q, params
+    lam, theta, phi = rng.uniform(
+        0.0, math.pi, size=(config.random_restarts, 3)
+    ).T
+    mu, e, q, feasible = probe.constrained_observables(
+        lam, theta, phi, target, geom
+    )
+    take((lam, theta, phi, mu, e, q), feasible)
 
     if best_params is None:
         raise EmptyFeasibleSetError(

@@ -21,7 +21,6 @@ the compression level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Union
 
@@ -191,8 +190,3 @@ def sweep(
             raise DomainError(f"unknown sweep variable {variable!r}")
         results.append((value, run(derived)))
     return results
-
-
-def sifting_sigma(m: int) -> float:
-    """Binomial standard deviation of the sifted fraction n/m."""
-    return math.sqrt(m * 0.25) / m

@@ -1,12 +1,26 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qkdprobe import SearchReport, ProbeParams
-from qkdprobe.cli import main, parse_angle, render_json
+from qkdprobe import (
+    ProbeParams,
+    SearchConfig,
+    SearchReport,
+    SignalGeometry,
+    constrained_scan,
+    evaluate,
+    mu_from_constraint,
+)
+from qkdprobe.cli import _fmt_csv, main, parse_angle, render_json
+from qkdprobe.errors import QkdProbeError, SingularLambdaError
+from qkdprobe.search import _singular_lambda_points
 
 PI = math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +243,83 @@ class TestVerify:
         assert len(lines) > 10
         row = lines[1].split(",")
         assert abs(float(row[4]) - 0.2) < 1e-9
+
+    @pytest.mark.parametrize("resolution", [7, 40])
+    @pytest.mark.parametrize("restarts", [0, 50])
+    def test_samples_csv_lists_every_scan_sample(
+        self, capsys, tmp_path, monkeypatch, resolution, restarts
+    ):
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        code, out, _ = run_cli(
+            capsys,
+            "verify",
+            "--alpha",
+            "pi/8",
+            "--error-rate",
+            "0.2",
+            "--resolution",
+            str(resolution),
+            "--restarts",
+            str(restarts),
+            "--seed",
+            "17",
+            "--samples-out",
+            "samples.csv",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        lines = (tmp_path / "samples.csv").read_text().splitlines()[1:]
+        cells = [line.split(",") for line in lines]
+        assert len(cells) == results["samples_evaluated"]
+        assert min(cells, key=lambda row: float(row[5]))[5] == _fmt_csv(
+            results["best_q"]
+        )
+
+        # The CSV holds the scan's own rows; re-evaluate them at full
+        # precision through the scalar route.
+        geom = SignalGeometry(PI / 8)
+        config = SearchConfig(
+            geom=geom,
+            target_error=0.2,
+            grid_resolution=resolution,
+            random_restarts=restarts,
+            seed=17,
+        )
+        blocks = []
+        constrained_scan(config, sink=blocks.append)
+        rows = [row for block in blocks for row in block.tolist()]
+        assert lines == [",".join(map(_fmt_csv, row)) for row in rows]
+        for lam, theta, phi, mu, e, q in rows:
+            try:
+                scalar_mu = mu_from_constraint(lam, theta, phi, 0.2, geom)
+            except SingularLambdaError:
+                scalar_mu = mu  # phi elimination; mu is unobservable
+            assert abs(scalar_mu - mu) < 1e-12
+            scalar = evaluate(ProbeParams(lam, scalar_mu, theta, phi), geom)
+            assert abs(scalar.error_rate - e) < 1e-12
+            assert abs(scalar.overlap - q) < 1e-12
+
+        # Grid rows come first, in lexicographic order, exactly at the
+        # nodes where the scalar route is feasible.
+        grid = np.linspace(0.0, PI, resolution)
+        nodes = []
+        for lam in grid:
+            if abs(math.sin(lam)) <= 1e-12:
+                points = _singular_lambda_points(lam, grid, 0.2, geom)
+                nodes += [(p.lam, p.theta, p.phi) for _, p in points]
+                continue
+            for theta in grid:
+                for phi in grid:
+                    try:
+                        mu = mu_from_constraint(lam, theta, phi, 0.2, geom)
+                        evaluate(ProbeParams(lam, mu, theta, phi), geom)
+                    except QkdProbeError:
+                        continue
+                    nodes.append((lam, theta, phi))
+        assert [row[:3] for row in cells[: len(nodes)]] == [
+            [_fmt_csv(float(v)) for v in node] for node in nodes
+        ]
+        assert len(cells) - len(nodes) <= restarts
 
 
 class TestCapacity:
@@ -476,3 +567,41 @@ class TestOutputFile:
         assert out == ""
         payload = json.loads((tmp_path / "optimal.json").read_text())
         assert payload["command"] == "optimal"
+
+
+def readme_examples():
+    """argv of every ``qkdprobe`` example in the README."""
+    text = README.read_text().replace("\\\n", " ")
+    return [
+        shlex.split(line)[1:]
+        for line in text.splitlines()
+        if line.startswith("qkdprobe ")
+    ]
+
+
+class TestReplay:
+    def test_readme_examples_replay_byte_for_byte(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        examples = readme_examples()
+        assert len(examples) == 9
+        runs = []
+        for run in ("first", "second"):
+            out_dir = tmp_path / run
+            monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+            stdout = []
+            for i, argv in enumerate(examples):
+                assert main(argv) == 0
+                assert main(argv + ["--out", f"example{i}.out"]) == 0
+                stdout.append(capsys.readouterr().out)
+            files = {
+                path.name: path.read_bytes() for path in out_dir.iterdir()
+            }
+            runs.append((stdout, files))
+        assert runs[0] == runs[1]
+        stdout, files = runs[0]
+        assert sorted(files) == sorted(
+            [f"example{i}.out" for i in range(9)] + ["samples.csv"]
+        )
+        for i, text in enumerate(stdout):
+            assert text and files[f"example{i}.out"] == text.encode()

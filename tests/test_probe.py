@@ -13,7 +13,6 @@ from qkdprobe import (
     coefficients,
     detection_probabilities,
     error_rate,
-    interchange_geometry,
     mu_from_constraint,
     overlap,
     q_value,
@@ -26,7 +25,6 @@ from qkdprobe.errors import (
     SingularLambdaError,
 )
 from qkdprobe.optimum import mu_eliminated_q
-from qkdprobe.probe import overlap_from_error
 
 PI = math.pi
 
@@ -38,6 +36,23 @@ EXAMPLE_POINT = ProbeParams(
 )
 # Frozen by direct evaluation of the coefficient formulas at the point.
 EXAMPLE_COEFFS = (0.2659851401, 0.2000021345, 0.0, 0.9340169944)
+
+
+def overlap_from_error(coeffs, geom):
+    """Q = [(a+b+d-1)/2 + E] / sqrt((1-E)^2 - c^2 sin^2(2a)/4).
+
+    Algebraically identical to :func:`overlap`; an independent evaluation
+    route for consistency checks.
+    """
+    e = error_rate(coeffs, geom)
+    radicand = (1.0 - e) ** 2 - 0.25 * coeffs.c**2 * geom.sin_sq_two_alpha
+    if radicand <= 0.0:
+        raise DegenerateModelError(
+            f"overlap denominator radicand {radicand!r} is non-positive"
+        )
+    return (0.5 * (coeffs.a + coeffs.b + coeffs.d - 1.0) + e) / math.sqrt(
+        radicand
+    )
 
 
 def random_params(rng, count):
@@ -57,20 +72,20 @@ class TestSignalGeometry:
 
     def test_interchange_examples(self):
         assert math.isclose(
-            interchange_geometry(SignalGeometry(PI / 8)).alpha, PI / 8
+            SignalGeometry(PI / 8).interchanged().alpha, PI / 8
         )
         assert math.isclose(
-            interchange_geometry(SignalGeometry(PI / 9)).alpha, 5 * PI / 36
+            SignalGeometry(PI / 9).interchanged().alpha, 5 * PI / 36
         )
         assert math.isclose(
-            interchange_geometry(SignalGeometry(PI / 5)).alpha, PI / 20
+            SignalGeometry(PI / 5).interchanged().alpha, PI / 20
         )
 
     @given(st.floats(min_value=1e-6, max_value=PI / 4 - 1e-6))
     @settings(max_examples=200, deadline=None)
     def test_interchange_is_involution(self, alpha):
         geom = SignalGeometry(alpha)
-        twice = interchange_geometry(interchange_geometry(geom))
+        twice = geom.interchanged().interchanged()
         assert abs(twice.alpha - alpha) < 1e-15
 
 

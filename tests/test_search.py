@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,13 @@ from qkdprobe import (
     refine,
     sample_params,
 )
-from qkdprobe.errors import DomainError, EmptyFeasibleSetError
-from qkdprobe.search import _penalty_finals, _plane_overlap
+from qkdprobe.errors import (
+    DomainError,
+    EmptyFeasibleSetError,
+    InfeasibleConstraintError,
+)
+from qkdprobe.probe import constrained_observables
+from qkdprobe.search import _penalty_finals
 
 PI = math.pi
 
@@ -107,12 +113,16 @@ class TestConstrainedScan:
         theta_grid = rng.uniform(0, PI, 6)
         phi_grid = rng.uniform(0, PI, 6)
         lam = 0.37 * PI
-        q_plane, feasible, mu_plane = _plane_overlap(
-            lam, theta_grid, phi_grid, 0.15, geom_pi8
+        mu_plane, e_plane, q_plane, feasible = constrained_observables(
+            lam, theta_grid[:, None], phi_grid[None, :], 0.15, geom_pi8
         )
+        assert 0 < feasible.sum() < feasible.size
         for i, theta in enumerate(theta_grid):
             for j, phi in enumerate(phi_grid):
                 if not feasible[i, j]:
+                    with pytest.raises(InfeasibleConstraintError):
+                        mu_from_constraint(lam, theta, phi, 0.15, geom_pi8)
+                    assert q_plane[i, j] == math.inf
                     continue
                 mu = mu_from_constraint(lam, theta, phi, 0.15, geom_pi8)
                 params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
@@ -121,6 +131,17 @@ class TestConstrainedScan:
                     abs(q_plane[i, j] - overlap(coefficients(params), geom_pi8))
                     < 1e-13
                 )
+                assert abs(e_plane[i, j] - 0.15) < 1e-13
+
+    def test_array_form_masks_singular_lambda(self, geom_pi8):
+        lam = np.array([0.0, PI, 0.37 * PI])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, q, feasible = constrained_observables(
+                lam, 0.3, 1.1, 0.15, geom_pi8
+            )
+        assert feasible.tolist() == [False, False, True]
+        assert q[0] == q[1] == math.inf
 
 
 class TestRefine:

@@ -20,9 +20,14 @@ from qkdprobe import (
 from qkdprobe import run as run_simulation
 from qkdprobe import sweep as run_sweep
 from qkdprobe.errors import DegenerateRunError, DomainError, OutOfDomainError
-from qkdprobe.simulate import resolve_attack, sifting_sigma
+from qkdprobe.simulate import resolve_attack
 
 PI = math.pi
+
+
+def sifting_sigma(m: int) -> float:
+    """Binomial standard deviation of the sifted fraction n/m."""
+    return math.sqrt(m * 0.25) / m
 
 
 def set_e_config(**overrides):
