@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import tempfile
-import warnings
 from dataclasses import asdict
 from typing import Any, Iterable, Sequence
 
@@ -318,7 +317,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
             "a single value)"
         )
     rows = []
-    messages: set[str] = set()
     for n, e_t in zip(n_values, e_values):
         config = distill.DistillationConfig(
             n=n,
@@ -328,13 +326,9 @@ def cmd_frontier(args: argparse.Namespace) -> int:
             nu=args.nu,
             g=args.g,
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            frontier = distill.defense_frontier(config, geom)
-            s = distill.compression_level(config, geom)
-        messages |= {str(w.message) for w in caught}
+        frontier = distill.defense_frontier(config, geom)
         rows.append((n, e_t, args.p_fail, frontier.xi, frontier.t_f,
-                     frontier.argmax_e, s))
+                     frontier.argmax_e, config.compression(frontier.t_f)))
     if args.format == "csv":
         _write_output(
             _csv(("n", "e_T", "p", "xi", "t_F", "argmax_e", "s"), rows),
@@ -364,7 +358,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     payload = results[0] if len(results) == 1 else results
     _write_output(
         render_json(
-            _envelope("frontier", inputs, payload, sorted(messages))
+            _envelope("frontier", inputs, payload, [])
         ),
         args.out,
     )

@@ -11,18 +11,24 @@ collects the defense frontier t_F (the bound on eavesdropper Renyi
 information), error-correction leakage q, multi-photon leakage nu, and a
 safety margin g.  The defense frontier for the individual attack is
 
-    t_F(n, e_T) = max_{e <= e_T} { n (1 - e/n) I(e/n + xi)
+    t_F(n, e_T) = max_{e <= e_T} { n (1 - e/n) I*(e/n + xi)
                                    + xi sqrt(n^2 (1 - e/n)) }
 
-with xi = inverse_erf(1 - p) / sqrt(2 n) and I the maximum Renyi gain at
-the given error rate.  In the long-key limit (xi -> 0, q = 0) the secrecy
-capacity per transmitted bit becomes
+with xi = inverse_erf(1 - p) / sqrt(2 n) (the frontier of Slutsky, Rao,
+Sun & Fainman, PRA 57, 2383 (1998)).  I is the maximum Renyi gain at a
+given error rate; it rises to 1 bit at the peak error rate E_pk
+(:func:`qkdprobe.optimum.peak_error_rate`) and falls back beyond it.  A
+probe can always add noise, so both bounds use its monotone envelope
+I*(E) = I(min(E, E_pk)), which holds the gain at 1 bit past E_pk.  In the
+long-key limit (xi -> 0, q = 0) the secrecy capacity per transmitted bit
+becomes
 
-    C' = (1 - E - max_{E' <= E} (1 - E') I(E')) / 2.
+    C' = (1 - E - max_{E' <= E} (1 - E') I*(E')) / 2.
 
-Both maxima are taken over grids that are evaluated as numpy arrays by
+t_F is evaluated as numpy arrays by
 :func:`qkdprobe.optimum.optimal_renyi_bits`, one pass per block of
-FRONTIER_BLOCK error counts for t_F and one pass for the capacity grid.
+FRONTIER_BLOCK error counts; the capacity's inner maximum sits at one
+error rate per alpha, found by a 1-D golden-section solve.
 
 The inverse error function is computed from first principles (Maclaurin
 series for small arguments, a continued fraction for the complement at
@@ -34,35 +40,23 @@ implementations.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import optimum
-from .errors import (
-    DomainError,
-    NotNormalizedError,
-    OutOfDomainError,
-    TooLargeError,
-)
+from .errors import DomainError, NotNormalizedError, TooLargeError
 from .probe import SignalGeometry
 
 # Normalization tolerance for input probability distributions.
 NORMALIZATION_TOL = 1e-9
 # Exhaustive-enumeration guard for the empirical hashing check.
 MAX_EMPIRICAL_BITS = 14
-# Grid step for the inner maximization of the capacity formula.
-CAPACITY_GRID_STEP = 1e-4
 # Error counts the defense frontier evaluates per array pass; bounds its
 # memory independently of e_t.
 FRONTIER_BLOCK = 2**16
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
-class DomainClampWarning(UserWarning):
-    """A Renyi-gain argument was clamped to the branch domain edge."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +87,10 @@ class DistillationConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise DomainError(f"{name} must be finite and non-negative")
+
+    def compression(self, t_f: float) -> int:
+        """Privacy-amplification compression s = ceil(t_f + q + nu + g)."""
+        return math.ceil(t_f + self.q_leak + self.nu + self.g)
 
 
 @dataclass(frozen=True)
@@ -306,84 +304,69 @@ def xi(n: int, p_fail: float) -> float:
     return inverse_erf(1.0 - p_fail) / math.sqrt(2.0 * n)
 
 
+def _renyi_envelope(
+    error_rate: float | np.ndarray, geom: SignalGeometry
+) -> float | np.ndarray:
+    """I*(E) = I(min(E, E_pk)): the optimal Renyi gain, 1 bit past E_pk."""
+    return optimum.optimal_renyi_bits(
+        np.minimum(error_rate, optimum.peak_error_rate(geom)), geom
+    )
+
+
 def defense_frontier(
-    config: DistillationConfig,
-    geom: SignalGeometry,
-    *,
-    clamp: bool = True,
+    config: DistillationConfig, geom: SignalGeometry
 ) -> FrontierResult:
     """Upper bound t_F on the eavesdropper's Renyi information.
 
-    Maximizes n (1 - e/n) I(e/n + xi) + xi n sqrt(1 - e/n) exactly over
-    the integers e in [0, e_t].  The counts are evaluated as arrays, one
-    pass per block of FRONTIER_BLOCK counts, so memory does not grow with
-    e_t; the first strict maximum wins, as in a loop over e.  numpy's
+    Maximizes n (1 - e/n) I*(e/n + xi) + xi n sqrt(1 - e/n) exactly over
+    the integers e in [0, e_t], with the monotone envelope
+    I*(E) = I(min(E, E_pk)): 1 bit at and beyond the peak error rate, so
+    every e_t in [0, n] is accepted.  The counts are evaluated as arrays,
+    one pass per block of FRONTIER_BLOCK counts, so memory does not grow
+    with e_t; the first strict maximum wins, as in a loop over e.  numpy's
     vectorised log2 may differ from the C library's in the last place, so
     t_F is re-evaluated at the maximizing count with a float argument and
-    is the float a per-count loop gives.  Arguments e/n + xi beyond
-    the branch domain of the Renyi-gain formula are clamped to the domain
-    edge (where the gain is largest, so clamping is conservative) with a
-    DomainClampWarning; with ``clamp=False`` they raise OutOfDomainError.
+    is the float a per-count loop gives.
     """
     n = config.n
     allowance = xi(n, config.p_fail)
-    e_max = min(optimum.max_error_rate(geom), 0.5 - 1e-12)
 
     def value(e: int | np.ndarray) -> float | np.ndarray:
         kept = 1.0 - e / n
-        arg = np.minimum(e / n + allowance, e_max)
-        return n * kept * optimum.optimal_renyi_bits(arg, geom) + (
+        return n * kept * _renyi_envelope(e / n + allowance, geom) + (
             allowance * n * np.sqrt(kept)
         )
 
     best = -math.inf
     best_e = 0
-    clamped = 0
     for start in range(0, config.e_t + 1, FRONTIER_BLOCK):
-        e = np.arange(start, min(start + FRONTIER_BLOCK, config.e_t + 1))
-        over = e / n + allowance > e_max
-        if over.any():
-            if not clamp:
-                arg = e[over][0] / n + allowance
-                raise OutOfDomainError(
-                    f"Renyi-gain argument {float(arg)!r} exceeds the branch "
-                    f"domain edge {e_max!r} and clamping is disabled"
-                )
-            clamped += int(over.sum())
-        values = value(e)
+        values = value(
+            np.arange(start, min(start + FRONTIER_BLOCK, config.e_t + 1))
+        )
         k = int(values.argmax())
         if values[k] > best:
             best = values[k]
             best_e = start + k
-    if clamped:
-        warnings.warn(
-            f"{clamped} of {config.e_t + 1} Renyi-gain arguments were "
-            f"clamped to the domain edge {e_max}",
-            DomainClampWarning,
-            stacklevel=2,
-        )
     return FrontierResult(
         t_f=float(value(best_e)), argmax_e=best_e, xi=allowance
     )
 
 
-def compression_level(
-    config: DistillationConfig,
-    geom: SignalGeometry,
-    *,
-    clamp: bool = True,
-) -> int:
+def compression_level(config: DistillationConfig, geom: SignalGeometry) -> int:
     """Privacy-amplification compression s = ceil(t_F + q + nu + g)."""
-    frontier = defense_frontier(config, geom, clamp=clamp)
-    return math.ceil(frontier.t_f + config.q_leak + config.nu + config.g)
+    return config.compression(defense_frontier(config, geom).t_f)
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _golden_section_max(
+    fn, lo: float, hi: float, rel_tol: float = 1e-10
+) -> float:
+    """Maximizer of a unimodal fn on [lo, hi], to rel_tol of the width."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
+    tol = rel_tol * (hi - lo)
     while b - a > tol:
         if fc > fd:
             b, d, fd = d, c, fc
@@ -401,33 +384,24 @@ def asymptotic_capacity(
 ) -> CapacityPoint:
     """Long-transmission secrecy capacity per transmitted bit.
 
-    C' = (1 - E - max_{E' <= E} (1 - E') I(E')) / 2.  The inner maximum
-    is located on a dense grid (step 1e-4), evaluated as one array, and
-    sharpened by golden section to 1e-10 on floats; the grid guards
-    against multiple local maxima.
+    C' = (1 - E - max_{E' <= E} (1 - E') I*(E')) / 2 for every E in
+    [0, 1/2), also above the family's :func:`optimum.max_error_rate`.
+    g(E) = (1 - E) I(E) rises from 0 and peaks once on [0, E_pk], at E*
+    (its slope at E_pk is -1), and (1 - E) I*(E) = 1 - E falls beyond
+    E_pk, so the inner maximum is g(min(E, E*)).  E* is located by golden
+    section on [0, E_pk] to 1e-10 E_pk; past it C' falls with slope -1/2.
     """
     if not 0.0 <= error_rate < 0.5:
         raise DomainError("error rate must lie in [0, 1/2)")
-    if error_rate > optimum.max_error_rate(geom) + 1e-12:
-        raise OutOfDomainError(
-            f"error rate {error_rate!r} exceeds the branch domain at "
-            f"alpha = {geom.alpha!r}"
-        )
 
-    def gain(e_prime: float | np.ndarray) -> float | np.ndarray:
+    def gain(e_prime: float) -> float:
+        # g on [0, E_pk], where I* = I.
         return (1.0 - e_prime) * optimum.optimal_renyi_bits(e_prime, geom)
 
-    if error_rate == 0.0:
-        best_x = 0.0
-    else:
-        steps = max(2, int(error_rate / CAPACITY_GRID_STEP) + 1)
-        grid = np.linspace(0.0, error_rate, steps)
-        k = int(np.argmax(gain(grid)))
-        lo = float(grid[max(0, k - 1)])
-        hi = float(grid[min(len(grid) - 1, k + 1)])
-        best_x = _golden_section_max(gain, lo, hi)
-        if gain(float(grid[k])) > gain(best_x):
-            best_x = float(grid[k])
+    best_x = min(
+        error_rate,
+        _golden_section_max(gain, 0.0, optimum.peak_error_rate(geom)),
+    )
     capacity = 0.5 * (1.0 - error_rate - gain(best_x))
     return CapacityPoint(
         error_rate=error_rate, capacity=capacity, inner_argmax=best_x

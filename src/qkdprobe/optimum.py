@@ -195,6 +195,15 @@ def max_error_rate(geom: SignalGeometry) -> float:
     return geom.cos_sq_two_alpha
 
 
+def peak_error_rate(geom: SignalGeometry) -> float:
+    """E_pk = s/(2 - s), s = max_error_rate: where Q_min = 0 and I = 1 bit.
+
+    The optimal Renyi gain rises to 1 bit at E_pk and falls back to 0 at s.
+    """
+    s = max_error_rate(geom)
+    return s / (2.0 - s)
+
+
 def _check_error_rate(target_error: float | np.ndarray) -> float:
     """Raise DomainError unless every error rate lies in [0, 1/2).
 

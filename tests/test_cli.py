@@ -1,17 +1,24 @@
+import csv
+import io
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qkdprobe import (
+    DistillationConfig,
     ProbeParams,
     SearchConfig,
     SearchReport,
     SignalGeometry,
+    compression_level,
     constrained_scan,
+    defense_frontier,
+    distill,
     evaluate,
     mu_from_constraint,
 )
@@ -21,6 +28,7 @@ from qkdprobe.search import _singular_lambda_points
 
 PI = math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -421,21 +429,58 @@ class TestFrontier:
         ]
         assert per_bit[0] > per_bit[1] > per_bit[2]
 
-    def test_clamp_warning_recorded(self, capsys):
-        _, out, _ = run_cli(
+    def test_above_family_maximum_uses_envelope(self, capsys):
+        # e_T/n = 0.3 and xi exceed the family maximum 1/4 at pi/12.
+        _, out, err = run_cli(
             capsys,
             "frontier",
             "--alpha",
             "pi/12",
             "--n",
-            "100",
+            "20",
             "--errors",
-            "30",
+            "6",
             "--p-fail",
-            "0.5",
+            "0.01",
         )
         payload = json.loads(out)
-        assert payload["warnings"]
+        config = DistillationConfig(n=20, e_t=6, p_fail=0.01)
+        frontier = defense_frontier(config, SignalGeometry(PI / 12))
+        assert payload["warnings"] == [] and err == ""
+        assert payload["results"]["t_f"] == frontier.t_f
+        assert payload["results"]["argmax_e"] == frontier.argmax_e == 0
+        assert payload["results"]["s"] == math.ceil(frontier.t_f)
+
+    def test_one_frontier_per_row(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(config, geom):
+            calls.append(config)
+            return defense_frontier(config, geom)
+
+        monkeypatch.setattr(distill, "defense_frontier", counted)
+        code, out, _ = run_cli(
+            capsys,
+            "frontier",
+            "--alpha",
+            "pi/8",
+            "--n",
+            "1000,10000,100000",
+            "--errors",
+            "100,1000,10000",
+            "--p-fail",
+            "0.5",
+            "--q-leak",
+            "2.5",
+            "--format",
+            "csv",
+        )
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert code == 0 and len(calls) == len(rows) == 3
+        monkeypatch.undo()
+        geom = SignalGeometry(PI / 8)
+        for config, row in zip(calls, rows):
+            assert int(row[6]) == compression_level(config, geom)
 
 
 class TestSimulateCommand:
@@ -605,3 +650,89 @@ class TestReplay:
         )
         for i, text in enumerate(stdout):
             assert text and files[f"example{i}.out"] == text.encode()
+
+
+def readme_outputs(out_dir):
+    """stdout of every README example, run in-process under ``out_dir``."""
+    outputs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("OUTPUT_DIR", str(out_dir))
+        for argv in readme_examples():
+            buffer = io.StringIO()
+            patch.setattr(sys, "stdout", buffer)
+            assert main(argv) == 0
+            outputs.append(buffer.getvalue())
+    return outputs
+
+
+def golden_name(index, argv, text):
+    kind = "json" if text.startswith("{") else "csv"
+    return f"{index}-{argv[0]}.{kind}"
+
+
+def parse_output(name, text):
+    """JSON as parsed; CSV as rows of ints, floats and strings."""
+    if name.endswith(".json"):
+        return json.loads(text)
+
+    def cell(value):
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        return value
+
+    rows = csv.reader(io.StringIO(text))
+    return [[cell(value) for value in row] for row in rows]
+
+
+def assert_close_structure(got, want, where=""):
+    """Equal structure, strings and integers; floats within 1e-12 relative."""
+    if isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert math.isclose(got, want, rel_tol=1e-12), (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_close_structure(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_close_structure(a, b, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+class TestReadmeGolden:
+    def test_readme_examples_match_golden(self, tmp_path):
+        examples = readme_examples()
+        assert json.loads((GOLDEN / "readme_argv.json").read_text()) == examples
+        outputs = readme_outputs(tmp_path)
+        names = [
+            golden_name(i, argv, text)
+            for i, (argv, text) in enumerate(zip(examples, outputs))
+        ]
+        assert sorted(p.name for p in GOLDEN.glob("[0-9]*")) == sorted(names)
+        for name, text in zip(names, outputs):
+            want = (GOLDEN / name).read_text()
+            assert_close_structure(
+                parse_output(name, text), parse_output(name, want), name
+            )
+
+
+if __name__ == "__main__":
+    # Rewrite the golden files from the current code:
+    #     PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    examples = readme_examples()
+    with tempfile.TemporaryDirectory() as out_dir:
+        outputs = readme_outputs(out_dir)
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.glob("[0-9]*"):
+        old.unlink()
+    argv_file = GOLDEN / "readme_argv.json"
+    argv_file.write_text(json.dumps(examples, indent=1) + "\n")
+    for i, (argv, text) in enumerate(zip(examples, outputs)):
+        (GOLDEN / golden_name(i, argv, text)).write_text(text)

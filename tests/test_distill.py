@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -22,24 +23,24 @@ from qkdprobe import (
 )
 from qkdprobe import distill
 from qkdprobe.distill import (
-    CAPACITY_GRID_STEP,
     CapacityPoint,
-    DomainClampWarning,
     FrontierResult,
     _golden_section_max,
+    _renyi_envelope,
     binary_entropy,
     erf,
 )
-from qkdprobe.errors import (
-    DomainError,
-    NotNormalizedError,
-    OutOfDomainError,
-    TooLargeError,
+from qkdprobe.errors import DomainError, NotNormalizedError, TooLargeError
+from qkdprobe.optimum import (
+    max_error_rate,
+    optimal_renyi_bits,
+    peak_error_rate,
 )
-from qkdprobe.optimum import max_error_rate
 
 PI = math.pi
 ORACLE_ALPHAS = [PI / 12, PI / 10, PI / 8, PI / 6]
+# 24 angles across (0, pi/4), both branches, for the capacity oracle.
+GRID_ALPHAS = [PI / 4 * (i + 0.5) / 24 for i in range(24)]
 
 # Pinned on first verified computation (bisection of the capacity formula
 # at alpha = pi/8 to 1e-9).
@@ -194,71 +195,84 @@ class TestXi:
             xi(100, 0.0)
 
 
-def loop_frontier(config, geom, *, clamp=True):
+def envelope_gain(error_rate, geom):
+    """I*(E) one float at a time: the optimal gain at min(E, E_pk)."""
+    return optimal_overlap(
+        min(error_rate, peak_error_rate(geom)), geom
+    ).renyi_bits
+
+
+def clamped_gain(error_rate, geom):
+    """The former frontier's gain: the argument clamped to the domain edge."""
+    edge = min(max_error_rate(geom), 0.5 - 1e-12)
+    return optimal_overlap(min(error_rate, edge), geom).renyi_bits
+
+
+def loop_frontier(config, geom, gain=envelope_gain):
     """Reference defense frontier: one scalar Renyi gain per error count."""
     n = config.n
     allowance = xi(n, config.p_fail)
-    e_max = min(max_error_rate(geom), 0.5 - 1e-12)
     best = -math.inf
     best_e = 0
-    clamped = 0
     for e in range(config.e_t + 1):
-        arg = e / n + allowance
-        if arg > e_max:
-            if not clamp:
-                raise OutOfDomainError(
-                    f"Renyi-gain argument {arg!r} exceeds the branch domain "
-                    f"edge {e_max!r} and clamping is disabled"
-                )
-            arg = e_max
-            clamped += 1
-        value = n * (1.0 - e / n) * optimal_overlap(arg, geom).renyi_bits + (
+        value = n * (1.0 - e / n) * gain(e / n + allowance, geom) + (
             allowance * n * math.sqrt(1.0 - e / n)
         )
         if value > best:
             best = value
             best_e = e
-    if clamped:
-        warnings.warn(
-            f"{clamped} of {config.e_t + 1} Renyi-gain arguments were "
-            f"clamped to the domain edge {e_max}",
-            DomainClampWarning,
-            stacklevel=2,
-        )
     return FrontierResult(t_f=best, argmax_e=best_e, xi=allowance)
 
 
-def grid_capacity(error_rate, geom):
-    """Reference capacity: the inner grid evaluated one point at a time."""
+def inner_gain(error_rate, geom):
+    """(1 - E) I*(E) for an array of error rates."""
+    peak = peak_error_rate(geom)
+    return (1.0 - error_rate) * optimal_renyi_bits(
+        np.minimum(error_rate, peak), geom
+    )
+
+
+def grid_capacity(error_rate, geom, step=1e-4):
+    """Reference capacity: the inner maximum over a dense grid on [0, E],
+    refined by golden section around the best grid point."""
 
     def gain(e_prime):
-        return (1.0 - e_prime) * optimal_overlap(e_prime, geom).renyi_bits
+        return float(inner_gain(np.array([e_prime]), geom)[0])
 
     if error_rate == 0.0:
         best_x = 0.0
     else:
-        steps = max(2, int(error_rate / CAPACITY_GRID_STEP) + 1)
-        grid = np.linspace(0.0, error_rate, steps)
-        values = [gain(float(x)) for x in grid]
-        k = int(np.argmax(values))
+        grid = np.linspace(0.0, error_rate, max(2, int(error_rate / step) + 1))
+        k = int(np.argmax(inner_gain(grid, geom)))
         lo = float(grid[max(0, k - 1)])
         hi = float(grid[min(len(grid) - 1, k + 1)])
         best_x = _golden_section_max(gain, lo, hi)
         if gain(float(grid[k])) > gain(best_x):
             best_x = float(grid[k])
-    return CapacityPoint(
-        error_rate=error_rate,
-        capacity=0.5 * (1.0 - error_rate - gain(best_x)),
-        inner_argmax=best_x,
-    )
+    return 0.5 * (1.0 - error_rate - gain(best_x))
 
 
-def with_warnings(fn, *args):
-    """fn(*args) and the (category, text) of every warning it issued."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    return result, [(w.category, str(w.message)) for w in caught]
+class TestRenyiEnvelope:
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_monotone_and_never_below_gain(self, alpha):
+        geom = SignalGeometry(alpha)
+        peak = peak_error_rate(geom)
+        rates = np.linspace(0.0, max_error_rate(geom), 2001)
+        envelope = _renyi_envelope(rates, geom)
+        gain = optimal_renyi_bits(rates, geom)
+        assert np.all(envelope >= gain)
+        below = rates <= peak
+        assert np.array_equal(envelope[below], gain[below])
+        assert np.all(envelope[~below] == 1.0)
+        assert np.all(np.diff(envelope) >= 0.0)
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_one_bit_from_peak_to_half(self, alpha):
+        geom = SignalGeometry(alpha)
+        peak = peak_error_rate(geom)
+        for rate in (peak, max_error_rate(geom), 0.5 * (peak + 0.5), 0.4999):
+            value = _renyi_envelope(rate, geom)
+            assert type(value) is float and value == 1.0
 
 
 class TestFrontierOracle:
@@ -268,16 +282,13 @@ class TestFrontierOracle:
     @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
     @pytest.mark.parametrize("fraction", [0.05, 0.7])
     def test_matches_loop(self, alpha, n, fraction):
-        # e_t = 0.7 n runs into the clamp region at every alpha, and at
+        # e_t = 0.7 n runs past the peak error rate at every alpha, and at
         # n = 10^5 spans two blocks of FRONTIER_BLOCK = 2^16 counts.
         geom = SignalGeometry(alpha)
         config = DistillationConfig(n=n, e_t=int(fraction * n), p_fail=0.01)
-        got, got_warnings = with_warnings(defense_frontier, config, geom)
-        want, want_warnings = with_warnings(loop_frontier, config, geom)
-        assert got == want
+        got = defense_frontier(config, geom)
+        assert got == loop_frontier(config, geom)
         assert type(got.t_f) is float and type(got.argmax_e) is int
-        assert got_warnings == want_warnings
-        assert bool(got_warnings) == (fraction == 0.7)
 
     @pytest.mark.parametrize("block", [1, 7, 256])
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
@@ -286,31 +297,98 @@ class TestFrontierOracle:
     ):
         geom = SignalGeometry(alpha)
         config = DistillationConfig(n=2000, e_t=1400, p_fail=0.1)
-        want = with_warnings(loop_frontier, config, geom)
+        want = loop_frontier(config, geom)
         monkeypatch.setattr(distill, "FRONTIER_BLOCK", block)
         assert config.e_t + 1 > block
-        assert with_warnings(defense_frontier, config, geom) == want
+        assert defense_frontier(config, geom) == want
 
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
-    def test_clamp_disabled_raises_like_loop(self, alpha):
+    def test_never_below_clamped_frontier(self, alpha):
+        # The former frontier clamped e/n + xi to the domain edge, where
+        # the gain is 0.  Below the peak the two agree exactly; at n = 5
+        # xi alone passes the peak and the envelope gives more.
         geom = SignalGeometry(alpha)
-        config = DistillationConfig(n=10**4, e_t=7000, p_fail=0.01)
-        with pytest.raises(OutOfDomainError) as got:
-            defense_frontier(config, geom, clamp=False)
-        with pytest.raises(OutOfDomainError) as want:
-            loop_frontier(config, geom, clamp=False)
-        assert str(got.value) == str(want.value)
+        peak = peak_error_rate(geom)
+        regimes = set()
+        for n, p_fail in itertools.product((5, 1000), (0.01, 0.5)):
+            for e_t in range(0, n + 1, max(1, n // 20)):
+                config = DistillationConfig(n=n, e_t=e_t, p_fail=p_fail)
+                got = defense_frontier(config, geom)
+                old = loop_frontier(config, geom, gain=clamped_gain)
+                assert got.t_f >= old.t_f
+                below = e_t / n + got.xi <= peak
+                if below:
+                    assert got == old
+                regimes.add((below, got.t_f > old.t_f))
+        assert regimes == {(True, False), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_monotone_across_peak(self, alpha):
+        geom = SignalGeometry(alpha)
+        peak = peak_error_rate(geom)
+        n = 2000
+        allowance = xi(n, 0.1)
+        # First count whose gain argument reaches the peak; beyond it the
+        # envelope is flat, so the frontier's terms fall with e.
+        at_peak = math.ceil((peak - allowance) * n)
+        assert 0 < at_peak < n
+        t_values = []
+        for e_t in range(0, n + 1, 25):
+            frontier = defense_frontier(
+                DistillationConfig(n=n, e_t=e_t, p_fail=0.1), geom
+            )
+            assert frontier.argmax_e <= at_peak
+            t_values.append(frontier.t_f)
+        assert all(a <= b for a, b in zip(t_values, t_values[1:]))
 
 
 class TestCapacityOracle:
-    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    @pytest.mark.parametrize("alpha", GRID_ALPHAS)
+    def test_inner_gain_is_unimodal(self, alpha):
+        geom = SignalGeometry(alpha)
+        rates = np.linspace(0.0, peak_error_rate(geom), 20001)
+        steps = np.diff(inner_gain(rates, geom))
+        k = int(np.argmax(steps <= 0.0))
+        assert 0 < k < len(steps)
+        assert np.all(steps[:k] > 0.0) and np.all(steps[k:] < 0.0)
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS + GRID_ALPHAS)
     def test_matches_per_point_grid(self, alpha):
         geom = SignalGeometry(alpha)
-        top = min(max_error_rate(geom), 0.49)
-        for fraction in (0.0, 0.1, 0.3, 0.6, 0.9, 1.0):
-            error_rate = fraction * top
-            assert asymptotic_capacity(error_rate, geom) == grid_capacity(
-                error_rate, geom
+        for fraction in (0.0, 0.05, 0.1, 0.3, 0.6, 0.9, 1.0):
+            error_rate = fraction * 0.49
+            got = asymptotic_capacity(error_rate, geom)
+            want = grid_capacity(error_rate, geom)
+            assert type(got.capacity) is float
+            assert abs(got.capacity - want) <= 1e-12
+            assert got.capacity <= want + 1e-15
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_linear_past_inner_argmax(self, alpha):
+        geom = SignalGeometry(alpha)
+        star = asymptotic_capacity(0.49, geom).inner_argmax
+        assert 0.0 < star < peak_error_rate(geom)
+        at_star = asymptotic_capacity(star, geom)
+        assert at_star.inner_argmax == star
+        for error_rate in np.linspace(star, 0.49, 9):
+            point = asymptotic_capacity(float(error_rate), geom)
+            assert point.inner_argmax == star
+            assert math.isclose(
+                point.capacity,
+                at_star.capacity - (error_rate - star) / 2.0,
+                abs_tol=1e-15,
+            )
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_equals_boundary_below_inner_argmax(self, alpha):
+        # Below E* the inner maximum sits at E itself.
+        geom = SignalGeometry(alpha)
+        star = asymptotic_capacity(0.49, geom).inner_argmax
+        for error_rate in np.linspace(0.0, star, 7)[:-1]:
+            point = asymptotic_capacity(float(error_rate), geom)
+            assert point.inner_argmax == error_rate
+            assert point.capacity == 0.5 * (
+                1.0 - error_rate - float(inner_gain(error_rate, geom))
             )
 
 
@@ -347,13 +425,24 @@ class TestDefenseFrontier:
             gaps.append(abs(frontier.t_f / n - inner_max))
         assert gaps[1] < gaps[0]
 
-    def test_clamping_warns(self):
-        geom = SignalGeometry(PI / 12)  # family domain edge at E = 1/4
-        config = DistillationConfig(n=100, e_t=30, p_fail=0.5)
-        with pytest.warns(DomainClampWarning):
-            defense_frontier(config, geom)
-        with pytest.raises(OutOfDomainError):
-            defense_frontier(config, geom, clamp=False)
+    def test_above_family_maximum_holds_one_bit(self):
+        # xi alone exceeds the family domain edge E = 1/4 at pi/12: the
+        # former clamp put every count at the edge, where the gain is 0.
+        geom = SignalGeometry(PI / 12)
+        config = DistillationConfig(n=20, e_t=6, p_fail=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frontier = defense_frontier(config, geom)
+        assert frontier.xi > max_error_rate(geom)
+        assert frontier == loop_frontier(config, geom)
+        assert frontier.argmax_e == 0
+        assert math.isclose(
+            frontier.t_f, config.n * (1.0 + frontier.xi), rel_tol=1e-15
+        )
+        clamped = loop_frontier(config, geom, clamped_gain)
+        assert math.isclose(
+            clamped.t_f, config.n * frontier.xi, rel_tol=1e-12
+        )
 
     def test_no_warning_in_domain(self, geom_pi8):
         config = DistillationConfig(n=1000, e_t=50, p_fail=0.1)
@@ -444,8 +533,18 @@ class TestAsymptoticCapacity:
         assert abs(0.5 * (lo + hi) - CAPACITY_ZERO_CROSSING) < 1e-7
 
     def test_domain(self):
-        with pytest.raises(OutOfDomainError):
-            asymptotic_capacity(0.3, SignalGeometry(PI / 12))
+        geom = SignalGeometry(PI / 12)  # family domain edge at E = 1/4
+        star = asymptotic_capacity(0.49, geom).inner_argmax
+        above = asymptotic_capacity(0.3, geom)
+        assert above.inner_argmax == star
+        assert math.isclose(
+            above.capacity,
+            asymptotic_capacity(star, geom).capacity - (0.3 - star) / 2.0,
+            abs_tol=1e-15,
+        )
+        for error_rate in (-1e-12, 0.5, 0.7, math.nan):
+            with pytest.raises(DomainError):
+                asymptotic_capacity(error_rate, geom)
 
 
 class TestCapacityCurve:

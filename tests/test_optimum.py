@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from qkdprobe import (
@@ -28,6 +29,7 @@ from qkdprobe.optimum import (
     lambda_cubic_coefficients,
     max_error_rate,
     optimal_renyi_bits,
+    peak_error_rate,
     phi_neg_lambda_window,
     quintic_coefficients,
     sin2phi_cubic_coefficients,
@@ -117,6 +119,27 @@ class TestBranchFormulas:
             max_error_rate(SignalGeometry(0.2 * PI)),
             math.cos(0.4 * PI) ** 2,
         )
+
+    @pytest.mark.parametrize(
+        "alpha", [PI / 12, PI / 10, PI / 8, PI / 6, 0.2 * PI]
+    )
+    def test_peak_error_rate_is_the_zero_of_the_optimum(self, alpha):
+        geom = SignalGeometry(alpha)
+        peak = peak_error_rate(geom)
+        # The gain's maximum: brentq on Q_min(E) over the family domain.
+        root = scipy.optimize.brentq(
+            lambda e: optimal_overlap(e, geom).overlap,
+            0.0,
+            max_error_rate(geom),
+            xtol=1e-16,
+        )
+        assert abs(peak - root) < 1e-15
+        assert abs(optimal_overlap(peak, geom).overlap) < 1e-15
+        assert optimal_renyi_bits(peak, geom) == 1.0
+
+    def test_peak_error_rate_at_standard_angle(self):
+        assert math.isclose(peak_error_rate(SignalGeometry(PI / 8)), 1 / 3)
+        assert math.isclose(peak_error_rate(SignalGeometry(PI / 12)), 1 / 7)
 
 
 def raised(fn, *args):

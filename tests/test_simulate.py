@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qkdprobe import (
     coefficients,
     defense_frontier,
     detection_probabilities,
+    error_rate,
     optimal_overlap,
 )
 from qkdprobe import run as run_simulation
@@ -161,20 +163,28 @@ class TestRun:
         assert leaky.s > base.s
         assert leaky.empirical_rate < base.empirical_rate
 
+    def test_explicit_attack_above_family_maximum(self):
+        # E = 0.3 at pi/6, where the optimum families end at E = 1/4.
+        geom = SignalGeometry(PI / 6)
+        attack = ProbeParams(PI / 2, 0.10068, 0.0, 0.0)
+        analytic = error_rate(coefficients(attack), geom)
+        assert 0.2999 < analytic < 0.3001
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_simulation(set_e_config(geom=geom, attack=attack))
+        assert (
+            report.analytic_capacity
+            == asymptotic_capacity(analytic, geom).capacity
+        )
+        assert report.analytic_capacity < 0.0
+        assert report.final_key_len == 0
+
     def test_degenerate_run(self):
-        # With a single raw bit, some seed sifts zero bits.  A 1-bit run
-        # that keeps its bit and flips it observes e/n = 1, beyond the
-        # formula domain, so the conservative clamp may fire.
-        import warnings
-
-        from qkdprobe.distill import DomainClampWarning
-
+        # With a single raw bit, some seed sifts zero bits.
         for seed in range(30):
             config = set_e_config(m=1, seed=seed, p_fail=0.5)
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DomainClampWarning)
-                    report = run_simulation(config)
+                report = run_simulation(config)
             except DegenerateRunError:
                 break
             assert report.n == 1
