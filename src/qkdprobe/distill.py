@@ -379,6 +379,30 @@ def _golden_section_max(
     return 0.5 * (a + b)
 
 
+def _capacity_points(
+    error_rates: Sequence[float], geom: SignalGeometry
+) -> list[CapacityPoint]:
+    """Capacity at each error rate, with one E* solve for all of them."""
+    for error_rate in error_rates:
+        if not 0.0 <= error_rate < 0.5:
+            raise DomainError("error rate must lie in [0, 1/2)")
+
+    def gain(e_prime: float) -> float:
+        # g on [0, E_pk], where I* = I.
+        return (1.0 - e_prime) * optimum.optimal_renyi_bits(e_prime, geom)
+
+    e_star = _golden_section_max(gain, 0.0, optimum.peak_error_rate(geom))
+    points = []
+    for error_rate in error_rates:
+        best_x = min(error_rate, e_star)
+        points.append(CapacityPoint(
+            error_rate=error_rate,
+            capacity=0.5 * (1.0 - error_rate - gain(best_x)),
+            inner_argmax=best_x,
+        ))
+    return points
+
+
 def asymptotic_capacity(
     error_rate: float, geom: SignalGeometry
 ) -> CapacityPoint:
@@ -391,35 +415,23 @@ def asymptotic_capacity(
     E_pk, so the inner maximum is g(min(E, E*)).  E* is located by golden
     section on [0, E_pk] to 1e-10 E_pk; past it C' falls with slope -1/2.
     """
-    if not 0.0 <= error_rate < 0.5:
-        raise DomainError("error rate must lie in [0, 1/2)")
-
-    def gain(e_prime: float) -> float:
-        # g on [0, E_pk], where I* = I.
-        return (1.0 - e_prime) * optimum.optimal_renyi_bits(e_prime, geom)
-
-    best_x = min(
-        error_rate,
-        _golden_section_max(gain, 0.0, optimum.peak_error_rate(geom)),
-    )
-    capacity = 0.5 * (1.0 - error_rate - gain(best_x))
-    return CapacityPoint(
-        error_rate=error_rate, capacity=capacity, inner_argmax=best_x
-    )
+    return _capacity_points([error_rate], geom)[0]
 
 
 def capacity_curve(
     geom: SignalGeometry, e_min: float, e_max: float, steps: int
 ) -> list[CapacityPoint]:
-    """Capacity at ``steps`` uniformly spaced error rates in [e_min, e_max]."""
+    """Capacity at ``steps`` uniformly spaced error rates in [e_min, e_max].
+
+    E* depends only on alpha, so it is solved once for the whole curve.
+    """
     if steps < 1:
         raise DomainError("steps must be positive")
     if e_max < e_min:
         raise DomainError("e_max must not be below e_min")
-    return [
-        asymptotic_capacity(float(e), geom)
-        for e in np.linspace(e_min, e_max, steps)
-    ]
+    return _capacity_points(
+        [float(e) for e in np.linspace(e_min, e_max, steps)], geom
+    )
 
 
 def binary_entropy(x: float) -> float:

@@ -164,10 +164,14 @@ def _quadruple(
 
 def coefficients(params: ProbeParams) -> ProbeCoefficients:
     """Evaluate the coefficient quadruple (a, b, c, d) at a probe setting."""
+    # Square as x * x, like mu_from_constraint: pow(x, 2) can differ from
+    # it in the last place, and the two routes must agree bit for bit.
+    sin_lam = math.sin(params.lam)
+    cos_lam = math.cos(params.lam)
     return ProbeCoefficients(
         *_quadruple(
-            math.sin(params.lam) ** 2,
-            math.cos(params.lam) ** 2,
+            sin_lam * sin_lam,
+            cos_lam * cos_lam,
             math.sin(2.0 * params.mu),
             math.cos(2.0 * params.theta),
             math.sin(2.0 * params.theta),
@@ -307,9 +311,10 @@ def mu_from_constraint(
         raise SingularLambdaError(
             f"sin(lam) = {sin_lam!r} ~ 0: mu has no effect on any observable"
         )
+    cos_lam = math.cos(lam)
     rhs = _constraint_sin_two_mu(
         sin_lam * sin_lam,
-        math.cos(lam) ** 2,
+        cos_lam * cos_lam,
         math.cos(2.0 * theta),
         math.sin(2.0 * phi),
         target_error,

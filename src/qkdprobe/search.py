@@ -13,7 +13,9 @@ strategies are provided:
   error-rate mismatch, covering the space without any elimination.
 
 :func:`refine` polishes any feasible starting point with a
-derivative-free simplex search, re-solving mu at every step.
+derivative-free simplex search, re-solving mu at every step.  Only
+:func:`refine` and :func:`penalty_scan` use scipy (Nelder-Mead), and they
+import it when called, so importing this module does not load scipy.
 
 All randomness derives from the config seed through counter-based
 splitting, so identical configs produce bit-identical reports; grid and
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import optimum, probe
 from .errors import (
@@ -283,6 +284,8 @@ def refine(
         raise InfeasibleConstraintError(
             "refine start point cannot meet the error-rate constraint"
         )
+    from scipy.optimize import minimize
+
     minimize(
         objective,
         np.array([start.lam, start.theta, start.phi]),
@@ -321,6 +324,8 @@ def _penalty_finals(
         except DegenerateModelError:
             return _INFEASIBLE
         return q + penalty_weight * (e - target) ** 2
+
+    from scipy.optimize import minimize
 
     rng = np.random.default_rng([config.seed, _PENALTY_STREAM])
     n_starts = max(1, config.random_restarts)

@@ -120,6 +120,11 @@ def run(config: SimulationConfig) -> SimulationReport:
     params = resolve_attack(config)
     coeffs = probe.coefficients(params)
     analytic_error = min(max(probe.error_rate(coeffs, config.geom), 0.0), 1.0)
+    if analytic_error >= 0.5:
+        raise DomainError(
+            f"the attack induces error rate E = {analytic_error!r}; no key "
+            "can be distilled at E >= 1/2"
+        )
 
     rng = np.random.default_rng(config.seed)
     n = int(rng.binomial(config.m, 0.5))

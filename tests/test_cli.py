@@ -2,13 +2,16 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdprobe
 from qkdprobe import (
     DistillationConfig,
     ProbeParams,
@@ -21,6 +24,7 @@ from qkdprobe import (
     distill,
     evaluate,
     mu_from_constraint,
+    refine,
 )
 from qkdprobe.cli import _fmt_csv, main, parse_angle, render_json
 from qkdprobe.errors import QkdProbeError, SingularLambdaError
@@ -532,6 +536,29 @@ class TestSimulateCommand:
         payload = json.loads(out)
         assert payload["results"]["e_t"] == 0
 
+    def test_attack_at_half_error_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--m",
+            "100000000",
+            "--alpha",
+            "pi/12",
+            "--lambda",
+            "0",
+            "--mu",
+            "0",
+            "--theta",
+            "pi/2",
+            "--phi",
+            "3pi/4",
+            "--p-fail",
+            "0.01",
+        )
+        assert code == 2 and out == ""
+        assert "the attack induces error rate E = 0.75" in err
+        assert "no key can be distilled at E >= 1/2" in err
+
     def test_incomplete_attack_arguments(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -719,6 +746,61 @@ class TestReadmeGolden:
             assert_close_structure(
                 parse_output(name, text), parse_output(name, want), name
             )
+
+
+STARTUP_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+import qkdprobe
+from qkdprobe import cli, search
+
+examples, start = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+for argv in examples:
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+scipy_before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+config = search.SearchConfig(qkdprobe.SignalGeometry(start[0]), start[1])
+q, params = search.refine(qkdprobe.ProbeParams(*start[2:]), config)
+print(json.dumps({
+    "scipy_before": scipy_before,
+    "optimize_after": "scipy.optimize" in sys.modules,
+    "refine": [q, params.lam, params.mu, params.theta, params.phi],
+}))
+"""
+
+
+class TestStartup:
+    def test_readme_examples_load_no_scipy(self, tmp_path):
+        # A fresh interpreter: pytest itself has loaded scipy here.
+        examples = (GOLDEN / "readme_argv.json").read_text()
+        geom = SignalGeometry(PI / 8)
+        lam, theta, phi = 0.4 * PI, 0.2 * PI, 0.6 * PI
+        mu = mu_from_constraint(lam, theta, phi, 0.2, geom)
+        start = [PI / 8, 0.2, lam, mu, theta, phi]
+        package_root = Path(qkdprobe.__file__).resolve().parents[1]
+        env = dict(os.environ, OUTPUT_DIR=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package_root), env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT, examples, json.dumps(start)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+            timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        assert report["scipy_before"] == []
+        assert report["optimize_after"] is True
+        q, params = refine(
+            ProbeParams(*start[2:]), SearchConfig(geom, 0.2)
+        )
+        assert report["refine"] == [
+            q, params.lam, params.mu, params.theta, params.phi
+        ]
 
 
 if __name__ == "__main__":

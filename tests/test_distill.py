@@ -563,6 +563,27 @@ class TestCapacityCurve:
         assert curve[0] == asymptotic_capacity(0.01, geom_pi8)
         assert curve[-1] == asymptotic_capacity(0.11, geom_pi8)
 
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_every_point_bit_exact(self, alpha):
+        # 0.49 lies past E* at every alpha, so both sides of E* are covered.
+        geom = SignalGeometry(alpha)
+        rates = np.linspace(0.0, 0.49, 40)
+        curve = capacity_curve(geom, 0.0, 0.49, 40)
+        assert [point.error_rate for point in curve] == list(rates)
+        assert curve == [asymptotic_capacity(float(e), geom) for e in rates]
+
+    def test_one_inner_solve_per_curve(self, geom_pi8, monkeypatch):
+        calls = []
+        solve = distill._golden_section_max
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(distill, "_golden_section_max", counted)
+        capacity_curve(geom_pi8, 0.0, 0.3, 40)
+        assert len(calls) == 1
+
 
 class TestBinaryEntropy:
     def test_values(self):

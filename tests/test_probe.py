@@ -18,6 +18,7 @@ from qkdprobe import (
     q_value,
     renyi_info,
 )
+from qkdprobe import probe
 from qkdprobe.errors import (
     DegenerateModelError,
     DomainError,
@@ -312,6 +313,35 @@ class TestMuFromConstraint:
     def test_error_rate_domain(self, geom_pi8):
         with pytest.raises(DomainError):
             mu_from_constraint(PI / 2, 0.0, 0.0, 0.5, geom_pi8)
+
+    def test_squares_lambda_like_coefficients(self, geom_pi8, monkeypatch):
+        # Both scalar routes must hand the shared kernels bit-identical
+        # (sin^2 lam, cos^2 lam); pow(x, 2) and x * x differ in the last
+        # place on ~0.1 % of inputs.
+        passed = {"coefficients": [], "constraint": []}
+        quadruple = probe._quadruple
+        constraint = probe._constraint_sin_two_mu
+
+        def spy_quadruple(sin_sq_lam, cos_sq_lam, *rest):
+            passed["coefficients"].append((sin_sq_lam, cos_sq_lam))
+            return quadruple(sin_sq_lam, cos_sq_lam, *rest)
+
+        def spy_constraint(sin_sq_lam, cos_sq_lam, *rest):
+            passed["constraint"].append((sin_sq_lam, cos_sq_lam))
+            return constraint(sin_sq_lam, cos_sq_lam, *rest)
+
+        monkeypatch.setattr(probe, "_quadruple", spy_quadruple)
+        monkeypatch.setattr(probe, "_constraint_sin_two_mu", spy_constraint)
+        rng = np.random.default_rng(2024)
+        for lam in rng.uniform(0.0, PI, 10_000):
+            lam = float(lam)
+            coefficients(ProbeParams(lam=lam, mu=0.4, theta=0.3, phi=1.1))
+            try:
+                mu_from_constraint(lam, 0.3, 1.1, 0.2, geom_pi8)
+            except InfeasibleConstraintError:
+                pass
+        assert len(passed["coefficients"]) == 10_000
+        assert passed["coefficients"] == passed["constraint"]
 
 
 class TestRenyiInfo:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from qkdprobe import (
     error_rate,
     optimal_overlap,
 )
+from qkdprobe import distill
 from qkdprobe import run as run_simulation
 from qkdprobe import sweep as run_sweep
 from qkdprobe.errors import DegenerateRunError, DomainError, OutOfDomainError
@@ -178,6 +180,22 @@ class TestRun:
         )
         assert report.analytic_capacity < 0.0
         assert report.final_key_len == 0
+
+    def test_attack_at_half_error_fails_before_sifting(self, monkeypatch):
+        geom = SignalGeometry(PI / 12)
+        attack = ProbeParams(0.0, 0.0, PI / 2, 3 * PI / 4)
+        analytic = error_rate(coefficients(attack), geom)
+        assert math.isclose(analytic, 0.75)
+
+        def refuse(*args, **kwargs):
+            pytest.fail("ran past the error-rate check")
+
+        monkeypatch.setattr(distill, "defense_frontier", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(
+            DomainError, match=re.escape(f"error rate E = {analytic!r}")
+        ):
+            run_simulation(set_e_config(m=10**8, geom=geom, attack=attack))
 
     def test_degenerate_run(self):
         # With a single raw bit, some seed sifts zero bits.
