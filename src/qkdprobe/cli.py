@@ -51,6 +51,8 @@ def parse_angle(text: str) -> float:
         -1.0 if coef_text == "-" else 1.0
     )
     divisor = float(div_text) if div_text else 1.0
+    if divisor == 0.0:
+        raise argparse.ArgumentTypeError(f"angle {text!r} divides by zero")
     return coef * math.pi / divisor
 
 
@@ -399,7 +401,21 @@ def _report_dict(report: simulate.SimulationReport) -> dict[str, Any]:
     }
 
 
-def _simulate_inputs(args: argparse.Namespace) -> dict[str, Any]:
+def _simulation_config(args: argparse.Namespace) -> simulate.SimulationConfig:
+    return simulate.SimulationConfig(
+        m=args.m,
+        geom=SignalGeometry(args.alpha),
+        attack=_attack_from_args(args),
+        p_fail=args.p_fail,
+        q_model=_q_model_from_args(args),
+        seed=args.seed,
+        four_state_sampler=args.four_state,
+    )
+
+
+def _simulate_inputs(
+    args: argparse.Namespace, config: simulate.SimulationConfig
+) -> dict[str, Any]:
     inputs: dict[str, Any] = {
         "m": args.m,
         "alpha": _angle_echo(args.alpha),
@@ -413,47 +429,23 @@ def _simulate_inputs(args: argparse.Namespace) -> dict[str, Any]:
         inputs["family"] = args.family
         inputs["error_rate"] = args.error_rate
     else:
-        inputs.update(
-            {
-                "lam": _angle_echo(args.lam),
-                "mu": _angle_echo(args.mu),
-                "theta": _angle_echo(args.theta),
-                "phi": _angle_echo(args.phi),
-            }
-        )
+        inputs.update(_params_dict(config.attack))
     return inputs
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = simulate.SimulationConfig(
-        m=args.m,
-        geom=SignalGeometry(args.alpha),
-        attack=_attack_from_args(args),
-        p_fail=args.p_fail,
-        q_model=_q_model_from_args(args),
-        seed=args.seed,
-        four_state_sampler=args.four_state,
-    )
+    config = _simulation_config(args)
     report = simulate.run(config)
+    inputs = _simulate_inputs(args, config)
     _write_output(
-        render_json(
-            _envelope("simulate", _simulate_inputs(args), _report_dict(report), [])
-        ),
+        render_json(_envelope("simulate", inputs, _report_dict(report), [])),
         args.out,
     )
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = simulate.SimulationConfig(
-        m=args.m,
-        geom=SignalGeometry(args.alpha),
-        attack=_attack_from_args(args),
-        p_fail=args.p_fail,
-        q_model=_q_model_from_args(args),
-        seed=args.seed,
-        four_state_sampler=args.four_state,
-    )
+    config = _simulation_config(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:

@@ -14,9 +14,9 @@ safety margin g.  The defense frontier for the individual attack is
     t_F(n, e_T) = max_{e <= e_T} { n (1 - e/n) I*(e/n + xi)
                                    + xi sqrt(n^2 (1 - e/n)) }
 
-with xi = inverse_erf(1 - p) / sqrt(2 n) (the frontier of Slutsky, Rao,
-Sun & Fainman, PRA 57, 2383 (1998)).  I is the maximum Renyi gain at a
-given error rate; it rises to 1 bit at the peak error rate E_pk
+with xi = erfinv(1 - p) / sqrt(2 n) (the frontier of Slutsky, Rao, Sun &
+Fainman, PRA 57, 2383 (1998)).  I is the maximum Renyi gain at a given
+error rate; it rises to 1 bit at the peak error rate E_pk
 (:func:`qkdprobe.optimum.peak_error_rate`) and falls back beyond it.  A
 probe can always add noise, so both bounds use its monotone envelope
 I*(E) = I(min(E, E_pk)), which holds the gain at 1 bit past E_pk.  In the
@@ -30,11 +30,11 @@ t_F is evaluated as numpy arrays by
 FRONTIER_BLOCK error counts; the capacity's inner maximum sits at one
 error rate per alpha, found by a 1-D golden-section solve.
 
-The inverse error function is computed from first principles (Maclaurin
-series for small arguments, a continued fraction for the complement at
-large arguments, guarded Newton for the inverse) so the toolkit carries
-its own special-function route; tests cross-check it against independent
-implementations.
+Since erfinv(1 - p) = -Phi^-1(p / 2) / sqrt(2), xi is computed from p as
+-Phi^-1(p / 2) / (2 sqrt(n)) with the standard library's
+``statistics.NormalDist().inv_cdf``, Wichura's algorithm AS241 (Appl.
+Stat. 37, 477 (1988)).  Forming 1 - p first would discard the digits of
+a small p.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ MAX_EMPIRICAL_BITS = 14
 # Error counts the defense frontier evaluates per array pass; bounds its
 # memory independently of e_t.
 FRONTIER_BLOCK = 2**16
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -216,92 +215,24 @@ def pa_empirical_check(
     )
 
 
-def erf(z: float) -> float:
-    """Standard error function (2/sqrt(pi)) * integral_0^z exp(-y^2) dy.
-
-    Maclaurin series below |z| = 2, complementary continued fraction
-    above; accurate to roughly 1e-15 over the range needed here.
-    """
-    if z == 0.0:
-        return 0.0
-    if z < 0.0:
-        return -erf(-z)
-    if z < 2.0:
-        # erf(z) = (2/sqrt(pi)) sum_k (-1)^k z^(2k+1) / (k! (2k+1))
-        term = z
-        total = z
-        z_sq = z * z
-        for k in range(1, 200):
-            term *= -z_sq / k
-            contribution = term / (2 * k + 1)
-            total += contribution
-            if abs(contribution) < 1e-18 * abs(total):
-                break
-        return _TWO_OVER_SQRT_PI * total
-    return 1.0 - _erfc_continued_fraction(z)
-
-
-def _erfc_continued_fraction(z: float) -> float:
-    """erfc(z) for z >= 2 via the Laplace continued fraction.
-
-    erfc(z) = exp(-z^2)/sqrt(pi) * 1/(z + (1/2)/(z + 1/(z + (3/2)/(...))))
-    evaluated with the modified Lentz algorithm.
-    """
-    tiny = 1e-300
-    f = z if z != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, 200):
-        a_n = n / 2.0
-        d = z + a_n * d
-        if d == 0.0:
-            d = tiny
-        c = z + a_n / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-z * z) / math.sqrt(math.pi) / f
-
-
-def inverse_erf(y: float) -> float:
-    """z with erf(z) = y, for |y| < 1, by bracketed Newton iteration."""
-    if not -1.0 < y < 1.0:
-        raise DomainError(f"inverse_erf requires |y| < 1; got {y!r}")
-    if y == 0.0:
-        return 0.0
-    if y < 0.0:
-        return -inverse_erf(-y)
-    lo, hi = 0.0, 7.0  # erf(7) == 1 to double precision
-    z = min(max(y, 1e-8), 6.0)
-    for _ in range(200):
-        residual = erf(z) - y
-        if residual > 0.0:
-            hi = z
-        else:
-            lo = z
-        derivative = _TWO_OVER_SQRT_PI * math.exp(-z * z)
-        step = residual / derivative if derivative > 0.0 else math.inf
-        z_next = z - step
-        if not lo < z_next < hi:
-            z_next = 0.5 * (lo + hi)
-        if abs(z_next - z) < 1e-16 * max(1.0, z) or hi - lo < 1e-16:
-            z = z_next
-            break
-        z = z_next
-    return z
-
-
 def xi(n: int, p_fail: float) -> float:
-    """Statistical allowance inverse_erf(1 - p) / sqrt(2 n)."""
+    """Statistical allowance erfinv(1 - p) / sqrt(2 n).
+
+    Computed from p itself as -Phi^-1(p / 2) / (2 sqrt(n)), never from
+    the rounded 1 - p, so it holds its accuracy for every p in (0, 1)
+    whose half is still a positive float.
+    """
     if n < 1:
         raise DomainError("n must be a positive integer")
     if not 0.0 < p_fail < 1.0:
         raise DomainError("p_fail must lie in (0, 1)")
-    return inverse_erf(1.0 - p_fail) / math.sqrt(2.0 * n)
+    half = p_fail / 2.0
+    if half == 0.0:
+        raise DomainError(f"p_fail = {p_fail!r} underflows when halved")
+    # Imported here: only the frontier, simulate and sweep paths need it.
+    from statistics import NormalDist
+
+    return -NormalDist().inv_cdf(half) / (2.0 * math.sqrt(n))
 
 
 def _renyi_envelope(

@@ -299,9 +299,7 @@ def optimal_renyi_bits(
 
 def _family_constant(target_error: float, geom: SignalGeometry) -> float:
     """K = 1 - 2E csc^2(2a) on the lower branch, csc -> sec on the upper."""
-    if branch_for(geom) is Branch.CSC:
-        return 1.0 - 2.0 * target_error / geom.sin_sq_two_alpha
-    return 1.0 - 2.0 * target_error / geom.cos_sq_two_alpha
+    return 1.0 - 2.0 * target_error / max_error_rate(geom)
 
 
 def optimal_parameter_families(
@@ -499,6 +497,28 @@ def phi_neg_lambda_window(target_error: float) -> tuple[float, float]:
     return edge, math.pi - edge
 
 
+def _lambda_bracket(
+    cos_two_theta: float, sin_two_phi: float, geom: SignalGeometry
+) -> float:
+    """The factor of cos^2(lam) in q at fixed error rate.
+
+    (2 - tan^2 2a) [cot^2 2a - cos 2theta (sin 2phi + cot^2 2a)]
+    + sin 2phi [1 + (1 - tan^2 2a) cos 2theta]
+    """
+    tan_sq = geom.sin_sq_two_alpha / geom.cos_sq_two_alpha
+    cot_sq = 1.0 / tan_sq
+    return (2.0 - tan_sq) * (
+        cot_sq - cos_two_theta * (sin_two_phi + cot_sq)
+    ) + sin_two_phi * (1.0 + (1.0 - tan_sq) * cos_two_theta)
+
+
+def _constant_error_radicand(
+    target_error: float, c: float, geom: SignalGeometry
+) -> float:
+    """(1 - E)^2 - c^2 sin^2(2a)/4: the overlap's squared denominator."""
+    return (1.0 - target_error) ** 2 - 0.25 * c * c * geom.sin_sq_two_alpha
+
+
 def mu_eliminated_q(
     lam: float,
     theta: float,
@@ -512,18 +532,10 @@ def mu_eliminated_q(
     cot^2 2a)] + sin 2phi [1 + (1 - tan^2 2a) cos 2theta] }
     - 4E csc^2(2a) + 3.
     """
-    tan_sq = geom.sin_sq_two_alpha / geom.cos_sq_two_alpha
-    cot_sq = 1.0 / tan_sq
     csc_sq = 1.0 / geom.sin_sq_two_alpha
-    cos_two_theta = math.cos(2.0 * theta)
-    sin_two_phi = math.sin(2.0 * phi)
     return (
         math.cos(lam) ** 2
-        * (
-            (2.0 - tan_sq)
-            * (cot_sq - cos_two_theta * (sin_two_phi + cot_sq))
-            + sin_two_phi * (1.0 + (1.0 - tan_sq) * cos_two_theta)
-        )
+        * _lambda_bracket(math.cos(2.0 * theta), math.sin(2.0 * phi), geom)
         - 4.0 * csc_sq * target_error
         + 3.0
     )
@@ -547,7 +559,7 @@ def constant_error_overlap(
     q = mu_eliminated_q(lam, theta, phi, target_error, geom)
     # The skew coefficient c does not depend on mu.
     c = probe.coefficients(ProbeParams(lam, 0.0, theta, phi)).c
-    radicand = (1.0 - target_error) ** 2 - 0.25 * c * c * geom.sin_sq_two_alpha
+    radicand = _constant_error_radicand(target_error, c, geom)
     if radicand <= 0.0:
         raise DegenerateModelError(
             f"overlap denominator radicand {radicand!r} is non-positive"
@@ -566,11 +578,9 @@ def stationarity_residuals(
     coeffs = probe.coefficients(params)
     e = probe.error_rate(coeffs, geom)
     q = probe.q_value(coeffs)
-    c = coeffs.c
     s2 = geom.sin_sq_two_alpha
-    tan_sq = s2 / geom.cos_sq_two_alpha
-    cot_sq = 1.0 / tan_sq
-    denom = 4.0 * (1.0 - e) ** 2 - c * c * s2
+    cot_sq = 1.0 / (s2 / geom.cos_sq_two_alpha)
+    denom = 4.0 * _constant_error_radicand(e, coeffs.c, geom)
     if denom <= 0.0:
         raise DegenerateModelError(
             f"stationarity bracket denominator {denom!r} is non-positive"
@@ -588,12 +598,7 @@ def stationarity_residuals(
     cos_sq_two_phi = cos_two_phi * cos_two_phi
 
     f1 = (
-        2.0
-        * (
-            (2.0 - tan_sq)
-            * (cot_sq - cos_two_theta * (sin_two_phi + cot_sq))
-            + sin_two_phi * (1.0 + (1.0 - tan_sq) * cos_two_theta)
-        )
+        2.0 * _lambda_bracket(cos_two_theta, sin_two_phi, geom)
         + bracket * s2 * cos_sq_lam * sin_sq_two_theta * cos_sq_two_phi
     )
     f2 = (

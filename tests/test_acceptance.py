@@ -26,7 +26,6 @@ from qkdprobe import (
     enumerate_possibilities,
     error_rate,
     evaluate,
-    inverse_erf,
     optimal_overlap,
     optimal_parameter_families,
     overlap,
@@ -37,9 +36,9 @@ from qkdprobe import (
     sample_params,
     sec_branch_overlap,
     stationarity_residuals,
+    xi,
 )
 from qkdprobe import run as run_simulation
-from qkdprobe.distill import erf
 from qkdprobe.errors import OutOfDomainError
 from qkdprobe.optimum import (
     constant_error_overlap,
@@ -322,8 +321,10 @@ def test_criterion_10_distillation_identities():
         point[0] = 1.0
         ok &= renyi_information(uniform, l_bits) == 0.0
         ok &= renyi_information(point, l_bits) == float(l_bits)
-    for y in (-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999):
-        ok &= abs(erf(inverse_erf(y)) - y) < 1e-12
+    for p_fail in (0.5, 1e-2, 1e-10, 1e-18):
+        n = 5000
+        erfc = math.erfc(xi(n, p_fail) * math.sqrt(2 * n))
+        ok &= abs(erfc / p_fail - 1.0) < 1e-13
     for alpha in (PI / 12, PI / 9, PI / 8):
         ok &= asymptotic_capacity(0.0, SignalGeometry(alpha)).capacity == 0.5
     capacities = {
@@ -334,8 +335,8 @@ def test_criterion_10_distillation_identities():
     check(
         10,
         "distillation identities: collision info exact on uniform/point "
-        "mass, inverse_erf round-trip < 1e-12, capacity(0) = 1/2, "
-        "capacity(0.05) maximal at pi/8",
+        "mass, erfc(xi sqrt(2n)) = p_fail to 1e-13 down to p_fail = 1e-18, "
+        "capacity(0) = 1/2, capacity(0.05) maximal at pi/8",
         ok,
     )
 

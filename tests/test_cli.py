@@ -60,8 +60,15 @@ class TestAngleParsing:
     def test_rejects_garbage(self):
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_angle("two pies")
+        for text in ("two pies", "pi/0", "pi/0.0"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_angle(text)
+
+    def test_zero_divisor_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimal", "--alpha", "pi/0", "--error-rate", "0.1"])
+        assert exit_info.value.code == 2
+        assert "divides by zero" in capsys.readouterr().err
 
 
 class TestJsonRendering:
@@ -455,6 +462,25 @@ class TestFrontier:
         assert payload["results"]["argmax_e"] == frontier.argmax_e == 0
         assert payload["results"]["s"] == math.ceil(frontier.t_f)
 
+    @pytest.mark.parametrize("p_fail", ["1e-18", "1e-300"])
+    def test_small_failure_probability(self, capsys, p_fail):
+        code, out, _ = run_cli(
+            capsys, "frontier", "--alpha", "pi/8", "--n", "10000",
+            "--errors", "500", "--p-fail", p_fail,
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["xi"] == distill.xi(
+            10000, float(p_fail)
+        )
+
+    def test_underflowing_failure_probability_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "frontier", "--alpha", "pi/8", "--n", "10000",
+            "--errors", "500", "--p-fail", "5e-324",
+        )
+        assert code == 2 and out == ""
+        assert "underflows" in err
+
     def test_one_frontier_per_row(self, capsys, monkeypatch):
         calls = []
 
@@ -535,6 +561,18 @@ class TestSimulateCommand:
         )
         payload = json.loads(out)
         assert payload["results"]["e_t"] == 0
+        angles = {
+            name: value
+            for name, value in payload["inputs"].items()
+            if name in ("lam", "mu", "theta", "phi")
+        }
+        assert angles == {
+            "lam": {"radians": 0.0, "over_pi": 0.0},
+            "mu": {"radians": 0.0, "over_pi": 0.0},
+            "theta": {"radians": 0.0, "over_pi": 0.0},
+            "phi": {"radians": PI / 4, "over_pi": 0.25},
+        }
+        assert list(angles) == ["lam", "mu", "theta", "phi"]
 
     def test_attack_at_half_error_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -755,6 +793,7 @@ from contextlib import redirect_stdout
 import qkdprobe
 from qkdprobe import cli, search
 
+statistics_on_import = "statistics" in sys.modules
 examples, start = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 for argv in examples:
     with redirect_stdout(io.StringIO()):
@@ -763,6 +802,7 @@ scipy_before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 config = search.SearchConfig(qkdprobe.SignalGeometry(start[0]), start[1])
 q, params = search.refine(qkdprobe.ProbeParams(*start[2:]), config)
 print(json.dumps({
+    "statistics_on_import": statistics_on_import,
     "scipy_before": scipy_before,
     "optimize_after": "scipy.optimize" in sys.modules,
     "refine": [q, params.lam, params.mu, params.theta, params.phi],
@@ -793,6 +833,7 @@ class TestStartup:
         )
         assert child.returncode == 0, child.stderr
         report = json.loads(child.stdout)
+        assert report["statistics_on_import"] is False
         assert report["scipy_before"] == []
         assert report["optimize_after"] is True
         q, params = refine(

@@ -14,7 +14,6 @@ from qkdprobe import (
     capacity_curve,
     compression_level,
     defense_frontier,
-    inverse_erf,
     optimal_overlap,
     pa_empirical_check,
     pa_shannon_bound,
@@ -28,7 +27,6 @@ from qkdprobe.distill import (
     _golden_section_max,
     _renyi_envelope,
     binary_entropy,
-    erf,
 )
 from qkdprobe.errors import DomainError, NotNormalizedError, TooLargeError
 from qkdprobe.optimum import (
@@ -147,37 +145,37 @@ class TestPaEmpiricalCheck:
             assert result.holds
 
 
-class TestErrorFunction:
-    def test_matches_stdlib_erf(self):
-        for z in np.linspace(-6.0, 6.0, 241):
-            assert abs(erf(float(z)) - math.erf(float(z))) < 1e-14
-
-    def test_inverse_examples(self):
-        assert inverse_erf(0.0) == 0.0
-        assert math.isclose(
-            inverse_erf(0.5), 0.4769362762044699, abs_tol=1e-12
-        )
-        assert math.isclose(
-            inverse_erf(0.5),
-            float(scipy.special.erfinv(0.5)),
-            abs_tol=1e-14,
-        )
-
-    @pytest.mark.parametrize(
-        "y", [-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999]
-    )
-    def test_round_trip(self, y):
-        assert abs(erf(inverse_erf(y)) - y) < 1e-12
-
-    def test_domain(self):
-        for y in (-1.0, 1.0, 1.5):
-            with pytest.raises(DomainError):
-                inverse_erf(y)
+# erfcinv(p) = erfinv(1 - p) for the float p, from mpmath:
+#     mp.dps = -log10(p) + 60; mp.nstr(mp.erfinv(1 - mp.mpf(p)), 50)
+ERFCINV_TABLE = {
+    0.5: 0.47693627620446987338141835364313055980896974905947,
+    1e-2: 1.8213863677184496679503491873549618197554806357024,
+    1e-6: 3.458910737279500028447560910876607348460534410569,
+    1e-10: 4.5728249673894852748466112860278821272315649559015,
+    1e-12: 5.0420297456390593761915987497229591248837807452404,
+    1e-15: 5.6758463474676469782613440207987064414860620938056,
+    1e-16: 5.8723700904539631468214368071993209073314558596186,
+    1e-18: 6.2473660437464638313203886191174782401264261887858,
+    1e-20: 6.6015806223551425656243458907703602111747772320057,
+    1e-100: 15.065574702592645703742566525478381259524610785685,
+    1e-300: 26.209469960516123885520731790456089173201240382875,
+}
 
 
 class TestXi:
+    @pytest.mark.parametrize("p_fail", sorted(ERFCINV_TABLE))
+    @pytest.mark.parametrize("n", [1, 5000, 10**9])
+    def test_matches_high_precision_table(self, n, p_fail):
+        # xi sqrt(2 n) = erfinv(1 - p) = erfcinv(p).
+        scaled = xi(n, p_fail) * math.sqrt(2 * n)
+        for reference in (
+            ERFCINV_TABLE[p_fail],
+            float(scipy.special.erfcinv(p_fail)),
+        ):
+            assert math.isclose(scaled, reference, rel_tol=2e-15)
+
     def test_pinned_value(self):
-        # inverse_erf(0.99)/100; cross-checked against scipy and an
+        # erfinv(0.99)/100; cross-checked against scipy and an
         # arbitrary-precision evaluation.
         assert math.isclose(
             xi(5000, 0.01), 0.018213863677, abs_tol=1e-10
@@ -191,8 +189,10 @@ class TestXi:
     def test_domain(self):
         with pytest.raises(DomainError):
             xi(0, 0.5)
-        with pytest.raises(DomainError):
-            xi(100, 0.0)
+        # 5e-324 / 2 underflows to 0, outside the normal quantile's domain.
+        for p_fail in (0.0, 1.0, math.nan, 5e-324):
+            with pytest.raises(DomainError):
+                xi(100, p_fail)
 
 
 def envelope_gain(error_rate, geom):
