@@ -162,6 +162,15 @@ ERFCINV_TABLE = {
 }
 
 
+class TestErrorFunction:
+    def test_domain(self):
+        # xi inverts erf at y = 1 - p, so erfinv's domain edges y = 1
+        # and y = -1, and y = 1.5 beyond them, are p = 0, 2 and -0.5.
+        for y in (-1.0, 1.0, 1.5):
+            with pytest.raises(DomainError):
+                xi(100, 1.0 - y)
+
+
 class TestXi:
     @pytest.mark.parametrize("p_fail", sorted(ERFCINV_TABLE))
     @pytest.mark.parametrize("n", [1, 5000, 10**9])
