@@ -107,14 +107,13 @@ def _envelope(
     command: str,
     inputs: dict[str, Any],
     results: Any,
-    warning_list: Sequence[str],
 ) -> dict[str, Any]:
     return {
         "tool_version": __version__,
         "command": command,
         "inputs": inputs,
         "results": results,
-        "warnings": list(warning_list),
+        "warnings": [],
     }
 
 
@@ -177,7 +176,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     inputs = {"alpha": _angle_echo(args.alpha), **_params_dict(params)}
     _write_output(
-        render_json(_envelope("evaluate", inputs, results, [])), args.out
+        render_json(_envelope("evaluate", inputs, results)), args.out
     )
     return 0
 
@@ -207,7 +206,7 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     }
     inputs = {"alpha": _angle_echo(args.alpha), "error_rate": args.error_rate}
     _write_output(
-        render_json(_envelope("optimal", inputs, results, [])), args.out
+        render_json(_envelope("optimal", inputs, results)), args.out
     )
     return 0
 
@@ -250,7 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "tolerance": args.tolerance,
     }
     _write_output(
-        render_json(_envelope("verify", inputs, results, [])), args.out
+        render_json(_envelope("verify", inputs, results)), args.out
     )
     return 1 if report.violations > 0 else 0
 
@@ -290,7 +289,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         "steps": args.steps,
     }
     _write_output(
-        render_json(_envelope("capacity", inputs, results, [])), args.out
+        render_json(_envelope("capacity", inputs, results)), args.out
     )
     return 0
 
@@ -359,10 +358,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     }
     payload = results[0] if len(results) == 1 else results
     _write_output(
-        render_json(
-            _envelope("frontier", inputs, payload, [])
-        ),
-        args.out,
+        render_json(_envelope("frontier", inputs, payload)), args.out
     )
     return 0
 
@@ -438,7 +434,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = simulate.run(config)
     inputs = _simulate_inputs(args, config)
     _write_output(
-        render_json(_envelope("simulate", inputs, _report_dict(report), [])),
+        render_json(_envelope("simulate", inputs, _report_dict(report))),
         args.out,
     )
     return 0
@@ -452,6 +448,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise QkdProbeError(
             f"cannot parse sweep values {args.values!r}"
         ) from exc
+    if not values:
+        raise QkdProbeError(f"empty sweep values {args.values!r}")
     variable = args.variable.replace("-", "_")
     results = simulate.sweep(config, variable, values)
     rows = [
@@ -502,7 +500,7 @@ def cmd_possibilities(args: argparse.Namespace) -> int:
     ]
     inputs = {"alpha": _angle_echo(args.alpha), "error_rate": args.error_rate}
     _write_output(
-        render_json(_envelope("possibilities", inputs, results, [])), args.out
+        render_json(_envelope("possibilities", inputs, results)), args.out
     )
     return 0
 

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import optimum
+from . import optimum, probe
 from .errors import DomainError, NotNormalizedError, TooLargeError
 from .probe import SignalGeometry
 
@@ -315,8 +315,7 @@ def _capacity_points(
 ) -> list[CapacityPoint]:
     """Capacity at each error rate, with one E* solve for all of them."""
     for error_rate in error_rates:
-        if not 0.0 <= error_rate < 0.5:
-            raise DomainError("error rate must lie in [0, 1/2)")
+        probe.check_error_rate(error_rate)
 
     def gain(e_prime: float) -> float:
         # g on [0, E_pk], where I* = I.

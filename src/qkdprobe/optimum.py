@@ -204,24 +204,6 @@ def peak_error_rate(geom: SignalGeometry) -> float:
     return s / (2.0 - s)
 
 
-def _check_error_rate(target_error: float | np.ndarray) -> float:
-    """Raise DomainError unless every error rate lies in [0, 1/2).
-
-    Returns the largest error rate (0 for an empty array).
-    """
-    if isinstance(target_error, np.ndarray):
-        if not target_error.size:
-            return 0.0
-        # The scalar route raises for an offending extreme.
-        _check_error_rate(float(target_error.min()))
-        return _check_error_rate(float(target_error.max()))
-    if not 0.0 <= target_error < 0.5:
-        raise DomainError(
-            f"error rate must lie in [0, 1/2); got {target_error!r}"
-        )
-    return target_error
-
-
 def _branch_formula(
     target_error: float | np.ndarray, trig_sq: float
 ) -> float | np.ndarray:
@@ -240,7 +222,7 @@ def csc_branch_overlap(
     a numpy array of error rates gives an array, elementwise, and raises
     DomainError if any element leaves [0, 1/2).
     """
-    _check_error_rate(target_error)
+    probe.check_error_rate(target_error)
     return _branch_formula(target_error, geom.sin_sq_two_alpha)
 
 
@@ -251,7 +233,7 @@ def sec_branch_overlap(
 
     Takes a float or a numpy array like :func:`csc_branch_overlap`.
     """
-    _check_error_rate(target_error)
+    probe.check_error_rate(target_error)
     return _branch_formula(target_error, geom.cos_sq_two_alpha)
 
 
@@ -259,7 +241,7 @@ def _branch_minimum(
     target_error: float | np.ndarray, geom: SignalGeometry
 ) -> float | np.ndarray:
     """Q_min at this alpha, for a float or an array of error rates."""
-    top = _check_error_rate(target_error)
+    top = probe.check_error_rate(target_error)
     e_max = max_error_rate(geom)
     if top > e_max + SEAM_TOL:
         raise OutOfDomainError(
@@ -329,7 +311,7 @@ def optimal_parameter_families(
     (up to lam -> pi - lam), which :func:`sample_params` produces; no
     free parameters remain.
     """
-    _check_error_rate(target_error)
+    probe.check_error_rate(target_error)
     if target_error > max_error_rate(geom) + SEAM_TOL:
         raise OutOfDomainError(
             f"error rate {target_error!r} exceeds the attainable maximum "
@@ -436,7 +418,7 @@ def sample_params(
             f"free_choices {sorted(unknown)} are not free parameters of "
             f"{family.tag.value}"
         )
-    _check_error_rate(target_error)
+    probe.check_error_rate(target_error)
     if branch_for(geom) is Branch.SEC:
         return _upper_branch_params(target_error, geom)
 
@@ -492,7 +474,7 @@ def phi_neg_lambda_window(target_error: float) -> tuple[float, float]:
 
     The arcsine stays in range iff cos(2 lam) <= 4E - 1.
     """
-    _check_error_rate(target_error)
+    probe.check_error_rate(target_error)
     edge = 0.5 * math.acos(max(-1.0, min(1.0, 4.0 * target_error - 1.0)))
     return edge, math.pi - edge
 
@@ -510,13 +492,6 @@ def _lambda_bracket(
     return (2.0 - tan_sq) * (
         cot_sq - cos_two_theta * (sin_two_phi + cot_sq)
     ) + sin_two_phi * (1.0 + (1.0 - tan_sq) * cos_two_theta)
-
-
-def _constant_error_radicand(
-    target_error: float, c: float, geom: SignalGeometry
-) -> float:
-    """(1 - E)^2 - c^2 sin^2(2a)/4: the overlap's squared denominator."""
-    return (1.0 - target_error) ** 2 - 0.25 * c * c * geom.sin_sq_two_alpha
 
 
 def mu_eliminated_q(
@@ -559,7 +534,9 @@ def constant_error_overlap(
     q = mu_eliminated_q(lam, theta, phi, target_error, geom)
     # The skew coefficient c does not depend on mu.
     c = probe.coefficients(ProbeParams(lam, 0.0, theta, phi)).c
-    radicand = _constant_error_radicand(target_error, c, geom)
+    radicand = probe.overlap_radicand(
+        1.0 - target_error, c, geom.sin_sq_two_alpha
+    )
     if radicand <= 0.0:
         raise DegenerateModelError(
             f"overlap denominator radicand {radicand!r} is non-positive"
@@ -580,7 +557,7 @@ def stationarity_residuals(
     q = probe.q_value(coeffs)
     s2 = geom.sin_sq_two_alpha
     cot_sq = 1.0 / (s2 / geom.cos_sq_two_alpha)
-    denom = 4.0 * _constant_error_radicand(e, coeffs.c, geom)
+    denom = 4.0 * probe.overlap_radicand(1.0 - e, coeffs.c, s2)
     if denom <= 0.0:
         raise DegenerateModelError(
             f"stationarity bracket denominator {denom!r} is non-positive"
@@ -736,7 +713,7 @@ def possibility_d_feasibility(
     c2 = geom.cos_sq_two_alpha
     best = math.inf
     for target_error in e_grid:
-        _check_error_rate(target_error)
+        probe.check_error_rate(target_error)
         cubic = real_roots_in_interval(
             sin2phi_cubic_coefficients(target_error, geom)
         )
@@ -805,7 +782,7 @@ def enumerate_possibilities(
     the sin(2 phi) = -1 family), and (D) is jointly infeasible, verified
     numerically.
     """
-    _check_error_rate(target_error)
+    probe.check_error_rate(target_error)
     q_ext = csc_branch_overlap(target_error, geom)
     cot_sq = geom.cos_sq_two_alpha / geom.sin_sq_two_alpha
     at_seam = abs(geom.alpha - math.pi / 8) < SEAM_TOL

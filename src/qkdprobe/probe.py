@@ -144,6 +144,24 @@ class AttackEvaluation:
     renyi_info: float
 
 
+def check_error_rate(target_error: float | np.ndarray) -> float:
+    """Raise DomainError unless every error rate lies in [0, 1/2).
+
+    Returns the largest error rate (0 for an empty array).
+    """
+    if isinstance(target_error, np.ndarray):
+        if not target_error.size:
+            return 0.0
+        # The scalar route raises for an offending extreme.
+        check_error_rate(float(target_error.min()))
+        return check_error_rate(float(target_error.max()))
+    if not 0.0 <= target_error < 0.5:
+        raise DomainError(
+            f"error rate must lie in [0, 1/2); got {target_error!r}"
+        )
+    return target_error
+
+
 def _quadruple(
     sin_sq_lam,
     cos_sq_lam,
@@ -218,12 +236,22 @@ def error_rate(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     )
 
 
+def overlap_radicand(half_sum, c, s2: float):
+    """half_sum^2 - c^2 s2/4 with s2 = sin^2(2a): the overlap's squared
+    denominator.
+
+    half_sum is (1 + d + (a - d) s2)/2, which equals 1 - E; floats or
+    arrays.
+    """
+    return half_sum * half_sum - 0.25 * c * c * s2
+
+
 def _overlap_denominator_sq(
     coeffs: ProbeCoefficients, geom: SignalGeometry
 ) -> float:
     s2 = geom.sin_sq_two_alpha
     half_sum = 0.5 * (1.0 + coeffs.d + (coeffs.a - coeffs.d) * s2)
-    return half_sum * half_sum - 0.25 * coeffs.c * coeffs.c * s2
+    return overlap_radicand(half_sum, coeffs.c, s2)
 
 
 def _overlap_numerator(
@@ -302,10 +330,7 @@ def mu_from_constraint(
             this (lambda, theta, phi).
         DomainError: target error rate outside [0, 1/2).
     """
-    if not 0.0 <= target_error < 0.5:
-        raise DomainError(
-            f"target error rate must lie in [0, 1/2); got {target_error!r}"
-        )
+    check_error_rate(target_error)
     sin_lam = math.sin(lam)
     if abs(sin_lam) <= SINGULAR_SIN_LAMBDA:
         raise SingularLambdaError(

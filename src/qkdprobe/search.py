@@ -37,7 +37,6 @@ from .errors import (
     DomainError,
     EmptyFeasibleSetError,
     InfeasibleConstraintError,
-    SingularLambdaError,
 )
 from .probe import ProbeParams, SignalGeometry
 
@@ -64,10 +63,11 @@ class SearchConfig:
             raise DomainError("grid_resolution must be at least 3")
         if self.tolerance <= 0.0:
             raise DomainError("tolerance must be positive")
-        if not 0.0 <= self.target_error < 0.5:
-            raise DomainError("target_error must lie in [0, 1/2)")
+        probe.check_error_rate(self.target_error)
         if self.random_restarts < 0:
             raise DomainError("random_restarts must be non-negative")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -226,35 +226,42 @@ def constrained_scan(
     )
 
 
-def _constrained_objective(
-    x: np.ndarray, target_error: float, geom: SignalGeometry
-) -> float:
-    """Overlap at (lam, theta, phi) with mu re-solved; large if infeasible.
+def _constrained_point(
+    lam: float, theta: float, phi: float, target: float, geom: SignalGeometry
+) -> tuple[float, ProbeParams] | None:
+    """(Q, params) at (lam, theta, phi) and the target error, or None.
 
-    All observables are pi-periodic in each angle, so coordinates are
-    folded into [0, pi).  On the singular sin(lam) = 0 planes the
-    phi-elimination value (better cos(2 phi) branch) is used.
+    All observables are pi-periodic in each angle, so the angles are
+    folded into [0, pi).  mu is solved from the constraint; on the
+    singular sin(lam) = 0 planes the better phi-elimination branch is
+    taken instead.  None marks a point no probe setting makes feasible.
     """
-    lam = float(x[0]) % math.pi
-    theta = float(x[1]) % math.pi
-    phi = float(x[2]) % math.pi
+    lam = float(lam) % math.pi
+    theta = float(theta) % math.pi
+    phi = float(phi) % math.pi
     if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
-        points = _singular_lambda_points(
-            lam, np.array([theta]), target_error, geom
-        )
-        if not points:
-            return _INFEASIBLE
-        return min(q for q, _ in points)
+        points = _singular_lambda_points(lam, np.array([theta]), target, geom)
+        return min(points, key=lambda item: item[0], default=None)
     try:
-        mu = probe.mu_from_constraint(lam, theta, phi, target_error, geom)
+        mu = probe.mu_from_constraint(lam, theta, phi, target, geom)
         params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
-        return probe.overlap(probe.coefficients(params), geom)
-    except (
-        InfeasibleConstraintError,
-        SingularLambdaError,
-        DegenerateModelError,
-    ):
-        return _INFEASIBLE
+        return probe.overlap(probe.coefficients(params), geom), params
+    except (InfeasibleConstraintError, DegenerateModelError):
+        return None
+
+
+def _free_point(
+    x: np.ndarray, geom: SignalGeometry
+) -> tuple[float, float, ProbeParams] | None:
+    """(Q, E, params) at the four free angles folded into [0, pi), or None
+    where the overlap radicand is non-positive."""
+    params = ProbeParams(*(float(v) % math.pi for v in x))
+    coeffs = probe.coefficients(params)
+    try:
+        q = probe.overlap(coeffs, geom)
+    except DegenerateModelError:
+        return None
+    return q, probe.error_rate(coeffs, geom), params
 
 
 def refine(
@@ -264,23 +271,23 @@ def refine(
 
     Nelder-Mead over (lam, theta, phi) with mu re-solved per evaluation,
     run until the simplex diameter falls below 1e-9 or 10^4 evaluations.
-    The returned overlap never exceeds the starting value.
+    Returns the best (Q, params) evaluated, so the overlap never exceeds
+    the starting value.
     """
-    geom = config.geom
-    target = config.target_error
-    best_q = math.inf
-    best_x = np.array([start.lam, start.theta, start.phi])
+    best: tuple[float, ProbeParams] | None = None
 
     def objective(x: np.ndarray) -> float:
-        nonlocal best_q, best_x
-        q = _constrained_objective(x, target, geom)
-        if q < best_q:
-            best_q = q
-            best_x = np.array(x, dtype=float)
-        return q
+        nonlocal best
+        point = _constrained_point(*x, config.target_error, config.geom)
+        if point is None:
+            return _INFEASIBLE
+        if best is None or point[0] < best[0]:
+            best = point
+        return point[0]
 
-    start_q = objective(best_x)
-    if start_q >= _INFEASIBLE:
+    x0 = np.array([start.lam, start.theta, start.phi])
+    objective(x0)
+    if best is None:
         raise InfeasibleConstraintError(
             "refine start point cannot meet the error-rate constraint"
         )
@@ -288,42 +295,27 @@ def refine(
 
     minimize(
         objective,
-        np.array([start.lam, start.theta, start.phi]),
+        x0,
         method="Nelder-Mead",
         options={"xatol": 1e-9, "fatol": 1e-14, "maxfev": 10_000},
     )
-    lam, theta, phi = (float(v) % math.pi for v in best_x)
-    if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
-        points = _singular_lambda_points(
-            lam, np.array([theta]), target, geom
-        )
-        q, params = min(points, key=lambda item: item[0])
-        return min(q, start_q), params
-    mu = probe.mu_from_constraint(lam, theta, phi, target, geom)
-    params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
-    return best_q, params
+    return best
 
 
 def _penalty_finals(
     config: SearchConfig, penalty_weight: float
 ) -> tuple[list[tuple[float, float, ProbeParams]], int]:
     """Raw Nelder-Mead finals (Q, E, params) of the penalty objective."""
-    geom = config.geom
-    target = config.target_error
-
     evaluations = 0
 
     def objective(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        params = ProbeParams(*(float(v) % math.pi for v in x))
-        coeffs = probe.coefficients(params)
-        e = probe.error_rate(coeffs, geom)
-        try:
-            q = probe.overlap(coeffs, geom)
-        except DegenerateModelError:
+        point = _free_point(x, config.geom)
+        if point is None:
             return _INFEASIBLE
-        return q + penalty_weight * (e - target) ** 2
+        q, e, _ = point
+        return q + penalty_weight * (e - config.target_error) ** 2
 
     from scipy.optimize import minimize
 
@@ -337,13 +329,9 @@ def _penalty_finals(
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-13, "maxfev": 10_000},
         )
-        params = ProbeParams(*(float(v) % math.pi for v in result.x))
-        coeffs = probe.coefficients(params)
-        try:
-            q = probe.overlap(coeffs, geom)
-        except DegenerateModelError:
-            continue
-        finals.append((q, probe.error_rate(coeffs, geom), params))
+        final = _free_point(result.x, config.geom)
+        if final is not None:
+            finals.append(final)
     return finals, evaluations
 
 
@@ -353,13 +341,14 @@ def penalty_scan(
     """Minimize Q + w (E - target)^2 over all four probe angles.
 
     A pure penalty minimizer parks the error rate at target + O(1/w), so
-    each Nelder-Mead final is additionally polished by re-solving mu
-    exactly at its (lam, theta, phi); the report covers polished points
-    together with any raw final already within 1e-4 of the target.
+    each Nelder-Mead final is additionally polished to the target at its
+    (lam, theta, phi), exactly as :func:`refine` evaluates a point (mu
+    re-solved, or phi eliminated on a sin(lam) = 0 plane); the report
+    covers polished points together with any raw final already within
+    1e-4 of the target.
     """
     if penalty_weight <= 0.0:
         raise DomainError("penalty_weight must be positive")
-    geom = config.geom
     target = config.target_error
     finals, evaluations = _penalty_finals(config, penalty_weight)
 
@@ -367,22 +356,11 @@ def penalty_scan(
     for q, e, params in finals:
         if abs(e - target) < 1e-4:
             candidates.append((q, params))
-        try:
-            mu = probe.mu_from_constraint(
-                params.lam, params.theta, params.phi, target, geom
-            )
-            polished = ProbeParams(
-                lam=params.lam, mu=mu, theta=params.theta, phi=params.phi
-            )
-            candidates.append(
-                (probe.overlap(probe.coefficients(polished), geom), polished)
-            )
-        except (
-            InfeasibleConstraintError,
-            SingularLambdaError,
-            DegenerateModelError,
-        ):
-            continue
+        polished = _constrained_point(
+            params.lam, params.theta, params.phi, target, config.geom
+        )
+        if polished is not None:
+            candidates.append(polished)
     if not candidates:
         raise EmptyFeasibleSetError(
             "no penalty-scan final reached the target error rate"

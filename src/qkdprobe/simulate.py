@@ -82,6 +82,8 @@ class SimulationConfig:
             raise DomainError("m must be a positive integer")
         if not 0.0 < self.p_fail < 1.0:
             raise DomainError("p_fail must lie in (0, 1)")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,14 @@ class TestVerify:
         assert payload["results"]["violations"] == 0
         assert payload["inputs"]["seed"] == 3
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--alpha", "pi/8", "--error-rate", "0.2",
+            "--seed", "-1",
+        )
+        assert code == 2 and out == ""
+        assert "seed must be non-negative" in err
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         import qkdprobe.cli as cli_module
 
@@ -597,6 +605,15 @@ class TestSimulateCommand:
         assert "the attack induces error rate E = 0.75" in err
         assert "no key can be distilled at E >= 1/2" in err
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--m", "1000", "--alpha", "pi/8",
+            "--family", "set_e", "--error-rate", "0.05", "--p-fail", "0.01",
+            "--seed", "-1",
+        )
+        assert code == 2 and out == ""
+        assert "seed must be non-negative" in err
+
     def test_incomplete_attack_arguments(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -638,6 +655,15 @@ class TestSweepCommand:
         assert code == 0
         assert lines[0].startswith("variable,value,n,e_T,s,")
         assert len(lines) == 4
+
+    def test_empty_value_list_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--m", "1000", "--alpha", "pi/8",
+            "--family", "set_e", "--error-rate", "0.05", "--p-fail", "0.01",
+            "--variable", "error-rate", "--values", ",",
+        )
+        assert code == 2 and out == ""
+        assert "empty sweep values" in err
 
 
 class TestPossibilitiesCommand:

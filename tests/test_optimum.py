@@ -10,11 +10,14 @@ from qkdprobe import (
     FamilyTag,
     PossibilityStatus,
     ProbeParams,
+    SearchConfig,
     SignalGeometry,
+    asymptotic_capacity,
     coefficients,
     csc_branch_overlap,
     enumerate_possibilities,
     error_rate,
+    mu_from_constraint,
     optimal_overlap,
     optimal_parameter_families,
     overlap,
@@ -83,10 +86,22 @@ class TestOptimalOverlap:
             optimal_overlap(0.3, SignalGeometry(0.2 * PI))  # E_max ~ 0.095
 
     def test_error_rate_domain(self, geom_pi8):
-        with pytest.raises(DomainError):
-            optimal_overlap(0.5, geom_pi8)
-        with pytest.raises(DomainError):
-            optimal_overlap(-0.01, geom_pi8)
+        # Every entry point that takes an error rate rejects it with the
+        # same class and message.
+        entry_points = (
+            lambda e: optimal_overlap(e, geom_pi8),
+            lambda e: mu_from_constraint(PI / 2, 0.0, 0.0, e, geom_pi8),
+            lambda e: SearchConfig(geom=geom_pi8, target_error=e),
+            lambda e: asymptotic_capacity(e, geom_pi8),
+        )
+        for bad in (0.5, -0.01):
+            for entry_point in entry_points:
+                with pytest.raises(DomainError) as info:
+                    entry_point(bad)
+                assert type(info.value) is DomainError
+                assert str(info.value) == (
+                    f"error rate must lie in [0, 1/2); got {bad!r}"
+                )
 
 
 class TestBranchFormulas:

@@ -12,6 +12,8 @@ from qkdprobe import (
     coefficients,
     constrained_scan,
     error_rate,
+    evaluate,
+    mu_from_constraint,
     optimal_overlap,
     optimal_parameter_families,
     overlap,
@@ -25,6 +27,7 @@ from qkdprobe.errors import (
     InfeasibleConstraintError,
 )
 from qkdprobe.probe import constrained_observables
+from qkdprobe import search as search_module
 from qkdprobe.search import _penalty_finals
 
 PI = math.pi
@@ -105,10 +108,10 @@ class TestConstrainedScan:
             SearchConfig(geom=geom_pi8, target_error=0.1, tolerance=0.0)
         with pytest.raises(DomainError):
             SearchConfig(geom=geom_pi8, target_error=0.6)
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            SearchConfig(geom=geom_pi8, target_error=0.1, seed=-1)
 
     def test_vectorized_plane_matches_scalar_route(self, geom_pi8):
-        from qkdprobe import mu_from_constraint
-
         rng = np.random.default_rng(55)
         theta_grid = rng.uniform(0, PI, 6)
         phi_grid = rng.uniform(0, PI, 6)
@@ -212,6 +215,25 @@ class TestRefine:
         refined_q, _ = refine(start, config)
         assert abs(refined_q - 0.5) < 1e-9
 
+    @pytest.mark.parametrize(
+        "lam,theta,phi",
+        [(0.7 * PI, 0.3, 2.2), (0.0, 0.0, 0.5 * math.asin(1.0 - 4.0 * 0.2))],
+        ids=["regular", "singular_lambda"],
+    )
+    def test_returns_a_consistent_pair(self, geom_pi8, lam, theta, phi):
+        # The returned overlap is the one the returned parameters produce,
+        # and they sit on the target error rate.
+        config = SearchConfig(
+            geom=geom_pi8, target_error=0.2, grid_resolution=5, seed=0
+        )
+        mu = PI / 4
+        if lam != 0.0:
+            mu = mu_from_constraint(lam, theta, phi, 0.2, geom_pi8)
+        q, params = refine(ProbeParams(lam, mu, theta, phi), config)
+        point = evaluate(params, geom_pi8)
+        assert point.overlap == q
+        assert abs(point.error_rate - 0.2) < 1e-12
+
 
 class TestPenaltyScan:
     def test_standard_angle(self, geom_pi8):
@@ -258,6 +280,29 @@ class TestPenaltyScan:
             finals, _ = _penalty_finals(config, weight)
             gaps.append(np.mean([abs(e - 0.2) for _, e, _ in finals]))
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_polishes_final_on_singular_lambda_plane(
+        self, geom_pi8, monkeypatch
+    ):
+        # A final on sin(lam) = 0, off the target by more than 1e-4, is
+        # polished through phi elimination, as refine evaluates it.
+        final = ProbeParams(lam=0.0, mu=0.4, theta=0.0, phi=0.3)
+        coeffs = coefficients(final)
+        e = error_rate(coeffs, geom_pi8)
+        assert abs(e - 0.2) > 1e-4
+        monkeypatch.setattr(
+            search_module,
+            "_penalty_finals",
+            lambda config, weight: ([(overlap(coeffs, geom_pi8), e, final)], 7),
+        )
+        config = SearchConfig(geom=geom_pi8, target_error=0.2, seed=0)
+        report = penalty_scan(config, 1e4)
+        assert report.best_params.lam == 0.0
+        assert report.best_params.theta == 0.0
+        point = evaluate(report.best_params, geom_pi8)
+        assert point.overlap == report.best_q
+        assert abs(point.error_rate - 0.2) < 1e-12
+        assert report.samples_evaluated == 7
 
     def test_weight_validation(self, geom_pi8):
         config = SearchConfig(geom=geom_pi8, target_error=0.1)

@@ -222,6 +222,8 @@ class TestRun:
             set_e_config(m=0)
         with pytest.raises(DomainError):
             set_e_config(p_fail=0.0)
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            set_e_config(seed=-1)
         with pytest.raises(DomainError):
             QLeakModel.binary_entropy(-0.5)
 
