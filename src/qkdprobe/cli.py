@@ -60,10 +60,6 @@ def _fmt_json(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _fmt_csv(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def _json_render(obj: Any, depth: int, indent: int = 2) -> str:
     pad = " " * (indent * (depth + 1))
     close_pad = " " * (indent * depth)
@@ -138,14 +134,18 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Floats as %.12g, anything else as str(); one %-format per row."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt_csv(v) if isinstance(v, (float, np.floating)) else str(v)
-                for v in row
+    formats: dict[tuple[type, ...], str] = {}
+    for row in map(tuple, rows):
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                "%.12g" if issubclass(kind, (float, np.floating)) else "%s"
+                for kind in kinds
             )
-        )
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class SignalGeometry:
     alpha must lie in the open interval (0, pi/4).  The derived angle
     between the two nonorthogonal signal polarization states is
     theta_bar = pi/2 - 2*alpha; alpha = pi/8 is the standard protocol with
-    45 degrees between the bases.
+    45 degrees between the bases.  The derived angles are computed once
+    per instance; equality, hashing and repr see only alpha.
     """
 
     alpha: float
@@ -62,20 +64,20 @@ class SignalGeometry:
                 f"alpha must lie in (0, pi/4); got {self.alpha!r}"
             )
 
-    @property
+    @cached_property
     def theta_bar(self) -> float:
         """Angle between the nonorthogonal signal states, in (0, pi/2)."""
         return math.pi / 2 - 2.0 * self.alpha
 
-    @property
+    @cached_property
     def sin_two_alpha(self) -> float:
         return math.sin(2.0 * self.alpha)
 
-    @property
+    @cached_property
     def sin_sq_two_alpha(self) -> float:
         return math.sin(2.0 * self.alpha) ** 2
 
-    @property
+    @cached_property
     def cos_sq_two_alpha(self) -> float:
         return math.cos(2.0 * self.alpha) ** 2
 

@@ -7,7 +7,9 @@ Two solvers live here:
 * :func:`real_roots_in_interval` -- a companion-free real-root finder for
   arbitrary-degree polynomials on a closed interval: dense sign-change
   bracketing plus bisection, with Newton polishing and deflation-driven
-  rescans so tangent (even-multiplicity) roots are not missed.
+  rescans so tangent (even-multiplicity) roots are not missed.  Each scan
+  samples the polynomial in one numpy pass and finds its sign changes and
+  local minima of |p| with array masks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import cmath
 import math
 from typing import Sequence
 
-from .errors import LeadingZeroError
+import numpy as np
+
+from .errors import DomainError, LeadingZeroError
 
 # |a1| below this is treated as a vanishing leading coefficient.
 LEADING_ZERO_TOL = 1e-300
@@ -156,35 +160,45 @@ def real_roots_in_interval(
     deflated out and the lower-degree remainder is rescanned, which
     recovers tangent roots that produce no sign change.  Every candidate
     must satisfy |p(root)| <= 1e-9 * max|coeff| against the original
-    polynomial to be reported.
+    polynomial to be reported.  Raises :class:`DomainError` unless
+    ``samples >= 2``, ``lo < hi`` and every coefficient is finite.
     """
+    if samples < 2:
+        raise DomainError(f"samples must be at least 2; got {samples!r}")
+    if not lo < hi:
+        raise DomainError(f"need lo < hi; got [{lo!r}, {hi!r}]")
     coeffs = [float(c) for c in coeffs]
+    if not all(math.isfinite(c) for c in coeffs):
+        raise DomainError(f"coefficients must be finite; got {coeffs!r}")
     while coeffs and coeffs[0] == 0.0:
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return []
     scale = max(abs(c) for c in coeffs)
     accept_tol = 1e-9 * max(scale, 1e-300)
+    step = (hi - lo) / (samples - 1)
+    # lo + i*step and np.polyval's Horner steps round exactly as the
+    # scalar loop over polynomial_value would.
+    xs = lo + np.arange(samples) * step
 
     def scan(poly: Sequence[float]) -> list[float]:
-        found: list[float] = []
-        step = (hi - lo) / (samples - 1)
-        xs = [lo + i * step for i in range(samples)]
-        values = [polynomial_value(poly, x) for x in xs]
-        poly_scale = max(max(abs(v) for v in values), 1e-300)
-        for i, (x, v) in enumerate(zip(xs, values)):
-            if abs(v) <= 1e-13 * poly_scale:
-                found.append(x)
-            elif i > 0 and (values[i - 1] < 0.0) != (v < 0.0):
-                found.append(_bisect(poly, xs[i - 1], x))
+        with np.errstate(over="ignore"):
+            values = np.polyval(poly, xs)  # as silent as float overflow
+        mags = np.abs(values)
+        zero = mags <= 1e-13 * max(mags.max(), 1e-300)
+        negative = values < 0.0
+        change = np.concatenate(([False], negative[1:] != negative[:-1]))
+        found = [
+            float(xs[i]) if zero[i]
+            else _bisect(poly, float(xs[i - 1]), float(xs[i]))
+            for i in np.flatnonzero(zero | change).tolist()
+        ]
         # Tangent (even-multiplicity) roots produce no sign change; launch
         # Newton from every interior local minimum of |p| and let the
         # residual acceptance filter discard the non-roots.
-        for i in range(1, samples - 1):
-            if abs(values[i]) < abs(values[i - 1]) and abs(values[i]) <= abs(
-                values[i + 1]
-            ):
-                found.append(xs[i])
+        inner = mags[1:-1]
+        minima = (inner < mags[:-2]) & (inner <= mags[2:])
+        found.extend(xs[1:-1][minima].tolist())
         return found
 
     roots: list[float] = []

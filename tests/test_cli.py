@@ -26,13 +26,31 @@ from qkdprobe import (
     mu_from_constraint,
     refine,
 )
-from qkdprobe.cli import _fmt_csv, main, parse_angle, render_json
+from qkdprobe.cli import _csv, main, parse_angle, render_json
 from qkdprobe.errors import QkdProbeError, SingularLambdaError
 from qkdprobe.search import _singular_lambda_points
 
 PI = math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def fmt_csv(value):
+    """The 12-digit CSV float format."""
+    return f"{value:.12g}"
+
+
+def per_value_csv(header, rows):
+    """CSV rendered one f-string per value: the oracle for cli._csv."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(
+                fmt_csv(v) if isinstance(v, (float, np.floating)) else str(v)
+                for v in row
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def run_cli(capsys, *argv):
@@ -295,10 +313,11 @@ class TestVerify:
         )
         assert code == 0
         results = json.loads(out)["results"]
-        lines = (tmp_path / "samples.csv").read_text().splitlines()[1:]
+        text = (tmp_path / "samples.csv").read_text()
+        lines = text.splitlines()[1:]
         cells = [line.split(",") for line in lines]
         assert len(cells) == results["samples_evaluated"]
-        assert min(cells, key=lambda row: float(row[5]))[5] == _fmt_csv(
+        assert min(cells, key=lambda row: float(row[5]))[5] == fmt_csv(
             results["best_q"]
         )
 
@@ -315,7 +334,8 @@ class TestVerify:
         blocks = []
         constrained_scan(config, sink=blocks.append)
         rows = [row for block in blocks for row in block.tolist()]
-        assert lines == [",".join(map(_fmt_csv, row)) for row in rows]
+        header = ("lam", "theta", "phi", "mu", "E", "Q")
+        assert text == per_value_csv(header, rows)
         for lam, theta, phi, mu, e, q in rows:
             try:
                 scalar_mu = mu_from_constraint(lam, theta, phi, 0.2, geom)
@@ -344,9 +364,27 @@ class TestVerify:
                         continue
                     nodes.append((lam, theta, phi))
         assert [row[:3] for row in cells[: len(nodes)]] == [
-            [_fmt_csv(float(v)) for v in node] for node in nodes
+            [fmt_csv(float(v)) for v in node] for node in nodes
         ]
         assert len(cells) - len(nodes) <= restarts
+
+
+class TestCsvRenderer:
+    def test_matches_per_value_rendering(self):
+        header = ("int", "bool", "str", "float", "np")
+        rows = [
+            (3, True, "x", 0.1, np.float64(1.0 / 3.0)),
+            (-7, False, "%s,%d", math.inf, np.float64(-math.inf)),
+            (0, np.bool_(True), "", math.nan, np.float64(math.nan)),
+            (np.int64(2**40), True, "-0", -0.0, np.float64(-0.0)),
+            (10**20, False, "y", 1e-300, np.float64(1e300)),
+            (1, 2, 3, 4, 5),  # a column may change type between rows
+            [1e-300, 1e300, -1e300, 5e-324, np.float32(0.1)],
+            (1.0, "a", 2, np.float64(2.5e-7), False),
+        ]
+        assert _csv(header, rows) == per_value_csv(header, rows)
+        assert _csv(header, iter(rows)) == per_value_csv(header, rows)
+        assert _csv(header, []) == "int,bool,str,float,np\n"
 
 
 class TestCapacity:

@@ -89,6 +89,22 @@ class TestSignalGeometry:
         twice = geom.interchanged().interchanged()
         assert abs(twice.alpha - alpha) < 1e-15
 
+    @pytest.mark.parametrize("alpha", [PI / 20, PI / 9, PI / 8, PI / 5])
+    def test_derived_angles_are_cached_formulas(self, alpha):
+        geom = SignalGeometry(alpha)
+        fresh = SignalGeometry(alpha)
+        for _ in range(2):  # first read computes, second reads the cache
+            assert geom.theta_bar == PI / 2 - 2.0 * alpha
+            assert geom.sin_two_alpha == math.sin(2.0 * alpha)
+            assert geom.sin_sq_two_alpha == math.sin(2.0 * alpha) ** 2
+            assert geom.cos_sq_two_alpha == math.cos(2.0 * alpha) ** 2
+        # The cache is invisible to equality, hashing and repr.
+        assert geom == fresh
+        assert hash(geom) == hash(fresh) == hash(SignalGeometry(alpha))
+        assert repr(geom) == repr(fresh) == f"SignalGeometry(alpha={alpha!r})"
+        assert geom != SignalGeometry(alpha / 2)
+        assert len({geom, fresh}) == 1
+
 
 class TestProbeParams:
     def test_rejects_angles_outside_closed_range(self):
