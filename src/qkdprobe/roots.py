@@ -185,7 +185,9 @@ def real_roots_in_interval(
         with np.errstate(over="ignore"):
             values = np.polyval(poly, xs)  # as silent as float overflow
         mags = np.abs(values)
-        zero = mags <= 1e-13 * max(mags.max(), 1e-300)
+        # Scaled by the finite samples: an inf one would flag every sample.
+        scale = mags[np.isfinite(mags)].max(initial=0.0)
+        zero = mags <= 1e-13 * max(scale, 1e-300)
         negative = values < 0.0
         change = np.concatenate(([False], negative[1:] != negative[:-1]))
         found = [

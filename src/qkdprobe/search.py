@@ -13,9 +13,10 @@ strategies are provided:
   error-rate mismatch, covering the space without any elimination.
 
 :func:`refine` polishes any feasible starting point with a
-derivative-free simplex search, re-solving mu at every step.  Only
-:func:`refine` and :func:`penalty_scan` use scipy (Nelder-Mead), and they
-import it when called, so importing this module does not load scipy.
+derivative-free simplex search, re-solving mu at every step.  Both
+simplex searches run on this module's own Nelder-Mead, a step-for-step
+port of scipy's with the standard coefficients, so qkdprobe needs only
+numpy at run time.
 
 All randomness derives from the config seed through counter-based
 splitting, so identical configs produce bit-identical reports; grid and
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -251,7 +252,7 @@ def _constrained_point(
 
 
 def _free_point(
-    x: np.ndarray, geom: SignalGeometry
+    x: Sequence[float], geom: SignalGeometry
 ) -> tuple[float, float, ProbeParams] | None:
     """(Q, E, params) at the four free angles folded into [0, pi), or None
     where the overlap radicand is non-positive."""
@@ -262,6 +263,93 @@ def _free_point(
     except DegenerateModelError:
         return None
     return q, probe.error_rate(coeffs, geom), params
+
+
+class _BudgetSpent(Exception):
+    """A Nelder-Mead evaluation was asked for past maxfev."""
+
+
+def _nelder_mead(
+    func: Callable[[list[float]], float],
+    x0: Sequence[float],
+    xatol: float,
+    fatol: float,
+    maxfev: int,
+) -> tuple[list[float], float, int]:
+    """Minimize func from x0; returns (x, func(x), evaluations) of the best
+    vertex, with evaluations never above maxfev.
+
+    A step-for-step port of ``scipy.optimize.minimize(method="Nelder-Mead")``
+    with the standard coefficients (reflection 1, expansion 2, contraction
+    and shrink 1/2; Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 9, 112
+    (1998)): the same initial simplex, vertex arithmetic, centroid order and
+    stopping test, over float lists.  The simplex is ordered by a stable
+    sort, so only ties in func can lead it off scipy's path.
+    """
+    evaluations = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal evaluations
+        if evaluations >= maxfev:
+            raise _BudgetSpent
+        evaluations += 1
+        return func(x)
+
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0] + [
+        x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+        for k, v in enumerate(x0)
+    ]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        best, worst = sim[0], sim[-1]
+        if evaluations >= maxfev or (
+            max(abs(a - b) for x in sim[1:] for a, b in zip(x, best)) <= xatol
+            and max(abs(fsim[0] - v) for v in fsim[1:]) <= fatol
+        ):
+            return best, fsim[0], evaluations
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+
+        def along(t: float) -> list[float]:
+            return [(1 + t) * b - t * w for b, w in zip(xbar, worst)]
+
+        try:
+            xr = along(1.0)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = along(2.0)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = along(0.5)
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = along(-0.5)
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j, x in enumerate(sim[1:], 1):
+                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, x)]
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
 
 
 def refine(
@@ -276,7 +364,7 @@ def refine(
     """
     best: tuple[float, ProbeParams] | None = None
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: Sequence[float]) -> float:
         nonlocal best
         point = _constrained_point(*x, config.target_error, config.geom)
         if point is None:
@@ -285,20 +373,13 @@ def refine(
             best = point
         return point[0]
 
-    x0 = np.array([start.lam, start.theta, start.phi])
+    x0 = [start.lam, start.theta, start.phi]
     objective(x0)
     if best is None:
         raise InfeasibleConstraintError(
             "refine start point cannot meet the error-rate constraint"
         )
-    from scipy.optimize import minimize
-
-    minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-14, "maxfev": 10_000},
-    )
+    _nelder_mead(objective, x0, xatol=1e-9, fatol=1e-14, maxfev=10_000)
     return best
 
 
@@ -306,30 +387,24 @@ def _penalty_finals(
     config: SearchConfig, penalty_weight: float
 ) -> tuple[list[tuple[float, float, ProbeParams]], int]:
     """Raw Nelder-Mead finals (Q, E, params) of the penalty objective."""
-    evaluations = 0
 
-    def objective(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
+    def objective(x: Sequence[float]) -> float:
         point = _free_point(x, config.geom)
         if point is None:
             return _INFEASIBLE
         q, e, _ = point
         return q + penalty_weight * (e - config.target_error) ** 2
 
-    from scipy.optimize import minimize
-
     rng = np.random.default_rng([config.seed, _PENALTY_STREAM])
     n_starts = max(1, config.random_restarts)
     finals: list[tuple[float, float, ProbeParams]] = []
+    evaluations = 0
     for x0 in rng.uniform(0.0, math.pi, size=(n_starts, 4)):
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxfev": 10_000},
+        x, _, spent = _nelder_mead(
+            objective, x0, xatol=1e-10, fatol=1e-13, maxfev=10_000
         )
-        final = _free_point(result.x, config.geom)
+        evaluations += spent
+        final = _free_point(x, config.geom)
         if final is not None:
             finals.append(final)
     return finals, evaluations

@@ -24,6 +24,7 @@ from qkdprobe import (
     distill,
     evaluate,
     mu_from_constraint,
+    penalty_scan,
     refine,
 )
 from qkdprobe.cli import _csv, main, parse_angle, render_json
@@ -862,21 +863,24 @@ examples, start = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 for argv in examples:
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-scipy_before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-config = search.SearchConfig(qkdprobe.SignalGeometry(start[0]), start[1])
+config = search.SearchConfig(
+    qkdprobe.SignalGeometry(start[0]), start[1], random_restarts=2, seed=3
+)
 q, params = search.refine(qkdprobe.ProbeParams(*start[2:]), config)
+penalty = search.penalty_scan(config, 1e5)
 print(json.dumps({
     "statistics_on_import": statistics_on_import,
-    "scipy_before": scipy_before,
-    "optimize_after": "scipy.optimize" in sys.modules,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "refine": [q, params.lam, params.mu, params.theta, params.phi],
+    "penalty": [penalty.best_q, penalty.samples_evaluated],
 }))
 """
 
 
 class TestStartup:
     def test_readme_examples_load_no_scipy(self, tmp_path):
-        # A fresh interpreter: pytest itself has loaded scipy here.
+        # A fresh interpreter: pytest itself has loaded scipy here.  Not
+        # one scipy module loads, not even for refine and penalty_scan.
         examples = (GOLDEN / "readme_argv.json").read_text()
         geom = SignalGeometry(PI / 8)
         lam, theta, phi = 0.4 * PI, 0.2 * PI, 0.6 * PI
@@ -898,14 +902,14 @@ class TestStartup:
         assert child.returncode == 0, child.stderr
         report = json.loads(child.stdout)
         assert report["statistics_on_import"] is False
-        assert report["scipy_before"] == []
-        assert report["optimize_after"] is True
-        q, params = refine(
-            ProbeParams(*start[2:]), SearchConfig(geom, 0.2)
-        )
+        assert report["scipy"] == []
+        config = SearchConfig(geom, 0.2, random_restarts=2, seed=3)
+        q, params = refine(ProbeParams(*start[2:]), config)
         assert report["refine"] == [
             q, params.lam, params.mu, params.theta, params.phi
         ]
+        penalty = penalty_scan(config, 1e5)
+        assert report["penalty"] == [penalty.best_q, penalty.samples_evaluated]
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qkdprobe import SignalGeometry, optimum
+from qkdprobe import roots as roots_module
 from qkdprobe.errors import DomainError, LeadingZeroError
 from qkdprobe.optimum import (
     lambda_cubic_coefficients,
@@ -276,6 +277,26 @@ class TestScalarScanOracle:
         assert real_roots_in_interval(
             coeffs, -2.0, 2.0
         ) == scalar_real_roots(coeffs, -2.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1e308, 0.0, -1e308], [1e307, 0.0, 0.0, 0.0, 1e307, -1e307]],
+    )
+    def test_overflowing_samples_polish_few_candidates(
+        self, coeffs, monkeypatch
+    ):
+        # An inf sample must not make every one of the 2001 samples a
+        # zero candidate: the zero threshold comes from the finite ones.
+        want = scalar_real_roots(coeffs, -2.0, 2.0)
+        calls = []
+
+        def counting_polish(*args):
+            calls.append(args)
+            return _newton_polish(*args)
+
+        monkeypatch.setattr(roots_module, "_newton_polish", counting_polish)
+        assert real_roots_in_interval(coeffs, -2.0, 2.0) == want
+        assert 0 < len(calls) <= 20
 
     @given(planted_polynomials(), st.sampled_from([2, 3, 101, 2001]))
     @settings(max_examples=150, deadline=None)

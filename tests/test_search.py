@@ -1,8 +1,10 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qkdprobe import (
     FamilyTag,
@@ -28,7 +30,7 @@ from qkdprobe.errors import (
 )
 from qkdprobe.probe import constrained_observables
 from qkdprobe import search as search_module
-from qkdprobe.search import _penalty_finals
+from qkdprobe.search import _free_point, _nelder_mead, _penalty_finals
 
 PI = math.pi
 
@@ -233,6 +235,103 @@ class TestRefine:
         point = evaluate(params, geom_pi8)
         assert point.overlap == q
         assert abs(point.error_rate - 0.2) < 1e-12
+
+
+def rosenbrock(x):
+    """Rosenbrock's function in scalar operations only, so a list and a
+    numpy array of the same floats give the same float."""
+    total = 0.0
+    for a, b in zip(x[:-1], x[1:]):
+        total += 100.0 * (b - a * a) * (b - a * a) + (1.0 - a) * (1.0 - a)
+    return total
+
+
+# (xatol, fatol) of refine and of the penalty scan.
+REFINE_TOLERANCES = (1e-9, 1e-14)
+PENALTY_TOLERANCES = (1e-10, 1e-13)
+
+
+class TestNelderMead:
+    """search._nelder_mead against scipy's Nelder-Mead as the oracle."""
+
+    @pytest.fixture
+    def scipy_nelder_mead(self, monkeypatch):
+        # scipy orders its simplex with np.argsort, whose default sort is
+        # not stable on every build, so tied values can reorder vertices
+        # there.  With a stable sort scipy walks the path _nelder_mead is
+        # specified to walk, ties included.
+        monkeypatch.setattr(
+            np, "argsort", functools.partial(np.argsort, kind="stable")
+        )
+
+        def run(func, x0, xatol, fatol, maxfev):
+            result = scipy.optimize.minimize(
+                func,
+                np.array(x0, dtype=float),
+                method="Nelder-Mead",
+                options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
+            )
+            return list(result.x), result.fun, result.nfev
+
+        return run
+
+    @pytest.mark.parametrize(
+        "tolerances", [REFINE_TOLERANCES, PENALTY_TOLERANCES],
+        ids=["refine", "penalty"],
+    )
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_rosenbrock_equals_scipy(self, scipy_nelder_mead, dim, tolerances):
+        rng = np.random.default_rng([dim, 41])
+        for k in range(24):
+            x0 = [float(v) for v in rng.uniform(-2.0, 2.0, dim)]
+            if k % 3 == 0:
+                x0[k % dim] = 0.0
+            got = _nelder_mead(rosenbrock, x0, *tolerances, maxfev=10_000)
+            assert got == scipy_nelder_mead(
+                rosenbrock, x0, *tolerances, maxfev=10_000
+            ), (dim, k)
+            assert got[2] < 10_000
+
+    @pytest.mark.parametrize("maxfev", [1, 3, 4, 5, 10, 57])
+    def test_budget_on_unbounded_objective(self, scipy_nelder_mead, maxfev):
+        # A linear objective has no minimum: every step expands, so only
+        # maxfev can stop the search, also inside the initial simplex.
+        def downhill(x):
+            return -(x[0] + 2.0 * x[1] + 3.0 * x[2])
+
+        x0 = [0.5, 0.0, -1.0]
+        x, fun, evaluations = _nelder_mead(
+            downhill, x0, *PENALTY_TOLERANCES, maxfev=maxfev
+        )
+        assert evaluations == maxfev
+        assert fun == downhill(x)
+        assert (x, fun, evaluations) == scipy_nelder_mead(
+            downhill, x0, *PENALTY_TOLERANCES, maxfev=maxfev
+        )
+
+    def test_penalty_finals_follow_scipy(self, geom_pi8, scipy_nelder_mead):
+        # On the penalty scan's own objective: the same finals and
+        # evaluation count as the scipy route it replaced.
+        config = SearchConfig(
+            geom=geom_pi8, target_error=0.2, random_restarts=3, seed=7
+        )
+        weight = 1e5
+
+        def objective(x):
+            point = _free_point(x, geom_pi8)
+            if point is None:
+                return search_module._INFEASIBLE
+            return point[0] + weight * (point[1] - 0.2) ** 2
+
+        rng = np.random.default_rng([7, search_module._PENALTY_STREAM])
+        finals, evaluations = [], 0
+        for x0 in rng.uniform(0.0, PI, size=(3, 4)):
+            x, _, spent = scipy_nelder_mead(
+                objective, x0, *PENALTY_TOLERANCES, maxfev=10_000
+            )
+            evaluations += spent
+            finals.append(_free_point(x, geom_pi8))
+        assert _penalty_finals(config, weight) == (finals, evaluations)
 
 
 class TestPenaltyScan:
