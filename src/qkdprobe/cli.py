@@ -13,6 +13,7 @@ Angles are accepted as raw radians or as multiples of pi: ``0.3927``,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
@@ -133,20 +134,45 @@ def _write_output(text: str, out: str | None) -> None:
         raise
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Floats as %.12g, anything else as str(); one %-format per row."""
-    lines = [",".join(header)]
+def _csv(
+    header: Sequence[str],
+    blocks: Iterable[np.ndarray | Sequence[Sequence[Any]]],
+) -> str:
+    """Header, then the rows of each block: floats as %.12g, anything else
+    as str().
+
+    A block is a 2-D float array or a list of rows.  Each array block,
+    and each run of rows with one type signature, is rendered with one
+    %-format repeated once per row, one block at a time.
+    """
+    parts = [",".join(header) + "\n"]
     formats: dict[tuple[type, ...], str] = {}
-    for row in map(tuple, rows):
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(
-                "%.12g" if issubclass(kind, (float, np.floating)) else "%s"
-                for kind in kinds
-            )
-        lines.append(fmt % row)
-    return "\n".join(lines) + "\n"
+    for block in blocks:
+        # Runs of (type signature, row count, the run's values in order).
+        if isinstance(block, np.ndarray):
+            runs = [(
+                (block.dtype.type,) * block.shape[1],
+                len(block),
+                block.ravel().tolist(),
+            )]
+        else:
+            runs = []
+            for kinds, rows in itertools.groupby(
+                map(tuple, block), key=lambda row: tuple(map(type, row))
+            ):
+                rows = list(rows)
+                runs.append(
+                    (kinds, len(rows), itertools.chain.from_iterable(rows))
+                )
+        for kinds, count, values in runs:
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join(
+                    "%.12g" if issubclass(kind, (float, np.floating)) else "%s"
+                    for kind in kinds
+                ) + "\n"
+            parts.append((fmt * count) % tuple(values))
+    return "".join(parts)
 
 
 def _params_dict(params: ProbeParams) -> dict[str, Any]:
@@ -227,10 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         blocks: list[np.ndarray] = []
         report = search.constrained_scan(config, sink=blocks.append)
         _write_output(
-            _csv(
-                ("lam", "theta", "phi", "mu", "E", "Q"),
-                (row for block in blocks for row in block.tolist()),
-            ),
+            _csv(("lam", "theta", "phi", "mu", "E", "Q"), blocks),
             args.samples_out,
         )
     results = {
@@ -271,7 +294,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
                 )
             )
         _write_output(
-            _csv(("alpha", "E", "Q_opt", "I_opt", "capacity"), rows), args.out
+            _csv(("alpha", "E", "Q_opt", "I_opt", "capacity"), [rows]),
+            args.out,
         )
         return 0
     results = [
@@ -332,7 +356,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
                      frontier.argmax_e, config.compression(frontier.t_f)))
     if args.format == "csv":
         _write_output(
-            _csv(("n", "e_T", "p", "xi", "t_F", "argmax_e", "s"), rows),
+            _csv(("n", "e_T", "p", "xi", "t_F", "argmax_e", "s"), [rows]),
             args.out,
         )
         return 0
@@ -479,7 +503,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "empirical_rate",
                 "analytic_capacity",
             ),
-            rows,
+            [rows],
         ),
         args.out,
     )

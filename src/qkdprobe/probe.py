@@ -16,7 +16,10 @@ detection probabilities, the induced receiver error rate E, the overlap Q
 of the correlated probe states, and the Renyi information gain
 log2(2 - Q^2).  Each formula is written once over floats or numpy
 arrays: the scalar functions feed it ``math`` values, and
-:func:`constrained_observables` feeds it arrays for whole scans.
+:func:`constrained_observables` feeds it arrays for whole scans.  E, the
+overlap numerator and the overlap radicand share one body over
+(a, b, c, d, sin^2 2a), which the simplex objectives in ``search`` also
+call on plain floats.
 
 Everything in this module is a pure function of immutable value types and
 is safe for unrestricted concurrent use.
@@ -110,11 +113,7 @@ class ProbeParams:
 
 @dataclass(frozen=True)
 class ProbeCoefficients:
-    """Derived quadruple (a, b, c, d); each lies in [-1, 1].
-
-    Inside :func:`constrained_observables` the fields are numpy arrays of
-    one shape, which :func:`error_rate` and the overlap terms accept too.
-    """
+    """Derived quadruple (a, b, c, d); each lies in [-1, 1]."""
 
     a: float
     b: float
@@ -182,22 +181,29 @@ def _quadruple(
     )
 
 
-def coefficients(params: ProbeParams) -> ProbeCoefficients:
-    """Evaluate the coefficient quadruple (a, b, c, d) at a probe setting."""
+def _angle_quadruple(
+    lam: float, mu: float, theta: float, phi: float
+) -> tuple[float, float, float, float]:
+    """(a, b, c, d) at four float angles, with ``math`` trig."""
     # Square as x * x, like mu_from_constraint: pow(x, 2) can differ from
     # it in the last place, and the two routes must agree bit for bit.
-    sin_lam = math.sin(params.lam)
-    cos_lam = math.cos(params.lam)
+    sin_lam = math.sin(lam)
+    cos_lam = math.cos(lam)
+    return _quadruple(
+        sin_lam * sin_lam,
+        cos_lam * cos_lam,
+        math.sin(2.0 * mu),
+        math.cos(2.0 * theta),
+        math.sin(2.0 * theta),
+        math.sin(2.0 * phi),
+        math.cos(2.0 * phi),
+    )
+
+
+def coefficients(params: ProbeParams) -> ProbeCoefficients:
+    """Evaluate the coefficient quadruple (a, b, c, d) at a probe setting."""
     return ProbeCoefficients(
-        *_quadruple(
-            sin_lam * sin_lam,
-            cos_lam * cos_lam,
-            math.sin(2.0 * params.mu),
-            math.cos(2.0 * params.theta),
-            math.sin(2.0 * params.theta),
-            math.sin(2.0 * params.phi),
-            math.cos(2.0 * params.phi),
-        )
+        *_angle_quadruple(params.lam, params.mu, params.theta, params.phi)
     )
 
 
@@ -231,11 +237,24 @@ def detection_probabilities(
     return probs
 
 
+def _observables(a, b, c, d, s2):
+    """(E, overlap numerator, overlap radicand) from (a, b, c, d) and
+    s2 = sin^2(2a); floats or arrays.
+
+    The one body of the error-rate and overlap formulas: the overlap is
+    numerator / sqrt(radicand) where the radicand is positive.
+    """
+    error = 0.5 * (1.0 - d + (d - a) * s2)
+    numerator = 0.5 * (a + b) + 0.5 * (d - a) * s2
+    half_sum = 0.5 * (1.0 + d + (a - d) * s2)
+    return error, numerator, overlap_radicand(half_sum, c, s2)
+
+
 def error_rate(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     """Induced receiver error rate E = (1 - d + (d - a) sin^2 2a) / 2."""
-    return 0.5 * (
-        1.0 - coeffs.d + (coeffs.d - coeffs.a) * geom.sin_sq_two_alpha
-    )
+    return _observables(
+        coeffs.a, coeffs.b, coeffs.c, coeffs.d, geom.sin_sq_two_alpha
+    )[0]
 
 
 def overlap_radicand(half_sum, c, s2: float):
@@ -248,21 +267,6 @@ def overlap_radicand(half_sum, c, s2: float):
     return half_sum * half_sum - 0.25 * c * c * s2
 
 
-def _overlap_denominator_sq(
-    coeffs: ProbeCoefficients, geom: SignalGeometry
-) -> float:
-    s2 = geom.sin_sq_two_alpha
-    half_sum = 0.5 * (1.0 + coeffs.d + (coeffs.a - coeffs.d) * s2)
-    return overlap_radicand(half_sum, coeffs.c, s2)
-
-
-def _overlap_numerator(
-    coeffs: ProbeCoefficients, geom: SignalGeometry
-) -> float:
-    s2 = geom.sin_sq_two_alpha
-    return 0.5 * (coeffs.a + coeffs.b) + 0.5 * (coeffs.d - coeffs.a) * s2
-
-
 def overlap(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     """Overlap Q of the probe states correlated with the receiver outcomes.
 
@@ -272,12 +276,14 @@ def overlap(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     Raises DegenerateModelError when the radicand is non-positive (error
     rate approaching one, or unphysical coefficients).
     """
-    radicand = _overlap_denominator_sq(coeffs, geom)
+    _, numerator, radicand = _observables(
+        coeffs.a, coeffs.b, coeffs.c, coeffs.d, geom.sin_sq_two_alpha
+    )
     if radicand <= 0.0:
         raise DegenerateModelError(
             f"overlap denominator radicand {radicand!r} is non-positive"
         )
-    return _overlap_numerator(coeffs, geom) / math.sqrt(radicand)
+    return numerator / math.sqrt(radicand)
 
 
 def q_value(coeffs: ProbeCoefficients) -> float:
@@ -338,6 +344,37 @@ def mu_from_constraint(
         raise SingularLambdaError(
             f"sin(lam) = {sin_lam!r} ~ 0: mu has no effect on any observable"
         )
+    rhs, mu = _solve_mu(
+        lam,
+        sin_lam,
+        theta,
+        phi,
+        target_error,
+        geom.sin_sq_two_alpha,
+        alternate_branch,
+    )
+    if mu is None:
+        raise InfeasibleConstraintError(
+            f"sin(2 mu) would need to be {rhs!r}; no mu achieves error rate "
+            f"{target_error!r} at this (lam, theta, phi)"
+        )
+    return mu
+
+
+def _solve_mu(
+    lam: float,
+    sin_lam: float,
+    theta: float,
+    phi: float,
+    target_error: float,
+    s2: float,
+    alternate_branch: bool = False,
+) -> tuple[float, float | None]:
+    """(sin 2mu demanded, mu) at float angles, sin_lam = sin(lam) nonzero.
+
+    The body of :func:`mu_from_constraint` without its checks of the
+    inputs; mu is None where no mu meets the target error rate.
+    """
     cos_lam = math.cos(lam)
     rhs = _constraint_sin_two_mu(
         sin_lam * sin_lam,
@@ -345,17 +382,14 @@ def mu_from_constraint(
         math.cos(2.0 * theta),
         math.sin(2.0 * phi),
         target_error,
-        geom.sin_sq_two_alpha,
+        s2,
     )
     if abs(rhs) > 1.0 + ARCSINE_CLAMP_TOL:
-        raise InfeasibleConstraintError(
-            f"sin(2 mu) would need to be {rhs!r}; no mu achieves error rate "
-            f"{target_error!r} at this (lam, theta, phi)"
-        )
+        return rhs, None
     half_arc = 0.5 * math.asin(max(-1.0, min(1.0, rhs)))
     if alternate_branch:
-        return 0.5 * math.pi - half_arc
-    return half_arc if half_arc >= 0.0 else half_arc + math.pi
+        return rhs, 0.5 * math.pi - half_arc
+    return rhs, half_arc if half_arc >= 0.0 else half_arc + math.pi
 
 
 def constrained_observables(
@@ -393,7 +427,7 @@ def constrained_observables(
         np.abs(rhs) <= 1.0 + ARCSINE_CLAMP_TOL
     )
     sin_two_mu = np.clip(rhs, -1.0, 1.0)
-    coeffs = ProbeCoefficients(
+    error, numerator, radicand = _observables(
         *_quadruple(
             sin_sq_lam,
             cos_sq_lam,
@@ -402,19 +436,18 @@ def constrained_observables(
             np.sin(2.0 * theta),
             sin_two_phi,
             np.cos(2.0 * phi),
-        )
+        ),
+        geom.sin_sq_two_alpha,
     )
-    radicand = _overlap_denominator_sq(coeffs, geom)
     feasible &= radicand > 0.0
     q = np.where(
         feasible,
-        _overlap_numerator(coeffs, geom)
-        / np.sqrt(np.where(feasible, radicand, 1.0)),
+        numerator / np.sqrt(np.where(feasible, radicand, 1.0)),
         math.inf,
     )
     half_arc = 0.5 * np.arcsin(sin_two_mu)
     mu = np.where(half_arc >= 0.0, half_arc, half_arc + math.pi)
-    return mu, error_rate(coeffs, geom), q, feasible
+    return mu, error, q, feasible
 
 
 def renyi_info(q_overlap: float | np.ndarray) -> float | np.ndarray:

@@ -16,7 +16,11 @@ strategies are provided:
 derivative-free simplex search, re-solving mu at every step.  Both
 simplex searches run on this module's own Nelder-Mead, a step-for-step
 port of scipy's with the standard coefficients, so qkdprobe needs only
-numpy at run time.
+numpy at run time.  Their objectives evaluate a point on plain floats,
+through the same probe formulas as the public scalar functions and in
+the same order, so every value equals what ``probe.mu_from_constraint``,
+``probe.coefficients``, ``probe.overlap`` and ``probe.error_rate`` give;
+a ``ProbeParams`` is built only for a point a search returns.
 
 All randomness derives from the config seed through counter-based
 splitting, so identical configs produce bit-identical reports; grid and
@@ -62,8 +66,11 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.grid_resolution < 3:
             raise DomainError("grid_resolution must be at least 3")
-        if self.tolerance <= 0.0:
-            raise DomainError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError(
+                f"tolerance must be finite and positive; got "
+                f"{self.tolerance!r}"
+            )
         probe.check_error_rate(self.target_error)
         if self.random_restarts < 0:
             raise DomainError("random_restarts must be non-negative")
@@ -82,16 +89,17 @@ class SearchReport:
     samples_evaluated: int
 
 
-def _analytic_reference(config: SearchConfig) -> float:
-    """Branch formula value used as the violation reference.
+def _analytic_reference(error: float, geom: SignalGeometry) -> float:
+    """Branch formula value at an error rate: the violation reference.
 
     Evaluated raw so scans remain meaningful for error rates beyond the
     attainable family domain (where the formula is vacuously below every
-    sample).
+    sample), and unchecked, so a raw penalty final just past E = 1/2
+    still has a reference.
     """
-    if optimum.branch_for(config.geom) is optimum.Branch.CSC:
-        return optimum.csc_branch_overlap(config.target_error, config.geom)
-    return optimum.sec_branch_overlap(config.target_error, config.geom)
+    if optimum.branch_for(geom) is optimum.Branch.CSC:
+        return optimum._branch_formula(error, geom.sin_sq_two_alpha)
+    return optimum._branch_formula(error, geom.cos_sq_two_alpha)
 
 
 def _singular_lambda_points(
@@ -159,7 +167,7 @@ def constrained_scan(
     geom = config.geom
     target = config.target_error
     grid = np.linspace(0.0, math.pi, config.grid_resolution)
-    analytic_q = _analytic_reference(config)
+    analytic_q = _analytic_reference(target, geom)
 
     best_q = math.inf
     best_params: ProbeParams | None = None
@@ -229,26 +237,48 @@ def constrained_scan(
 
 def _constrained_point(
     lam: float, theta: float, phi: float, target: float, geom: SignalGeometry
-) -> tuple[float, ProbeParams] | None:
-    """(Q, params) at (lam, theta, phi) and the target error, or None.
+) -> tuple[float, float, float, float, float] | None:
+    """(Q, lam, mu, theta, phi) at (lam, theta, phi) and the target error,
+    or None.
 
     All observables are pi-periodic in each angle, so the angles are
     folded into [0, pi).  mu is solved from the constraint; on the
     singular sin(lam) = 0 planes the better phi-elimination branch is
     taken instead.  None marks a point no probe setting makes feasible.
+    The point is evaluated on floats, as ``probe.mu_from_constraint``,
+    ``probe.coefficients`` and ``probe.overlap`` would evaluate it.
     """
     lam = float(lam) % math.pi
     theta = float(theta) % math.pi
     phi = float(phi) % math.pi
-    if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
+    sin_lam = math.sin(lam)
+    if abs(sin_lam) <= probe.SINGULAR_SIN_LAMBDA:
         points = _singular_lambda_points(lam, np.array([theta]), target, geom)
-        return min(points, key=lambda item: item[0], default=None)
-    try:
-        mu = probe.mu_from_constraint(lam, theta, phi, target, geom)
-        params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
-        return probe.overlap(probe.coefficients(params), geom), params
-    except (InfeasibleConstraintError, DegenerateModelError):
+        if not points:
+            return None
+        q, p = min(points, key=lambda item: item[0])
+        return q, p.lam, p.mu, p.theta, p.phi
+    s2 = geom.sin_sq_two_alpha
+    _, mu = probe._solve_mu(lam, sin_lam, theta, phi, target, s2)
+    if mu is None:
         return None
+    point = _overlap_and_error((lam, mu, theta, phi), s2)
+    if point is None:
+        return None
+    return point[0], lam, mu, theta, phi
+
+
+def _overlap_and_error(
+    angles: Sequence[float], s2: float
+) -> tuple[float, float] | None:
+    """(Q, E) at four float angles, or None where the overlap radicand is
+    non-positive; s2 = sin^2(2 alpha)."""
+    error, numerator, radicand = probe._observables(
+        *probe._angle_quadruple(*angles), s2
+    )
+    if radicand <= 0.0:
+        return None
+    return numerator / math.sqrt(radicand), error
 
 
 def _free_point(
@@ -256,13 +286,11 @@ def _free_point(
 ) -> tuple[float, float, ProbeParams] | None:
     """(Q, E, params) at the four free angles folded into [0, pi), or None
     where the overlap radicand is non-positive."""
-    params = ProbeParams(*(float(v) % math.pi for v in x))
-    coeffs = probe.coefficients(params)
-    try:
-        q = probe.overlap(coeffs, geom)
-    except DegenerateModelError:
+    angles = [float(v) % math.pi for v in x]
+    point = _overlap_and_error(angles, geom.sin_sq_two_alpha)
+    if point is None:
         return None
-    return q, probe.error_rate(coeffs, geom), params
+    return point[0], point[1], ProbeParams(*angles)
 
 
 class _BudgetSpent(Exception):
@@ -310,36 +338,36 @@ def _nelder_mead(
     while True:
         order = sorted(range(n + 1), key=fsim.__getitem__)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-        best, worst = sim[0], sim[-1]
+        best, worst, f_best = sim[0], sim[-1], fsim[0]
+        # The f-spread is the cheaper test and the one that fails first.
         if evaluations >= maxfev or (
-            max(abs(a - b) for x in sim[1:] for a, b in zip(x, best)) <= xatol
-            and max(abs(fsim[0] - v) for v in fsim[1:]) <= fatol
+            max(abs(f_best - v) for v in fsim[1:]) <= fatol
+            and max(abs(a - b) for x in sim[1:] for a, b in zip(x, best))
+            <= xatol
         ):
-            return best, fsim[0], evaluations
+            return best, f_best, evaluations
         xbar = best
         for x in sim[1:-1]:
             xbar = [a + b for a, b in zip(xbar, x)]
         xbar = [a / n for a in xbar]
-
-        def along(t: float) -> list[float]:
-            return [(1 + t) * b - t * w for b, w in zip(xbar, worst)]
-
+        # Each point is (1 + t) xbar - t worst for t = 1, 2, 1/2, -1/2,
+        # with the coefficients written out; they round the same way.
         try:
-            xr = along(1.0)
+            xr = [2.0 * b - w for b, w in zip(xbar, worst)]
             fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = along(2.0)
+            if fxr < f_best:
+                xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:
-                    xc = along(0.5)
+                    xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
                     fxc = f(xc)
                     accept = fxc <= fxr
                 else:
-                    xc = along(-0.5)
+                    xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
                     fxc = f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
@@ -362,7 +390,7 @@ def refine(
     Returns the best (Q, params) evaluated, so the overlap never exceeds
     the starting value.
     """
-    best: tuple[float, ProbeParams] | None = None
+    best: tuple[float, float, float, float, float] | None = None
 
     def objective(x: Sequence[float]) -> float:
         nonlocal best
@@ -380,20 +408,22 @@ def refine(
             "refine start point cannot meet the error-rate constraint"
         )
     _nelder_mead(objective, x0, xatol=1e-9, fatol=1e-14, maxfev=10_000)
-    return best
+    return best[0], ProbeParams(*best[1:])
 
 
 def _penalty_finals(
     config: SearchConfig, penalty_weight: float
 ) -> tuple[list[tuple[float, float, ProbeParams]], int]:
     """Raw Nelder-Mead finals (Q, E, params) of the penalty objective."""
+    s2 = config.geom.sin_sq_two_alpha
+    target = config.target_error
 
     def objective(x: Sequence[float]) -> float:
-        point = _free_point(x, config.geom)
+        point = _overlap_and_error([v % math.pi for v in x], s2)
         if point is None:
             return _INFEASIBLE
-        q, e, _ = point
-        return q + penalty_weight * (e - config.target_error) ** 2
+        q, e = point
+        return q + penalty_weight * (e - target) ** 2
 
     rng = np.random.default_rng([config.seed, _PENALTY_STREAM])
     n_starts = max(1, config.random_restarts)
@@ -420,35 +450,46 @@ def penalty_scan(
     (lam, theta, phi), exactly as :func:`refine` evaluates a point (mu
     re-solved, or phi eliminated on a sin(lam) = 0 plane); the report
     covers polished points together with any raw final already within
-    1e-4 of the target.
+    1e-4 of the target.  Each candidate is a violation if its overlap
+    lies below the branch formula at its own error rate by more than the
+    tolerance: a raw final sits slightly off the target, where the
+    optimum differs.  penalty_weight must be finite and positive.
     """
-    if penalty_weight <= 0.0:
-        raise DomainError("penalty_weight must be positive")
+    if not 0.0 < penalty_weight < math.inf:
+        raise DomainError(
+            f"penalty_weight must be finite and positive; got "
+            f"{penalty_weight!r}"
+        )
     target = config.target_error
+    geom = config.geom
     finals, evaluations = _penalty_finals(config, penalty_weight)
 
-    candidates: list[tuple[float, ProbeParams]] = []
+    # (Q, E, params) of each candidate; a polished point sits at the target.
+    candidates: list[tuple[float, float, ProbeParams]] = []
     for q, e, params in finals:
         if abs(e - target) < 1e-4:
-            candidates.append((q, params))
+            candidates.append((q, e, params))
         polished = _constrained_point(
-            params.lam, params.theta, params.phi, target, config.geom
+            params.lam, params.theta, params.phi, target, geom
         )
         if polished is not None:
-            candidates.append(polished)
+            candidates.append(
+                (polished[0], target, ProbeParams(*polished[1:]))
+            )
     if not candidates:
         raise EmptyFeasibleSetError(
             "no penalty-scan final reached the target error rate"
         )
-    analytic_q = _analytic_reference(config)
-    best_q, best_params = min(candidates, key=lambda item: item[0])
+    best_q, _, best_params = min(candidates, key=lambda item: item[0])
     violations = sum(
-        1 for q, _ in candidates if q < analytic_q - config.tolerance
+        1
+        for q, e, _ in candidates
+        if q < _analytic_reference(e, geom) - config.tolerance
     )
     return SearchReport(
         best_q=best_q,
         best_params=best_params,
-        analytic_q=analytic_q,
+        analytic_q=_analytic_reference(target, geom),
         violations=violations,
         samples_evaluated=evaluations,
     )

@@ -243,6 +243,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "seed must be non-negative" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_tolerance_exits_2(self, capsys, tolerance):
+        # A NaN tolerance could never report a violation and would echo
+        # "tolerance": nan, which is not JSON.
+        code, out, err = run_cli(
+            capsys, "verify", "--alpha", "pi/8", "--error-rate", "0.2",
+            "--resolution", "9", "--tolerance", tolerance,
+        )
+        assert code == 2 and out == ""
+        assert "tolerance must be finite and positive" in err
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         import qkdprobe.cli as cli_module
 
@@ -383,9 +394,34 @@ class TestCsvRenderer:
             [1e-300, 1e300, -1e300, 5e-324, np.float32(0.1)],
             (1.0, "a", 2, np.float64(2.5e-7), False),
         ]
-        assert _csv(header, rows) == per_value_csv(header, rows)
-        assert _csv(header, iter(rows)) == per_value_csv(header, rows)
+        assert _csv(header, [rows]) == per_value_csv(header, rows)
+        assert _csv(header, [iter(rows)]) == per_value_csv(header, rows)
+        split = [rows[:3], rows[3:]]
+        assert _csv(header, split) == per_value_csv(header, rows)
         assert _csv(header, []) == "int,bool,str,float,np\n"
+        assert _csv(header, [[]]) == "int,bool,str,float,np\n"
+
+    def test_float_blocks_match_per_value_rendering(self):
+        # The scan's sink blocks: float64 arrays, one %-format per block.
+        special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300,
+                   -1e300, 5e-324, 1.0 / 3.0, -2.5e-7, 123456789012.5]
+        rng = np.random.default_rng(8)
+        values = np.concatenate([special, rng.standard_normal(60) * 1e3])
+        blocks = [
+            values.reshape(-1, 6),
+            np.array([special[:6]]),  # one-row blocks
+            np.array([special[6:]]),
+            rng.uniform(0.0, math.pi, (257, 6)),
+            np.empty((0, 6)),
+        ]
+        header = ("lam", "theta", "phi", "mu", "E", "Q")
+        rows = [row for block in blocks for row in block.tolist()]
+        assert _csv(header, blocks) == per_value_csv(header, rows)
+        # Array and list blocks mix, as the verify CSV and capacity use.
+        mixed = [blocks[1], [(1, "x", 0.5, -0.0, math.nan, 2)], blocks[2]]
+        mixed_rows = [blocks[1].tolist()[0], mixed[1][0],
+                      blocks[2].tolist()[0]]
+        assert _csv(header, mixed) == per_value_csv(header, mixed_rows)
 
 
 class TestCapacity:

@@ -24,13 +24,21 @@ from qkdprobe import (
     sample_params,
 )
 from qkdprobe.errors import (
+    DegenerateModelError,
     DomainError,
     EmptyFeasibleSetError,
     InfeasibleConstraintError,
 )
 from qkdprobe.probe import constrained_observables
 from qkdprobe import search as search_module
-from qkdprobe.search import _free_point, _nelder_mead, _penalty_finals
+from qkdprobe.search import (
+    _constrained_point,
+    _free_point,
+    _nelder_mead,
+    _overlap_and_error,
+    _penalty_finals,
+    _singular_lambda_points,
+)
 
 PI = math.pi
 
@@ -112,6 +120,11 @@ class TestConstrainedScan:
             SearchConfig(geom=geom_pi8, target_error=0.6)
         with pytest.raises(DomainError, match="seed must be non-negative"):
             SearchConfig(geom=geom_pi8, target_error=0.1, seed=-1)
+        for tolerance in (math.nan, math.inf, -math.inf, -1e-6):
+            with pytest.raises(DomainError, match="finite and positive"):
+                SearchConfig(
+                    geom=geom_pi8, target_error=0.1, tolerance=tolerance
+                )
 
     def test_vectorized_plane_matches_scalar_route(self, geom_pi8):
         rng = np.random.default_rng(55)
@@ -235,6 +248,131 @@ class TestRefine:
         point = evaluate(params, geom_pi8)
         assert point.overlap == q
         assert abs(point.error_rate - 0.2) < 1e-12
+
+
+def dataclass_free_point(angles, geom):
+    """(Q, E) through ProbeParams, probe.coefficients, overlap and
+    error_rate: the oracle for the simplex objectives' float route."""
+    coeffs = coefficients(ProbeParams(*angles))
+    try:
+        q = overlap(coeffs, geom)
+    except DegenerateModelError:
+        return None
+    return q, error_rate(coeffs, geom)
+
+
+def dataclass_constrained_point(lam, theta, phi, target, geom):
+    """(Q, lam, mu, theta, phi) through mu_from_constraint and the
+    dataclass route, or phi elimination on a sin(lam) = 0 plane."""
+    lam, theta, phi = (float(v) % PI for v in (lam, theta, phi))
+    if abs(math.sin(lam)) <= 1e-12:
+        points = _singular_lambda_points(lam, np.array([theta]), target, geom)
+        if not points:
+            return None
+        q, p = min(points, key=lambda item: item[0])
+        return q, p.lam, p.mu, p.theta, p.phi
+    try:
+        mu = mu_from_constraint(lam, theta, phi, target, geom)
+        params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
+        return overlap(coefficients(params), geom), lam, mu, theta, phi
+    except (InfeasibleConstraintError, DegenerateModelError):
+        return None
+
+
+GEOMETRIES = [PI / 10, PI / 8, PI / 5]
+
+
+class TestFloatObjectives:
+    """The simplex objectives' float route is == the dataclass route."""
+
+    @pytest.mark.parametrize("alpha", GEOMETRIES)
+    def test_free_point(self, alpha):
+        geom = SignalGeometry(alpha)
+        rng = np.random.default_rng([11, int(alpha * 1e6)])
+        angles = rng.uniform(0.0, PI, (3000, 4)).tolist()
+        # E = 1 and a zero radicand at lam = 0, theta = pi/2, phi = pi/4,
+        # and on sin(lam) = 0 planes.
+        angles += [[0.0, mu, PI / 2, PI / 4] for mu in (0.0, 0.3, 2.0)]
+        angles += [[0.0, mu, t, f] for _, mu, t, f in angles[:200]]
+        s2 = geom.sin_sq_two_alpha
+        results = [_overlap_and_error(x, s2) for x in angles]
+        assert results == [dataclass_free_point(x, geom) for x in angles]
+        assert None in results
+        # Unfolded angles through _free_point, which builds the params.
+        for x in rng.uniform(-2.0 * PI, 3.0 * PI, (300, 4)).tolist():
+            point = _free_point(x, geom)
+            folded = [v % PI for v in x]
+            assert point == (*dataclass_free_point(folded, geom),
+                             ProbeParams(*folded))
+
+    @pytest.mark.parametrize("target", [0.05, 0.2, 0.45])
+    @pytest.mark.parametrize("alpha", GEOMETRIES)
+    def test_constrained_point(self, alpha, target):
+        geom = SignalGeometry(alpha)
+        rng = np.random.default_rng([12, int(alpha * 1e6), int(target * 1e3)])
+        points = rng.uniform(-2.0 * PI, 3.0 * PI, (2000, 3)).tolist()
+        # sin(lam) = 0 planes; theta = 0 is feasible there for E <= s2.
+        planes = [(0.0, 1.0)] + [(t, f) for _, t, f in points[:25]]
+        points += [[lam, t, f] for lam in (0.0, PI, -PI, 2.0 * PI)
+                   for t, f in planes]
+        results = [_constrained_point(*x, target, geom) for x in points]
+        assert results == [
+            dataclass_constrained_point(*x, target, geom) for x in points
+        ]
+        assert None in results
+        if target <= geom.sin_sq_two_alpha:
+            assert any(r is not None and r[1] == 0.0 for r in results)
+
+
+# Outputs of refine (from the best point of a 12^3 scan with 20 restarts,
+# seed 5) and of penalty_scan (20 starts, weight 1e5) recorded from the
+# scipy-free Nelder-Mead before the simplex objectives moved to floats:
+# (alpha, E, refine Q, refine params, penalty Q, penalty params,
+# penalty evaluations).
+PINNED = [
+    (PI / 8, 0.2, 0.4999999999999992,
+     (2.284794657156213, 3.106965410606211, 0.0, 0.2963093070999464),
+     0.4999511689484317,
+     (0.4315844174816943, 2.1515593914917814, 3.6703085015687975e-11,
+      1.3447082230487206),
+     14520),
+    (PI / 10, 0.1, 0.5790161797777962,
+     (1.4279966607226333, 0.2221466651853085, 0.0, 0.0),
+     0.5789067715186681,
+     (1.570796320191068, 1.3535340614070117, 2.817296222802427,
+      0.6390322858595424),
+     11126),
+    (PI / 6, 0.15, -0.05817432750936252,
+     (2.4565918678842094, 0.7853981633974483, 1.5854027963453707,
+      2.3595315302748565),
+     -0.059168403572899625,
+     (0.6845496656278285, 0.7853981649051109, 1.5707963185134748,
+      2.356194494788599),
+     31800),
+]
+
+
+@pytest.mark.parametrize(
+    "alpha,target,refine_q,refine_params,penalty_q,penalty_params,evals",
+    PINNED,
+    ids=["pi/8", "pi/10", "pi/6"],
+)
+def test_simplex_outputs_pinned(
+    alpha, target, refine_q, refine_params, penalty_q, penalty_params, evals
+):
+    config = SearchConfig(
+        geom=SignalGeometry(alpha),
+        target_error=target,
+        grid_resolution=12,
+        random_restarts=20,
+        seed=5,
+    )
+    q, params = refine(constrained_scan(config).best_params, config)
+    assert (q, params) == (refine_q, ProbeParams(*refine_params))
+    report = penalty_scan(config, 1e5)
+    assert report.best_q == penalty_q
+    assert report.best_params == ProbeParams(*penalty_params)
+    assert report.samples_evaluated == evals
 
 
 def rosenbrock(x):
@@ -403,7 +541,46 @@ class TestPenaltyScan:
         assert abs(point.error_rate - 0.2) < 1e-12
         assert report.samples_evaluated == 7
 
-    def test_weight_validation(self, geom_pi8):
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+    def test_weight_validation(self, geom_pi8, weight):
+        # A NaN weight made every start spend the whole 10^4 budget.
         config = SearchConfig(geom=geom_pi8, target_error=0.1)
-        with pytest.raises(DomainError):
-            penalty_scan(config, 0.0)
+        with pytest.raises(DomainError, match="finite and positive"):
+            penalty_scan(config, weight)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_violations_on_working_code(self, geom_pi8, seed):
+        # Raw finals park at E ~ target + 1.6e-5, where the optimum is
+        # lower than at the target; each is held to its own E's optimum.
+        config = SearchConfig(
+            geom=geom_pi8, target_error=0.2, random_restarts=4, seed=seed
+        )
+        finals, _ = _penalty_finals(config, 1e5)
+        assert any(0.0 < e - 0.2 < 1e-4 and q < 0.5 - 1e-6
+                   for q, e, _ in finals)
+        assert penalty_scan(config, 1e5).violations == 0
+
+    @pytest.mark.parametrize("target", [0.2, 0.49998])
+    def test_planted_candidate_below_its_own_optimum_counts(
+        self, geom_pi8, monkeypatch, target
+    ):
+        # Two raw finals 5e-5 above the target, both below the optimum
+        # at the target: only the one below the optimum at its own E is
+        # a violation.  Near E = 1/2 their E passes 1/2.
+        def optimum_pi8(error):
+            return (1.0 - 3.0 * error) / (1.0 - error)
+
+        e = target + 5e-5
+        own = optimum_pi8(e)
+        assert own < optimum_pi8(target) - 1e-4
+        params = ProbeParams(0.4 * PI, 0.3, 0.2 * PI, 0.6 * PI)
+        planted = [(own - 1e-3, e, params), (own + 1e-7, e, params)]
+        monkeypatch.setattr(
+            search_module,
+            "_penalty_finals",
+            lambda config, weight: (planted, 9),
+        )
+        config = SearchConfig(geom=geom_pi8, target_error=target, seed=0)
+        report = penalty_scan(config, 1e5)
+        assert report.violations == 1
+        assert report.best_q == own - 1e-3
