@@ -541,8 +541,13 @@ class TestPenaltyScan:
         assert abs(point.error_rate - 0.2) < 1e-12
         assert report.samples_evaluated == 7
 
+    def test_weight_validation(self, geom_pi8):
+        config = SearchConfig(geom=geom_pi8, target_error=0.1)
+        with pytest.raises(DomainError):
+            penalty_scan(config, 0.0)
+
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
-    def test_weight_validation(self, geom_pi8, weight):
+    def test_weight_must_be_finite_and_positive(self, geom_pi8, weight):
         # A NaN weight made every start spend the whole 10^4 budget.
         config = SearchConfig(geom=geom_pi8, target_error=0.1)
         with pytest.raises(DomainError, match="finite and positive"):
