@@ -17,6 +17,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from dataclasses import asdict
@@ -127,6 +128,15 @@ def _write_output(text: str, out: str | None) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp makes the file 0600; give it the mode a shell redirect
+        # would leave: the old file's, or 0666 less the umask.
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -298,14 +308,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
             args.out,
         )
         return 0
-    results = [
-        {
-            "error_rate": point.error_rate,
-            "capacity": point.capacity,
-            "inner_argmax": point.inner_argmax,
-        }
-        for point in points
-    ]
+    results = [asdict(point) for point in points]
     inputs = {
         "alpha": _angle_echo(args.alpha),
         "e_min": args.e_min,
@@ -409,18 +412,6 @@ def _q_model_from_args(args: argparse.Namespace) -> simulate.QLeakModel:
     return simulate.QLeakModel.binary_entropy(args.q_fraction)
 
 
-def _report_dict(report: simulate.SimulationReport) -> dict[str, Any]:
-    return {
-        "n": report.n,
-        "e_t": report.e_t,
-        "s": report.s,
-        "final_key_len": report.final_key_len,
-        "empirical_error": report.empirical_error,
-        "empirical_rate": report.empirical_rate,
-        "analytic_capacity": report.analytic_capacity,
-    }
-
-
 def _simulation_config(args: argparse.Namespace) -> simulate.SimulationConfig:
     return simulate.SimulationConfig(
         m=args.m,
@@ -458,7 +449,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = simulate.run(config)
     inputs = _simulate_inputs(args, config)
     _write_output(
-        render_json(_envelope("simulate", inputs, _report_dict(report))),
+        render_json(_envelope("simulate", inputs, asdict(report))),
         args.out,
     )
     return 0

@@ -758,17 +758,6 @@ def possibility_d_feasibility(
     )
 
 
-def _report(
-    label: str,
-    status: PossibilityStatus,
-    achieved_q: float | None,
-    detail: str,
-) -> PossibilityReport:
-    return PossibilityReport(
-        label=label, status=status, achieved_q=achieved_q, detail=detail
-    )
-
-
 def enumerate_possibilities(
     target_error: float, geom: SignalGeometry
 ) -> list[PossibilityReport]:
@@ -804,7 +793,7 @@ def enumerate_possibilities(
         )
     )
     reports = [
-        _report(
+        PossibilityReport(
             "A",
             PossibilityStatus.EXCLUDED_ANALYTICALLY,
             corner_overlap(SignPair(1, 1), geom),
@@ -812,14 +801,14 @@ def enumerate_possibilities(
             "reach only |Q| = 1, never the constrained minimum. "
             + corner_summary,
         ),
-        _report(
+        PossibilityReport(
             "B",
             PossibilityStatus.YIELDS_OPTIMUM,
             q_ext,
             "sin(lam) = 0, cos(2 theta) = 1, sin(2 phi) = 1 - 2E csc^2(2a); "
             "mu free" + feasibility_note,
         ),
-        _report(
+        PossibilityReport(
             "C",
             PossibilityStatus.EXCLUDED_ANALYTICALLY,
             None,
@@ -831,7 +820,7 @@ def enumerate_possibilities(
     d_check = possibility_d_feasibility(geom, [target_error])
     if d_check.feasible:
         reports.append(
-            _report(
+            PossibilityReport(
                 "D",
                 PossibilityStatus.YIELDS_OPTIMUM,
                 q_ext,
@@ -842,7 +831,7 @@ def enumerate_possibilities(
         )
     else:
         reports.append(
-            _report(
+            PossibilityReport(
                 "D",
                 PossibilityStatus.INFEASIBLE_NUMERICALLY,
                 None,
@@ -854,14 +843,14 @@ def enumerate_possibilities(
         )
 
     reports += [
-        _report(
+        PossibilityReport(
             "E",
             PossibilityStatus.YIELDS_OPTIMUM,
             q_ext,
             "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a); theta, phi free"
             + feasibility_note,
         ),
-        _report(
+        PossibilityReport(
             "F",
             PossibilityStatus.YIELDS_OPTIMUM,
             q_ext,
@@ -869,14 +858,14 @@ def enumerate_possibilities(
             "cos(2 phi) = 0 with sin(2 phi) = e_phi, sin(2 mu) sin^2(lam) "
             "= 1 - 2E csc^2(2a) - e_phi cos^2(lam)" + feasibility_note,
         ),
-        _report(
+        PossibilityReport(
             "G",
             PossibilityStatus.YIELDS_OPTIMUM,
             q_ext,
             "cos(lam) = 0, sin(2 theta) = 0, sin(2 mu) = 1 - 2E csc^2(2a)"
             + feasibility_note,
         ),
-        _report(
+        PossibilityReport(
             "H",
             PossibilityStatus.YIELDS_OPTIMUM,
             q_ext,
@@ -884,7 +873,7 @@ def enumerate_possibilities(
             "sin(2 mu) sin^2(lam) = 1 - 2E csc^2(2a) - cos^2(lam) "
             "sin(2 phi)" + feasibility_note,
         ),
-        _report(
+        PossibilityReport(
             "I",
             PossibilityStatus.YIELDS_OPTIMUM,
             q_ext,
@@ -896,7 +885,7 @@ def enumerate_possibilities(
 
     if at_seam:
         reports.append(
-            _report(
+            PossibilityReport(
                 "J",
                 PossibilityStatus.YIELDS_OPTIMUM,
                 q_ext,
@@ -906,7 +895,7 @@ def enumerate_possibilities(
         )
     else:
         reports.append(
-            _report(
+            PossibilityReport(
                 "J",
                 PossibilityStatus.INFEASIBLE_NUMERICALLY,
                 None,
@@ -917,14 +906,14 @@ def enumerate_possibilities(
         )
 
     reports += [
-        _report(
+        PossibilityReport(
             "K",
             PossibilityStatus.YIELDS_OPTIMUM,
             q_ext,
             "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a), sin(2 phi) = "
             "1 - 2 cot^2(2a)" + feasibility_note,
         ),
-        _report(
+        PossibilityReport(
             "L",
             PossibilityStatus.YIELDS_OPTIMUM,
             q_ext,

@@ -36,13 +36,6 @@ def polynomial_value(coeffs: Sequence[float], x: float) -> float:
     return acc
 
 
-def _polynomial_value_complex(coeffs: Sequence[float], z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
 def _principal_cbrt(z: complex) -> complex:
     if z == 0:
         return 0.0 + 0.0j
@@ -94,7 +87,7 @@ def cardano_roots(
     for z in roots:
         deriv = 3.0 * a1 * z * z + 2.0 * a2 * z + a3
         if abs(deriv) > 1e-300:
-            z = z - _polynomial_value_complex(coeffs, z) / deriv
+            z = z - polynomial_value(coeffs, z) / deriv
         polished.append(z)
     polished.sort(key=lambda z: (z.real, z.imag))
     return polished[0], polished[1], polished[2]

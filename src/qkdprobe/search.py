@@ -16,11 +16,12 @@ strategies are provided:
 derivative-free simplex search, re-solving mu at every step.  Both
 simplex searches run on this module's own Nelder-Mead, a step-for-step
 port of scipy's with the standard coefficients, so qkdprobe needs only
-numpy at run time.  Their objectives evaluate a point on plain floats,
-through the same probe formulas as the public scalar functions and in
-the same order, so every value equals what ``probe.mu_from_constraint``,
-``probe.coefficients``, ``probe.overlap`` and ``probe.error_rate`` give;
-a ``ProbeParams`` is built only for a point a search returns.
+numpy at run time.  Every route (grid planes, sin(lam) = 0 planes,
+simplex objectives, penalty finals) evaluates on floats or float arrays
+through the one body of the probe formulas, in the order the public
+scalar functions use, so every value equals what ``mu_from_constraint``,
+``coefficients``, ``overlap`` and ``error_rate`` give; a ``ProbeParams``
+is built only for a point a search returns.
 
 All randomness derives from the config seed through counter-based
 splitting, so identical configs produce bit-identical reports; grid and
@@ -38,7 +39,6 @@ import numpy as np
 
 from . import optimum, probe
 from .errors import (
-    DegenerateModelError,
     DomainError,
     EmptyFeasibleSetError,
     InfeasibleConstraintError,
@@ -95,28 +95,30 @@ def _analytic_reference(error: float, geom: SignalGeometry) -> float:
     Evaluated raw so scans remain meaningful for error rates beyond the
     attainable family domain (where the formula is vacuously below every
     sample), and unchecked, so a raw penalty final just past E = 1/2
-    still has a reference.
+    still has a reference.  The branch's trig factor, sin^2 2a or
+    cos^2 2a, is the attainable maximum error rate itself.
     """
-    if optimum.branch_for(geom) is optimum.Branch.CSC:
-        return optimum._branch_formula(error, geom.sin_sq_two_alpha)
-    return optimum._branch_formula(error, geom.cos_sq_two_alpha)
+    return optimum._branch_formula(error, optimum.max_error_rate(geom))
 
 
 def _singular_lambda_points(
     lam: float,
-    theta_grid: np.ndarray,
+    thetas: Sequence[float],
     target_error: float,
     geom: SignalGeometry,
-) -> list[tuple[float, ProbeParams]]:
-    """Feasible samples on a sin(lam) = 0 plane via phi elimination.
+) -> list[tuple[float, float, float, float, float, float]]:
+    """Feasible samples on a sin(lam) = 0 plane via phi elimination, as
+    rows (lam, theta, phi, mu, E, Q).
 
     With sin(lam) = 0 the error rate pins sin(2 phi) given theta; both
     cos(2 phi) sign branches are evaluated since they differ through the
-    skew coefficient c.  mu is unobservable and reported as pi/4.
+    skew coefficient c.  mu is unobservable and reported as pi/4.  A
+    point whose overlap radicand is non-positive is dropped.
     """
     s2 = geom.sin_sq_two_alpha
-    out: list[tuple[float, ProbeParams]] = []
-    for theta in theta_grid:
+    mu = math.pi / 4
+    rows = []
+    for theta in thetas:
         cos_two_theta = math.cos(2.0 * theta)
         if abs(cos_two_theta) < 1e-12:
             continue
@@ -130,16 +132,10 @@ def _singular_lambda_points(
         phi_default = half_arc if half_arc >= 0.0 else half_arc + math.pi
         phi_alternate = 0.5 * math.pi - half_arc
         for phi in (phi_default, phi_alternate):
-            params = ProbeParams(
-                lam=lam, mu=math.pi / 4, theta=float(theta), phi=phi
-            )
-            coeffs = probe.coefficients(params)
-            try:
-                q = probe.overlap(coeffs, geom)
-            except DegenerateModelError:
-                continue
-            out.append((q, params))
-    return out
+            point = _overlap_and_error((lam, mu, theta, phi), s2)
+            if point is not None:
+                rows.append((lam, theta, phi, mu, point[1], point[0]))
+    return rows
 
 
 def constrained_scan(
@@ -170,14 +166,14 @@ def constrained_scan(
     analytic_q = _analytic_reference(target, geom)
 
     best_q = math.inf
-    best_params: ProbeParams | None = None
+    best_angles: list[float] | None = None
     violations = 0
     samples = 0
 
     def take(columns: tuple, feasible: np.ndarray) -> None:
         """Count one block of nodes; the columns (lam, theta, phi, mu, E,
         Q) broadcast to the shape of Q and feasible, and Q is inf off it."""
-        nonlocal best_q, best_params, violations, samples
+        nonlocal best_q, best_angles, violations, samples
         q = columns[-1]
         q_feasible = q[feasible]
         if not q_feasible.size:
@@ -187,28 +183,23 @@ def constrained_scan(
         k = int(np.argmin(q))
         if q.flat[k] < best_q:
             best_q = float(q.flat[k])
-            lam, theta, phi, mu = (
+            best_angles = [
                 float(np.broadcast_to(c, q.shape).flat[k]) for c in columns[:4]
-            )
-            best_params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
+            ]
         if sink is not None:
             sink(np.column_stack(
                 [np.broadcast_to(c, q.shape)[feasible] for c in columns]
             ))
 
     theta, phi = grid[:, None], grid[None, :]
-    for lam in grid:
+    nodes = grid.tolist()
+    for lam in nodes:
         if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
-            points = _singular_lambda_points(float(lam), grid, target, geom)
-            rows = [
-                (p.lam, p.theta, p.phi, p.mu,
-                 probe.error_rate(probe.coefficients(p), geom), q)
-                for q, p in points
-            ]
+            rows = _singular_lambda_points(lam, nodes, target, geom)
             take(np.array(rows).reshape(-1, 6).T, np.full(len(rows), True))
         else:
             mu, e, q, feasible = probe.constrained_observables(
-                float(lam), theta, phi, target, geom
+                lam, theta, phi, target, geom
             )
             take((lam, theta, phi, mu, e, q), feasible)
 
@@ -221,14 +212,15 @@ def constrained_scan(
     )
     take((lam, theta, phi, mu, e, q), feasible)
 
-    if best_params is None:
+    if best_angles is None:
         raise EmptyFeasibleSetError(
             f"no sampled point satisfies E = {config.target_error!r} at "
             f"alpha = {geom.alpha!r}"
         )
+    lam, theta, phi, mu = best_angles
     return SearchReport(
         best_q=best_q,
-        best_params=best_params,
+        best_params=ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi),
         analytic_q=analytic_q,
         violations=violations,
         samples_evaluated=samples,
@@ -245,19 +237,17 @@ def _constrained_point(
     folded into [0, pi).  mu is solved from the constraint; on the
     singular sin(lam) = 0 planes the better phi-elimination branch is
     taken instead.  None marks a point no probe setting makes feasible.
-    The point is evaluated on floats, as ``probe.mu_from_constraint``,
-    ``probe.coefficients`` and ``probe.overlap`` would evaluate it.
     """
     lam = float(lam) % math.pi
     theta = float(theta) % math.pi
     phi = float(phi) % math.pi
     sin_lam = math.sin(lam)
     if abs(sin_lam) <= probe.SINGULAR_SIN_LAMBDA:
-        points = _singular_lambda_points(lam, np.array([theta]), target, geom)
-        if not points:
+        rows = _singular_lambda_points(lam, [theta], target, geom)
+        if not rows:
             return None
-        q, p = min(points, key=lambda item: item[0])
-        return q, p.lam, p.mu, p.theta, p.phi
+        lam, theta, phi, mu, _, q = min(rows, key=lambda row: row[5])
+        return q, lam, mu, theta, phi
     s2 = geom.sin_sq_two_alpha
     _, mu = probe._solve_mu(lam, sin_lam, theta, phi, target, s2)
     if mu is None:
@@ -279,18 +269,6 @@ def _overlap_and_error(
     if radicand <= 0.0:
         return None
     return numerator / math.sqrt(radicand), error
-
-
-def _free_point(
-    x: Sequence[float], geom: SignalGeometry
-) -> tuple[float, float, ProbeParams] | None:
-    """(Q, E, params) at the four free angles folded into [0, pi), or None
-    where the overlap radicand is non-positive."""
-    angles = [float(v) % math.pi for v in x]
-    point = _overlap_and_error(angles, geom.sin_sq_two_alpha)
-    if point is None:
-        return None
-    return point[0], point[1], ProbeParams(*angles)
 
 
 class _BudgetSpent(Exception):
@@ -413,8 +391,10 @@ def refine(
 
 def _penalty_finals(
     config: SearchConfig, penalty_weight: float
-) -> tuple[list[tuple[float, float, ProbeParams]], int]:
-    """Raw Nelder-Mead finals (Q, E, params) of the penalty objective."""
+) -> tuple[list[tuple[float, float, list[float]]], int]:
+    """Raw Nelder-Mead finals (Q, E, angles) of the penalty objective, the
+    four angles (lam, mu, theta, phi) folded into [0, pi); a final whose
+    overlap radicand is non-positive is dropped."""
     s2 = config.geom.sin_sq_two_alpha
     target = config.target_error
 
@@ -427,16 +407,17 @@ def _penalty_finals(
 
     rng = np.random.default_rng([config.seed, _PENALTY_STREAM])
     n_starts = max(1, config.random_restarts)
-    finals: list[tuple[float, float, ProbeParams]] = []
+    finals: list[tuple[float, float, list[float]]] = []
     evaluations = 0
     for x0 in rng.uniform(0.0, math.pi, size=(n_starts, 4)):
         x, _, spent = _nelder_mead(
             objective, x0, xatol=1e-10, fatol=1e-13, maxfev=10_000
         )
         evaluations += spent
-        final = _free_point(x, config.geom)
-        if final is not None:
-            finals.append(final)
+        angles = [v % math.pi for v in x]
+        point = _overlap_and_error(angles, s2)
+        if point is not None:
+            finals.append((*point, angles))
     return finals, evaluations
 
 
@@ -464,23 +445,21 @@ def penalty_scan(
     geom = config.geom
     finals, evaluations = _penalty_finals(config, penalty_weight)
 
-    # (Q, E, params) of each candidate; a polished point sits at the target.
-    candidates: list[tuple[float, float, ProbeParams]] = []
-    for q, e, params in finals:
+    # (Q, E, (lam, mu, theta, phi)) of each candidate; a polished point
+    # sits at the target.
+    candidates: list[tuple[float, float, Sequence[float]]] = []
+    for q, e, angles in finals:
         if abs(e - target) < 1e-4:
-            candidates.append((q, e, params))
-        polished = _constrained_point(
-            params.lam, params.theta, params.phi, target, geom
-        )
+            candidates.append((q, e, angles))
+        lam, _, theta, phi = angles
+        polished = _constrained_point(lam, theta, phi, target, geom)
         if polished is not None:
-            candidates.append(
-                (polished[0], target, ProbeParams(*polished[1:]))
-            )
+            candidates.append((polished[0], target, polished[1:]))
     if not candidates:
         raise EmptyFeasibleSetError(
             "no penalty-scan final reached the target error rate"
         )
-    best_q, _, best_params = min(candidates, key=lambda item: item[0])
+    best_q, _, best_angles = min(candidates, key=lambda item: item[0])
     violations = sum(
         1
         for q, e, _ in candidates
@@ -488,7 +467,7 @@ def penalty_scan(
     )
     return SearchReport(
         best_q=best_q,
-        best_params=best_params,
+        best_params=ProbeParams(*best_angles),
         analytic_q=_analytic_reference(target, geom),
         violations=violations,
         samples_evaluated=evaluations,

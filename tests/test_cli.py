@@ -27,7 +27,13 @@ from qkdprobe import (
     penalty_scan,
     refine,
 )
-from qkdprobe.cli import _csv, main, parse_angle, render_json
+from qkdprobe.cli import (
+    _csv,
+    _write_output,
+    main,
+    parse_angle,
+    render_json,
+)
 from qkdprobe.errors import QkdProbeError, SingularLambdaError
 from qkdprobe.search import _singular_lambda_points
 
@@ -364,8 +370,8 @@ class TestVerify:
         nodes = []
         for lam in grid:
             if abs(math.sin(lam)) <= 1e-12:
-                points = _singular_lambda_points(lam, grid, 0.2, geom)
-                nodes += [(p.lam, p.theta, p.phi) for _, p in points]
+                rows = _singular_lambda_points(lam, grid.tolist(), 0.2, geom)
+                nodes += [row[:3] for row in rows]
                 continue
             for theta in grid:
                 for phi in grid:
@@ -778,6 +784,62 @@ class TestOutputFile:
         assert out == ""
         payload = json.loads((tmp_path / "optimal.json").read_text())
         assert payload["command"] == "optimal"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_new_file_mode_is_a_redirects(
+        self, capsys, tmp_path, monkeypatch, umask
+    ):
+        # A new --out or --samples-out file gets 0666 less the umask, as
+        # a file a shell redirect creates, not mkstemp's 0600.
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        previous = os.umask(umask)
+        try:
+            (tmp_path / "redirect").write_text("")
+            code, _, _ = run_cli(
+                capsys, "verify", "--alpha", "pi/8", "--error-rate", "0.2",
+                "--resolution", "5", "--out", "verify.json",
+                "--samples-out", "samples.csv",
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0
+        modes = {
+            path.name: path.stat().st_mode & 0o777
+            for path in tmp_path.iterdir()
+        }
+        assert modes == dict.fromkeys(
+            ["redirect", "verify.json", "samples.csv"], 0o666 & ~umask
+        )
+
+    def test_overwritten_file_keeps_its_mode(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        target = tmp_path / "optimal.json"
+        target.write_text("old")
+        target.chmod(0o640)
+        code, _, _ = run_cli(
+            capsys, "optimal", "--alpha", "pi/8", "--error-rate", "0.1",
+            "--out", "optimal.json",
+        )
+        assert code == 0
+        assert json.loads(target.read_text())["command"] == "optimal"
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, stage):
+        text, error = "lam\n", OSError
+        if stage == "write":
+            # A lone surrogate no encoding can write.
+            text, error = text + "\ud800", UnicodeEncodeError
+        else:
+            def refuse(src, dst):
+                raise OSError("replace refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(error):
+            _write_output(text, str(tmp_path / "samples.csv"))
+        assert list(tmp_path.iterdir()) == []
 
 
 def readme_examples():

@@ -33,7 +33,6 @@ from qkdprobe.probe import constrained_observables
 from qkdprobe import search as search_module
 from qkdprobe.search import (
     _constrained_point,
-    _free_point,
     _nelder_mead,
     _overlap_and_error,
     _penalty_finals,
@@ -261,16 +260,45 @@ def dataclass_free_point(angles, geom):
     return q, error_rate(coeffs, geom)
 
 
+def dataclass_singular_rows(lam, thetas, target, geom):
+    """Rows (lam, theta, phi, mu, E, Q) of phi elimination on a
+    sin(lam) = 0 plane through ProbeParams, probe.coefficients, overlap
+    and error_rate: the oracle for the sin(lam) = 0 planes' float route."""
+    s2 = geom.sin_sq_two_alpha
+    rows = []
+    for theta in thetas:
+        cos_two_theta = math.cos(2.0 * theta)
+        if abs(cos_two_theta) < 1e-12:
+            continue
+        sin_two_phi = 1.0 - (2.0 * target - 1.0 + cos_two_theta) / (
+            s2 * cos_two_theta
+        )
+        if abs(sin_two_phi) > 1.0 + 1e-10:
+            continue
+        sin_two_phi = max(-1.0, min(1.0, sin_two_phi))
+        half_arc = 0.5 * math.asin(sin_two_phi)
+        phi_default = half_arc if half_arc >= 0.0 else half_arc + PI
+        for phi in (phi_default, 0.5 * PI - half_arc):
+            params = ProbeParams(lam=lam, mu=PI / 4, theta=theta, phi=phi)
+            coeffs = coefficients(params)
+            try:
+                q = overlap(coeffs, geom)
+            except DegenerateModelError:
+                continue
+            rows.append((lam, theta, phi, PI / 4, error_rate(coeffs, geom), q))
+    return rows
+
+
 def dataclass_constrained_point(lam, theta, phi, target, geom):
     """(Q, lam, mu, theta, phi) through mu_from_constraint and the
     dataclass route, or phi elimination on a sin(lam) = 0 plane."""
     lam, theta, phi = (float(v) % PI for v in (lam, theta, phi))
     if abs(math.sin(lam)) <= 1e-12:
-        points = _singular_lambda_points(lam, np.array([theta]), target, geom)
-        if not points:
+        rows = dataclass_singular_rows(lam, [theta], target, geom)
+        if not rows:
             return None
-        q, p = min(points, key=lambda item: item[0])
-        return q, p.lam, p.mu, p.theta, p.phi
+        lam, theta, phi, mu, _, q = min(rows, key=lambda row: row[5])
+        return q, lam, mu, theta, phi
     try:
         mu = mu_from_constraint(lam, theta, phi, target, geom)
         params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
@@ -298,12 +326,14 @@ class TestFloatObjectives:
         results = [_overlap_and_error(x, s2) for x in angles]
         assert results == [dataclass_free_point(x, geom) for x in angles]
         assert None in results
-        # Unfolded angles through _free_point, which builds the params.
+        # Unfolded angles, folded into [0, pi) as the penalty finals fold
+        # them.
         for x in rng.uniform(-2.0 * PI, 3.0 * PI, (300, 4)).tolist():
-            point = _free_point(x, geom)
             folded = [v % PI for v in x]
-            assert point == (*dataclass_free_point(folded, geom),
-                             ProbeParams(*folded))
+            assert all(0.0 <= v < PI for v in folded)
+            assert _overlap_and_error(folded, s2) == dataclass_free_point(
+                folded, geom
+            )
 
     @pytest.mark.parametrize("target", [0.05, 0.2, 0.45])
     @pytest.mark.parametrize("alpha", GEOMETRIES)
@@ -322,6 +352,31 @@ class TestFloatObjectives:
         assert None in results
         if target <= geom.sin_sq_two_alpha:
             assert any(r is not None and r[1] == 0.0 for r in results)
+
+    @pytest.mark.parametrize("target", [0.05, 0.2, 0.45])
+    @pytest.mark.parametrize("alpha", GEOMETRIES)
+    def test_singular_lambda_rows(self, alpha, target):
+        # E = 0.45 lies above sin^2(2 alpha) at pi/10.
+        geom = SignalGeometry(alpha)
+        rng = np.random.default_rng([13, int(alpha * 1e6), int(target * 1e3)])
+        # A scan grid, with cos(2 theta) = 0 at pi/4 and 3pi/4, and random
+        # thetas; lam = pi - 1e-13 is a folded lam on the sin(lam) = 0 plane.
+        thetas = np.linspace(0.0, PI, 41).tolist()
+        thetas += rng.uniform(0.0, PI, 500).tolist()
+        for lam in (0.0, PI, -1e-13 % PI):
+            rows = _singular_lambda_points(lam, thetas, target, geom)
+            assert rows == dataclass_singular_rows(lam, thetas, target, geom)
+            # Both phi branches of a theta are kept.
+            assert 0 < len({row[1] for row in rows}) < len(rows)
+        # At E = 1 and theta = pi/2 both branches give phi = pi/4, whose
+        # overlap radicand is zero up to rounding: both routes drop them.
+        s2 = geom.sin_sq_two_alpha
+        for lam in (0.0, PI):
+            point = (lam, PI / 4, PI / 2, PI / 4)
+            assert _overlap_and_error(point, s2) is None
+            rows = _singular_lambda_points(lam, [PI / 2], 1.0, geom)
+            assert rows == dataclass_singular_rows(lam, [PI / 2], 1.0, geom)
+            assert rows == []
 
 
 # Outputs of refine (from the best point of a 12^3 scan with 20 restarts,
@@ -456,7 +511,7 @@ class TestNelderMead:
         weight = 1e5
 
         def objective(x):
-            point = _free_point(x, geom_pi8)
+            point = dataclass_free_point([float(v) % PI for v in x], geom_pi8)
             if point is None:
                 return search_module._INFEASIBLE
             return point[0] + weight * (point[1] - 0.2) ** 2
@@ -468,7 +523,8 @@ class TestNelderMead:
                 objective, x0, *PENALTY_TOLERANCES, maxfev=10_000
             )
             evaluations += spent
-            finals.append(_free_point(x, geom_pi8))
+            folded = [float(v) % PI for v in x]
+            finals.append((*dataclass_free_point(folded, geom_pi8), folded))
         assert _penalty_finals(config, weight) == (finals, evaluations)
 
 
@@ -523,8 +579,8 @@ class TestPenaltyScan:
     ):
         # A final on sin(lam) = 0, off the target by more than 1e-4, is
         # polished through phi elimination, as refine evaluates it.
-        final = ProbeParams(lam=0.0, mu=0.4, theta=0.0, phi=0.3)
-        coeffs = coefficients(final)
+        final = [0.0, 0.4, 0.0, 0.3]
+        coeffs = coefficients(ProbeParams(*final))
         e = error_rate(coeffs, geom_pi8)
         assert abs(e - 0.2) > 1e-4
         monkeypatch.setattr(
@@ -578,8 +634,8 @@ class TestPenaltyScan:
         e = target + 5e-5
         own = optimum_pi8(e)
         assert own < optimum_pi8(target) - 1e-4
-        params = ProbeParams(0.4 * PI, 0.3, 0.2 * PI, 0.6 * PI)
-        planted = [(own - 1e-3, e, params), (own + 1e-7, e, params)]
+        angles = [0.4 * PI, 0.3, 0.2 * PI, 0.6 * PI]
+        planted = [(own - 1e-3, e, angles), (own + 1e-7, e, angles)]
         monkeypatch.setattr(
             search_module,
             "_penalty_finals",
