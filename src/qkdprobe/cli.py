@@ -13,6 +13,7 @@ Angles are accepted as raw radians or as multiples of pi: ``0.3927``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import os
@@ -21,7 +22,7 @@ import stat
 import sys
 import tempfile
 from dataclasses import asdict
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -115,10 +116,16 @@ def _envelope(
     }
 
 
-def _write_output(text: str, out: str | None) -> None:
-    """Print to stdout, or write atomically under OUTPUT_DIR/--out."""
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """A text handle on stdout, or on a temporary file that replaces
+    OUTPUT_DIR/--out atomically once the block completes.
+
+    If the block raises, the temporary file is removed and the target is
+    left as it was.
+    """
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     base_dir = os.environ.get("OUTPUT_DIR", "")
     path = out if os.path.isabs(out) else os.path.join(base_dir, out)
@@ -127,7 +134,7 @@ def _write_output(text: str, out: str | None) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         # mkstemp makes the file 0600; give it the mode a shell redirect
         # would leave: the old file's, or 0666 less the umask.
         try:
@@ -144,45 +151,67 @@ def _write_output(text: str, out: str | None) -> None:
         raise
 
 
+def _write_output(text: str, out: str | None) -> None:
+    """Print to stdout, or write atomically under OUTPUT_DIR/--out."""
+    with _output(out) as handle:
+        handle.write(text)
+
+
 def _csv(
     header: Sequence[str],
     blocks: Iterable[np.ndarray | Sequence[Sequence[Any]]],
 ) -> str:
-    """Header, then the rows of each block: floats as %.12g, anything else
-    as str().
+    """Header, then the rows of each block (see :func:`_csv_block`)."""
+    return ",".join(header) + "\n" + "".join(map(_csv_block, blocks))
 
-    A block is a 2-D float array or a list of rows.  Each array block,
-    and each run of rows with one type signature, is rendered with one
-    %-format repeated once per row, one block at a time.
+
+def _csv_block(block: np.ndarray | Sequence[Sequence[Any]]) -> str:
+    """The rows of one block: floats as %.12g, anything else as str().
+
+    A block is a 2-D float array (see :func:`_float_rows`) or a list of
+    rows, where each run of rows with one type signature is rendered with
+    one %-format repeated once per row.
     """
-    parts = [",".join(header) + "\n"]
-    formats: dict[tuple[type, ...], str] = {}
-    for block in blocks:
-        # Runs of (type signature, row count, the run's values in order).
-        if isinstance(block, np.ndarray):
-            runs = [(
-                (block.dtype.type,) * block.shape[1],
-                len(block),
-                block.ravel().tolist(),
-            )]
-        else:
-            runs = []
-            for kinds, rows in itertools.groupby(
-                map(tuple, block), key=lambda row: tuple(map(type, row))
-            ):
-                rows = list(rows)
-                runs.append(
-                    (kinds, len(rows), itertools.chain.from_iterable(rows))
-                )
-        for kinds, count, values in runs:
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = ",".join(
-                    "%.12g" if issubclass(kind, (float, np.floating)) else "%s"
-                    for kind in kinds
-                ) + "\n"
-            parts.append((fmt * count) % tuple(values))
+    if isinstance(block, np.ndarray):
+        return _float_rows(block)
+    parts = []
+    for kinds, rows in itertools.groupby(
+        map(tuple, block), key=lambda row: tuple(map(type, row))
+    ):
+        rows = list(rows)
+        fmt = ",".join(
+            "%.12g" if issubclass(kind, (float, np.floating)) else "%s"
+            for kind in kinds
+        ) + "\n"
+        parts.append(
+            (fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+        )
     return "".join(parts)
+
+
+def _float_rows(block: np.ndarray) -> str:
+    """The rows of a 2-D float array, every value as %.12g.
+
+    A column with fewer distinct values than half its rows (a scan
+    plane's lam, theta, phi and E) has each distinct value, told apart by
+    its bits, formatted once; the text is what formatting every value
+    gives.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    count, width = block.shape
+    values: list[Any] = [None] * block.size
+    formats = []
+    for j in range(width):
+        column = block[:, j]
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if 2 * len(bits) < count:
+            texts = ["%.12g" % v for v in bits.view(np.float64).tolist()]
+            values[j::width] = np.array(texts, dtype=object)[inverse].tolist()
+            formats.append("%s")
+        else:
+            values[j::width] = column.tolist()
+            formats.append("%.12g")
+    return ((",".join(formats) + "\n") * count) % tuple(values)
 
 
 def _params_dict(params: ProbeParams) -> dict[str, Any]:
@@ -260,12 +289,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples_out is None:
         report = search.constrained_scan(config)
     else:
-        blocks: list[np.ndarray] = []
-        report = search.constrained_scan(config, sink=blocks.append)
-        _write_output(
-            _csv(("lam", "theta", "phi", "mu", "E", "Q"), blocks),
-            args.samples_out,
-        )
+        # Each sink block is rendered and written as it arrives.
+        with _output(args.samples_out) as handle:
+            handle.write(_csv(("lam", "theta", "phi", "mu", "E", "Q"), []))
+            report = search.constrained_scan(
+                config, sink=lambda block: handle.write(_csv_block(block))
+            )
     results = {
         "best_q": report.best_q,
         "best_params": _params_dict(report.best_params),

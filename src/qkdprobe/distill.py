@@ -76,6 +76,7 @@ class DistillationConfig:
     g: float = 0.0
 
     def __post_init__(self) -> None:
+        probe.check_integers(self, "n", "e_t")
         if self.n < 1:
             raise DomainError("n must be a positive integer")
         if not 0 <= self.e_t <= self.n:

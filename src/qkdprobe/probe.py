@@ -19,7 +19,12 @@ arrays: the scalar functions feed it ``math`` values, and
 :func:`constrained_observables` feeds it arrays for whole scans.  E, the
 overlap numerator and the overlap radicand share one body over
 (a, b, c, d, sin^2 2a), which the simplex objectives in ``search`` also
-call on plain floats.
+call on plain floats.  The bodies share their common subterms: (d - a)
+sin^2 2a between E, the numerator and the radicand, sin^2(lam) sin(2 mu)
+between a and b, and d and cos^2(lam) cos(2 theta) sin(2 phi) between the
+coefficients and the constraint on sin(2 mu).  The array form returns
+sin(2 mu) rather than mu, so a scan pays for the arcsine (:func:`fold_mu`)
+only on the nodes it reports.
 
 Everything in this module is a pure function of immutable value types and
 is safe for unrestricted concurrent use.
@@ -28,6 +33,7 @@ is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,21 +169,47 @@ def check_error_rate(target_error: float | np.ndarray) -> float:
     return target_error
 
 
+def check_integers(owner: object, *names: str) -> None:
+    """Raise DomainError unless each named attribute of owner is an
+    integer, a Python or numpy one; a float is refused even when whole."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer; got {value!r}")
+
+
+def _shared_terms(sin_sq_lam, cos_sq_lam, cos_two_theta, sin_two_phi):
+    """(d, cross_term) from the trig factors; floats or arrays.
+
+    cross_term = cos^2(lam) cos(2 theta) sin(2 phi) enters both a and the
+    constraint on sin(2 mu), and d enters the constraint whole, so each is
+    worked out once per point.
+    """
+    cos_sq_lam_cos_two_theta = cos_sq_lam * cos_two_theta
+    return (
+        sin_sq_lam + cos_sq_lam_cos_two_theta,
+        cos_sq_lam_cos_two_theta * sin_two_phi,
+    )
+
+
 def _quadruple(
     sin_sq_lam,
     cos_sq_lam,
     sin_two_mu,
-    cos_two_theta,
     sin_two_theta,
     sin_two_phi,
     cos_two_phi,
+    d,
+    cross_term,
 ):
-    """(a, b, c, d) from the trig factors of the angles; floats or arrays."""
+    """(a, b, c, d) from the trig factors and :func:`_shared_terms`; floats
+    or arrays."""
+    sin_sq_lam_sin_two_mu = sin_sq_lam * sin_two_mu
     return (
-        sin_sq_lam * sin_two_mu + cos_sq_lam * cos_two_theta * sin_two_phi,
-        sin_sq_lam * sin_two_mu + cos_sq_lam * sin_two_phi,
+        sin_sq_lam_sin_two_mu + cross_term,
+        sin_sq_lam_sin_two_mu + cos_sq_lam * sin_two_phi,
         cos_sq_lam * sin_two_theta * cos_two_phi,
-        sin_sq_lam + cos_sq_lam * cos_two_theta,
+        d,
     )
 
 
@@ -189,14 +221,19 @@ def _angle_quadruple(
     # it in the last place, and the two routes must agree bit for bit.
     sin_lam = math.sin(lam)
     cos_lam = math.cos(lam)
+    sin_sq_lam = sin_lam * sin_lam
+    cos_sq_lam = cos_lam * cos_lam
+    sin_two_phi = math.sin(2.0 * phi)
     return _quadruple(
-        sin_lam * sin_lam,
-        cos_lam * cos_lam,
+        sin_sq_lam,
+        cos_sq_lam,
         math.sin(2.0 * mu),
-        math.cos(2.0 * theta),
         math.sin(2.0 * theta),
-        math.sin(2.0 * phi),
+        sin_two_phi,
         math.cos(2.0 * phi),
+        *_shared_terms(
+            sin_sq_lam, cos_sq_lam, math.cos(2.0 * theta), sin_two_phi
+        ),
     )
 
 
@@ -242,12 +279,16 @@ def _observables(a, b, c, d, s2):
     s2 = sin^2(2a); floats or arrays.
 
     The one body of the error-rate and overlap formulas: the overlap is
-    numerator / sqrt(radicand) where the radicand is positive.
+    numerator / sqrt(radicand) where the radicand is positive.  E, the
+    numerator and the half-sum 1 - E share t = (d - a) s2; each equals
+    the expanded form bit for bit, since halving is exact.
     """
-    error = 0.5 * (1.0 - d + (d - a) * s2)
-    numerator = 0.5 * (a + b) + 0.5 * (d - a) * s2
-    half_sum = 0.5 * (1.0 + d + (a - d) * s2)
-    return error, numerator, overlap_radicand(half_sum, c, s2)
+    t = (d - a) * s2
+    # The half-sum 1 - E is released as soon as the radicand is formed.
+    radicand = overlap_radicand(0.5 * ((1.0 + d) - t), c, s2)
+    numerator = 0.5 * (a + b) + 0.5 * t
+    error = 0.5 * ((1.0 - d) + t)
+    return error, numerator, radicand
 
 
 def error_rate(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
@@ -292,17 +333,13 @@ def q_value(coeffs: ProbeCoefficients) -> float:
 
 
 def _constraint_sin_two_mu(
-    sin_sq_lam, cos_sq_lam, cos_two_theta, sin_two_phi, target_error, s2
+    sin_sq_lam, cos_sq_lam, cos_two_theta, d, cross_term, target_error, s2
 ):
-    """sin(2 mu) that meets the target error rate; floats or arrays."""
+    """sin(2 mu) that meets the target error rate, from the trig factors and
+    :func:`_shared_terms`; floats or arrays."""
     return (
         cos_sq_lam * (1.0 - cos_two_theta)
-        + s2
-        * (
-            sin_sq_lam
-            + cos_sq_lam * cos_two_theta
-            - cos_sq_lam * cos_two_theta * sin_two_phi
-        )
+        + s2 * (d - cross_term)
         - 2.0 * target_error
     ) / (s2 * sin_sq_lam)
 
@@ -376,11 +413,16 @@ def _solve_mu(
     inputs; mu is None where no mu meets the target error rate.
     """
     cos_lam = math.cos(lam)
+    sin_sq_lam = sin_lam * sin_lam
+    cos_sq_lam = cos_lam * cos_lam
+    cos_two_theta = math.cos(2.0 * theta)
     rhs = _constraint_sin_two_mu(
-        sin_lam * sin_lam,
-        cos_lam * cos_lam,
-        math.cos(2.0 * theta),
-        math.sin(2.0 * phi),
+        sin_sq_lam,
+        cos_sq_lam,
+        cos_two_theta,
+        *_shared_terms(
+            sin_sq_lam, cos_sq_lam, cos_two_theta, math.sin(2.0 * phi)
+        ),
         target_error,
         s2,
     )
@@ -401,53 +443,88 @@ def constrained_observables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Array form of :func:`mu_from_constraint` followed by :func:`evaluate`.
 
-    lam, theta and phi broadcast together; returns (mu, E, Q, feasible)
-    on their common shape, mu on the default branch.  feasible is False
-    exactly where the scalar route raises: sin(lam) ~ 0, no mu meets the
-    target error rate, or the overlap radicand is non-positive.  Q is
-    +inf there, and mu and E are unspecified.  The coefficients take the
-    solved sin(2 mu) itself rather than the sine of 2 mu, so E and Q agree
-    with the scalar route to rounding.  target_error must lie in [0, 1/2).
+    lam, theta and phi broadcast together; returns (sin 2mu, E, Q,
+    feasible) on their common shape.  feasible is False exactly where the
+    scalar route raises: sin(lam) ~ 0, no mu meets the target error rate,
+    or the overlap radicand is non-positive.  Q is +inf there, and sin 2mu
+    and E are unspecified.  sin 2mu is the solved constraint clipped to
+    [-1, 1]; :func:`fold_mu` turns it into the default-branch mu, so a
+    scan pays for the arcsine only on the nodes it reports.  The
+    coefficients take the solved sin(2 mu) itself rather than the sine of
+    2 mu, so E and Q agree with the scalar route to rounding.
+    target_error must lie in [0, 1/2).
     """
+    return _constrained_nodes(
+        lam,
+        _double_angle_trig(theta),
+        _double_angle_trig(phi),
+        target_error,
+        geom.sin_sq_two_alpha,
+    )
+
+
+def _double_angle_trig(angle):
+    """(cos 2x, sin 2x) of a float or array angle x."""
+    return np.cos(2.0 * angle), np.sin(2.0 * angle)
+
+
+def _constrained_nodes(lam, theta_trig, phi_trig, target_error, s2):
+    """The body of :func:`constrained_observables`, given the
+    :func:`_double_angle_trig` factors of theta and phi, so a scan can
+    work them out once for all its lam planes; s2 = sin^2(2a)."""
+    cos_two_theta, sin_two_theta = theta_trig
+    cos_two_phi, sin_two_phi = phi_trig
     sin_lam = np.sin(lam)
     sin_sq_lam = sin_lam**2
     cos_sq_lam = np.cos(lam) ** 2
-    cos_two_theta = np.cos(2.0 * theta)
-    sin_two_phi = np.sin(2.0 * phi)
+    d, cross_term = _shared_terms(
+        sin_sq_lam, cos_sq_lam, cos_two_theta, sin_two_phi
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         rhs = _constraint_sin_two_mu(
             sin_sq_lam,
             cos_sq_lam,
             cos_two_theta,
-            sin_two_phi,
+            d,
+            cross_term,
             target_error,
-            geom.sin_sq_two_alpha,
+            s2,
         )
     feasible = (np.abs(sin_lam) > SINGULAR_SIN_LAMBDA) & (
         np.abs(rhs) <= 1.0 + ARCSINE_CLAMP_TOL
     )
     sin_two_mu = np.clip(rhs, -1.0, 1.0)
-    error, numerator, radicand = _observables(
-        *_quadruple(
-            sin_sq_lam,
-            cos_sq_lam,
-            sin_two_mu,
-            cos_two_theta,
-            np.sin(2.0 * theta),
-            sin_two_phi,
-            np.cos(2.0 * phi),
-        ),
-        geom.sin_sq_two_alpha,
+    # Each full-plane array is dropped as soon as it has been read.  A
+    # plane then holds fewer arrays at once, and the allocator serves it
+    # from the chunks the previous plane freed instead of growing the heap
+    # and trimming it again on every plane.
+    del rhs
+    a, b, c, d = _quadruple(
+        sin_sq_lam,
+        cos_sq_lam,
+        sin_two_mu,
+        sin_two_theta,
+        sin_two_phi,
+        cos_two_phi,
+        d,
+        cross_term,
     )
+    del cross_term
+    error, numerator, radicand = _observables(a, b, c, d, s2)
+    del a, b, c
     feasible &= radicand > 0.0
-    q = np.where(
-        feasible,
-        numerator / np.sqrt(np.where(feasible, radicand, 1.0)),
-        math.inf,
-    )
+    # Off the feasible nodes the root may be of a negative or a zero;
+    # np.where masks what that gives.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = numerator / np.sqrt(radicand)
+    return sin_two_mu, error, np.where(feasible, q, math.inf), feasible
+
+
+def fold_mu(sin_two_mu: np.ndarray) -> np.ndarray:
+    """mu on the default branch of :func:`mu_from_constraint`, in [0, pi)
+    with cos(2 mu) >= 0, from an array of sin(2 mu) in [-1, 1]."""
     half_arc = 0.5 * np.arcsin(sin_two_mu)
-    mu = np.where(half_arc >= 0.0, half_arc, half_arc + math.pi)
-    return mu, error, q, feasible
+    return np.where(half_arc >= 0.0, half_arc, half_arc + math.pi)
 
 
 def renyi_info(q_overlap: float | np.ndarray) -> float | np.ndarray:

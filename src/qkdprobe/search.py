@@ -8,7 +8,10 @@ strategies are provided:
 * :func:`constrained_scan` grids (lam, theta, phi) and solves mu exactly
   from the error-rate constraint at every node (switching to the
   phi-elimination route on the sin(lam) = 0 planes, where mu has no
-  effect);
+  effect).  Each lam plane is one array pass that computes sin(2 mu), E,
+  Q and feasibility; the theta- and phi-only trig is worked out once per
+  scan, and the arcsine that turns sin(2 mu) into mu runs only for a new
+  best node and for the rows handed to a sink;
 * :func:`penalty_scan` releases all four angles and penalizes the squared
   error-rate mismatch, covering the space without any elimination.
 
@@ -64,6 +67,9 @@ class SearchConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
+        probe.check_integers(
+            self, "grid_resolution", "random_restarts", "seed"
+        )
         if self.grid_resolution < 3:
             raise DomainError("grid_resolution must be at least 3")
         if not 0.0 < self.tolerance < math.inf:
@@ -164,53 +170,67 @@ def constrained_scan(
     target = config.target_error
     grid = np.linspace(0.0, math.pi, config.grid_resolution)
     analytic_q = _analytic_reference(target, geom)
+    below = analytic_q - config.tolerance
 
     best_q = math.inf
     best_angles: list[float] | None = None
     violations = 0
     samples = 0
 
-    def take(columns: tuple, feasible: np.ndarray) -> None:
-        """Count one block of nodes; the columns (lam, theta, phi, mu, E,
-        Q) broadcast to the shape of Q and feasible, and Q is inf off it."""
+    def take(
+        columns: tuple, feasible: np.ndarray, to_mu=probe.fold_mu
+    ) -> None:
+        """Count one block of nodes; the columns (lam, theta, phi, m, E, Q)
+        broadcast to the shape of Q and feasible, Q is inf off it, and
+        to_mu(m) gives mu.  Only a new best and the sink's rows read the
+        columns other than Q."""
         nonlocal best_q, best_angles, violations, samples
-        q = columns[-1]
-        q_feasible = q[feasible]
-        if not q_feasible.size:
+        count = int(np.count_nonzero(feasible))
+        if not count:
             return
-        samples += q_feasible.size
-        violations += int((q_feasible < analytic_q - config.tolerance).sum())
+        q = columns[-1]
+        samples += count
+        violations += int(np.count_nonzero(q < below))
         k = int(np.argmin(q))
         if q.flat[k] < best_q:
             best_q = float(q.flat[k])
-            best_angles = [
-                float(np.broadcast_to(c, q.shape).flat[k]) for c in columns[:4]
-            ]
+            lam, theta, phi, m = (
+                np.broadcast_to(c, q.shape).flat[k] for c in columns[:4]
+            )
+            best_angles = [float(v) for v in (lam, theta, phi, to_mu(m))]
         if sink is not None:
-            sink(np.column_stack(
-                [np.broadcast_to(c, q.shape)[feasible] for c in columns]
-            ))
+            rows = [np.broadcast_to(c, q.shape)[feasible] for c in columns]
+            rows[3] = to_mu(rows[3])
+            sink(np.column_stack(rows))
 
+    s2 = geom.sin_sq_two_alpha
     theta, phi = grid[:, None], grid[None, :]
+    theta_trig = probe._double_angle_trig(theta)
+    phi_trig = probe._double_angle_trig(phi)
     nodes = grid.tolist()
     for lam in nodes:
         if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
+            # These rows carry mu itself, not sin(2 mu).
             rows = _singular_lambda_points(lam, nodes, target, geom)
-            take(np.array(rows).reshape(-1, 6).T, np.full(len(rows), True))
-        else:
-            mu, e, q, feasible = probe.constrained_observables(
-                lam, theta, phi, target, geom
+            take(
+                np.array(rows).reshape(-1, 6).T,
+                np.full(len(rows), True),
+                to_mu=np.asarray,
             )
-            take((lam, theta, phi, mu, e, q), feasible)
+        else:
+            sin_two_mu, e, q, feasible = probe._constrained_nodes(
+                lam, theta_trig, phi_trig, target, s2
+            )
+            take((lam, theta, phi, sin_two_mu, e, q), feasible)
 
     rng = np.random.default_rng([config.seed, _RESTART_STREAM])
     lam, theta, phi = rng.uniform(
         0.0, math.pi, size=(config.random_restarts, 3)
     ).T
-    mu, e, q, feasible = probe.constrained_observables(
+    sin_two_mu, e, q, feasible = probe.constrained_observables(
         lam, theta, phi, target, geom
     )
-    take((lam, theta, phi, mu, e, q), feasible)
+    take((lam, theta, phi, sin_two_mu, e, q), feasible)
 
     if best_angles is None:
         raise EmptyFeasibleSetError(

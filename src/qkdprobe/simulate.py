@@ -78,6 +78,7 @@ class SimulationConfig:
     four_state_sampler: bool = False
 
     def __post_init__(self) -> None:
+        probe.check_integers(self, "m", "seed")
         if self.m < 1:
             raise DomainError("m must be a positive integer")
         if not 0.0 < self.p_fail < 1.0:

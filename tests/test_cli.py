@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from qkdprobe.cli import (
     parse_angle,
     render_json,
 )
+from qkdprobe import cli as cli_module
 from qkdprobe.errors import QkdProbeError, SingularLambdaError
 from qkdprobe.search import _singular_lambda_points
 
@@ -428,6 +430,30 @@ class TestCsvRenderer:
         mixed_rows = [blocks[1].tolist()[0], mixed[1][0],
                       blocks[2].tolist()[0]]
         assert _csv(header, mixed) == per_value_csv(header, mixed_rows)
+
+    def test_repeated_float_columns_match_per_value_rendering(self):
+        # Columns with few distinct values are formatted once per value,
+        # told apart by their bits: -0.0 and 0.0, and NaNs with different
+        # payloads, keep their own text.
+        rng = np.random.default_rng(21)
+        other_nan = np.array([0x7FF8000000000123], dtype=np.int64).view(
+            np.float64
+        )[0]
+        pool = [-0.0, 0.0, math.nan, other_nan, math.inf, 5e-324, 0.1,
+                np.nextafter(0.1, 1.0), 1.0 / 3.0]
+        block = rng.choice(pool, size=(400, 6))
+        block[:, 3] = rng.standard_normal(400)  # distinct: formatted per value
+        block[:, 5] = block[0, 5]  # one value throughout
+        blocks = [
+            block,
+            block[:3],  # too few rows to share any text
+            np.repeat(block[:1], 2, axis=0),
+            np.repeat(block[:2], 2, axis=0),  # half distinct: per value
+            np.empty((0, 6)),
+        ]
+        header = ("lam", "theta", "phi", "mu", "E", "Q")
+        rows = [row for b in blocks for row in b.tolist()]
+        assert _csv(header, blocks) == per_value_csv(header, rows)
 
 
 class TestCapacity:
@@ -840,6 +866,96 @@ class TestOutputFile:
         with pytest.raises(error):
             _write_output(text, str(tmp_path / "samples.csv"))
         assert list(tmp_path.iterdir()) == []
+
+
+# (alpha, E, seed) of the README verify example and of the nine CLI
+# verify calls in one pass of the benchmark's verify_optimum workload
+# (workload seed 5), all at resolution 40 with 50 restarts.
+SAMPLE_RUNS = [
+    ("pi/8", 0.2, 17),
+    (0.3141592653589793, 0.07041517925293497, 1456821420),
+    (0.3141592653589793, 0.16989789978570669, 283735513),
+    (0.3141592653589793, 0.27402759424960593, 1862403660),
+    (0.39269908169872414, 0.09793377761125538, 1139662941),
+    (0.39269908169872414, 0.24659562145501376, 734047390),
+    (0.39269908169872414, 0.3924931084817265, 489822076),
+    (0.5235987755982988, 0.0501863377829239, 795892058),
+    (0.5235987755982988, 0.12401342957062682, 490242075),
+    (0.5235987755982988, 0.19803768541798827, 2125400922),
+]
+SAMPLE_HEADER = ("lam", "theta", "phi", "mu", "E", "Q")
+
+
+def verify_samples_argv(alpha, error, seed, resolution=40):
+    return [
+        "verify", "--alpha", str(alpha), "--error-rate", repr(error),
+        "--resolution", str(resolution), "--restarts", "50",
+        "--seed", str(seed), "--samples-out", "samples.csv",
+    ]
+
+
+class TestStreamedSamples:
+    """verify writes each sink block to the output file as it arrives."""
+
+    @pytest.mark.parametrize("alpha, error, seed", SAMPLE_RUNS)
+    def test_bytes_match_the_joined_render(
+        self, capsys, tmp_path, monkeypatch, alpha, error, seed
+    ):
+        # The joined render of every sink block is what verify wrote
+        # before it streamed.
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        code, _, _ = run_cli(capsys, *verify_samples_argv(alpha, error, seed))
+        assert code == 0
+        blocks = []
+        constrained_scan(
+            SearchConfig(
+                SignalGeometry(parse_angle(str(alpha))), error, 40, 50, seed
+            ),
+            sink=blocks.append,
+        )
+        assert len(blocks) > 1
+        expected = _csv(SAMPLE_HEADER, blocks).encode()
+        assert (tmp_path / "samples.csv").read_bytes() == expected
+
+    def test_memory_stays_bounded_by_a_block(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Joining the whole CSV peaked at ~19 MiB at resolution 60; one
+        # rendered block takes well under 4 MiB.
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        argv = verify_samples_argv("pi/8", 0.2, 3, resolution=60)
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "samples.csv").stat().st_size > 6 * 2**20
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_mid_stream_leaves_no_file(
+        self, capsys, tmp_path, monkeypatch, existing
+    ):
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        if existing:
+            (tmp_path / "samples.csv").write_text("old")
+        rendered = []
+        render = cli_module._csv_block
+
+        def fail_on_third(block):
+            if len(rendered) == 2:
+                raise RuntimeError("render failed")
+            rendered.append(block)
+            return render(block)
+
+        monkeypatch.setattr(cli_module, "_csv_block", fail_on_third)
+        with pytest.raises(RuntimeError, match="render failed"):
+            main(verify_samples_argv("pi/8", 0.2, 3, resolution=9))
+        assert len(rendered) == 2
+        left = {path.name: path.read_text() for path in tmp_path.iterdir()}
+        assert left == ({"samples.csv": "old"} if existing else {})
 
 
 def readme_examples():

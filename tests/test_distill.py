@@ -500,6 +500,27 @@ class TestCompressionLevel:
         with pytest.raises(DomainError):
             DistillationConfig(n=10, e_t=1, p_fail=0.5, nu=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, n, e_t",
+        [
+            ("n", 1000.5, 10),
+            ("n", 1000.0, 10),
+            ("n", math.nan, 10),
+            ("e_t", 1000, 10.5),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, n, e_t):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            DistillationConfig(n=n, e_t=e_t, p_fail=0.5)
+
+    def test_numpy_integer_counts_accepted(self, geom_pi8):
+        config = DistillationConfig(
+            n=np.int64(10**4), e_t=np.int32(500), p_fail=0.01
+        )
+        assert compression_level(config, geom_pi8) == compression_level(
+            DistillationConfig(n=10**4, e_t=500, p_fail=0.01), geom_pi8
+        )
+
 
 class TestAsymptoticCapacity:
     @pytest.mark.parametrize("alpha", [PI / 12, PI / 9, PI / 8])

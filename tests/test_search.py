@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,8 +29,10 @@ from qkdprobe.errors import (
     DomainError,
     EmptyFeasibleSetError,
     InfeasibleConstraintError,
+    SingularLambdaError,
 )
-from qkdprobe.probe import constrained_observables
+from qkdprobe.probe import constrained_observables, fold_mu
+from qkdprobe import probe
 from qkdprobe import search as search_module
 from qkdprobe.search import (
     _constrained_point,
@@ -125,14 +128,41 @@ class TestConstrainedScan:
                     geom=geom_pi8, target_error=0.1, tolerance=tolerance
                 )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_resolution", 7.5),
+            ("grid_resolution", math.nan),
+            ("grid_resolution", 7.0),
+            ("random_restarts", 2.5),
+            ("seed", 1.5),
+        ],
+    )
+    def test_counts_must_be_integers(self, geom_pi8, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            SearchConfig(geom=geom_pi8, target_error=0.1, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self, geom_pi8):
+        config = SearchConfig(
+            geom=geom_pi8,
+            target_error=0.1,
+            grid_resolution=np.int64(7),
+            random_restarts=np.int32(3),
+            seed=np.uint8(2),
+        )
+        assert constrained_scan(config) == constrained_scan(
+            SearchConfig(geom_pi8, 0.1, 7, 3, 2)
+        )
+
     def test_vectorized_plane_matches_scalar_route(self, geom_pi8):
         rng = np.random.default_rng(55)
         theta_grid = rng.uniform(0, PI, 6)
         phi_grid = rng.uniform(0, PI, 6)
         lam = 0.37 * PI
-        mu_plane, e_plane, q_plane, feasible = constrained_observables(
+        sin_two_mu, e_plane, q_plane, feasible = constrained_observables(
             lam, theta_grid[:, None], phi_grid[None, :], 0.15, geom_pi8
         )
+        mu_plane = fold_mu(sin_two_mu)
         assert 0 < feasible.sum() < feasible.size
         for i, theta in enumerate(theta_grid):
             for j, phi in enumerate(phi_grid):
@@ -143,22 +173,210 @@ class TestConstrainedScan:
                     continue
                 mu = mu_from_constraint(lam, theta, phi, 0.15, geom_pi8)
                 params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
+                coeffs = coefficients(params)
                 assert abs(mu_plane[i, j] - mu) < 1e-13
-                assert (
-                    abs(q_plane[i, j] - overlap(coefficients(params), geom_pi8))
-                    < 1e-13
-                )
+                assert abs(q_plane[i, j] - overlap(coeffs, geom_pi8)) < 1e-13
+                e = error_rate(coeffs, geom_pi8)
+                assert abs(e_plane[i, j] - e) < 1e-13
                 assert abs(e_plane[i, j] - 0.15) < 1e-13
+
+    def test_plane_holds_few_arrays_at_once(self, geom_pi8):
+        # The plane body drops each full-plane array once read, so a plane
+        # peaks at ~9.2 plane-sized arrays.  At 13.2, when each lived to
+        # the end of the body, glibc grew and trimmed the heap on every
+        # plane of a scan, and the page faults cost ~25 % of its time.
+        grid = np.linspace(0.0, PI, 120)
+        plane = grid.size * grid.size * 8
+        args = (1.1, grid[:, None], grid[None, :], 0.2, geom_pi8)
+        constrained_observables(*args)
+        tracemalloc.start()
+        try:
+            held = constrained_observables(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 4
+        assert peak < 10 * plane
 
     def test_array_form_masks_singular_lambda(self, geom_pi8):
         lam = np.array([0.0, PI, 0.37 * PI])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, q, feasible = constrained_observables(
+            sin_two_mu, _, q, feasible = constrained_observables(
                 lam, 0.3, 1.1, 0.15, geom_pi8
             )
+            mu = fold_mu(sin_two_mu[feasible])
         assert feasible.tolist() == [False, False, True]
         assert q[0] == q[1] == math.inf
+        for singular in lam[:2]:
+            with pytest.raises(SingularLambdaError):
+                mu_from_constraint(singular, 0.3, 1.1, 0.15, geom_pi8)
+        assert abs(
+            mu[0] - mu_from_constraint(lam[2], 0.3, 1.1, 0.15, geom_pi8)
+        ) < 1e-13
+
+
+def full_plane_observables(lam, theta, phi, target, geom):
+    """(mu, E, Q, feasible) on every node, each formula written out in
+    full: the array kernel as it was before the scan computed only what
+    it reads, kept as the oracle for constrained_scan."""
+    s2 = geom.sin_sq_two_alpha
+    sin_lam = np.sin(lam)
+    sin_sq_lam = sin_lam**2
+    cos_sq_lam = np.cos(lam) ** 2
+    cos_two_theta = np.cos(2.0 * theta)
+    sin_two_phi = np.sin(2.0 * phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = (
+            cos_sq_lam * (1.0 - cos_two_theta)
+            + s2
+            * (
+                sin_sq_lam
+                + cos_sq_lam * cos_two_theta
+                - cos_sq_lam * cos_two_theta * sin_two_phi
+            )
+            - 2.0 * target
+        ) / (s2 * sin_sq_lam)
+    feasible = (np.abs(sin_lam) > probe.SINGULAR_SIN_LAMBDA) & (
+        np.abs(rhs) <= 1.0 + probe.ARCSINE_CLAMP_TOL
+    )
+    sin_two_mu = np.clip(rhs, -1.0, 1.0)
+    a = sin_sq_lam * sin_two_mu + cos_sq_lam * cos_two_theta * sin_two_phi
+    b = sin_sq_lam * sin_two_mu + cos_sq_lam * sin_two_phi
+    c = cos_sq_lam * np.sin(2.0 * theta) * np.cos(2.0 * phi)
+    d = sin_sq_lam + cos_sq_lam * cos_two_theta
+    error = 0.5 * (1.0 - d + (d - a) * s2)
+    numerator = 0.5 * (a + b) + 0.5 * (d - a) * s2
+    half_sum = 0.5 * (1.0 + d + (a - d) * s2)
+    radicand = half_sum * half_sum - 0.25 * c * c * s2
+    feasible &= radicand > 0.0
+    q = np.where(
+        feasible,
+        numerator / np.sqrt(np.where(feasible, radicand, 1.0)),
+        math.inf,
+    )
+    half_arc = 0.5 * np.arcsin(sin_two_mu)
+    mu = np.where(half_arc >= 0.0, half_arc, half_arc + PI)
+    return mu, error, q, feasible
+
+
+def full_plane_scan(config, sink):
+    """constrained_scan over full_plane_observables: every column of every
+    node computed, the feasible ones copied out before counting."""
+    geom, target = config.geom, config.target_error
+    grid = np.linspace(0.0, PI, config.grid_resolution)
+    analytic_q = search_module._analytic_reference(target, geom)
+    state = {"best_q": math.inf, "best": None, "violations": 0, "samples": 0}
+
+    def take(columns, feasible):
+        q = columns[-1]
+        q_feasible = q[feasible]
+        if not q_feasible.size:
+            return
+        state["samples"] += q_feasible.size
+        state["violations"] += int(
+            (q_feasible < analytic_q - config.tolerance).sum()
+        )
+        k = int(np.argmin(q))
+        if q.flat[k] < state["best_q"]:
+            state["best_q"] = float(q.flat[k])
+            state["best"] = [
+                float(np.broadcast_to(c, q.shape).flat[k]) for c in columns[:4]
+            ]
+        sink(np.column_stack(
+            [np.broadcast_to(c, q.shape)[feasible] for c in columns]
+        ))
+
+    theta, phi = grid[:, None], grid[None, :]
+    nodes = grid.tolist()
+    for lam in nodes:
+        if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
+            rows = _singular_lambda_points(lam, nodes, target, geom)
+            take(np.array(rows).reshape(-1, 6).T, np.full(len(rows), True))
+        else:
+            mu, e, q, feasible = full_plane_observables(
+                lam, theta, phi, target, geom
+            )
+            take((lam, theta, phi, mu, e, q), feasible)
+    rng = np.random.default_rng([config.seed, search_module._RESTART_STREAM])
+    lam, theta, phi = rng.uniform(
+        0.0, PI, size=(config.random_restarts, 3)
+    ).T
+    mu, e, q, feasible = full_plane_observables(lam, theta, phi, target, geom)
+    take((lam, theta, phi, mu, e, q), feasible)
+    if state["best"] is None:
+        raise EmptyFeasibleSetError(
+            f"no sampled point satisfies E = {target!r} at "
+            f"alpha = {geom.alpha!r}"
+        )
+    lam, theta, phi, mu = state["best"]
+    return search_module.SearchReport(
+        best_q=state["best_q"],
+        best_params=ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi),
+        analytic_q=analytic_q,
+        violations=state["violations"],
+        samples_evaluated=state["samples"],
+    )
+
+
+# (grid_resolution, random_restarts) of the oracle comparison: the
+# smallest grids, odd and even ones, and restart blocks of three sizes.
+ORACLE_SIZES = ((3, 0), (7, 0), (13, 50), (40, 50), (41, 300))
+
+
+@pytest.mark.parametrize("target", [0.0, 0.05, 0.2, 0.3, 0.45, 0.49])
+@pytest.mark.parametrize(
+    "alpha", [PI / 20, PI / 10, PI / 8, PI / 6, 0.7],
+    ids=["pi/20", "pi/10", "pi/8", "pi/6", "0.7"],
+)
+def test_scan_matches_full_plane_oracle(alpha, target):
+    # The oracle runs on the same machine, so numpy's SIMD trig, which
+    # differs between CPUs, is the same on both sides; the comparison is
+    # exact.
+    geom = SignalGeometry(alpha)
+    for resolution, restarts in ORACLE_SIZES:
+        for seed in (0, 9):
+            config = SearchConfig(geom, target, resolution, restarts, seed)
+            blocks, oracle_blocks = [], []
+            try:
+                expected = full_plane_scan(config, oracle_blocks.append)
+            except EmptyFeasibleSetError as exc:
+                with pytest.raises(EmptyFeasibleSetError) as raised:
+                    constrained_scan(config, sink=blocks.append)
+                assert str(raised.value) == str(exc)
+                assert blocks == oracle_blocks == []
+                continue
+            report = constrained_scan(config, sink=blocks.append)
+            assert report == expected
+            assert repr(report) == repr(expected)  # int counts, not numpy
+            assert constrained_scan(config) == expected
+            assert [b.shape for b in blocks] == [
+                b.shape for b in oracle_blocks
+            ]
+            assert (
+                np.vstack(blocks).tobytes()
+                == np.vstack(oracle_blocks).tobytes()
+            )
+
+
+def test_scan_violations_match_full_plane_oracle(monkeypatch):
+    # Working code gives no violations, so move the reference up to the
+    # median and the 90 % quantile of each scan's Q, and count on both
+    # routes.
+    for alpha, target in ((PI / 10, 0.05), (PI / 8, 0.2), (0.7, 0.3)):
+        config = SearchConfig(SignalGeometry(alpha), target, 24, 100, 3)
+        blocks = []
+        full_plane_scan(config, blocks.append)
+        for level in np.quantile(np.vstack(blocks)[:, 5], [0.5, 0.9]):
+            monkeypatch.setattr(
+                search_module,
+                "_analytic_reference",
+                lambda error, geom: float(level),
+            )
+            expected = full_plane_scan(config, lambda block: None)
+            report = constrained_scan(config)
+            assert 0 < report.violations < report.samples_evaluated
+            assert report == expected
 
 
 class TestRefine:

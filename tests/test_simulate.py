@@ -227,6 +227,18 @@ class TestRun:
         with pytest.raises(DomainError):
             QLeakModel.binary_entropy(-0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 1000.5), ("m", 1000.0), ("m", math.nan), ("seed", 1.5)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            set_e_config(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = set_e_config(m=np.int64(100_000), seed=np.int32(4))
+        assert run_simulation(config) == run_simulation(set_e_config())
+
 
 class TestSweep:
     def test_single_value_matches_derived_seed_run(self):
