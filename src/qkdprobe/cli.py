@@ -8,6 +8,14 @@ JSON and 12 in CSV.  Exit codes: 0 success, 1 property violation
 
 Angles are accepted as raw radians or as multiples of pi: ``0.3927``,
 ``0.125pi``, ``pi/8``, ``3pi/4``.
+
+Importing this module loads only ``qkdprobe.probe`` and
+``qkdprobe.errors``, which is all that parsing, ``--help``, ``--version``
+and ``evaluate`` need.  Every other subcommand imports the modules it
+runs when it is dispatched: ``optimal`` and ``possibilities`` load
+``optimum`` (with ``roots``), ``verify`` loads ``search``, ``capacity``
+and ``frontier`` load ``distill``, and ``simulate`` and ``sweep`` load
+``simulate``.
 """
 
 from __future__ import annotations
@@ -22,14 +30,20 @@ import stat
 import sys
 import tempfile
 from dataclasses import asdict
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__, distill, optimum, probe, search, simulate
+from . import __version__, probe
 from .errors import QkdProbeError
-from .optimum import FamilyTag
 from .probe import ProbeParams, SignalGeometry
+
+if TYPE_CHECKING:
+    from . import simulate
+
+# The values of optimum.FamilyTag, written out so that parsing the
+# arguments does not import optimum.
+_FAMILY_TAGS = ("set_e", "set_h", "set_phi_neg")
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\s*\*?\s*pi\s*(?:/\s*"
@@ -199,17 +213,22 @@ def _float_rows(block: np.ndarray) -> str:
     """
     block = np.asarray(block, dtype=np.float64)
     count, width = block.shape
+    bits = block.view(np.int64)
+    # One sort of the whole block counts each column's distinct values.
+    ordered = np.sort(bits, axis=0)
+    new = ordered[1:] != ordered[:-1]
+    distinct = 1 + np.count_nonzero(new, axis=0)
     values: list[Any] = [None] * block.size
     formats = []
     for j in range(width):
-        column = block[:, j]
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        if 2 * len(bits) < count:
-            texts = ["%.12g" % v for v in bits.view(np.float64).tolist()]
-            values[j::width] = np.array(texts, dtype=object)[inverse].tolist()
+        if 2 * distinct[j] < count:
+            unique = ordered[np.concatenate(([True], new[:, j])), j]
+            texts = ["%.12g" % v for v in unique.view(np.float64).tolist()]
+            index = np.searchsorted(unique, bits[:, j])
+            values[j::width] = np.array(texts, dtype=object)[index].tolist()
             formats.append("%s")
         else:
-            values[j::width] = column.tolist()
+            values[j::width] = block[:, j].tolist()
             formats.append("%.12g")
     return ((",".join(formats) + "\n") * count) % tuple(values)
 
@@ -247,6 +266,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_optimal(args: argparse.Namespace) -> int:
+    from . import optimum
+
     geom = SignalGeometry(args.alpha)
     best = optimum.optimal_overlap(args.error_rate, geom)
     families = optimum.optimal_parameter_families(args.error_rate, geom)
@@ -277,6 +298,8 @@ def cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import search
+
     geom = SignalGeometry(args.alpha)
     config = search.SearchConfig(
         geom=geom,
@@ -317,6 +340,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
+    from . import distill, optimum
+
     geom = SignalGeometry(args.alpha)
     points = distill.capacity_curve(geom, args.e_min, args.e_max, args.steps)
     if args.format == "csv":
@@ -361,6 +386,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
+    from . import distill
+
     geom = SignalGeometry(args.alpha)
     n_values = _int_list(args.n)
     e_values = _int_list(args.errors)
@@ -419,35 +446,35 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     return 0
 
 
-def _attack_from_args(args: argparse.Namespace):
+def _simulation_config(args: argparse.Namespace) -> simulate.SimulationConfig:
+    from . import simulate
+    from .optimum import FamilyTag
+
+    attack: simulate.FamilyAttack | ProbeParams
     if args.family is not None:
         if args.error_rate is None:
             raise QkdProbeError("--family requires --error-rate")
-        return simulate.FamilyAttack(
+        attack = simulate.FamilyAttack(
             tag=FamilyTag(args.family), target_error=args.error_rate
         )
-    angles = (args.lam, args.mu, args.theta, args.phi)
-    if any(a is None for a in angles):
-        raise QkdProbeError(
-            "specify either --family with --error-rate, or all of "
-            "--lambda --mu --theta --phi"
-        )
-    return ProbeParams(*angles)
-
-
-def _q_model_from_args(args: argparse.Namespace) -> simulate.QLeakModel:
+    else:
+        angles = (args.lam, args.mu, args.theta, args.phi)
+        if any(a is None for a in angles):
+            raise QkdProbeError(
+                "specify either --family with --error-rate, or all of "
+                "--lambda --mu --theta --phi"
+            )
+        attack = ProbeParams(*angles)
     if args.q_model == "zero":
-        return simulate.QLeakModel.zero()
-    return simulate.QLeakModel.binary_entropy(args.q_fraction)
-
-
-def _simulation_config(args: argparse.Namespace) -> simulate.SimulationConfig:
+        q_model = simulate.QLeakModel.zero()
+    else:
+        q_model = simulate.QLeakModel.binary_entropy(args.q_fraction)
     return simulate.SimulationConfig(
         m=args.m,
         geom=SignalGeometry(args.alpha),
-        attack=_attack_from_args(args),
+        attack=attack,
         p_fail=args.p_fail,
-        q_model=_q_model_from_args(args),
+        q_model=q_model,
         seed=args.seed,
         four_state_sampler=args.four_state,
     )
@@ -474,6 +501,8 @@ def _simulate_inputs(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulate
+
     config = _simulation_config(args)
     report = simulate.run(config)
     inputs = _simulate_inputs(args, config)
@@ -485,6 +514,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import simulate
+
     config = _simulation_config(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -531,6 +562,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_possibilities(args: argparse.Namespace) -> int:
+    from . import optimum
+
     geom = SignalGeometry(args.alpha)
     reports = optimum.enumerate_possibilities(args.error_rate, geom)
     results = [
@@ -627,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=parse_angle, required=True)
         p.add_argument(
             "--family",
-            choices=[tag.value for tag in FamilyTag],
+            choices=_FAMILY_TAGS,
             default=None,
         )
         p.add_argument("--error-rate", type=float, default=None)

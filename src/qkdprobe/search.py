@@ -34,6 +34,7 @@ in lexicographic grid order).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -309,8 +310,11 @@ def _nelder_mead(
     with the standard coefficients (reflection 1, expansion 2, contraction
     and shrink 1/2; Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 9, 112
     (1998)): the same initial simplex, vertex arithmetic, centroid order and
-    stopping test, over float lists.  The simplex is ordered by a stable
-    sort, so only ties in func can lead it off scipy's path.
+    stopping test, over float lists.  The simplex is kept in the order a
+    stable sort by func gives: sorted in full after the initial simplex
+    and after a shrink, and otherwise by inserting the one new vertex
+    after its equals.  So only ties in func can lead it off scipy's path.
+    func must not return NaN, which has no place in that order.
     """
     evaluations = 0
 
@@ -333,13 +337,12 @@ def _nelder_mead(
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
+    sim, fsim = _sorted_simplex(sim, fsim)
     while True:
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
         best, worst, f_best = sim[0], sim[-1], fsim[0]
         # The f-spread is the cheaper test and the one that fails first.
         if evaluations >= maxfev or (
-            max(abs(f_best - v) for v in fsim[1:]) <= fatol
+            fsim[-1] - f_best <= fatol
             and max(abs(a - b) for x in sim[1:] for a, b in zip(x, best))
             <= xatol
         ):
@@ -350,15 +353,16 @@ def _nelder_mead(
         xbar = [a / n for a in xbar]
         # Each point is (1 + t) xbar - t worst for t = 1, 2, 1/2, -1/2,
         # with the coefficients written out; they round the same way.
+        x_new = None
         try:
             xr = [2.0 * b - w for b, w in zip(xbar, worst)]
             fxr = f(xr)
             if fxr < f_best:
                 xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
                 fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+                x_new, f_new = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                x_new, f_new = xr, fxr
             else:
                 if fxr < fsim[-1]:
                     xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
@@ -369,13 +373,32 @@ def _nelder_mead(
                     fxc = f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
-                    sim[-1], fsim[-1] = xc, fxc
+                    x_new, f_new = xc, fxc
                 else:
                     for j, x in enumerate(sim[1:], 1):
                         sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, x)]
                         fsim[j] = f(sim[j])
         except _BudgetSpent:
             pass
+        if x_new is None:
+            # After a shrink, or a step the budget refused (which moved
+            # at most the shrink's vertices).
+            sim, fsim = _sorted_simplex(sim, fsim)
+        else:
+            # The worst vertex goes, and the new one goes after its
+            # equals: where a stable sort of the list would put it.
+            del sim[-1], fsim[-1]
+            k = bisect.bisect_right(fsim, f_new)
+            sim.insert(k, x_new)
+            fsim.insert(k, f_new)
+
+
+def _sorted_simplex(
+    sim: list[list[float]], fsim: list[float]
+) -> tuple[list[list[float]], list[float]]:
+    """The vertices and their values in a stable sort by value."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def refine(

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdprobe
 from qkdprobe import ProbeParams, SignalGeometry, mu_from_constraint
 from qkdprobe.errors import InfeasibleConstraintError, SingularLambdaError
 
@@ -31,3 +36,21 @@ def draw_constrained_points(
             continue
         points.append(ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi))
     return points
+
+
+def fresh_interpreter(script, *args, cwd, env=None):
+    """Run script with python -c in a new process that imports qkdprobe
+    from this checkout."""
+    package_root = Path(qkdprobe.__file__).resolve().parents[1]
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=env,
+        timeout=600,
+    )

@@ -4,7 +4,6 @@ import json
 import math
 import os
 import shlex
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qkdprobe
 from qkdprobe import (
     DistillationConfig,
+    FamilyTag,
     ProbeParams,
     SearchConfig,
     SearchReport,
@@ -38,6 +37,8 @@ from qkdprobe.cli import (
 from qkdprobe import cli as cli_module
 from qkdprobe.errors import QkdProbeError, SingularLambdaError
 from qkdprobe.search import _singular_lambda_points
+
+from conftest import fresh_interpreter
 
 PI = math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -263,7 +264,7 @@ class TestVerify:
         assert "tolerance must be finite and positive" in err
 
     def test_violation_exit_code(self, capsys, monkeypatch):
-        import qkdprobe.cli as cli_module
+        from qkdprobe import search
 
         fake = SearchReport(
             best_q=0.4,
@@ -272,9 +273,7 @@ class TestVerify:
             violations=3,
             samples_evaluated=10,
         )
-        monkeypatch.setattr(
-            cli_module.search, "constrained_scan", lambda config: fake
-        )
+        monkeypatch.setattr(search, "constrained_scan", lambda config: fake)
         code, out, _ = run_cli(
             capsys,
             "verify",
@@ -1091,7 +1090,67 @@ print(json.dumps({
 """
 
 
+# The qkdprobe modules one CLI call loads, by subcommand.
+_CLI_MODULES = {"qkdprobe", "qkdprobe.cli", "qkdprobe.errors", "qkdprobe.probe"}
+_OPTIMUM_MODULES = _CLI_MODULES | {"qkdprobe.optimum", "qkdprobe.roots"}
+_DISTILL_MODULES = _OPTIMUM_MODULES | {"qkdprobe.distill"}
+LOADED_MODULES = {
+    "evaluate": _CLI_MODULES,
+    "--version": _CLI_MODULES,
+    "--help": _CLI_MODULES,
+    "optimal": _OPTIMUM_MODULES,
+    "possibilities": _OPTIMUM_MODULES,
+    "verify": _OPTIMUM_MODULES | {"qkdprobe.search"},
+    "capacity": _DISTILL_MODULES,
+    "frontier": _DISTILL_MODULES,
+    "simulate": _DISTILL_MODULES | {"qkdprobe.simulate"},
+    "sweep": _DISTILL_MODULES | {"qkdprobe.simulate"},
+}
+
+LOADED_SCRIPT = """
+import json, sys
+from qkdprobe.cli import main
+
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "qkdprobe")
+print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+"""
+
+
 class TestStartup:
+    @pytest.mark.parametrize(
+        "argv",
+        json.loads((GOLDEN / "readme_argv.json").read_text())
+        + [["--version"], ["--help"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_call_loads_only_its_modules(self, tmp_path, argv):
+        # A fresh interpreter per call, as the console script runs: the
+        # package and cli import no module a subcommand does not run.
+        child = fresh_interpreter(
+            LOADED_SCRIPT, *argv, cwd=tmp_path,
+            env={"OUTPUT_DIR": str(tmp_path)},
+        )
+        report = json.loads(child.stderr.splitlines()[-1])
+        assert report["code"] == 0, child.stderr
+        assert set(report["loaded"]) == LOADED_MODULES[argv[0]]
+
+    def test_family_choices_are_the_family_tags(self):
+        # The literal choices cli parses --family with, pinned to the enum.
+        assert cli_module._FAMILY_TAGS == tuple(t.value for t in FamilyTag)
+        parser = cli_module.build_parser()
+        simulate_argv = ["simulate", "--m", "8", "--alpha", "pi/8",
+                         "--p-fail", "0.01", "--family"]
+        for tag in FamilyTag:
+            assert parser.parse_args(simulate_argv + [tag.value]).family == (
+                tag.value
+            )
+        with pytest.raises(SystemExit):
+            parser.parse_args(simulate_argv + ["set_x"])
+
     def test_readme_examples_load_no_scipy(self, tmp_path):
         # A fresh interpreter: pytest itself has loaded scipy here.  Not
         # one scipy module loads, not even for refine and penalty_scan.
@@ -1100,18 +1159,9 @@ class TestStartup:
         lam, theta, phi = 0.4 * PI, 0.2 * PI, 0.6 * PI
         mu = mu_from_constraint(lam, theta, phi, 0.2, geom)
         start = [PI / 8, 0.2, lam, mu, theta, phi]
-        package_root = Path(qkdprobe.__file__).resolve().parents[1]
-        env = dict(os.environ, OUTPUT_DIR=str(tmp_path))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")])
-        )
-        child = subprocess.run(
-            [sys.executable, "-c", STARTUP_SCRIPT, examples, json.dumps(start)],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env=env,
-            timeout=600,
+        child = fresh_interpreter(
+            STARTUP_SCRIPT, examples, json.dumps(start), cwd=tmp_path,
+            env={"OUTPUT_DIR": str(tmp_path)},
         )
         assert child.returncode == 0, child.stderr
         report = json.loads(child.stdout)

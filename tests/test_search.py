@@ -662,6 +662,78 @@ REFINE_TOLERANCES = (1e-9, 1e-14)
 PENALTY_TOLERANCES = (1e-10, 1e-13)
 
 
+def nelder_mead_full_sort(func, x0, xatol, fatol, maxfev):
+    """search._nelder_mead as it was before it kept its simplex sorted:
+    a full stable sort and a max-abs f-spread on every iteration.  The
+    oracle for the sorted-insertion loop."""
+    evaluations = 0
+
+    def f(x):
+        nonlocal evaluations
+        if evaluations >= maxfev:
+            raise search_module._BudgetSpent
+        evaluations += 1
+        return func(x)
+
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0] + [
+        x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+        for k, v in enumerate(x0)
+    ]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except search_module._BudgetSpent:
+        pass
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        best, worst, f_best = sim[0], sim[-1], fsim[0]
+        if evaluations >= maxfev or (
+            max(abs(f_best - v) for v in fsim[1:]) <= fatol
+            and max(abs(a - b) for x in sim[1:] for a, b in zip(x, best))
+            <= xatol
+        ):
+            return best, f_best, evaluations
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        try:
+            xr = [2.0 * b - w for b, w in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < f_best:
+                xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j, x in enumerate(sim[1:], 1):
+                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, x)]
+                        fsim[j] = f(sim[j])
+        except search_module._BudgetSpent:
+            pass
+
+
+def tied(x):
+    """Coarse steps in one coordinate: most simplex values tie."""
+    return round(x[0] ** 2, 1)
+
+
 class TestNelderMead:
     """search._nelder_mead against scipy's Nelder-Mead as the oracle."""
 
@@ -702,6 +774,47 @@ class TestNelderMead:
                 rosenbrock, x0, *tolerances, maxfev=10_000
             ), (dim, k)
             assert got[2] < 10_000
+
+    @pytest.mark.parametrize("maxfev", [1, 3, 4, 5, 10, 57, 200, 10_000])
+    @pytest.mark.parametrize("func", [rosenbrock, tied])
+    def test_equals_full_sort_loop(self, func, maxfev):
+        # Sorted insertion walks the path of a full stable sort on every
+        # iteration, ties (the new vertex goes after its equals) and
+        # budget stops (mid-shrink included) too.
+        tolerances = (REFINE_TOLERANCES, PENALTY_TOLERANCES, (1e-4, 1e-4))
+        for dim in (3, 4):
+            rng = np.random.default_rng([dim, maxfev, 43])
+            for k in range(10):
+                x0 = [float(v) for v in rng.uniform(-2.0, 2.0, dim)]
+                if k % 3 == 0:
+                    x0[k % dim] = 0.0
+                for xatol, fatol in tolerances:
+                    args = (func, x0, xatol, fatol, maxfev)
+                    assert _nelder_mead(*args) == nelder_mead_full_sort(
+                        *args
+                    ), (dim, k, xatol)
+
+    def test_budget_stop_mid_shrink_returns_the_best_vertex(
+        self, scipy_nelder_mead
+    ):
+        # Scripted values: a 2-D simplex (1, 2, 3), a reflection and an
+        # inside contraction both worse than the worst, so it shrinks;
+        # the first shrunk vertex (0.5) beats the best, and the budget
+        # refuses the second.  The shrunk vertex must be returned.
+        def scripted():
+            values = iter([1.0, 2.0, 3.0, 5.0, 6.0, 0.5])
+            return lambda x: next(values)
+
+        x0 = [0.4, 0.7]
+        got = _nelder_mead(scripted(), x0, *PENALTY_TOLERANCES, maxfev=6)
+        shrunk = [0.4 + 0.5 * (1.05 * 0.4 - 0.4), 0.7]
+        assert got == (shrunk, 0.5, 6)
+        assert got == nelder_mead_full_sort(
+            scripted(), x0, *PENALTY_TOLERANCES, maxfev=6
+        )
+        assert got == scipy_nelder_mead(
+            scripted(), x0, *PENALTY_TOLERANCES, maxfev=6
+        )
 
     @pytest.mark.parametrize("maxfev", [1, 3, 4, 5, 10, 57])
     def test_budget_on_unbounded_objective(self, scipy_nelder_mead, maxfev):
