@@ -1,7 +1,12 @@
 """Command-line surface: every capability as a reproducible subcommand.
 
-Each subcommand emits a JSON envelope (or CSV where noted) echoing all
-inputs, including seeds, so replaying the echoed inputs reproduces the
+Each ``cmd_*`` function returns ``(exit_code, results)``, where
+``results`` is a JSON payload or, where noted, the finished CSV text.
+:func:`main` alone wraps a payload in the JSON envelope and writes every
+output.  The envelope's ``inputs`` echo every parsed argument in parser
+order, angles as ``{radians, over_pi}``, except those that pick the
+command or place its output (``--out``, ``--samples-out``, ``--format``)
+and those left unset, so replaying the echoed inputs reproduces the
 output byte for byte.  Floats serialize with 17 significant digits in
 JSON and 12 in CSV.  Exit codes: 0 success, 1 property violation
 (verify), 2 usage or domain error.
@@ -77,6 +82,12 @@ def _fmt_json(value: float) -> str:
     return f"{value:.17g}"
 
 
+# A JSON string may hold no raw backslash, quote or U+0000-U+001F.
+_JSON_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', **{chr(c): f"\\u{c:04x}" for c in range(32)}}
+)
+
+
 def _json_render(obj: Any, depth: int, indent: int = 2) -> str:
     pad = " " * (indent * (depth + 1))
     close_pad = " " * (indent * depth)
@@ -104,8 +115,7 @@ def _json_render(obj: Any, depth: int, indent: int = 2) -> str:
         return _fmt_json(float(obj))
     if obj is None:
         return "null"
-    text = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{text}"'
+    return f'"{str(obj).translate(_JSON_ESCAPES)}"'
 
 
 def render_json(obj: Any) -> str:
@@ -116,17 +126,18 @@ def _angle_echo(value: float) -> dict[str, float]:
     return {"radians": value, "over_pi": value / math.pi}
 
 
-def _envelope(
-    command: str,
-    inputs: dict[str, Any],
-    results: Any,
-) -> dict[str, Any]:
+# The parsed names that pick the command or place its output.
+_NOT_INPUTS = frozenset(("subcommand", "func", "out", "samples_out", "format"))
+_ANGLES = frozenset(("alpha", "lam", "mu", "theta", "phi"))
+
+
+def _inputs(args: argparse.Namespace) -> dict[str, Any]:
+    """Every argument that was set, in parser order; angles as
+    ``{radians, over_pi}``."""
     return {
-        "tool_version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "warnings": [],
+        name: _angle_echo(value) if name in _ANGLES else value
+        for name, value in vars(args).items()
+        if name not in _NOT_INPUTS and value is not None
     }
 
 
@@ -233,16 +244,7 @@ def _float_rows(block: np.ndarray) -> str:
     return ((",".join(formats) + "\n") * count) % tuple(values)
 
 
-def _params_dict(params: ProbeParams) -> dict[str, Any]:
-    return {
-        "lam": _angle_echo(params.lam),
-        "mu": _angle_echo(params.mu),
-        "theta": _angle_echo(params.theta),
-        "phi": _angle_echo(params.phi),
-    }
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> tuple[int, Any]:
     geom = SignalGeometry(args.alpha)
     params = ProbeParams(
         lam=args.lam, mu=args.mu, theta=args.theta, phi=args.phi
@@ -250,7 +252,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     coeffs = probe.coefficients(params)
     probs = probe.detection_probabilities(coeffs, geom)
     evaluation = probe.evaluate(params, geom)
-    results = {
+    return 0, {
         "coefficients": asdict(coeffs),
         "detection_probabilities": asdict(probs),
         "error_rate": evaluation.error_rate,
@@ -258,20 +260,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "renyi_info": evaluation.renyi_info,
         "q_value": probe.q_value(coeffs),
     }
-    inputs = {"alpha": _angle_echo(args.alpha), **_params_dict(params)}
-    _write_output(
-        render_json(_envelope("evaluate", inputs, results)), args.out
-    )
-    return 0
 
 
-def cmd_optimal(args: argparse.Namespace) -> int:
+def cmd_optimal(args: argparse.Namespace) -> tuple[int, Any]:
     from . import optimum
 
     geom = SignalGeometry(args.alpha)
     best = optimum.optimal_overlap(args.error_rate, geom)
     families = optimum.optimal_parameter_families(args.error_rate, geom)
-    results = {
+    return 0, {
         "overlap": best.overlap,
         "renyi_info": best.renyi_bits,
         "branch": best.branch.value,
@@ -290,14 +287,9 @@ def cmd_optimal(args: argparse.Namespace) -> int:
             for family in families
         ],
     }
-    inputs = {"alpha": _angle_echo(args.alpha), "error_rate": args.error_rate}
-    _write_output(
-        render_json(_envelope("optimal", inputs, results)), args.out
-    )
-    return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, Any]:
     from . import search
 
     geom = SignalGeometry(args.alpha)
@@ -318,61 +310,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
             report = search.constrained_scan(
                 config, sink=lambda block: handle.write(_csv_block(block))
             )
-    results = {
+    return 1 if report.violations > 0 else 0, {
         "best_q": report.best_q,
-        "best_params": _params_dict(report.best_params),
+        "best_params": {
+            name: _angle_echo(value)
+            for name, value in asdict(report.best_params).items()
+        },
         "analytic_q": report.analytic_q,
         "violations": report.violations,
         "samples_evaluated": report.samples_evaluated,
     }
-    inputs = {
-        "alpha": _angle_echo(args.alpha),
-        "error_rate": args.error_rate,
-        "resolution": args.resolution,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-    }
-    _write_output(
-        render_json(_envelope("verify", inputs, results)), args.out
-    )
-    return 1 if report.violations > 0 else 0
 
 
-def cmd_capacity(args: argparse.Namespace) -> int:
+def cmd_capacity(args: argparse.Namespace) -> tuple[int, Any]:
     from . import distill, optimum
 
     geom = SignalGeometry(args.alpha)
     points = distill.capacity_curve(geom, args.e_min, args.e_max, args.steps)
-    if args.format == "csv":
-        rows = []
-        for point in points:
+    if args.format == "json":
+        return 0, [asdict(point) for point in points]
+    # The optimum exists only up to the family maximum; the capacity is
+    # defined beyond it.
+    top = optimum.max_error_rate(geom)
+    rows = []
+    for point in points:
+        q_opt = i_opt = math.nan
+        if point.error_rate <= top:
             best = optimum.optimal_overlap(point.error_rate, geom)
-            rows.append(
-                (
-                    args.alpha,
-                    point.error_rate,
-                    best.overlap,
-                    best.renyi_bits,
-                    point.capacity,
-                )
-            )
-        _write_output(
-            _csv(("alpha", "E", "Q_opt", "I_opt", "capacity"), [rows]),
-            args.out,
+            q_opt, i_opt = best.overlap, best.renyi_bits
+        rows.append(
+            (args.alpha, point.error_rate, q_opt, i_opt, point.capacity)
         )
-        return 0
-    results = [asdict(point) for point in points]
-    inputs = {
-        "alpha": _angle_echo(args.alpha),
-        "e_min": args.e_min,
-        "e_max": args.e_max,
-        "steps": args.steps,
-    }
-    _write_output(
-        render_json(_envelope("capacity", inputs, results)), args.out
-    )
-    return 0
+    return 0, _csv(("alpha", "E", "Q_opt", "I_opt", "capacity"), [rows])
 
 
 def _int_list(text: str) -> list[int]:
@@ -385,7 +354,7 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def cmd_frontier(args: argparse.Namespace) -> int:
+def cmd_frontier(args: argparse.Namespace) -> tuple[int, Any]:
     from . import distill
 
     geom = SignalGeometry(args.alpha)
@@ -414,11 +383,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         rows.append((n, e_t, args.p_fail, frontier.xi, frontier.t_f,
                      frontier.argmax_e, config.compression(frontier.t_f)))
     if args.format == "csv":
-        _write_output(
-            _csv(("n", "e_T", "p", "xi", "t_F", "argmax_e", "s"), [rows]),
-            args.out,
-        )
-        return 0
+        return 0, _csv(("n", "e_T", "p", "xi", "t_F", "argmax_e", "s"), [rows])
     results = [
         {
             "n": n,
@@ -430,41 +395,33 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         }
         for n, e_t, _, xi_value, t_f, argmax_e, s in rows
     ]
-    inputs = {
-        "alpha": _angle_echo(args.alpha),
-        "n": args.n,
-        "errors": args.errors,
-        "p_fail": args.p_fail,
-        "q_leak": args.q_leak,
-        "nu": args.nu,
-        "g": args.g,
-    }
-    payload = results[0] if len(results) == 1 else results
-    _write_output(
-        render_json(_envelope("frontier", inputs, payload)), args.out
-    )
-    return 0
+    return 0, results[0] if len(results) == 1 else results
 
 
 def _simulation_config(args: argparse.Namespace) -> simulate.SimulationConfig:
     from . import simulate
     from .optimum import FamilyTag
 
+    # The echo lists every attack argument given, so one that would not
+    # run is refused: the two attack forms do not mix.
+    angles = (args.lam, args.mu, args.theta, args.phi)
     attack: simulate.FamilyAttack | ProbeParams
-    if args.family is not None:
+    if args.family is not None and angles == (None,) * 4:
         if args.error_rate is None:
             raise QkdProbeError("--family requires --error-rate")
         attack = simulate.FamilyAttack(
             tag=FamilyTag(args.family), target_error=args.error_rate
         )
-    else:
-        angles = (args.lam, args.mu, args.theta, args.phi)
-        if any(a is None for a in angles):
-            raise QkdProbeError(
-                "specify either --family with --error-rate, or all of "
-                "--lambda --mu --theta --phi"
-            )
+    elif (args.family, args.error_rate) == (None, None) and None not in angles:
         attack = ProbeParams(*angles)
+    else:
+        raise QkdProbeError(
+            "specify either --family with --error-rate, or all of "
+            "--lambda --mu --theta --phi"
+        )
+    # Checked under either model: the fraction is echoed under both.
+    if not 0.0 <= args.q_fraction < math.inf:
+        raise QkdProbeError("--q-fraction must be finite and non-negative")
     if args.q_model == "zero":
         q_model = simulate.QLeakModel.zero()
     else:
@@ -480,40 +437,13 @@ def _simulation_config(args: argparse.Namespace) -> simulate.SimulationConfig:
     )
 
 
-def _simulate_inputs(
-    args: argparse.Namespace, config: simulate.SimulationConfig
-) -> dict[str, Any]:
-    inputs: dict[str, Any] = {
-        "m": args.m,
-        "alpha": _angle_echo(args.alpha),
-        "p_fail": args.p_fail,
-        "seed": args.seed,
-        "q_model": args.q_model,
-        "q_fraction": args.q_fraction,
-        "four_state": args.four_state,
-    }
-    if args.family is not None:
-        inputs["family"] = args.family
-        inputs["error_rate"] = args.error_rate
-    else:
-        inputs.update(_params_dict(config.attack))
-    return inputs
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[int, Any]:
     from . import simulate
 
-    config = _simulation_config(args)
-    report = simulate.run(config)
-    inputs = _simulate_inputs(args, config)
-    _write_output(
-        render_json(_envelope("simulate", inputs, asdict(report))),
-        args.out,
-    )
-    return 0
+    return 0, asdict(simulate.run(_simulation_config(args)))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, Any]:
     from . import simulate
 
     config = _simulation_config(args)
@@ -541,32 +471,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         for value, report in results
     ]
-    _write_output(
-        _csv(
-            (
-                "variable",
-                "value",
-                "n",
-                "e_T",
-                "s",
-                "final_key_len",
-                "empirical_E",
-                "empirical_rate",
-                "analytic_capacity",
-            ),
-            [rows],
+    return 0, _csv(
+        (
+            "variable",
+            "value",
+            "n",
+            "e_T",
+            "s",
+            "final_key_len",
+            "empirical_E",
+            "empirical_rate",
+            "analytic_capacity",
         ),
-        args.out,
+        [rows],
     )
-    return 0
 
 
-def cmd_possibilities(args: argparse.Namespace) -> int:
+def cmd_possibilities(args: argparse.Namespace) -> tuple[int, Any]:
     from . import optimum
 
     geom = SignalGeometry(args.alpha)
     reports = optimum.enumerate_possibilities(args.error_rate, geom)
-    results = [
+    return 0, [
         {
             "label": report.label,
             "status": report.status.value,
@@ -575,11 +501,6 @@ def cmd_possibilities(args: argparse.Namespace) -> int:
         }
         for report in reports
     ]
-    inputs = {"alpha": _angle_echo(args.alpha), "error_rate": args.error_rate}
-    _write_output(
-        render_json(_envelope("possibilities", inputs, results)), args.out
-    )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -637,7 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-min", type=float, default=0.0)
     p.add_argument("--e-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.add_argument(
+        "--format", choices=("json", "csv"), default="csv",
+        help="csv: Q_opt and I_opt are nan above the family maximum E",
+    )
     add_common(p)
     p.set_defaults(func=cmd_capacity)
 
@@ -656,18 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_frontier)
 
     def add_attack_args(p: argparse.ArgumentParser) -> None:
+        # Declared in the order the envelope echoes them: main lists the
+        # inputs in parser order.
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--alpha", type=parse_angle, required=True)
-        p.add_argument(
-            "--family",
-            choices=_FAMILY_TAGS,
-            default=None,
-        )
-        p.add_argument("--error-rate", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=parse_angle, default=None)
-        p.add_argument("--mu", type=parse_angle, default=None)
-        p.add_argument("--theta", type=parse_angle, default=None)
-        p.add_argument("--phi", type=parse_angle, default=None)
         p.add_argument("--p-fail", type=float, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
@@ -675,6 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--q-fraction", type=float, default=1.0)
         p.add_argument("--four-state", action="store_true")
+        p.add_argument("--family", choices=_FAMILY_TAGS, default=None)
+        p.add_argument("--error-rate", type=float, default=None)
+        p.add_argument("--lambda", dest="lam", type=parse_angle, default=None)
+        p.add_argument("--mu", type=parse_angle, default=None)
+        p.add_argument("--theta", type=parse_angle, default=None)
+        p.add_argument("--phi", type=parse_angle, default=None)
 
     p = sub.add_parser("simulate", help="seeded protocol simulation")
     add_attack_args(p)
@@ -704,13 +626,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, results = args.func(args)
     except QkdProbeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(results, str):
+        results = render_json(
+            {
+                "tool_version": __version__,
+                "command": args.subcommand,
+                "inputs": _inputs(args),
+                "results": results,
+                "warnings": [],
+            }
+        )
+    _write_output(results, args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -47,8 +47,10 @@ class QLeakModel:
 
     @staticmethod
     def binary_entropy(fraction: float) -> "QLeakModel":
-        if fraction < 0.0:
-            raise DomainError("leakage fraction must be non-negative")
+        if not 0.0 <= fraction < np.inf:
+            raise DomainError(
+                "leakage fraction must be finite and non-negative"
+            )
         return QLeakModel(kind="binary_entropy", fraction=fraction)
 
     def leakage_bits(self, n: int, empirical_error: float) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -24,6 +25,7 @@ from qkdprobe import (
     distill,
     evaluate,
     mu_from_constraint,
+    optimum,
     penalty_scan,
     refine,
 )
@@ -86,8 +88,6 @@ class TestAngleParsing:
         assert math.isclose(parse_angle(text), expected, abs_tol=1e-15)
 
     def test_rejects_garbage(self):
-        import argparse
-
         for text in ("two pies", "pi/0", "pi/0.0"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_angle(text)
@@ -105,7 +105,11 @@ class TestJsonRendering:
         assert render_json({"x": 1.0}) == '{\n  "x": 1\n}\n'
 
     def test_round_trips_through_json(self):
-        payload = {"a": [0.1, 2, True, None], "b": {"c": "text"}}
+        controls = "".join(map(chr, range(32)))
+        payload = {
+            "a": [0.1, 2, True, None],
+            "b": {"c": "text", "d": f'\\"{controls}\x7f\u00e9'},
+        }
         assert json.loads(render_json(payload)) == payload
 
 
@@ -506,6 +510,24 @@ class TestCapacity:
         payload = json.loads(out)
         assert len(payload["results"]) == 2
 
+    def test_csv_above_family_maximum(self, capsys):
+        # The optimum exists up to sin^2(pi/5) ~ 0.345 at pi/10, but the
+        # capacity is defined on all of [0, 1/2).
+        argv = ("capacity", "--alpha", "pi/10", "--e-max", "0.4",
+                "--steps", "9")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        points = json.loads(json_out)["results"]
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[4] for row in rows] == [
+            fmt_csv(point["capacity"]) for point in points
+        ]
+        top = optimum.max_error_rate(SignalGeometry(PI / 10))
+        above = [point["error_rate"] > top for point in points]
+        assert above == [False] * 7 + [True] * 2
+        assert [row[2:4] == ["nan", "nan"] for row in rows] == above
+
 
 class TestFrontier:
     def test_fields_and_monotonicity(self, capsys):
@@ -594,6 +616,15 @@ class TestFrontier:
         )
         assert code == 2 and out == ""
         assert "underflows" in err
+
+    def test_control_character_in_count_is_valid_json(self, capsys):
+        # int() strips the tab; the echo keeps --n as given.
+        code, out, _ = run_cli(
+            capsys, "frontier", "--alpha", "pi/8", "--n", "10000\t",
+            "--errors", "500", "--p-fail", "0.01",
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"]["n"] == "10000\t"
 
     def test_one_frontier_per_row(self, capsys, monkeypatch):
         calls = []
@@ -733,6 +764,42 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "family" in err
+
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            ["--family", "set_e", "--error-rate", "0.05", "--lambda", "0"],
+            ["--error-rate", "0.05", "--lambda", "0", "--mu", "0",
+             "--theta", "0", "--phi", "pi/4"],
+        ],
+        ids=["family-and-lambda", "error-rate-and-angles"],
+    )
+    def test_mixed_attack_arguments_exit_2(self, capsys, mix):
+        # One form would run and the other be echoed as if it had.
+        code, out, err = run_cli(
+            capsys, "simulate", "--m", "1000", "--alpha", "pi/8",
+            "--p-fail", "0.5", *mix,
+        )
+        assert code == 2 and out == ""
+        assert (
+            "specify either --family with --error-rate, or all of "
+            "--lambda --mu --theta --phi"
+        ) in err
+
+    @pytest.mark.parametrize("q_model", ["zero", "binary-entropy"])
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_q_fraction_exits_2(
+        self, capsys, q_model, fraction
+    ):
+        # The fraction is echoed under either model; nan and inf are not
+        # JSON.
+        code, out, err = run_cli(
+            capsys, "simulate", "--m", "1000", "--alpha", "pi/8",
+            "--family", "set_e", "--error-rate", "0.05", "--p-fail", "0.01",
+            "--q-model", q_model, "--q-fraction", fraction,
+        )
+        assert code == 2 and out == ""
+        assert "--q-fraction must be finite and non-negative" in err
 
 
 class TestSweepCommand:
@@ -993,6 +1060,96 @@ class TestReplay:
         )
         for i, text in enumerate(stdout):
             assert text and files[f"example{i}.out"] == text.encode()
+
+
+# JSON argv beside the README's, each with the input names it echoes
+# today; some give their options out of parser order.
+ECHO_RUNS = [
+    (["evaluate", "--phi", "0.75pi", "--alpha", "0.3927", "--lambda", "0.94",
+      "--mu", "0.49", "--theta", "0.31"],
+     ["alpha", "lam", "mu", "theta", "phi"]),
+    (["optimal", "--error-rate", "0.15", "--alpha", "pi/10"],
+     ["alpha", "error_rate"]),
+    (["verify", "--seed", "2", "--tolerance", "1e-4", "--alpha", "pi/8",
+      "--error-rate", "0.2", "--resolution", "9", "--restarts", "3",
+      "--samples-out", "samples.csv"],
+     ["alpha", "error_rate", "resolution", "restarts", "seed", "tolerance"]),
+    (["capacity", "--format", "json", "--alpha", "pi/8", "--e-min", "0.02",
+      "--e-max", "0.1", "--steps", "4"],
+     ["alpha", "e_min", "e_max", "steps"]),
+    (["frontier", "--g", "3", "--alpha", "pi/8", "--n", "10000\t",
+      "--errors", "500", "--p-fail", "0.01", "--q-leak", "100", "--nu", "5"],
+     ["alpha", "n", "errors", "p_fail", "q_leak", "nu", "g"]),
+    (["simulate", "--seed", "2", "--family", "set_h", "--m", "20000",
+      "--alpha", "pi/8", "--error-rate", "0.05", "--p-fail", "0.01",
+      "--four-state", "--q-model", "binary-entropy", "--q-fraction", "1.2"],
+     ["m", "alpha", "p_fail", "seed", "q_model", "q_fraction", "four_state",
+      "family", "error_rate"]),
+    (["simulate", "--phi", "0.75pi", "--m", "20000", "--alpha", "pi/8",
+      "--lambda", "0.3pi", "--mu", "0.156816pi", "--theta", "0.1pi",
+      "--p-fail", "0.01", "--seed", "3"],
+     ["m", "alpha", "p_fail", "seed", "q_model", "q_fraction", "four_state",
+      "lam", "mu", "theta", "phi"]),
+    (["possibilities", "--error-rate", "0.1", "--alpha", "pi/6"],
+     ["alpha", "error_rate"]),
+]
+
+
+def option_flags(command):
+    """Each parsed name of a subcommand, mapped to its option string."""
+    parser = cli_module.build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        action.dest: action.option_strings[-1]
+        for action in subparsers.choices[command]._actions
+    }
+
+
+def argv_from_echo(payload, argv):
+    """The argv the envelope's echoed inputs give, with argv's --format."""
+    flags = option_flags(payload["command"])
+    rebuilt = [payload["command"]]
+    for name, value in payload["inputs"].items():
+        if isinstance(value, bool):
+            rebuilt += [flags[name]] if value else []
+        elif isinstance(value, dict):
+            rebuilt += [flags[name], repr(value["radians"])]
+        else:
+            text = value if isinstance(value, str) else repr(value)
+            rebuilt += [flags[name], text]
+    if "--format" in argv:
+        at = argv.index("--format")
+        rebuilt += argv[at : at + 2]
+    return rebuilt
+
+
+class TestEcho:
+    @pytest.mark.parametrize(
+        "argv, names", ECHO_RUNS, ids=[argv[0] for argv, _ in ECHO_RUNS]
+    )
+    def test_input_names(self, capsys, tmp_path, monkeypatch, argv, names):
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert list(json.loads(out)["inputs"]) == names
+
+    def test_replay_from_echo(self, capsys, tmp_path, monkeypatch):
+        # Each JSON output, replayed from its echoed inputs alone.
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        replayed = 0
+        for argv in readme_examples() + [argv for argv, _ in ECHO_RUNS]:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            if not out.startswith("{"):
+                continue
+            rebuilt = argv_from_echo(json.loads(out), argv)
+            assert main(rebuilt) == 0
+            assert capsys.readouterr().out == out, rebuilt
+            replayed += 1
+        assert replayed == 14
 
 
 def readme_outputs(out_dir):

@@ -227,6 +227,12 @@ class TestRun:
         with pytest.raises(DomainError):
             QLeakModel.binary_entropy(-0.5)
 
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf])
+    def test_leakage_fraction_must_be_finite(self, fraction):
+        # A NaN fraction used to pass and fail later, as a NaN q_leak.
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            QLeakModel.binary_entropy(fraction)
+
     @pytest.mark.parametrize(
         "field, value",
         [("m", 1000.5), ("m", 1000.0), ("m", math.nan), ("seed", 1.5)],
