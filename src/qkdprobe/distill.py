@@ -25,10 +25,11 @@ becomes
 
     C' = (1 - E - max_{E' <= E} (1 - E') I*(E')) / 2.
 
-t_F is evaluated as numpy arrays by
-:func:`qkdprobe.optimum.optimal_renyi_bits`, one pass per block of
-FRONTIER_BLOCK error counts; the capacity's inner maximum sits at one
-error rate per alpha, found by a 1-D golden-section solve.
+t_F is evaluated on plain floats: its maximand is concave in e, so a
+bisection finds the peak in O(log e_T) evaluations, and a window of counts
+around it gives exactly what a loop over every e gives.  The capacity's
+inner maximum sits at one error rate per alpha, found by a 1-D
+golden-section solve.
 
 Since erfinv(1 - p) = -Phi^-1(p / 2) / sqrt(2), xi is computed from p as
 -Phi^-1(p / 2) / (2 sqrt(n)) with the standard library's
@@ -53,9 +54,9 @@ from .probe import SignalGeometry
 NORMALIZATION_TOL = 1e-9
 # Exhaustive-enumeration guard for the empirical hashing check.
 MAX_EMPIRICAL_BITS = 14
-# Error counts the defense frontier evaluates per array pass; bounds its
-# memory independently of e_t.
-FRONTIER_BLOCK = 2**16
+# Error counts the defense frontier evaluates on either side of its
+# bisected point, before the n-proportional widening.
+FRONTIER_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -236,12 +237,10 @@ def xi(n: int, p_fail: float) -> float:
     return -NormalDist().inv_cdf(half) / (2.0 * math.sqrt(n))
 
 
-def _renyi_envelope(
-    error_rate: float | np.ndarray, geom: SignalGeometry
-) -> float | np.ndarray:
+def _renyi_envelope(error_rate: float, geom: SignalGeometry) -> float:
     """I*(E) = I(min(E, E_pk)): the optimal Renyi gain, 1 bit past E_pk."""
     return optimum.optimal_renyi_bits(
-        np.minimum(error_rate, optimum.peak_error_rate(geom)), geom
+        min(error_rate, optimum.peak_error_rate(geom)), geom
     )
 
 
@@ -250,38 +249,41 @@ def defense_frontier(
 ) -> FrontierResult:
     """Upper bound t_F on the eavesdropper's Renyi information.
 
-    Maximizes n (1 - e/n) I*(e/n + xi) + xi n sqrt(1 - e/n) exactly over
-    the integers e in [0, e_t], with the monotone envelope
+    Maximizes f(e) = n (1 - e/n) I*(e/n + xi) + xi n sqrt(1 - e/n) exactly
+    over the integers e in [0, e_t], with the monotone envelope
     I*(E) = I(min(E, E_pk)): 1 bit at and beyond the peak error rate, so
-    every e_t in [0, n] is accepted.  The counts are evaluated as arrays,
-    one pass per block of FRONTIER_BLOCK counts, so memory does not grow
-    with e_t; the first strict maximum wins, as in a loop over e.  numpy's
-    vectorised log2 may differ from the C library's in the last place, so
-    t_F is re-evaluated at the maximizing count with a float argument and
-    is the float a per-count loop gives.
+    every e_t in [0, n] is accepted.  f is concave, so bisection on the
+    sign of f(e + 1) - f(e) finds its peak in O(log e_t) evaluations.
+    Rounding leaves f flat near the peak over a span of counts that grows
+    linearly with n, where that sign is noise, so the counts within
+    FRONTIER_WINDOW + n // 2^20 of the bisected point are evaluated one by
+    one and the first strict maximum wins, as in a loop over e.
     """
     n = config.n
     allowance = xi(n, config.p_fail)
 
-    def value(e: int | np.ndarray) -> float | np.ndarray:
+    def value(e: int) -> float:
         kept = 1.0 - e / n
         return n * kept * _renyi_envelope(e / n + allowance, geom) + (
-            allowance * n * np.sqrt(kept)
+            allowance * n * math.sqrt(kept)
         )
 
+    lo, hi = 0, config.e_t
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(mid + 1) > value(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    width = FRONTIER_WINDOW + n // 2**20
     best = -math.inf
     best_e = 0
-    for start in range(0, config.e_t + 1, FRONTIER_BLOCK):
-        values = value(
-            np.arange(start, min(start + FRONTIER_BLOCK, config.e_t + 1))
-        )
-        k = int(values.argmax())
-        if values[k] > best:
-            best = values[k]
-            best_e = start + k
-    return FrontierResult(
-        t_f=float(value(best_e)), argmax_e=best_e, xi=allowance
-    )
+    for e in range(max(0, lo - width), min(config.e_t, lo + width) + 1):
+        t_f = value(e)
+        if t_f > best:
+            best = t_f
+            best_e = e
+    return FrontierResult(t_f=best, argmax_e=best_e, xi=allowance)
 
 
 def compression_level(config: DistillationConfig, geom: SignalGeometry) -> int:

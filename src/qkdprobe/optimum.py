@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import probe
 from .errors import DegenerateModelError, DomainError, OutOfDomainError
 from .probe import ProbeParams, SignalGeometry
@@ -204,52 +202,45 @@ def peak_error_rate(geom: SignalGeometry) -> float:
     return s / (2.0 - s)
 
 
-def _branch_formula(
-    target_error: float | np.ndarray, trig_sq: float
-) -> float | np.ndarray:
+def _branch_formula(target_error: float, trig_sq: float) -> float:
     """[1 + (1 - 2 / trig_sq) E] / (1 - E), unchecked."""
     inv_sq = 1.0 / trig_sq
     return (1.0 + (1.0 - 2.0 * inv_sq) * target_error) / (1.0 - target_error)
 
 
-def csc_branch_overlap(
-    target_error: float | np.ndarray, geom: SignalGeometry
-) -> float | np.ndarray:
+def csc_branch_overlap(target_error: float, geom: SignalGeometry) -> float:
     """Lower-branch formula [1 + (1 - 2 csc^2 2a) E] / (1 - E).
 
     Evaluated raw at any alpha, even where it is not the constrained
-    minimum, so the two branches can be compared.  A float gives a float;
-    a numpy array of error rates gives an array, elementwise, and raises
-    DomainError if any element leaves [0, 1/2).
+    minimum, so the two branches can be compared.
     """
     probe.check_error_rate(target_error)
     return _branch_formula(target_error, geom.sin_sq_two_alpha)
 
 
-def sec_branch_overlap(
-    target_error: float | np.ndarray, geom: SignalGeometry
-) -> float | np.ndarray:
-    """Upper-branch formula [1 + (1 - 2 sec^2 2a) E] / (1 - E), raw.
-
-    Takes a float or a numpy array like :func:`csc_branch_overlap`.
-    """
+def sec_branch_overlap(target_error: float, geom: SignalGeometry) -> float:
+    """Upper-branch formula [1 + (1 - 2 sec^2 2a) E] / (1 - E), raw."""
     probe.check_error_rate(target_error)
     return _branch_formula(target_error, geom.cos_sq_two_alpha)
 
 
-def _branch_minimum(
-    target_error: float | np.ndarray, geom: SignalGeometry
-) -> float | np.ndarray:
-    """Q_min at this alpha, for a float or an array of error rates."""
-    top = probe.check_error_rate(target_error)
+def _check_attainable(target_error: float, geom: SignalGeometry) -> float:
+    """Raise unless E lies in [0, 1/2) and up to :func:`max_error_rate`;
+    returns that maximum."""
+    probe.check_error_rate(target_error)
     e_max = max_error_rate(geom)
-    if top > e_max + SEAM_TOL:
+    if target_error > e_max + SEAM_TOL:
         raise OutOfDomainError(
-            f"error rate {top!r} exceeds the attainable maximum "
+            f"error rate {target_error!r} exceeds the attainable maximum "
             f"{e_max!r} at alpha = {geom.alpha!r}"
         )
+    return e_max
+
+
+def _branch_minimum(target_error: float, geom: SignalGeometry) -> float:
+    """Q_min at this alpha."""
     # The branch's trig factor, sin^2 2a or cos^2 2a, is E_max itself.
-    return _branch_formula(target_error, e_max)
+    return _branch_formula(target_error, _check_attainable(target_error, geom))
 
 
 def optimal_overlap(
@@ -266,16 +257,9 @@ def optimal_overlap(
     )
 
 
-def optimal_renyi_bits(
-    target_error: float | np.ndarray, geom: SignalGeometry
-) -> float | np.ndarray:
-    """Maximum Renyi gain log2(2 - Q_min^2) at fixed alpha.
-
-    The ``renyi_bits`` of :func:`optimal_overlap`, with the same domain
-    checks.  A float gives a float; a numpy array of error rates is
-    evaluated elementwise in one pass and gives an array, and any
-    offending element raises.
-    """
+def optimal_renyi_bits(target_error: float, geom: SignalGeometry) -> float:
+    """Maximum Renyi gain log2(2 - Q_min^2) at fixed alpha: the
+    ``renyi_bits`` of :func:`optimal_overlap`, with the same checks."""
     return probe.renyi_info(_branch_minimum(target_error, geom))
 
 
@@ -311,12 +295,7 @@ def optimal_parameter_families(
     (up to lam -> pi - lam), which :func:`sample_params` produces; no
     free parameters remain.
     """
-    probe.check_error_rate(target_error)
-    if target_error > max_error_rate(geom) + SEAM_TOL:
-        raise OutOfDomainError(
-            f"error rate {target_error!r} exceeds the attainable maximum "
-            f"at alpha = {geom.alpha!r}"
-        )
+    _check_attainable(target_error, geom)
     if branch_for(geom) is Branch.CSC:
         families = [
             OptimumFamily(
@@ -372,12 +351,12 @@ def optimal_parameter_families(
 
 def _arcsine_angle(value: float, what: str) -> float:
     """Smallest angle x in [0, pi] with sin(2 x) = value."""
-    if abs(value) > 1.0 + probe.ARCSINE_CLAMP_TOL:
+    branches = probe._half_arcsine(value)
+    if branches is None:
         raise OutOfDomainError(
             f"{what} = {value!r} leaves [-1, 1]; the family is empty here"
         )
-    half_arc = 0.5 * math.asin(max(-1.0, min(1.0, value)))
-    return half_arc if half_arc >= 0.0 else half_arc + math.pi
+    return branches[0]
 
 
 def _upper_branch_params(

@@ -151,22 +151,12 @@ class AttackEvaluation:
     renyi_info: float
 
 
-def check_error_rate(target_error: float | np.ndarray) -> float:
-    """Raise DomainError unless every error rate lies in [0, 1/2).
-
-    Returns the largest error rate (0 for an empty array).
-    """
-    if isinstance(target_error, np.ndarray):
-        if not target_error.size:
-            return 0.0
-        # The scalar route raises for an offending extreme.
-        check_error_rate(float(target_error.min()))
-        return check_error_rate(float(target_error.max()))
+def check_error_rate(target_error: float) -> None:
+    """Raise DomainError unless the error rate lies in [0, 1/2)."""
     if not 0.0 <= target_error < 0.5:
         raise DomainError(
             f"error rate must lie in [0, 1/2); got {target_error!r}"
         )
-    return target_error
 
 
 def check_integers(owner: object, *names: str) -> None:
@@ -426,12 +416,21 @@ def _solve_mu(
         target_error,
         s2,
     )
-    if abs(rhs) > 1.0 + ARCSINE_CLAMP_TOL:
-        return rhs, None
-    half_arc = 0.5 * math.asin(max(-1.0, min(1.0, rhs)))
-    if alternate_branch:
-        return rhs, 0.5 * math.pi - half_arc
-    return rhs, half_arc if half_arc >= 0.0 else half_arc + math.pi
+    branches = _half_arcsine(rhs)
+    return rhs, None if branches is None else branches[alternate_branch]
+
+
+def _half_arcsine(value: float) -> tuple[float, float] | None:
+    """(default, alternate) x in [0, pi) with sin(2 x) = value, cos(2 x) >= 0
+    on the first and <= 0 on the second; value is clamped to [-1, 1], and
+    None is returned beyond ARCSINE_CLAMP_TOL of that range."""
+    if abs(value) > 1.0 + ARCSINE_CLAMP_TOL:
+        return None
+    half_arc = 0.5 * math.asin(max(-1.0, min(1.0, value)))
+    return (
+        half_arc if half_arc >= 0.0 else half_arc + math.pi,
+        0.5 * math.pi - half_arc,
+    )
 
 
 def constrained_observables(
@@ -527,22 +526,12 @@ def fold_mu(sin_two_mu: np.ndarray) -> np.ndarray:
     return np.where(half_arc >= 0.0, half_arc, half_arc + math.pi)
 
 
-def renyi_info(q_overlap: float | np.ndarray) -> float | np.ndarray:
+def renyi_info(q_overlap: float) -> float:
     """Renyi information gain, in bits, for a given overlap: log2(2 - Q^2).
 
-    Raises DomainError for |Q| > 1 beyond tolerance or a NaN overlap.  A
-    float gives a Python float.  A numpy array is evaluated elementwise
-    in one pass and gives an array, and any offending element raises.
-    The array route uses numpy's log2, which on some CPUs differs from
-    the C library's in the last place.
+    Raises DomainError for |Q| > 1 beyond tolerance or a NaN overlap; an
+    overlap just past +-1 within tolerance gives 0.
     """
-    if isinstance(q_overlap, np.ndarray):
-        if q_overlap.size:
-            # The scalar route raises for an offending extreme.
-            for extreme in (q_overlap.min(), q_overlap.max()):
-                renyi_info(float(extreme))
-        q_clamped = np.clip(q_overlap, -1.0, 1.0)
-        return np.log2(2.0 - q_clamped * q_clamped)
     if not abs(q_overlap) <= 1.0 + IDENTITY_TOL:
         raise DomainError(f"|overlap| must not exceed 1; got {q_overlap!r}")
     q_clamped = max(-1.0, min(1.0, q_overlap))

@@ -132,13 +132,7 @@ def _singular_lambda_points(
         sin_two_phi = 1.0 - (2.0 * target_error - 1.0 + cos_two_theta) / (
             s2 * cos_two_theta
         )
-        if abs(sin_two_phi) > 1.0 + probe.ARCSINE_CLAMP_TOL:
-            continue
-        sin_two_phi = max(-1.0, min(1.0, sin_two_phi))
-        half_arc = 0.5 * math.asin(sin_two_phi)
-        phi_default = half_arc if half_arc >= 0.0 else half_arc + math.pi
-        phi_alternate = 0.5 * math.pi - half_arc
-        for phi in (phi_default, phi_alternate):
+        for phi in probe._half_arcsine(sin_two_phi) or ():
             point = _overlap_and_error((lam, mu, theta, phi), s2)
             if point is not None:
                 rows.append((lam, theta, phi, mu, point[1], point[0]))

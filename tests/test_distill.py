@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qkdprobe import (
@@ -217,13 +220,14 @@ def clamped_gain(error_rate, geom):
     return optimal_overlap(min(error_rate, edge), geom).renyi_bits
 
 
-def loop_frontier(config, geom, gain=envelope_gain):
-    """Reference defense frontier: one scalar Renyi gain per error count."""
+def loop_frontier(config, geom, gain=envelope_gain, counts=None):
+    """Reference defense frontier: one scalar Renyi gain per error count,
+    over every count in [0, e_t] or over ``counts``."""
     n = config.n
     allowance = xi(n, config.p_fail)
     best = -math.inf
     best_e = 0
-    for e in range(config.e_t + 1):
+    for e in range(config.e_t + 1) if counts is None else counts:
         value = n * (1.0 - e / n) * gain(e / n + allowance, geom) + (
             allowance * n * math.sqrt(1.0 - e / n)
         )
@@ -233,12 +237,17 @@ def loop_frontier(config, geom, gain=envelope_gain):
     return FrontierResult(t_f=best, argmax_e=best_e, xi=allowance)
 
 
-def inner_gain(error_rate, geom):
-    """(1 - E) I*(E) for an array of error rates."""
-    peak = peak_error_rate(geom)
-    return (1.0 - error_rate) * optimal_renyi_bits(
-        np.minimum(error_rate, peak), geom
+def frontier_per_bit(x, allowance, geom):
+    """(1 - x) I*(x + xi) + xi sqrt(1 - x): the frontier's maximand per
+    sifted bit, at x = e/n on the continuum."""
+    return (1.0 - x) * envelope_gain(x + allowance, geom) + (
+        allowance * math.sqrt(1.0 - x)
     )
+
+
+def inner_gain(error_rate, geom):
+    """(1 - E) I*(E) at one error rate."""
+    return (1.0 - error_rate) * envelope_gain(error_rate, geom)
 
 
 def grid_capacity(error_rate, geom, step=1e-4):
@@ -246,18 +255,20 @@ def grid_capacity(error_rate, geom, step=1e-4):
     refined by golden section around the best grid point."""
 
     def gain(e_prime):
-        return float(inner_gain(np.array([e_prime]), geom)[0])
+        return inner_gain(e_prime, geom)
 
     if error_rate == 0.0:
         best_x = 0.0
     else:
-        grid = np.linspace(0.0, error_rate, max(2, int(error_rate / step) + 1))
-        k = int(np.argmax(inner_gain(grid, geom)))
-        lo = float(grid[max(0, k - 1)])
-        hi = float(grid[min(len(grid) - 1, k + 1)])
+        grid = np.linspace(
+            0.0, error_rate, max(2, int(error_rate / step) + 1)
+        ).tolist()
+        k = int(np.argmax([gain(e) for e in grid]))
+        lo = grid[max(0, k - 1)]
+        hi = grid[min(len(grid) - 1, k + 1)]
         best_x = _golden_section_max(gain, lo, hi)
-        if gain(float(grid[k])) > gain(best_x):
-            best_x = float(grid[k])
+        if gain(grid[k]) > gain(best_x):
+            best_x = grid[k]
     return 0.5 * (1.0 - error_rate - gain(best_x))
 
 
@@ -266,14 +277,13 @@ class TestRenyiEnvelope:
     def test_monotone_and_never_below_gain(self, alpha):
         geom = SignalGeometry(alpha)
         peak = peak_error_rate(geom)
-        rates = np.linspace(0.0, max_error_rate(geom), 2001)
-        envelope = _renyi_envelope(rates, geom)
-        gain = optimal_renyi_bits(rates, geom)
-        assert np.all(envelope >= gain)
-        below = rates <= peak
-        assert np.array_equal(envelope[below], gain[below])
-        assert np.all(envelope[~below] == 1.0)
-        assert np.all(np.diff(envelope) >= 0.0)
+        rates = np.linspace(0.0, max_error_rate(geom), 2001).tolist()
+        envelope = [_renyi_envelope(rate, geom) for rate in rates]
+        for rate, value in zip(rates, envelope):
+            gain = optimal_renyi_bits(rate, geom)
+            assert value >= gain
+            assert value == (gain if rate <= peak else 1.0)
+        assert all(a <= b for a, b in zip(envelope, envelope[1:]))
 
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
     def test_one_bit_from_peak_to_half(self, alpha):
@@ -285,31 +295,104 @@ class TestRenyiEnvelope:
 
 
 class TestFrontierOracle:
-    """The blocked array frontier against the per-count loop, bit for bit."""
+    """The bisected frontier against the per-count loop, bit for bit."""
 
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
     @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
     @pytest.mark.parametrize("fraction", [0.05, 0.7])
     def test_matches_loop(self, alpha, n, fraction):
-        # e_t = 0.7 n runs past the peak error rate at every alpha, and at
-        # n = 10^5 spans two blocks of FRONTIER_BLOCK = 2^16 counts.
+        # e_t = 0.7 n runs past the peak error rate at every alpha.
         geom = SignalGeometry(alpha)
         config = DistillationConfig(n=n, e_t=int(fraction * n), p_fail=0.01)
         got = defense_frontier(config, geom)
         assert got == loop_frontier(config, geom)
         assert type(got.t_f) is float and type(got.argmax_e) is int
 
-    @pytest.mark.parametrize("block", [1, 7, 256])
-    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
-    def test_block_size_does_not_change_result(
-        self, monkeypatch, block, alpha
-    ):
+    @given(
+        alpha=st.floats(1e-3, PI / 4 - 1e-3),
+        n=st.integers(1, 10**5),
+        fraction=st.floats(0.0, 1.0),
+        p_fail=st.floats(1e-10, 0.99),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_sweep(self, alpha, n, fraction, p_fail):
         geom = SignalGeometry(alpha)
-        config = DistillationConfig(n=2000, e_t=1400, p_fail=0.1)
-        want = loop_frontier(config, geom)
-        monkeypatch.setattr(distill, "FRONTIER_BLOCK", block)
-        assert config.e_t + 1 > block
+        config = DistillationConfig(
+            n=n, e_t=int(fraction * n), p_fail=p_fail
+        )
+        assert defense_frontier(config, geom) == loop_frontier(config, geom)
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 256])
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_window_does_not_change_result(self, monkeypatch, width, alpha):
+        # With no window at all, the bisection alone finds the loop's
+        # first maximum: inside [0, e_t], and at e_t itself.
+        geom = SignalGeometry(alpha)
+        monkeypatch.setattr(distill, "FRONTIER_WINDOW", width)
+        for e_t, inside in ((1400, True), (50, False)):
+            config = DistillationConfig(n=2000, e_t=e_t, p_fail=0.1)
+            want = loop_frontier(config, geom)
+            assert (want.argmax_e < e_t) is inside
+            assert defense_frontier(config, geom) == want
+
+    @given(
+        alpha=st.floats(1e-3, PI / 4 - 1e-3),
+        allowance=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_objective_is_concave(self, alpha, allowance):
+        # The second differences of the frontier's maximand on a grid
+        # are never above rounding.
+        geom = SignalGeometry(alpha)
+        values = [
+            frontier_per_bit(x, allowance, geom)
+            for x in np.linspace(0.0, 1.0, 2001)[:-1].tolist()
+        ]
+        assert np.diff(values, 2).max() <= 8.0 * math.ulp(1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, p_fail", [(PI / 10, 0.01), (PI / 8, 1e-10), (PI / 6, 0.5)]
+    )
+    def test_large_n_matches_wide_window(self, alpha, p_fail):
+        # At n = 10^10 the per-count loop is out of reach.  The reference
+        # is the loop over 2^16 counts on either side of the maximizer of
+        # f(x), found on the continuum independently of the library.
+        geom = SignalGeometry(alpha)
+        n = 10**10
+        config = DistillationConfig(n=n, e_t=n, p_fail=p_fail)
+        allowance = xi(n, p_fail)
+        peak = scipy.optimize.minimize_scalar(
+            lambda x: -frontier_per_bit(x, allowance, geom),
+            bounds=(0.0, 1.0),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        center = round(peak.x * n)
+        window = range(center - 2**16, center + 2**16 + 1)
+        want = loop_frontier(config, geom, counts=window)
+        assert window[0] < want.argmax_e < window[-1]
+        got = defense_frontier(config, geom)
+        assert got == want
+        # Nothing on a strided subsample of all counts beats it.
+        strided = range(0, n + 1, n // 1000)
+        assert got.t_f >= loop_frontier(config, geom, counts=strided).t_f
+
+    def test_sublinear_in_error_count(self, monkeypatch):
+        geom = SignalGeometry(PI / 8)
+        n = 10**8
+        config = DistillationConfig(n=n, e_t=n, p_fail=0.01)
+        want = defense_frontier(config, geom)
+        calls = []
+
+        def counted(error_rate, geom):
+            calls.append(error_rate)
+            return envelope_gain(error_rate, geom)
+
+        monkeypatch.setattr(distill, "_renyi_envelope", counted)
         assert defense_frontier(config, geom) == want
+        width = distill.FRONTIER_WINDOW + n // 2**20
+        bisection = 2 * math.ceil(math.log2(config.e_t + 1))
+        assert len(calls) <= bisection + 2 * width + 1
 
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
     def test_never_below_clamped_frontier(self, alpha):
@@ -355,8 +438,8 @@ class TestCapacityOracle:
     @pytest.mark.parametrize("alpha", GRID_ALPHAS)
     def test_inner_gain_is_unimodal(self, alpha):
         geom = SignalGeometry(alpha)
-        rates = np.linspace(0.0, peak_error_rate(geom), 20001)
-        steps = np.diff(inner_gain(rates, geom))
+        rates = np.linspace(0.0, peak_error_rate(geom), 20001).tolist()
+        steps = np.diff([inner_gain(rate, geom) for rate in rates])
         k = int(np.argmax(steps <= 0.0))
         assert 0 < k < len(steps)
         assert np.all(steps[:k] > 0.0) and np.all(steps[k:] < 0.0)
@@ -397,7 +480,7 @@ class TestCapacityOracle:
             point = asymptotic_capacity(float(error_rate), geom)
             assert point.inner_argmax == error_rate
             assert point.capacity == 0.5 * (
-                1.0 - error_rate - float(inner_gain(error_rate, geom))
+                1.0 - error_rate - inner_gain(float(error_rate), geom)
             )
 
 

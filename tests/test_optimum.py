@@ -81,9 +81,19 @@ class TestOptimalOverlap:
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomainError):
-            optimal_overlap(0.3, SignalGeometry(PI / 12))  # E_max = 1/4
-        with pytest.raises(OutOfDomainError):
             optimal_overlap(0.3, SignalGeometry(0.2 * PI))  # E_max ~ 0.095
+        # Every entry point that needs an attainable E gives the same
+        # class and message, naming the maximum.
+        geom = SignalGeometry(PI / 12)  # E_max = 1/4
+        for entry_point in (
+            optimal_overlap, optimal_renyi_bits, optimal_parameter_families
+        ):
+            with pytest.raises(OutOfDomainError) as info:
+                entry_point(0.3, geom)
+            assert str(info.value) == (
+                f"error rate 0.3 exceeds the attainable maximum "
+                f"{max_error_rate(geom)!r} at alpha = {PI / 12!r}"
+            )
 
     def test_error_rate_domain(self, geom_pi8):
         # Every entry point that takes an error rate rejects it with the
@@ -93,8 +103,11 @@ class TestOptimalOverlap:
             lambda e: mu_from_constraint(PI / 2, 0.0, 0.0, e, geom_pi8),
             lambda e: SearchConfig(geom=geom_pi8, target_error=e),
             lambda e: asymptotic_capacity(e, geom_pi8),
+            lambda e: csc_branch_overlap(e, geom_pi8),
+            lambda e: sec_branch_overlap(e, geom_pi8),
+            lambda e: optimal_renyi_bits(e, geom_pi8),
         )
-        for bad in (0.5, -0.01):
+        for bad in (0.5, -0.01, math.nan):
             for entry_point in entry_points:
                 with pytest.raises(DomainError) as info:
                     entry_point(bad)
@@ -107,6 +120,7 @@ class TestOptimalOverlap:
 class TestBranchFormulas:
     def test_csc_examples(self, geom_pi8):
         assert abs(csc_branch_overlap(1.0 / 3.0, geom_pi8)) < 1e-14
+        assert type(csc_branch_overlap(0.1, SignalGeometry(PI / 10))) is float
         assert (
             abs(csc_branch_overlap(0.3, SignalGeometry(PI / 5)) - 0.909509)
             < 1e-6
@@ -115,6 +129,7 @@ class TestBranchFormulas:
     def test_sec_zero_error(self):
         for alpha in (PI / 9, PI / 8, 0.22 * PI):
             assert sec_branch_overlap(0.0, SignalGeometry(alpha)) == 1.0
+        assert type(sec_branch_overlap(0.1, SignalGeometry(PI / 10))) is float
 
     def test_branch_symmetry(self):
         # The two formulas are exchanged by alpha -> pi/4 - alpha.
@@ -151,68 +166,11 @@ class TestBranchFormulas:
         assert abs(peak - root) < 1e-15
         assert abs(optimal_overlap(peak, geom).overlap) < 1e-15
         assert optimal_renyi_bits(peak, geom) == 1.0
+        assert type(optimal_renyi_bits(0.05, geom)) is float
 
     def test_peak_error_rate_at_standard_angle(self):
         assert math.isclose(peak_error_rate(SignalGeometry(PI / 8)), 1 / 3)
         assert math.isclose(peak_error_rate(SignalGeometry(PI / 12)), 1 / 7)
-
-
-def raised(fn, *args):
-    """(class, message) of the exception fn(*args) raises."""
-    with pytest.raises(DomainError) as info:
-        fn(*args)
-    return type(info.value), str(info.value)
-
-
-class TestArrayKernel:
-    """The branch formulas and the optimal gain take floats or arrays."""
-
-    RATES = np.linspace(0.0, 0.34, 69)
-    GEOM = SignalGeometry(PI / 10)  # E_max = sin^2(pi/5) ~ 0.345
-
-    @pytest.mark.parametrize(
-        "formula", [csc_branch_overlap, sec_branch_overlap]
-    )
-    def test_branch_formula_matches_scalar_route(self, formula):
-        assert type(formula(0.1, self.GEOM)) is float
-        values = formula(self.RATES, self.GEOM)
-        assert isinstance(values, np.ndarray)
-        scalars = [formula(float(e), self.GEOM) for e in self.RATES]
-        np.testing.assert_array_equal(values, scalars)
-
-    def test_optimal_gain_matches_scalar_route(self):
-        # numpy's vectorised log2 may differ from math.log2 by one ulp.
-        for alpha in (PI / 10, 0.2 * PI):
-            geom = SignalGeometry(alpha)
-            rates = np.linspace(0.0, max_error_rate(geom), 69)
-            assert type(optimal_renyi_bits(0.05, geom)) is float
-            values = optimal_renyi_bits(rates, geom)
-            assert isinstance(values, np.ndarray)
-            scalars = [
-                optimal_overlap(float(e), geom).renyi_bits for e in rates
-            ]
-            np.testing.assert_array_max_ulp(values, scalars, maxulp=1)
-
-    @pytest.mark.parametrize(
-        "formula", [csc_branch_overlap, sec_branch_overlap, optimal_renyi_bits]
-    )
-    @pytest.mark.parametrize("bad", [0.5, -0.01, math.nan])
-    def test_error_rate_checked_elementwise(self, formula, bad):
-        rates = np.array([0.1, bad, 0.2])
-        assert raised(formula, rates, self.GEOM) == raised(
-            formula, bad, self.GEOM
-        )
-
-    def test_attainable_maximum_checked_elementwise(self):
-        geom = SignalGeometry(PI / 12)  # E_max = 1/4
-        rates = np.array([0.0, 0.3, 0.1])
-        assert raised(optimal_renyi_bits, rates, geom) == raised(
-            optimal_overlap, 0.3, geom
-        )
-        assert raised(optimal_renyi_bits, rates, geom)[0] is OutOfDomainError
-
-    def test_empty_array(self):
-        assert optimal_renyi_bits(np.array([]), self.GEOM).shape == (0,)
 
 
 class TestFamilies:

@@ -367,6 +367,9 @@ class TestRenyiInfo:
         assert math.isclose(
             renyi_info(1.0 / 3.0), math.log2(17.0 / 9.0), abs_tol=1e-15
         )
+        assert type(renyi_info(0.25)) is float
+        # An overlap just past +-1, within tolerance, clamps to no gain.
+        assert renyi_info(1.0 + 1e-13) == renyi_info(-1.0 - 1e-13) == 0.0
 
     def test_monotone_decreasing_in_magnitude(self):
         values = [renyi_info(q) for q in np.linspace(0.0, 1.0, 101)]
@@ -374,24 +377,9 @@ class TestRenyiInfo:
         assert renyi_info(-1.0) == 0.0
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            renyi_info(1.001)
-
-    def test_array_matches_scalar_route(self):
-        overlaps = np.linspace(-1.0 - 1e-13, 1.0 + 1e-13, 401)
-        assert type(renyi_info(0.25)) is float
-        values = renyi_info(overlaps)
-        assert isinstance(values, np.ndarray)
-        # numpy's vectorised log2 may differ from math.log2 by one ulp.
-        np.testing.assert_array_max_ulp(
-            values, [renyi_info(float(q)) for q in overlaps], maxulp=1
-        )
-        assert values[0] == values[-1] == 0.0
-
-    @pytest.mark.parametrize("bad", [1.001, -1.001, math.nan])
-    def test_domain_error_elementwise(self, bad):
-        with pytest.raises(DomainError) as scalar:
-            renyi_info(bad)
-        with pytest.raises(DomainError) as array:
-            renyi_info(np.array([0.5, bad, 0.0]))
-        assert str(array.value) == str(scalar.value)
+        for bad in (1.001, -1.001, math.nan):
+            with pytest.raises(DomainError) as info:
+                renyi_info(bad)
+            assert str(info.value) == (
+                f"|overlap| must not exceed 1; got {bad!r}"
+            )
