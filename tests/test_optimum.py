@@ -103,9 +103,6 @@ class TestOptimalOverlap:
             lambda e: mu_from_constraint(PI / 2, 0.0, 0.0, e, geom_pi8),
             lambda e: SearchConfig(geom=geom_pi8, target_error=e),
             lambda e: asymptotic_capacity(e, geom_pi8),
-            lambda e: csc_branch_overlap(e, geom_pi8),
-            lambda e: sec_branch_overlap(e, geom_pi8),
-            lambda e: optimal_renyi_bits(e, geom_pi8),
         )
         for bad in (0.5, -0.01, math.nan):
             for entry_point in entry_points:
@@ -171,6 +168,40 @@ class TestBranchFormulas:
     def test_peak_error_rate_at_standard_angle(self):
         assert math.isclose(peak_error_rate(SignalGeometry(PI / 8)), 1 / 3)
         assert math.isclose(peak_error_rate(SignalGeometry(PI / 12)), 1 / 7)
+
+
+def raised(fn, *args):
+    """(class, message) of the exception fn(*args) raises."""
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestArrayKernel:
+    """The Renyi-chain kernels, mapped one float at a time over a list."""
+
+    GEOM = SignalGeometry(PI / 10)  # E_max = sin^2(pi/5) ~ 0.345
+
+    @pytest.mark.parametrize(
+        "formula", [csc_branch_overlap, sec_branch_overlap, optimal_renyi_bits]
+    )
+    @pytest.mark.parametrize("bad", [0.5, -0.01, math.nan])
+    def test_error_rate_checked_elementwise(self, formula, bad):
+        # The first bad rate in the list raises what optimal_overlap raises.
+        def over_rates():
+            return [formula(e, self.GEOM) for e in (0.1, bad, 0.2)]
+
+        assert raised(over_rates) == raised(optimal_overlap, bad, self.GEOM)
+        assert raised(over_rates)[0] is DomainError
+
+    def test_attainable_maximum_checked_elementwise(self):
+        geom = SignalGeometry(PI / 12)  # E_max = 1/4
+
+        def over_rates():
+            return [optimal_renyi_bits(e, geom) for e in (0.0, 0.3, 0.1)]
+
+        assert raised(over_rates) == raised(optimal_overlap, 0.3, geom)
+        assert raised(over_rates)[0] is OutOfDomainError
 
 
 class TestFamilies:

@@ -377,9 +377,12 @@ class TestRenyiInfo:
         assert renyi_info(-1.0) == 0.0
 
     def test_domain_error(self):
-        for bad in (1.001, -1.001, math.nan):
-            with pytest.raises(DomainError) as info:
-                renyi_info(bad)
-            assert str(info.value) == (
-                f"|overlap| must not exceed 1; got {bad!r}"
-            )
+        with pytest.raises(DomainError):
+            renyi_info(1.001)
+
+    @pytest.mark.parametrize("bad", [1.001, -1.001, math.nan])
+    def test_domain_error_elementwise(self, bad):
+        # Over a list of overlaps, the first bad one raises with its value.
+        with pytest.raises(DomainError) as info:
+            [renyi_info(q) for q in (0.5, bad, 0.0)]
+        assert str(info.value) == f"|overlap| must not exceed 1; got {bad!r}"
