@@ -17,10 +17,14 @@ Angles are accepted as raw radians or as multiples of pi: ``0.3927``,
 Importing this module loads only ``qkdprobe.probe`` and
 ``qkdprobe.errors``, which is all that parsing, ``--help``, ``--version``
 and ``evaluate`` need.  Every other subcommand imports the modules it
-runs when it is dispatched: ``optimal`` and ``possibilities`` load
-``optimum`` (with ``roots``), ``verify`` loads ``search``, ``capacity``
-and ``frontier`` load ``distill``, and ``simulate`` and ``sweep`` load
-``simulate``.
+runs when it is dispatched: ``optimal`` loads ``optimum``, ``verify``
+loads ``search``, ``capacity`` and ``frontier`` load ``distill``, and
+``simulate`` and ``sweep`` load ``simulate``.  Only ``possibilities``
+loads ``roots``, for its polynomial root scans.  numpy is loaded only by
+the subcommands that work on arrays or seeded numpy streams: ``verify``,
+``simulate``, ``sweep`` and ``possibilities``.  ``evaluate``,
+``optimal``, ``capacity``, ``frontier``, ``--help`` and ``--version``
+run on plain floats and never import it.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ import tempfile
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__, probe
 from .errors import QkdProbeError
 from .probe import ProbeParams, SignalGeometry
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import simulate
 
 # The values of optimum.FamilyTag, written out so that parsing the
@@ -89,6 +93,9 @@ _JSON_ESCAPES = str.maketrans(
 
 
 def _json_render(obj: Any, depth: int, indent: int = 2) -> str:
+    # A numpy scalar can exist only once numpy is loaded, so the numpy
+    # type checks run only then and never import it.
+    np = sys.modules.get("numpy")
     pad = " " * (indent * (depth + 1))
     close_pad = " " * (indent * depth)
     if isinstance(obj, dict):
@@ -107,11 +114,11 @@ def _json_render(obj: Any, depth: int, indent: int = 2) -> str:
             f"{pad}{_json_render(val, depth + 1, indent)}" for val in seq
         )
         return "[\n" + items + "\n" + close_pad + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool) or (np and isinstance(obj, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int) or (np and isinstance(obj, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float) or (np and isinstance(obj, np.floating)):
         return _fmt_json(float(obj))
     if obj is None:
         return "null"
@@ -197,15 +204,18 @@ def _csv_block(block: np.ndarray | Sequence[Sequence[Any]]) -> str:
     rows, where each run of rows with one type signature is rendered with
     one %-format repeated once per row.
     """
-    if isinstance(block, np.ndarray):
+    # As in _json_render: numpy objects exist only once numpy is loaded.
+    np = sys.modules.get("numpy")
+    if np and isinstance(block, np.ndarray):
         return _float_rows(block)
+    floats = (float, np.floating) if np else float
     parts = []
     for kinds, rows in itertools.groupby(
         map(tuple, block), key=lambda row: tuple(map(type, row))
     ):
         rows = list(rows)
         fmt = ",".join(
-            "%.12g" if issubclass(kind, (float, np.floating)) else "%s"
+            "%.12g" if issubclass(kind, floats) else "%s"
             for kind in kinds
         ) + "\n"
         parts.append(
@@ -222,6 +232,8 @@ def _float_rows(block: np.ndarray) -> str:
     its bits, formatted once; the text is what formatting every value
     gives.
     """
+    import numpy as np
+
     block = np.asarray(block, dtype=np.float64)
     count, width = block.shape
     bits = block.view(np.int64)

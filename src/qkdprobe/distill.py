@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import optimum, probe
 from .errors import DomainError, NotNormalizedError, TooLargeError
 from .probe import SignalGeometry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Normalization tolerance for input probability distributions.
 NORMALIZATION_TOL = 1e-9
@@ -128,6 +129,10 @@ def renyi_information(probabilities: Sequence[float], l_bits: int) -> float:
     Returns l + log2(sum p^2); zero for the uniform distribution and l
     for a point mass.
     """
+    # Imported here, like the other toy-source helpers: the frontier and
+    # the capacity run on floats and never load numpy.
+    import numpy as np
+
     probs = np.asarray(probabilities, dtype=float)
     if l_bits < 0:
         raise DomainError("bit count must be non-negative")
@@ -152,6 +157,8 @@ def pa_shannon_bound(renyi_bits: float, compression_bits: float) -> float:
 
 
 def _shannon_entropy(probs: np.ndarray) -> float:
+    import numpy as np
+
     positive = probs[probs > 0.0]
     return float(-(positive * np.log2(positive)).sum())
 
@@ -180,6 +187,8 @@ def pa_empirical_check(
         raise DomainError("compression must lie in [0, l]")
     if hash_count < 1:
         raise DomainError("hash_count must be positive")
+    import numpy as np
+
     probs = np.asarray(source, dtype=float)
     renyi = renyi_information(probs, l_bits)
     bound = pa_shannon_bound(renyi, compression_bits)
@@ -362,9 +371,26 @@ def capacity_curve(
         raise DomainError("steps must be positive")
     if e_max < e_min:
         raise DomainError("e_max must not be below e_min")
-    return _capacity_points(
-        [float(e) for e in np.linspace(e_min, e_max, steps)], geom
-    )
+    return _capacity_points(_linspace(e_min, e_max, steps), geom)
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 1 evenly spaced floats from start to stop, bit for bit
+    ``np.linspace(start, stop, num)``: the i-th is i * step + start, and
+    the last is stop itself."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:
+        # numpy's branch for a step that underflows: scale i / div instead.
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
 
 
 def binary_entropy(x: float) -> float:

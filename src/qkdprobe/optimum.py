@@ -41,7 +41,6 @@ from typing import Iterable, Mapping, Sequence
 from . import probe
 from .errors import DegenerateModelError, DomainError, OutOfDomainError
 from .probe import ProbeParams, SignalGeometry
-from .roots import real_roots_in_interval
 
 # alpha values within this distance of pi/8 count as the branch seam.
 SEAM_TOL = 1e-12
@@ -687,6 +686,10 @@ def possibility_d_feasibility(
     E = 1/2) are excluded.  ``feasible`` is True only if some chain
     matches within 1e-6.
     """
+    # Imported here: only possibility (D) solves polynomials, and roots
+    # brings numpy with it.
+    from .roots import real_roots_in_interval
+
     e_grid = list(e_grid)
     s2 = geom.sin_sq_two_alpha
     c2 = geom.cos_sq_two_alpha

@@ -24,7 +24,10 @@ sin^2 2a between E, the numerator and the radicand, sin^2(lam) sin(2 mu)
 between a and b, and d and cos^2(lam) cos(2 theta) sin(2 phi) between the
 coefficients and the constraint on sin(2 mu).  The array form returns
 sin(2 mu) rather than mu, so a scan pays for the arcsine (:func:`fold_mu`)
-only on the nodes it reports.
+only on the nodes it reports.  Only those array kernels
+(:func:`constrained_observables` and the scan bodies behind it, and
+:func:`fold_mu`) import numpy, when first called; the scalar functions
+run on ``math`` alone, so a caller that needs no arrays never loads it.
 
 Everything in this module is a pure function of immutable value types and
 is safe for unrestricted concurrent use.
@@ -36,8 +39,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateModelError,
@@ -45,6 +47,9 @@ from .errors import (
     InfeasibleConstraintError,
     SingularLambdaError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerance for exact-identity checks (row sums, probability ranges).
 IDENTITY_TOL = 1e-12
@@ -464,6 +469,9 @@ def constrained_observables(
 
 def _double_angle_trig(angle):
     """(cos 2x, sin 2x) of a float or array angle x."""
+    # Imported here: only the array kernels need numpy.
+    import numpy as np
+
     return np.cos(2.0 * angle), np.sin(2.0 * angle)
 
 
@@ -471,6 +479,8 @@ def _constrained_nodes(lam, theta_trig, phi_trig, target_error, s2):
     """The body of :func:`constrained_observables`, given the
     :func:`_double_angle_trig` factors of theta and phi, so a scan can
     work them out once for all its lam planes; s2 = sin^2(2a)."""
+    import numpy as np
+
     cos_two_theta, sin_two_theta = theta_trig
     cos_two_phi, sin_two_phi = phi_trig
     sin_lam = np.sin(lam)
@@ -522,6 +532,8 @@ def _constrained_nodes(lam, theta_trig, phi_trig, target_error, s2):
 def fold_mu(sin_two_mu: np.ndarray) -> np.ndarray:
     """mu on the default branch of :func:`mu_from_constraint`, in [0, pi)
     with cos(2 mu) >= 0, from an array of sin(2 mu) in [-1, 1]."""
+    import numpy as np
+
     half_arc = 0.5 * np.arcsin(sin_two_mu)
     return np.where(half_arc >= 0.0, half_arc, half_arc + math.pi)
 

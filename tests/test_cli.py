@@ -1249,20 +1249,23 @@ print(json.dumps({
 
 # The qkdprobe modules one CLI call loads, by subcommand.
 _CLI_MODULES = {"qkdprobe", "qkdprobe.cli", "qkdprobe.errors", "qkdprobe.probe"}
-_OPTIMUM_MODULES = _CLI_MODULES | {"qkdprobe.optimum", "qkdprobe.roots"}
+_OPTIMUM_MODULES = _CLI_MODULES | {"qkdprobe.optimum"}
 _DISTILL_MODULES = _OPTIMUM_MODULES | {"qkdprobe.distill"}
 LOADED_MODULES = {
     "evaluate": _CLI_MODULES,
     "--version": _CLI_MODULES,
     "--help": _CLI_MODULES,
     "optimal": _OPTIMUM_MODULES,
-    "possibilities": _OPTIMUM_MODULES,
+    "possibilities": _OPTIMUM_MODULES | {"qkdprobe.roots"},
     "verify": _OPTIMUM_MODULES | {"qkdprobe.search"},
     "capacity": _DISTILL_MODULES,
     "frontier": _DISTILL_MODULES,
     "simulate": _DISTILL_MODULES | {"qkdprobe.simulate"},
     "sweep": _DISTILL_MODULES | {"qkdprobe.simulate"},
 }
+# The calls that work on arrays or seeded numpy streams; the rest run on
+# floats and must not import numpy.
+NUMPY_CALLS = {"verify", "simulate", "sweep", "possibilities"}
 
 LOADED_SCRIPT = """
 import json, sys
@@ -1273,7 +1276,9 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "qkdprobe")
-print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+numpy = "numpy" in sys.modules
+print(json.dumps({"code": code, "loaded": loaded, "numpy": numpy}),
+      file=sys.stderr)
 """
 
 
@@ -1294,6 +1299,7 @@ class TestStartup:
         report = json.loads(child.stderr.splitlines()[-1])
         assert report["code"] == 0, child.stderr
         assert set(report["loaded"]) == LOADED_MODULES[argv[0]]
+        assert report["numpy"] == (argv[0] in NUMPY_CALLS)
 
     def test_family_choices_are_the_family_tags(self):
         # The literal choices cli parses --family with, pinned to the enum.

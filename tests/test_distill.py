@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -28,6 +28,7 @@ from qkdprobe.distill import (
     CapacityPoint,
     FrontierResult,
     _golden_section_max,
+    _linspace,
     _renyi_envelope,
     binary_entropy,
 )
@@ -37,6 +38,7 @@ from qkdprobe.optimum import (
     optimal_renyi_bits,
     peak_error_rate,
 )
+from qkdprobe.probe import renyi_info
 
 PI = math.pi
 ORACLE_ALPHAS = [PI / 12, PI / 10, PI / 8, PI / 6]
@@ -89,6 +91,49 @@ class TestRenyiInformation:
             probs = raw / raw.sum()
             info = renyi_information(probs, 4)
             assert -1e-12 <= info <= 4.0
+
+
+def helstrom_collision_info(q):
+    """Collision information of a uniform bit b about the outcome of the
+    symmetric (Helstrom) measurement on two pure states with overlap q.
+
+    |psi_b> = cos g |0> + (-1)^b sin g |1> with cos 2g = q, measured in
+    the basis (|0> +- |1>)/sqrt(2), bisecting the two states.
+    """
+    g = 0.5 * math.acos(q)
+    states = np.array(
+        [[math.cos(g), math.sin(g)], [math.cos(g), -math.sin(g)]]
+    )
+    basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    joint = 0.5 * (states @ basis.T) ** 2  # joint[b, m] = P(b, m)
+    info = 0.0
+    for outcome in range(2):
+        p_outcome = joint[:, outcome].sum()
+        conditional = joint[:, outcome] / p_outcome
+        info += p_outcome * renyi_information(conditional, 1)
+    return info
+
+
+class TestRenyiGainFromMeasurement:
+    """log2(2 - Q^2) is what a measurement of the probe states teaches:
+    the paper's Renyi gain, checked from first principles."""
+
+    OVERLAPS = np.linspace(-1.0, 1.0, 2001).tolist()
+
+    @staticmethod
+    def largest_gap(gain):
+        return max(
+            abs(helstrom_collision_info(q) - gain(q))
+            for q in TestRenyiGainFromMeasurement.OVERLAPS
+        )
+
+    def test_equals_renyi_info(self):
+        assert self.largest_gap(renyi_info) <= 1e-14
+
+    def test_rejects_a_wrong_gain(self):
+        # The check has power: log2(1 + Q^2) swaps the roles of Q and
+        # sqrt(1 - Q^2) and fails it.
+        assert self.largest_gap(lambda q: math.log2(1.0 + q * q)) > 1e-14
 
 
 class TestPaShannonBound:
@@ -684,6 +729,51 @@ class TestCapacityCurve:
         curve = capacity_curve(geom, 0.0, 0.49, 40)
         assert [point.error_rate for point in curve] == list(rates)
         assert curve == [asymptotic_capacity(float(e), geom) for e in rates]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        span=st.one_of(
+            # Any rates in [0, 0.49], also equal ones.
+            st.floats(0.0, 0.49).flatmap(
+                lambda lo: st.tuples(
+                    st.just(lo), st.one_of(st.just(lo), st.floats(lo, 0.49))
+                )
+            ),
+            # Subnormal widths, a few units (where numpy's step underflows
+            # to zero) or up to the largest subnormal.
+            st.tuples(
+                st.integers(0, 2**20),
+                st.integers(0, 600) | st.integers(0, 2**52 - 1),
+            ).map(lambda ks: (ks[0] * 5e-324, (ks[0] + ks[1]) * 5e-324)),
+        ),
+        steps=st.integers(1, 500),
+    )
+    @example(span=(0.07, 0.2), steps=1)
+    @example(span=(0.1, 0.1), steps=7)
+    @example(span=(0.0, 3 * 5e-324), steps=10)
+    @example(span=(0.0, 0.49), steps=500)
+    def test_rates_are_numpys_linspace(self, span, steps):
+        e_min, e_max = span
+        curve = capacity_curve(SignalGeometry(PI / 8), e_min, e_max, steps)
+        rates = [point.error_rate for point in curve]
+        expected = np.linspace(e_min, e_max, steps).tolist()
+        assert list(map(float.hex, rates)) == list(map(float.hex, expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.floats(allow_nan=False),
+        stop=st.floats(allow_nan=False),
+        num=st.integers(1, 50),
+    )
+    @example(start=-1.7e308, stop=1.7e308, num=1)
+    @example(start=-1.7e308, stop=1.7e308, num=3)
+    def test_linspace_on_any_floats(self, start, stop, num):
+        # The float formula holds numpy's own branches, infinite and
+        # overflowing spans included.
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, num).tolist()
+        points = _linspace(start, stop, num)
+        assert list(map(float.hex, points)) == list(map(float.hex, expected))
 
     def test_one_inner_solve_per_curve(self, geom_pi8, monkeypatch):
         calls = []

@@ -249,7 +249,10 @@ class TestScalarScanOracle:
             solved.append((list(coeffs), lo, hi, kwargs))
             return real_roots_in_interval(coeffs, lo, hi, **kwargs)
 
-        monkeypatch.setattr(optimum, "real_roots_in_interval", recording)
+        # optimum imports the root finder from its module on each call.
+        monkeypatch.setattr(
+            roots_module, "real_roots_in_interval", recording
+        )
         optimum.possibility_d_feasibility(SignalGeometry(alpha), D_RATES)
         assert len(solved) == 3 * len(D_RATES)
         for coeffs, lo, hi, kwargs in solved:
