@@ -38,12 +38,11 @@ import re
 import stat
 import sys
 import tempfile
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, probe
 from .errors import QkdProbeError
-from .probe import ProbeParams, SignalGeometry
+from .probe import ProbeParams, SignalGeometry, asdict
 
 if TYPE_CHECKING:
     import numpy as np

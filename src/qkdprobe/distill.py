@@ -9,7 +9,12 @@ bits, where
 
 collects the defense frontier t_F (the bound on eavesdropper Renyi
 information), error-correction leakage q, multi-photon leakage nu, and a
-safety margin g.  The defense frontier for the individual attack is
+safety margin g.  Except with probability p_fail, t_F bounds the probe's
+Renyi information on the n - e_T bits that survive error correction, the
+bits privacy amplification compresses: (n - e_T) I*(E) at the true error
+rate E, not n I*(E) on all n sifted bits (``TestFrontierCoverage`` in
+tests/test_distill.py measures both readings).  The defense frontier for
+the individual attack is
 
     t_F(n, e_T) = max_{e <= e_T} { n (1 - e/n) I*(e/n + xi)
                                    + xi sqrt(n^2 (1 - e/n)) }
@@ -41,12 +46,11 @@ a small p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import optimum, probe
 from .errors import DomainError, NotNormalizedError, TooLargeError
-from .probe import SignalGeometry
+from .probe import SignalGeometry, value_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,7 +64,7 @@ MAX_EMPIRICAL_BITS = 14
 FRONTIER_WINDOW = 256
 
 
-@dataclass(frozen=True)
+@value_type
 class DistillationConfig:
     """Inputs of one key-distillation round.
 
@@ -95,7 +99,7 @@ class DistillationConfig:
         return math.ceil(t_f + self.q_leak + self.nu + self.g)
 
 
-@dataclass(frozen=True)
+@value_type
 class FrontierResult:
     """Defense frontier t_F, the error count attaining it, and xi."""
 
@@ -104,7 +108,7 @@ class FrontierResult:
     xi: float
 
 
-@dataclass(frozen=True)
+@value_type
 class CapacityPoint:
     """Asymptotic secrecy capacity at one error rate."""
 
@@ -113,7 +117,7 @@ class CapacityPoint:
     inner_argmax: float
 
 
-@dataclass(frozen=True)
+@value_type
 class PaCheckResult:
     """Empirical check of the privacy-amplification bound."""
 

@@ -34,13 +34,12 @@ do), which is expected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from . import probe
 from .errors import DegenerateModelError, DomainError, OutOfDomainError
-from .probe import ProbeParams, SignalGeometry
+from .probe import ProbeParams, SignalGeometry, value_type
 
 # alpha values within this distance of pi/8 count as the branch seam.
 SEAM_TOL = 1e-12
@@ -60,7 +59,7 @@ class Branch(Enum):
     SEC = "sec"  # alpha >= pi/8
 
 
-@dataclass(frozen=True)
+@value_type
 class BranchedOptimum:
     """Optimum overlap and Renyi information at one (E, alpha)."""
 
@@ -77,7 +76,7 @@ class FamilyTag(Enum):
     SET_PHI_NEG = "set_phi_neg"  # sin(2 phi) = -1 family, alpha = pi/8 only
 
 
-@dataclass(frozen=True)
+@value_type
 class OptimumFamily:
     """A constraint set whose members all attain the optimum overlap."""
 
@@ -86,7 +85,7 @@ class OptimumFamily:
     free_parameters: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@value_type
 class StationaryResiduals:
     """Residuals of the three constant-E stationarity conditions.
 
@@ -108,7 +107,7 @@ class StationaryResiduals:
     f3: float
 
 
-@dataclass(frozen=True)
+@value_type
 class SignPair:
     """Sign choices (cos 2theta, sin 2phi) = (e_theta, e_phi) at corners."""
 
@@ -156,7 +155,7 @@ class PossibilityStatus(Enum):
     INFEASIBLE_NUMERICALLY = "infeasible_numerically"
 
 
-@dataclass(frozen=True)
+@value_type
 class PossibilityReport:
     """Outcome of one of the twelve stationarity case combinations."""
 
@@ -166,7 +165,7 @@ class PossibilityReport:
     detail: str
 
 
-@dataclass(frozen=True)
+@value_type
 class DFeasibilityReport:
     """Joint-root evidence that possibility (D) has no solution."""
 

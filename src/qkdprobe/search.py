@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +46,7 @@ from .errors import (
     EmptyFeasibleSetError,
     InfeasibleConstraintError,
 )
-from .probe import ProbeParams, SignalGeometry
+from .probe import ProbeParams, SignalGeometry, value_type
 
 # Substream indices for counter-based seed splitting.
 _RESTART_STREAM = 1
@@ -56,7 +55,7 @@ _PENALTY_STREAM = 2
 _INFEASIBLE = 4.0
 
 
-@dataclass(frozen=True)
+@value_type
 class SearchConfig:
     """Inputs of a verification scan."""
 
@@ -85,7 +84,7 @@ class SearchConfig:
             raise DomainError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
+@value_type
 class SearchReport:
     """Outcome of a scan: the best point found versus the analytic value."""
 

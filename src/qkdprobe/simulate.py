@@ -21,7 +21,6 @@ the compression level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Union
 
 import numpy as np
@@ -29,12 +28,12 @@ import numpy as np
 from . import distill, optimum, probe
 from .errors import DegenerateRunError, DomainError, OutOfDomainError
 from .optimum import FamilyTag
-from .probe import ProbeParams, SignalGeometry
+from .probe import ProbeParams, SignalGeometry, replace, value_type
 
 _SWEEP_STREAM = 7
 
 
-@dataclass(frozen=True)
+@value_type
 class QLeakModel:
     """Error-correction leakage model: none, or f * n * h2(E) bits."""
 
@@ -59,7 +58,7 @@ class QLeakModel:
         return self.fraction * n * distill.binary_entropy(empirical_error)
 
 
-@dataclass(frozen=True)
+@value_type
 class FamilyAttack:
     """Attack specified as an optimum family at a target error rate."""
 
@@ -67,7 +66,7 @@ class FamilyAttack:
     target_error: float
 
 
-@dataclass(frozen=True)
+@value_type
 class SimulationConfig:
     """Inputs of one protocol simulation."""
 
@@ -89,7 +88,7 @@ class SimulationConfig:
             raise DomainError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
+@value_type
 class SimulationReport:
     """Counts and rates of one simulated transmission."""
 

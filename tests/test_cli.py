@@ -1276,8 +1276,10 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "qkdprobe")
-numpy = "numpy" in sys.modules
-print(json.dumps({"code": code, "loaded": loaded, "numpy": numpy}),
+print(json.dumps({"code": code, "loaded": loaded,
+                  "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules}),
       file=sys.stderr)
 """
 
@@ -1300,6 +1302,12 @@ class TestStartup:
         assert report["code"] == 0, child.stderr
         assert set(report["loaded"]) == LOADED_MODULES[argv[0]]
         assert report["numpy"] == (argv[0] in NUMPY_CALLS)
+        # The value types are built without dataclasses, which imports
+        # inspect; numpy imports inspect itself, so only the numpy-free
+        # calls can go without it.
+        assert report["dataclasses"] is False
+        if argv[0] not in NUMPY_CALLS:
+            assert report["inspect"] is False
 
     def test_family_choices_are_the_family_tags(self):
         # The literal choices cli parses --family with, pinned to the enum.

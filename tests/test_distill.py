@@ -588,6 +588,65 @@ class TestDefenseFrontier:
             defense_frontier(config, geom_pi8)
 
 
+COVERAGE_DRAWS = 20_000
+
+
+def frontier_failure_rate(alpha, error_rate, n, p_fail, bits_bounded, seed):
+    """P-hat[t_F(n, e_T) < bits_bounded(n, e_T) I*(E)] over seeded draws
+    e_T ~ Binomial(n, E): how often the frontier falls short of the
+    information a probe at the true error rate E holds."""
+    geom = SignalGeometry(alpha)
+    gain = envelope_gain(error_rate, geom)
+    rng = np.random.default_rng(seed)
+    counts = rng.binomial(n, error_rate, COVERAGE_DRAWS)
+    failures = 0
+    # t_F once per distinct count.
+    for e_t, draws in zip(*np.unique(counts, return_counts=True)):
+        config = DistillationConfig(n=n, e_t=int(e_t), p_fail=p_fail)
+        t_f = defense_frontier(config, geom).t_f
+        if t_f < bits_bounded(n, int(e_t)) * gain:
+            failures += int(draws)
+    return failures / COVERAGE_DRAWS
+
+
+def corrected_bits(n, e_t):
+    return n - e_t
+
+
+def sifted_bits(n, e_t):
+    return n
+
+
+def three_sigma_above(p_fail):
+    return p_fail + 3.0 * math.sqrt(p_fail * (1.0 - p_fail) / COVERAGE_DRAWS)
+
+
+class TestFrontierCoverage:
+    """The frontier's guarantee, measured (Slutsky et al. 1998): except
+    with probability p_fail, t_F(n, e_T) bounds the Renyi information of
+    a probe at the true error rate E on the n - e_T corrected bits."""
+
+    @pytest.mark.parametrize("n", [10**3, 10**4])
+    @pytest.mark.parametrize("error_rate", [0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("alpha", [PI / 10, PI / 8], ids=["pi10", "pi8"])
+    def test_failure_rate_within_p_fail(self, alpha, error_rate, n):
+        for seed, p_fail in enumerate((0.5, 0.1, 0.01)):
+            rate = frontier_failure_rate(
+                alpha, error_rate, n, p_fail, corrected_bits, seed
+            )
+            assert rate <= three_sigma_above(p_fail), (p_fail, rate)
+
+    def test_all_sifted_bits_reading_is_rejected(self):
+        # Read as a bound on the information in all n sifted bits, the
+        # frontier fails far more often than p_fail allows.
+        p_fail = 0.01
+        rate = frontier_failure_rate(
+            PI / 10, 0.1, 10**4, p_fail, sifted_bits, seed=11
+        )
+        assert rate > three_sigma_above(p_fail)
+        assert rate > 0.5
+
+
 class TestCompressionLevel:
     def test_additivity_of_integer_leakage(self, geom_pi8):
         base = DistillationConfig(n=10**4, e_t=500, p_fail=0.01)
