@@ -21,10 +21,11 @@ runs when it is dispatched: ``optimal`` loads ``optimum``, ``verify``
 loads ``search``, ``capacity`` and ``frontier`` load ``distill``, and
 ``simulate`` and ``sweep`` load ``simulate``.  Only ``possibilities``
 loads ``roots``, for its polynomial root scans.  numpy is loaded only by
-the subcommands that work on arrays or seeded numpy streams: ``verify``,
-``simulate``, ``sweep`` and ``possibilities``.  ``evaluate``,
-``optimal``, ``capacity``, ``frontier``, ``--help`` and ``--version``
-run on plain floats and never import it.
+the subcommands that work on arrays: ``verify`` and ``possibilities``.
+``evaluate``, ``optimal``, ``capacity``, ``frontier``, ``--help`` and
+``--version`` run on plain floats, and ``simulate`` and ``sweep`` draw
+numpy's seeded stream from the ``simulate`` module's own port of it, so
+none of them imports numpy.
 """
 
 from __future__ import annotations

@@ -17,13 +17,19 @@ errors of each state are one Binomial draw with that state's flip
 probability, so memory does not grow with m.  The probe's own measurement
 outcomes are not simulated: eavesdropper knowledge enters only through
 the compression level.
+
+The counts come from numpy's ``default_rng(seed)`` stream, PCG64 seeded
+through ``SeedSequence``, reproduced bit for bit in plain Python by
+:class:`_Generator`, so the simulator runs without importing numpy.
+Its binomial draws are numpy's: inversion for n*p <= 30, otherwise
+BTPE (Kachitvichyanukul & Schmeiser, Comm. ACM 31, 216 (1988)), with
+p > 1/2 drawn as n minus a draw at 1 - p.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Literal, Union
-
-import numpy as np
 
 from . import distill, optimum, probe
 from .errors import DegenerateRunError, DomainError, OutOfDomainError
@@ -31,6 +37,18 @@ from .optimum import FamilyTag
 from .probe import ProbeParams, SignalGeometry, replace, value_type
 
 _SWEEP_STREAM = 7
+
+# The largest count numpy's binomial takes (its C int64).
+_INT64_MAX = 2**63 - 1
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+# SeedSequence's hash constants, and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @value_type
@@ -46,7 +64,7 @@ class QLeakModel:
 
     @staticmethod
     def binary_entropy(fraction: float) -> "QLeakModel":
-        if not 0.0 <= fraction < np.inf:
+        if not 0.0 <= fraction < math.inf:
             raise DomainError(
                 "leakage fraction must be finite and non-negative"
             )
@@ -82,6 +100,10 @@ class SimulationConfig:
         probe.check_integers(self, "m", "seed")
         if self.m < 1:
             raise DomainError("m must be a positive integer")
+        if self.m > _INT64_MAX:
+            raise DomainError(
+                "m must be at most 2**63 - 1, the largest count drawn"
+            )
         if not 0.0 < self.p_fail < 1.0:
             raise DomainError("p_fail must lie in (0, 1)")
         if self.seed < 0:
@@ -130,8 +152,8 @@ def run(config: SimulationConfig) -> SimulationReport:
             "can be distilled at E >= 1/2"
         )
 
-    rng = np.random.default_rng(config.seed)
-    n = int(rng.binomial(config.m, 0.5))
+    rng = _Generator(config.seed)
+    n = rng.binomial(config.m, 0.5)
     if n == 0:
         raise DegenerateRunError("no sifted bits survived basis sifting")
 
@@ -139,12 +161,12 @@ def run(config: SimulationConfig) -> SimulationReport:
         probs = probe.detection_probabilities(coeffs, config.geom)
         flip_u = min(max(probs.p_u_ubar, 0.0), 1.0)
         flip_ubar = min(max(probs.p_ubar_u, 0.0), 1.0)
-        sent_u = int(rng.binomial(n, 0.5))
-        e_t = int(rng.binomial(sent_u, flip_u)) + int(
-            rng.binomial(n - sent_u, flip_ubar)
+        sent_u = rng.binomial(n, 0.5)
+        e_t = rng.binomial(sent_u, flip_u) + rng.binomial(
+            n - sent_u, flip_ubar
         )
     else:
-        e_t = int(rng.binomial(n, analytic_error))
+        e_t = rng.binomial(n, analytic_error)
 
     empirical_error = e_t / n
     q_leak = config.q_model.leakage_bits(n, empirical_error)
@@ -166,9 +188,219 @@ def run(config: SimulationConfig) -> SimulationReport:
 
 
 def _derived_seed(seed: int, index: int) -> int:
-    return int(
-        np.random.SeedSequence([seed, _SWEEP_STREAM, index]).generate_state(1)[0]
-    )
+    """numpy's SeedSequence([seed, 7, index]).generate_state(1)[0]."""
+    return _seed_state((seed, _SWEEP_STREAM, index), 1)[0]
+
+
+def _seed_state(entropy: Iterable[int], n_words: int) -> list[int]:
+    """numpy's SeedSequence(entropy).generate_state(n_words): uint32 words.
+
+    Each non-negative integer enters as its 32-bit words, low word first;
+    the words are hashed into a pool of four, which is then hashed out.
+    """
+    words = []
+    for value in entropy:
+        value = int(value)
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(n_words):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return state
+
+
+def _int64(value: int) -> int:
+    """value wrapped to a C int64, as numpy's compiled arithmetic wraps."""
+    return (value + 2**63 & _MASK64) - 2**63
+
+
+class _Generator:
+    """numpy's ``default_rng(seed)``: PCG64 (XSL-RR 128/64) and its
+    binomial draws, step for step, so every seed gives numpy's integers."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int) -> None:
+        words = _seed_state((seed,), 8)
+        seed_hi, seed_lo, inc_hi, inc_lo = (
+            words[i] | words[i + 1] << 32 for i in range(0, 8, 2)
+        )
+        self._inc = (inc_hi << 64 | inc_lo) << 1 & _MASK128 | 1
+        state = self._inc + (seed_hi << 64 | seed_lo) & _MASK128
+        self._state = state * _PCG64_MULT + self._inc & _MASK128
+
+    def _next_double(self) -> float:
+        state = self._state * _PCG64_MULT + self._inc & _MASK128
+        self._state = state
+        value = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        value = (value >> rot | value << 64 - rot) & _MASK64
+        return (value >> 11) * (1.0 / 9007199254740992.0)
+
+    def binomial(self, n: int, p: float) -> int:
+        """One Binomial(n, p) draw, refused as numpy refuses it."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("p < 0, p > 1 or p is NaN")
+        if n < 0:
+            raise ValueError("n < 0")
+        if n == 0 or p == 0.0:
+            return 0
+        if p <= 0.5:
+            if p * n <= 30.0:
+                return self._inversion(n, p)
+            return self._btpe(n, p)
+        q = 1.0 - p
+        if q * n <= 30.0:
+            return n - self._inversion(n, q)
+        return n - self._btpe(n, q)
+
+    def _inversion(self, n: int, p: float) -> int:
+        q = 1.0 - p
+        qn = math.exp(n * math.log1p(-p))
+        np_ = n * p
+        limit = np_ + 10.0 * math.sqrt(np_ * q + 1)
+        bound = n if n < limit else int(limit)
+        x = 0
+        px = qn
+        u = self._next_double()
+        while u > px:
+            x += 1
+            if x > bound:
+                x = 0
+                px = qn
+                u = self._next_double()
+            else:
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+        return x
+
+    def _btpe(self, n: int, p: float) -> int:
+        # Steps 0-6 of the paper, for p <= 1/2, in numpy's floating-point
+        # order; n + 1 and -k * k are int64 there, and wrap near n = 2**63.
+        q = 1.0 - p
+        fm = n * p + p
+        m = math.floor(fm)
+        p1 = math.floor(2.195 * math.sqrt(n * p * q) - 4.6 * q) + 0.5
+        xm = m + 0.5
+        xl = xm - p1
+        xr = xm + p1
+        c = 0.134 + 20.5 / (15.3 + m)
+        a = (fm - xl) / (fm - xl * p)
+        laml = a * (1.0 + a / 2.0)
+        a = (xr - fm) / (xr * q)
+        lamr = a * (1.0 + a / 2.0)
+        p2 = p1 * (1.0 + 2.0 * c)
+        p3 = p2 + c / laml
+        p4 = p3 + c / lamr
+        nrq = n * p * q
+        while True:
+            # Step 1: the triangle, accepted at once.
+            u = self._next_double() * p4
+            v = self._next_double()
+            if u <= p1:
+                return math.floor(xm - p1 * v + u)
+            if u <= p2:
+                # Step 2: the parallelograms.
+                x = xl + (u - p1) / c
+                v = v * c + 1.0 - abs(m - x + 0.5) / p1
+                if v > 1.0:
+                    continue
+                y = math.floor(x)
+            elif u <= p3:
+                # Step 3: the left exponential tail.
+                if v == 0.0:
+                    continue
+                y = math.floor(xl + math.log(v) / laml)
+                if y < 0:
+                    continue
+                v = v * (u - p2) * laml
+            else:
+                # Step 4: the right exponential tail.
+                if v == 0.0:
+                    continue
+                y = math.floor(xr - math.log(v) / lamr)
+                if y > n:
+                    continue
+                v = v * (u - p3) * lamr
+
+            k = abs(y - m)
+            if k <= 20 or k >= nrq / 2.0 - 1:
+                # Step 5.1: the exact ratio f(y) / f(m), by recursion.
+                s = p / q
+                a = s * _int64(n + 1)
+                f = 1.0
+                if m < y:
+                    for i in range(m + 1, y + 1):
+                        f *= a / i - s
+                elif m > y:
+                    for i in range(y + 1, m + 1):
+                        f /= a / i - s
+                if v > f:
+                    continue
+                return y
+
+            # Step 5.2: squeeze on log(v).
+            rho = (k / nrq) * (
+                (k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5
+            )
+            t = _int64(-k * k) / (2 * nrq)
+            # C's log is -inf at 0 and NaN below; either accepts y.
+            big_a = math.log(v) if v > 0.0 else -math.inf
+            if big_a < t - rho:
+                return y
+            if big_a > t + rho:
+                continue
+
+            # Step 5.3: the final test, with Stirling's corrections.
+            x1 = float(y + 1)
+            f1 = float(m + 1)
+            z = float(n + 1 - m)
+            w = float(n - y + 1)
+            bound = (
+                xm * math.log(f1 / x1)
+                + (n - m + 0.5) * math.log(z / w)
+                + (y - m) * math.log(w * p / (x1 * q))
+            )
+            for term in (f1, x1, z, w):
+                term2 = term * term
+                bound += (
+                    (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / term2)
+                                         / term2) / term2) / term2)
+                    / term / 166320.0
+                )
+            if big_a > bound:
+                continue
+            return y
 
 
 def sweep(

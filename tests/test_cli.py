@@ -751,6 +751,19 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert "seed must be non-negative" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_m_past_int64_exits_2(self, capsys, command):
+        # Counts are drawn as 64-bit integers; one past them used to end
+        # in an OverflowError traceback and exit 1.
+        code, out, err = run_cli(
+            capsys, command, "--m", str(2**63), "--alpha", "pi/8",
+            "--family", "set_e", "--error-rate", "0.05", "--p-fail", "0.01",
+            *(["--variable", "error-rate", "--values", "0.05"]
+              if command == "sweep" else []),
+        )
+        assert code == 2 and out == ""
+        assert "m must be at most 2**63 - 1" in err
+
     def test_incomplete_attack_arguments(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -1263,9 +1276,9 @@ LOADED_MODULES = {
     "simulate": _DISTILL_MODULES | {"qkdprobe.simulate"},
     "sweep": _DISTILL_MODULES | {"qkdprobe.simulate"},
 }
-# The calls that work on arrays or seeded numpy streams; the rest run on
-# floats and must not import numpy.
-NUMPY_CALLS = {"verify", "simulate", "sweep", "possibilities"}
+# The calls that work on arrays; the rest, the seeded simulator among
+# them, run on floats and integers and must not import numpy.
+NUMPY_CALLS = {"verify", "possibilities"}
 
 LOADED_SCRIPT = """
 import json, sys

@@ -24,7 +24,8 @@ from qkdprobe import distill
 from qkdprobe import run as run_simulation
 from qkdprobe import sweep as run_sweep
 from qkdprobe.errors import DegenerateRunError, DomainError, OutOfDomainError
-from qkdprobe.simulate import resolve_attack
+from qkdprobe.simulate import _derived_seed, _Generator, resolve_attack
+from qkdprobe import simulate
 
 PI = math.pi
 
@@ -191,7 +192,7 @@ class TestRun:
             pytest.fail("ran past the error-rate check")
 
         monkeypatch.setattr(distill, "defense_frontier", refuse)
-        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(simulate, "_Generator", refuse)
         with pytest.raises(
             DomainError, match=re.escape(f"error rate E = {analytic!r}")
         ):
@@ -227,6 +228,16 @@ class TestRun:
         with pytest.raises(DomainError):
             QLeakModel.binary_entropy(-0.5)
 
+    def test_m_within_int64(self):
+        # numpy's binomial takes n as a C int64; the largest is accepted
+        # (not run: the frontier at n ~ 2**62 takes ~10**12 counts).
+        assert set_e_config(m=2**63 - 1).m == 2**63 - 1
+        for m in (2**63, np.uint64(2**63), 10**30):
+            with pytest.raises(
+                DomainError, match=re.escape("m must be at most 2**63 - 1")
+            ):
+                set_e_config(m=m)
+
     @pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf])
     def test_leakage_fraction_must_be_finite(self, fraction):
         # A NaN fraction used to pass and fail later, as a NaN q_leak.
@@ -244,6 +255,105 @@ class TestRun:
     def test_numpy_integer_counts_accepted(self):
         config = set_e_config(m=np.int64(100_000), seed=np.int32(4))
         assert run_simulation(config) == run_simulation(set_e_config())
+
+
+# Counts at every branch of numpy's binomial: inversion up to n*p = 30,
+# BTPE above it, and 2**63 - 1, where numpy's int64 arithmetic wraps.
+STREAM_COUNTS = [0, 1, 29, 30, 31, 61, 10**3, 10**7, 10**12, 2**63 - 1]
+
+
+def stream_probabilities(n: int) -> list[float]:
+    """p at the branch edges for n: n*p = 30 and its neighbours, 1/2 and
+    just above it (the reflection), the ends, and seeded random p."""
+    rng = np.random.default_rng(n % 1000)
+    edges = [0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.5, math.nextafter(0.5, 1.0)]
+    if n > 30:
+        at_30 = 30 / n
+        assert at_30 * n == 30.0
+        edges += [at_30, math.nextafter(at_30, 1.0), 1.0 - at_30]
+    return edges + [float(p) for p in rng.random(6)]
+
+
+class TestSeededStream:
+    """The generator against numpy's default_rng, the oracle, draw for draw."""
+
+    @pytest.mark.parametrize("n", STREAM_COUNTS)
+    def test_binomial_equals_numpy(self, n):
+        for p in stream_probabilities(n):
+            for seed in range(0, 200, 5):
+                ours, oracle = _Generator(seed), np.random.default_rng(seed)
+                # Three draws per generator, so the state carries over.
+                for _ in range(3):
+                    assert ours.binomial(n, p) == oracle.binomial(n, p), (
+                        n, p, seed
+                    )
+
+    def test_binomial_equals_numpy_at_random_counts(self):
+        pick = np.random.default_rng(2024)
+        for seed in range(1000):
+            ours, oracle = _Generator(seed), np.random.default_rng(seed)
+            for _ in range(6):
+                n = int(pick.integers(0, 10 ** int(pick.integers(1, 19))))
+                scale = [1.0, 1e-3, 40.0 / max(n, 1)][int(pick.integers(3))]
+                p = min(float(pick.random()) * scale, 1.0)
+                if pick.random() < 0.5:
+                    p = 1.0 - p
+                assert ours.binomial(n, p) == oracle.binomial(n, p), (
+                    n, p, seed
+                )
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 4, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 17, 3**90,
+         np.int32(4), np.uint32(2**32 - 1), np.int64(2**40 + 3),
+         np.uint64(2**64 - 1)],
+    )
+    def test_seeds_equal_numpy(self, seed):
+        # Seeds of one, two and three or more 32-bit words, Python or numpy.
+        for index in (0, 1, 2, 2**32 + 5):
+            assert _derived_seed(seed, index) == int(
+                np.random.SeedSequence([seed, 7, index]).generate_state(1)[0]
+            )
+        ours, oracle = _Generator(seed), np.random.default_rng(seed)
+        for n, p in [(10**6, 0.5), (50, 0.1), (10**12, 0.9)] * 2:
+            assert ours.binomial(n, p) == oracle.binomial(n, p)
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(-1, 0.5), (-(2**40), 0.5), (10, math.nan), (10, -5e-324),
+         (10, math.nextafter(1.0, 2.0)), (10, math.inf), (-1, math.nan)],
+    )
+    def test_refusals_equal_numpy(self, n, p):
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(0).binomial(n, p)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            _Generator(0).binomial(n, p)
+
+    def test_run_draws_numpy_counts(self):
+        # run's counts are numpy's draws in order: sifting, then errors.
+        for four_state in (False, True):
+            config = set_e_config(
+                attack=FamilyAttack(FamilyTag.SET_H, 0.1),
+                four_state_sampler=four_state,
+            )
+            report = run_simulation(config)
+            rng = np.random.default_rng(config.seed)
+            n = rng.binomial(config.m, 0.5)
+            assert report.n == n
+            params = resolve_attack(config)
+            if four_state:
+                probs = detection_probabilities(
+                    coefficients(params), config.geom
+                )
+                sent_u = rng.binomial(n, 0.5)
+                e_t = rng.binomial(sent_u, probs.p_u_ubar) + rng.binomial(
+                    n - sent_u, probs.p_ubar_u
+                )
+            else:
+                e_t = rng.binomial(
+                    n, error_rate(coefficients(params), config.geom)
+                )
+            assert report.e_t == e_t
 
 
 class TestSweep:
