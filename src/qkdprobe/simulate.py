@@ -269,6 +269,8 @@ class _Generator:
 
     def binomial(self, n: int, p: float) -> int:
         """One Binomial(n, p) draw, refused as numpy refuses it."""
+        # A numpy integer n would overflow in the int64 emulation of BTPE.
+        n = int(n)
         if not 0.0 <= p <= 1.0:
             raise ValueError("p < 0, p > 1 or p is NaN")
         if n < 0:
@@ -391,7 +393,7 @@ class _Generator:
                 + (n - m + 0.5) * math.log(z / w)
                 + (y - m) * math.log(w * p / (x1 * q))
             )
-            for term in (f1, x1, z, w):
+            for term in (f1, z, x1, w):
                 term2 = term * term
                 bound += (
                     (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / term2)

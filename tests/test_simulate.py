@@ -253,8 +253,13 @@ class TestRun:
             set_e_config(**{field: value})
 
     def test_numpy_integer_counts_accepted(self):
-        config = set_e_config(m=np.int64(100_000), seed=np.int32(4))
-        assert run_simulation(config) == run_simulation(set_e_config())
+        # Over many seeds, so some first draws reach BTPE's exact-ratio
+        # step (k <= 20 off the triangle), where n + 1 is int64 arithmetic.
+        for seed in range(200):
+            config = set_e_config(m=np.int64(100_000), seed=np.int32(seed))
+            assert run_simulation(config) == run_simulation(
+                set_e_config(seed=seed)
+            ), seed
 
 
 # Counts at every branch of numpy's binomial: inversion up to n*p = 30,
@@ -301,6 +306,17 @@ class TestSeededStream:
                 assert ours.binomial(n, p) == oracle.binomial(n, p), (
                     n, p, seed
                 )
+
+    @pytest.mark.parametrize("count_type", [np.int64, np.uint64])
+    def test_binomial_equals_numpy_at_numpy_integer_counts(self, count_type):
+        # BTPE and inversion both, with every region of BTPE reached.
+        for n, p in [(100_000, 0.5), (10**7, 0.3), (1000, 0.01), (61, 0.7)]:
+            for seed in range(300):
+                ours, oracle = _Generator(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    assert ours.binomial(count_type(n), p) == int(
+                        oracle.binomial(count_type(n), p)
+                    ), (n, p, seed)
 
     @pytest.mark.parametrize(
         "seed",
