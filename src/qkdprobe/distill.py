@@ -46,14 +46,11 @@ a small p.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import optimum, probe
 from .errors import DomainError, NotNormalizedError, TooLargeError
 from .probe import SignalGeometry, value_type
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Normalization tolerance for input probability distributions.
 NORMALIZATION_TOL = 1e-9
@@ -131,40 +128,33 @@ def renyi_information(probabilities: Sequence[float], l_bits: int) -> float:
     """Order-2 (collision) information of a distribution on l-bit strings.
 
     Returns l + log2(sum p^2); zero for the uniform distribution and l
-    for a point mass.
+    for a point mass.  The probabilities must be finite, non-negative and
+    sum to 1 within NORMALIZATION_TOL.
     """
-    # Imported here, like the other toy-source helpers: the frontier and
-    # the capacity run on floats and never load numpy.
-    import numpy as np
-
-    probs = np.asarray(probabilities, dtype=float)
+    probe.check_integer("l_bits", l_bits)
     if l_bits < 0:
         raise DomainError("bit count must be non-negative")
-    if probs.shape != (2**l_bits,):
+    probs = [float(p) for p in probabilities]
+    if len(probs) != 2**l_bits:
         raise DomainError(
-            f"expected 2^{l_bits} probabilities, got shape {probs.shape}"
+            f"expected 2^{l_bits} probabilities, got {len(probs)}"
         )
-    total = float(probs.sum())
+    if not all(map(math.isfinite, probs)):
+        raise NotNormalizedError("probabilities must be finite")
+    total = math.fsum(probs)
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalizedError(
             f"probabilities sum to {total!r}, not 1 within "
             f"{NORMALIZATION_TOL}"
         )
-    if np.any(probs < -NORMALIZATION_TOL):
+    if min(probs) < -NORMALIZATION_TOL:
         raise NotNormalizedError("probabilities must be non-negative")
-    return l_bits + math.log2(float(np.square(probs).sum()))
+    return l_bits + math.log2(math.fsum(p * p for p in probs))
 
 
 def pa_shannon_bound(renyi_bits: float, compression_bits: float) -> float:
     """Bound 2^(r - s) / ln 2 on the averaged post-hash Shannon information."""
     return 2.0 ** (renyi_bits - compression_bits) / math.log(2.0)
-
-
-def _shannon_entropy(probs: np.ndarray) -> float:
-    import numpy as np
-
-    positive = probs[probs > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
 
 
 def pa_empirical_check(
@@ -181,7 +171,19 @@ def pa_empirical_check(
     l - s bits and compares the averaged Shannon information on the
     output against 2^(r - s)/ln 2, where r is the source's collision
     information.  ``holds`` allows three Monte Carlo standard errors.
+
+    The matrices are numpy's ``default_rng(seed).integers(0, 2, size=(l -
+    s, l))``, one per hash in turn, drawn bit for bit by the simulator's
+    pure-Python generator, and output bit i of outcome x is the parity of
+    x's bits j (bit j of weight 2^j) under row i.
     """
+    for name, value in (
+        ("l_bits", l_bits),
+        ("compression_bits", compression_bits),
+        ("hash_count", hash_count),
+        ("seed", seed),
+    ):
+        probe.check_integer(name, value)
     if l_bits > MAX_EMPIRICAL_BITS:
         raise TooLargeError(
             f"l = {l_bits} exceeds the exhaustive-enumeration guard "
@@ -191,34 +193,39 @@ def pa_empirical_check(
         raise DomainError("compression must lie in [0, l]")
     if hash_count < 1:
         raise DomainError("hash_count must be positive")
-    import numpy as np
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
+    # Imported here: simulate imports this module.
+    from .simulate import _Generator
 
-    probs = np.asarray(source, dtype=float)
+    probs = [float(p) for p in source]
     renyi = renyi_information(probs, l_bits)
     bound = pa_shannon_bound(renyi, compression_bits)
     out_bits = l_bits - compression_bits
 
-    rng = np.random.default_rng(seed)
-    if out_bits == 0:
-        observed = np.zeros(hash_count)
-    else:
-        # Bit matrix of all 2^l source outcomes, one row per outcome.
-        outcomes = (
-            np.arange(2**l_bits)[:, None] >> np.arange(l_bits)[None, :]
-        ) & 1
-        weights = 1 << np.arange(out_bits)
-        observed = np.empty(hash_count)
+    observed = [0.0] * hash_count
+    if out_bits:
+        rng = _Generator(seed)
         for k in range(hash_count):
-            matrix = rng.integers(0, 2, size=(out_bits, l_bits))
-            hashed = (outcomes @ matrix.T) & 1
-            indices = hashed @ weights
-            p_out = np.bincount(
-                indices, weights=probs, minlength=2**out_bits
+            bits = rng.bits(out_bits * l_bits)
+            # The hashed index of every outcome, in outcome order: x maps
+            # to the XOR of the columns at its set bits.
+            hashed = [0]
+            for j in range(l_bits):
+                column = sum(
+                    bits[i * l_bits + j] << i for i in range(out_bits)
+                )
+                hashed += [index ^ column for index in hashed]
+            p_out = [0.0] * 2**out_bits
+            for index, p in zip(hashed, probs):
+                p_out[index] += p
+            observed[k] = out_bits + math.fsum(
+                p * math.log2(p) for p in p_out if p > 0.0
             )
-            observed[k] = out_bits - _shannon_entropy(p_out)
-    mean = float(observed.mean())
+    mean = math.fsum(observed) / hash_count
     sigma = (
-        float(observed.std(ddof=1)) / math.sqrt(hash_count)
+        math.sqrt(math.fsum((x - mean) ** 2 for x in observed)
+                  / (hash_count - 1)) / math.sqrt(hash_count)
         if hash_count > 1
         else 0.0
     )

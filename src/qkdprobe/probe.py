@@ -271,9 +271,13 @@ def check_integers(owner: object, *names: str) -> None:
     """Raise DomainError unless each named attribute of owner is an
     integer, a Python or numpy one; a float is refused even when whole."""
     for name in names:
-        value = getattr(owner, name)
-        if not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer; got {value!r}")
+        check_integer(name, getattr(owner, name))
+
+
+def check_integer(name: str, value: object) -> None:
+    """Raise DomainError unless value is a Python or numpy integer."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer; got {value!r}")
 
 
 def _shared_terms(sin_sq_lam, cos_sq_lam, cos_two_theta, sin_two_phi):

@@ -19,12 +19,14 @@ strategies are provided:
 derivative-free simplex search, re-solving mu at every step.  Both
 simplex searches run on this module's own Nelder-Mead, a step-for-step
 port of scipy's with the standard coefficients, so qkdprobe needs only
-numpy at run time.  Every route (grid planes, sin(lam) = 0 planes,
-simplex objectives, penalty finals) evaluates on floats or float arrays
-through the one body of the probe formulas, in the order the public
-scalar functions use, so every value equals what ``mu_from_constraint``,
-``coefficients``, ``overlap`` and ``error_rate`` give; a ``ProbeParams``
-is built only for a point a search returns.
+numpy at run time; :func:`constrained_scan` and :func:`penalty_scan`
+import it when first called, and :func:`refine` never does.  Every
+route (grid planes, sin(lam) = 0 planes, simplex objectives, penalty
+finals) evaluates on floats or float arrays through the one body of the
+probe formulas, in the order the public scalar functions use, so every
+value equals what ``mu_from_constraint``, ``coefficients``, ``overlap``
+and ``error_rate`` give; a ``ProbeParams`` is built only for a point a
+search returns.
 
 All randomness derives from the config seed through counter-based
 splitting, so identical configs produce bit-identical reports; grid and
@@ -36,9 +38,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import optimum, probe
 from .errors import (
@@ -47,6 +47,9 @@ from .errors import (
     InfeasibleConstraintError,
 )
 from .probe import ProbeParams, SignalGeometry, value_type
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Substream indices for counter-based seed splitting.
 _RESTART_STREAM = 1
@@ -160,6 +163,8 @@ def constrained_scan(
     Raises EmptyFeasibleSetError if no sampled point can meet the error
     constraint.
     """
+    import numpy as np
+
     geom = config.geom
     target = config.target_error
     grid = np.linspace(0.0, math.pi, config.grid_resolution)
@@ -431,6 +436,8 @@ def _penalty_finals(
     """Raw Nelder-Mead finals (Q, E, angles) of the penalty objective, the
     four angles (lam, mu, theta, phi) folded into [0, pi); a final whose
     overlap radicand is non-positive is dropped."""
+    import numpy as np
+
     s2 = config.geom.sin_sq_two_alpha
     target = config.target_error
 

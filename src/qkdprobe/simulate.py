@@ -23,7 +23,11 @@ through ``SeedSequence``, reproduced bit for bit in plain Python by
 :class:`_Generator`, so the simulator runs without importing numpy.
 Its binomial draws are numpy's: inversion for n*p <= 30, otherwise
 BTPE (Kachitvichyanukul & Schmeiser, Comm. ACM 31, 216 (1988)), with
-p > 1/2 drawn as n minus a draw at 1 - p.
+p > 1/2 drawn as n minus a draw at 1 - p.  Its ``bits`` are numpy's
+``integers(0, 2, size)``, which draw the hash matrices of
+:func:`qkdprobe.distill.pa_empirical_check`: Lemire's bounded draw on
+32-bit words, each 64-bit PCG64 output giving its low half first and
+keeping its high half for the next word.
 """
 
 from __future__ import annotations
@@ -201,6 +205,9 @@ def _seed_state(entropy: Iterable[int], n_words: int) -> list[int]:
     words = []
     for value in entropy:
         value = int(value)
+        if value < 0:
+            # Shifting a negative int never reaches 0.
+            raise ValueError("expected non-negative integer")
         words.append(value & _MASK32)
         value >>= 32
         while value:
@@ -245,10 +252,11 @@ def _int64(value: int) -> int:
 
 
 class _Generator:
-    """numpy's ``default_rng(seed)``: PCG64 (XSL-RR 128/64) and its
-    binomial draws, step for step, so every seed gives numpy's integers."""
+    """numpy's ``default_rng(seed)``: PCG64 (XSL-RR 128/64), its binomial
+    draws and its ``integers(0, 2, size)``, step for step, so every seed
+    gives numpy's integers."""
 
-    __slots__ = ("_state", "_inc")
+    __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger")
 
     def __init__(self, seed: int) -> None:
         words = _seed_state((seed,), 8)
@@ -258,14 +266,34 @@ class _Generator:
         self._inc = (inc_hi << 64 | inc_lo) << 1 & _MASK128 | 1
         state = self._inc + (seed_hi << 64 | seed_lo) & _MASK128
         self._state = state * _PCG64_MULT + self._inc & _MASK128
+        # The high half of a 64-bit output, kept for the next 32-bit draw.
+        self._has_uint32 = False
+        self._uinteger = 0
 
-    def _next_double(self) -> float:
+    def _next_uint64(self) -> int:
         state = self._state * _PCG64_MULT + self._inc & _MASK128
         self._state = state
         value = (state >> 64 ^ state) & _MASK64
         rot = state >> 122
-        value = (value >> rot | value << 64 - rot) & _MASK64
-        return (value >> 11) * (1.0 / 9007199254740992.0)
+        return (value >> rot | value << 64 - rot) & _MASK64
+
+    def _next_double(self) -> float:
+        return (self._next_uint64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def _next_uint32(self) -> int:
+        if self._has_uint32:
+            self._has_uint32 = False
+            return self._uinteger
+        value = self._next_uint64()
+        self._has_uint32 = True
+        self._uinteger = value >> 32
+        return value & _MASK32
+
+    def bits(self, count: int) -> list[int]:
+        """numpy's ``integers(0, 2, size=count)``, or any shape of count
+        entries read row-major: Lemire's bounded draw with range 2 never
+        rejects, so each bit is bit 31 of the next 32-bit word."""
+        return [self._next_uint32() >> 31 for _ in range(count)]
 
     def binomial(self, n: int, p: float) -> int:
         """One Binomial(n, p) draw, refused as numpy refuses it."""
@@ -384,25 +412,38 @@ class _Generator:
                 continue
 
             # Step 5.3: the final test, with Stirling's corrections.
-            x1 = float(y + 1)
-            f1 = float(m + 1)
-            z = float(n + 1 - m)
-            w = float(n - y + 1)
-            bound = (
-                xm * math.log(f1 / x1)
-                + (n - m + 0.5) * math.log(z / w)
-                + (y - m) * math.log(w * p / (x1 * q))
-            )
-            for term in (f1, z, x1, w):
-                term2 = term * term
-                bound += (
-                    (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / term2)
-                                         / term2) / term2) / term2)
-                    / term / 166320.0
-                )
-            if big_a > bound:
+            if big_a > _stirling_bound(n, p, q, m, xm, y):
                 continue
             return y
+
+
+def _stirling_bound(n: int, p: float, q: float, m: int, xm: float, y: int
+                    ) -> float:
+    """BTPE step 5.3's bound on log f(y) / f(m), f the Binomial(n, p) mass,
+    as numpy computes it, term for term and in its order of addition.
+
+    The four Stirling corrections enter as numpy writes them, which is not
+    the exact ratio: those of y + 1 and n - y + 1 are added where the
+    ratio subtracts them, and the leading constant is 13680 where 1/(12 t)
+    needs 13860 (``TestStirlingBound`` in tests/test_simulate.py).
+    """
+    x1 = float(y + 1)
+    f1 = float(m + 1)
+    z = float(n + 1 - m)
+    w = float(n - y + 1)
+    bound = (
+        xm * math.log(f1 / x1)
+        + (n - m + 0.5) * math.log(z / w)
+        + (y - m) * math.log(w * p / (x1 * q))
+    )
+    for term in (f1, z, x1, w):
+        term2 = term * term
+        bound += (
+            (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / term2)
+                                 / term2) / term2) / term2)
+            / term / 166320.0
+        )
+    return bound
 
 
 def sweep(

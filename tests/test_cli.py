@@ -1259,6 +1259,31 @@ print(json.dumps({
 }))
 """
 
+DISTILL_LIBRARY_SCRIPT = """
+import json, math, sys
+
+import qkdprobe.search
+from qkdprobe import distill, simulate
+from qkdprobe.optimum import FamilyTag
+from qkdprobe.probe import SignalGeometry
+
+geom = SignalGeometry(math.pi / 8)
+config = distill.DistillationConfig(n=10**6, e_t=5 * 10**4, p_fail=0.01)
+distill.compression_level(config, geom)
+distill.capacity_curve(geom, 0.0, 0.1, 5)
+for four_state in (False, True):
+    sim = simulate.SimulationConfig(
+        m=10**6, geom=geom,
+        attack=simulate.FamilyAttack(FamilyTag.SET_E, 0.05),
+        p_fail=0.01, q_model=simulate.QLeakModel.zero(), seed=4,
+        four_state_sampler=four_state,
+    )
+    simulate.run(sim)
+simulate.sweep(sim, "error_rate", [0.01, 0.05])
+pa = distill.pa_empirical_check(8, 3, [2.0**-8] * 256, 20, 5)
+print(json.dumps({"pa_holds": pa.holds, "numpy": "numpy" in sys.modules}))
+"""
+
 
 # The qkdprobe modules one CLI call loads, by subcommand.
 _CLI_MODULES = {"qkdprobe", "qkdprobe.cli", "qkdprobe.errors", "qkdprobe.probe"}
@@ -1321,6 +1346,14 @@ class TestStartup:
         assert report["dataclasses"] is False
         if argv[0] not in NUMPY_CALLS:
             assert report["inspect"] is False
+
+    def test_distillation_library_loads_no_numpy(self, tmp_path):
+        # The key-distillation chain, the privacy-amplification check
+        # included, runs on floats even with the search module imported.
+        child = fresh_interpreter(DISTILL_LIBRARY_SCRIPT, cwd=tmp_path)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        assert report == {"pa_holds": True, "numpy": False}
 
     def test_family_choices_are_the_family_tags(self):
         # The literal choices cli parses --family with, pinned to the enum.

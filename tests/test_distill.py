@@ -27,6 +27,7 @@ from qkdprobe import distill
 from qkdprobe.distill import (
     CapacityPoint,
     FrontierResult,
+    PaCheckResult,
     _golden_section_max,
     _linspace,
     _renyi_envelope,
@@ -83,6 +84,14 @@ class TestRenyiInformation:
     def test_wrong_length(self):
         with pytest.raises(DomainError):
             renyi_information([0.5, 0.25, 0.25], 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        # NaN compares false in the sum and in the sign check alike.
+        with pytest.raises(NotNormalizedError, match="finite"):
+            renyi_information([bad, 1.0], 1)
+        with pytest.raises(NotNormalizedError, match="finite"):
+            renyi_information([0.5, 0.5, 0.0, bad], 2)
 
     def test_bounds_over_random_distributions(self):
         rng = np.random.default_rng(13)
@@ -180,6 +189,28 @@ class TestPaEmpiricalCheck:
         with pytest.raises(TooLargeError):
             pa_empirical_check(15, 3, probs, 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"hash_count": 2.5}, {"seed": 1.5}, {"l_bits": 4.0},
+         {"compression_bits": 1.0}, {"seed": np.float64(3.0)},
+         {"seed": None}, {"seed": -1}],
+        ids=["hash_count", "float_seed", "l_bits", "compression_bits",
+             "numpy_float_seed", "no_seed", "negative_seed"],
+    )
+    def test_bad_inputs_refused(self, bad):
+        # Counts and seeds must be integers, the seed non-negative: a
+        # missing seed would make the check unrepeatable.
+        args = dict(l_bits=4, compression_bits=1, source=[1 / 16] * 16,
+                    hash_count=10, seed=3)
+        with pytest.raises(DomainError):
+            pa_empirical_check(**{**args, **bad})
+
+    def test_numpy_integer_inputs_accepted(self):
+        source = [1 / 16] * 16
+        assert pa_empirical_check(
+            np.int64(4), np.int32(1), source, np.uint8(10), np.uint64(3)
+        ) == pa_empirical_check(4, 1, source, 10, 3)
+
     def test_randomized_configurations_hold(self):
         rng = np.random.default_rng(2024)
         for trial in range(20):
@@ -191,6 +222,80 @@ class TestPaEmpiricalCheck:
                 l_bits, s, probs, 200, seed=trial
             )
             assert result.holds
+
+
+def numpy_pa_check(l_bits, compression_bits, source, hash_count, seed):
+    """pa_empirical_check written on numpy arrays: the oracle for its hash
+    matrices, hashed indices and sums."""
+    probs = np.asarray(source, dtype=float)
+    bound = pa_shannon_bound(
+        renyi_information(probs, l_bits), compression_bits
+    )
+    out_bits = l_bits - compression_bits
+    rng = np.random.default_rng(seed)
+    observed = np.zeros(hash_count)
+    if out_bits:
+        # Bit matrix of all 2^l source outcomes, one row per outcome.
+        outcomes = (
+            np.arange(2**l_bits)[:, None] >> np.arange(l_bits)[None, :]
+        ) & 1
+        weights = 1 << np.arange(out_bits)
+        for k in range(hash_count):
+            matrix = rng.integers(0, 2, size=(out_bits, l_bits))
+            indices = ((outcomes @ matrix.T) & 1) @ weights
+            p_out = np.bincount(
+                indices, weights=probs, minlength=2**out_bits
+            )
+            positive = p_out[p_out > 0.0]
+            entropy = float(-(positive * np.log2(positive)).sum())
+            observed[k] = out_bits - entropy
+    mean = float(observed.mean())
+    sigma = (
+        float(observed.std(ddof=1)) / math.sqrt(hash_count)
+        if hash_count > 1
+        else 0.0
+    )
+    return PaCheckResult(
+        observed_info=mean,
+        bound=bound,
+        mc_sigma=sigma,
+        holds=mean <= bound + 3.0 * sigma,
+    )
+
+
+def assert_matches_numpy(l_bits, s, probs, hash_count, seed):
+    ours = pa_empirical_check(l_bits, s, probs, hash_count, seed)
+    oracle = numpy_pa_check(l_bits, s, probs, hash_count, seed)
+    assert ours.holds == oracle.holds
+    for name in ("observed_info", "bound", "mc_sigma"):
+        assert abs(getattr(ours, name) - getattr(oracle, name)) <= 1e-14, (
+            name, l_bits, s, seed
+        )
+
+
+class TestPaNumpyOracle:
+    def test_criterion_12_configurations(self):
+        # The fifty sources of test_criterion_12, drawn the same way.
+        rng = np.random.default_rng(1212)
+        for trial in range(50):
+            l_bits = int(rng.integers(4, 13))
+            s = int(rng.integers(1, l_bits + 1))
+            raw = rng.random(2**l_bits) ** float(rng.uniform(1.0, 4.0))
+            assert_matches_numpy(l_bits, s, raw / raw.sum(), 500, trial)
+
+    @pytest.mark.parametrize("l_bits", [0, 1, 5])
+    def test_no_output_bits(self, l_bits):
+        probs = np.full(2**l_bits, 2.0**-l_bits)
+        assert_matches_numpy(l_bits, l_bits, probs, 7, 3)
+        result = pa_empirical_check(l_bits, l_bits, probs, 7, 3)
+        assert (result.observed_info, result.mc_sigma) == (0.0, 0.0)
+
+    def test_single_hash_and_small_sources(self):
+        for l_bits in range(1, 5):
+            raw = np.arange(1.0, 2**l_bits + 1.0)
+            for s in range(l_bits + 1):
+                assert_matches_numpy(l_bits, s, raw / raw.sum(), 1, 11)
+                assert_matches_numpy(l_bits, s, raw / raw.sum(), 9, 2**40)
 
 
 # erfcinv(p) = erfinv(1 - p) for the float p, from mpmath:

@@ -24,7 +24,12 @@ from qkdprobe import distill
 from qkdprobe import run as run_simulation
 from qkdprobe import sweep as run_sweep
 from qkdprobe.errors import DegenerateRunError, DomainError, OutOfDomainError
-from qkdprobe.simulate import _derived_seed, _Generator, resolve_attack
+from qkdprobe.simulate import (
+    _derived_seed,
+    _Generator,
+    _stirling_bound,
+    resolve_attack,
+)
 from qkdprobe import simulate
 
 PI = math.pi
@@ -370,6 +375,75 @@ class TestSeededStream:
                     n, error_rate(coefficients(params), config.geom)
                 )
             assert report.e_t == e_t
+
+
+    def test_bits_equal_numpy(self):
+        # Odd sizes and repeated calls on one generator, so the high half
+        # of a 64-bit output, kept for the next 32-bit word, carries from
+        # one call to the next; a binomial draw leaves it kept, as in numpy.
+        for seed in range(300):
+            ours, oracle = _Generator(seed), np.random.default_rng(seed)
+            for rows, cols in [(3, 5), (1, 1), (7, 3), (2, 2), (1, 13)]:
+                assert ours.bits(rows * cols) == oracle.integers(
+                    0, 2, size=(rows, cols)
+                ).ravel().tolist(), (seed, rows, cols)
+            assert ours.binomial(1000, 0.3) == oracle.binomial(1000, 0.3)
+            assert ours.bits(3) == oracle.integers(0, 2, size=3).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_refused_as_numpy(self, seed):
+        # Its 32-bit words never run out, so it must be refused up front.
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(seed)
+        message = re.escape(str(expected.value))
+        with pytest.raises(ValueError, match=message):
+            _Generator(seed)
+        with pytest.raises(ValueError, match=message):
+            _derived_seed(seed, 0)
+
+
+def stirling_correction(t: float) -> float:
+    """lgamma(t) less Stirling's leading terms: the remainder that the
+    series 1/(12 t) - 1/(360 t^3) + ... of BTPE step 5.3 approximates."""
+    return math.lgamma(t) - (
+        (t - 0.5) * math.log(t) - t + 0.5 * math.log(2.0 * math.pi)
+    )
+
+
+class TestStirlingBound:
+    """BTPE step 5.3's bound against log f(y) / f(m) from ``math.lgamma``.
+
+    A draw rarely lands where a Stirling term decides it, so the stream
+    tests cannot see a wrong constant or a dropped term.  numpy's bound
+    departs from the exact log ratio in two ways: it adds the corrections
+    of y + 1 and n - y + 1 where the ratio subtracts them, and its
+    leading constant is 13680 where 166320 / 12 = 13860.  Taking exactly
+    those departures off must leave the exact ratio.
+    """
+
+    # n p q from 63 to 480; step 5.3 needs n p q / 2 - 1 > 21.
+    CASES = [(300, 0.3), (400, 0.5), (500, 0.5), (1000, 0.1),
+             (2000, 0.2), (2000, 0.4), (10_000, 0.05)]
+
+    @pytest.mark.parametrize("n, p", CASES)
+    def test_exact_ratio_plus_numpys_departures(self, n, p):
+        q = 1.0 - p
+        m = math.floor(n * p + p)
+        # The counts steps 5.2-5.3 test: 20 < |y - m| < n p q / 2 - 1.
+        ys = [y for y in range(n + 1) if 20 < abs(y - m) < n * p * q / 2 - 1]
+        assert len(ys) >= 10
+        for y in ys:
+            exact = (
+                math.lgamma(m + 1) + math.lgamma(n - m + 1)
+                - math.lgamma(y + 1) - math.lgamma(n - y + 1)
+                + (y - m) * math.log(p / q)
+            )
+            x1, f1, z, w = y + 1, m + 1, n + 1 - m, n - y + 1
+            departures = 2.0 * (
+                stirling_correction(x1) + stirling_correction(w)
+            ) - 180.0 / 166320.0 * (1 / f1 + 1 / z + 1 / x1 + 1 / w)
+            bound = _stirling_bound(n, p, q, m, m + 0.5, y)
+            assert abs(bound - (exact + departures)) <= 1e-9, (n, p, y)
 
 
 class TestSweep:
