@@ -30,11 +30,12 @@ becomes
 
     C' = (1 - E - max_{E' <= E} (1 - E') I*(E')) / 2.
 
-t_F is evaluated on plain floats: its maximand is concave in e, so a
-bisection finds the peak in O(log e_T) evaluations, and a window of counts
-around it gives exactly what a loop over every e gives.  The capacity's
-inner maximum sits at one error rate per alpha, found by a 1-D
-golden-section solve.
+Both maxima are found by bisection on one exact sign: whether the
+maximand h(x) = (1 - x) I*(x + xi) + xi sqrt(1 - x) rises over a step w
+(:func:`_rises`).  Its difference is written without subtracting two
+values of h, so the sign holds to rounding of the maximizer itself.  t_F
+bisects over the counts (x = e/n, w = 1/n); E* bisects over the floats
+of [0, E_pk] with xi = 0, where h is (1 - E) I(E).
 
 Since erfinv(1 - p) = -Phi^-1(p / 2) / sqrt(2), xi is computed from p as
 -Phi^-1(p / 2) / (2 sqrt(n)) with the standard library's
@@ -56,9 +57,6 @@ from .probe import SignalGeometry, value_type
 NORMALIZATION_TOL = 1e-9
 # Exhaustive-enumeration guard for the empirical hashing check.
 MAX_EMPIRICAL_BITS = 14
-# Error counts the defense frontier evaluates on either side of its
-# bisected point, before the n-proportional widening.
-FRONTIER_WINDOW = 256
 
 
 @value_type
@@ -264,73 +262,54 @@ def _renyi_envelope(error_rate: float, geom: SignalGeometry) -> float:
     )
 
 
+def _rises(
+    x: float, step: float, allowance: float, geom: SignalGeometry
+) -> bool:
+    """Whether h(x) = (1 - x) I*(x + xi) + xi sqrt(1 - x) rises from x to
+    x + w: the sign of (1 - x) [I*(E + w) - I*(E)] - w I*(E + w)
+    - xi w / (sqrt(1 - x - w) + sqrt(1 - x)), E = x + xi.  No two values
+    of h or of I* are subtracted, so the sign is exact except within
+    rounding of the maximizer."""
+    kept = 1.0 - x
+    rate = x + allowance
+    fall = step * _renyi_envelope(rate + step, geom) + allowance * step / (
+        math.sqrt(kept - step) + math.sqrt(kept)
+    )
+    return kept * optimum.renyi_step(rate, step, geom) > fall
+
+
 def defense_frontier(
     config: DistillationConfig, geom: SignalGeometry
 ) -> FrontierResult:
     """Upper bound t_F on the eavesdropper's Renyi information.
 
-    Maximizes f(e) = n (1 - e/n) I*(e/n + xi) + xi n sqrt(1 - e/n) exactly
-    over the integers e in [0, e_t], with the monotone envelope
+    Maximizes f(e) = n (1 - e/n) I*(e/n + xi) + xi n sqrt(1 - e/n) over
+    the integers e in [0, e_t], with the monotone envelope
     I*(E) = I(min(E, E_pk)): 1 bit at and beyond the peak error rate, so
     every e_t in [0, n] is accepted.  f is concave, so bisection on the
-    sign of f(e + 1) - f(e) finds its peak in O(log e_t) evaluations.
-    Rounding leaves f flat near the peak over a span of counts that grows
-    linearly with n, where that sign is noise, so the counts within
-    FRONTIER_WINDOW + n // 2^20 of the bisected point are evaluated one by
-    one and the first strict maximum wins, as in a loop over e.
+    exact sign of f(e + 1) - f(e) finds its peak in ceil(log2(e_t + 1))
+    steps or fewer: the exact maximizer below n = 2^53, within ~n 2^-52
+    counts of it above, with t_F to ~1e-15 relative.
     """
     n = config.n
     allowance = xi(n, config.p_fail)
-
-    def value(e: int) -> float:
-        kept = 1.0 - e / n
-        return n * kept * _renyi_envelope(e / n + allowance, geom) + (
-            allowance * n * math.sqrt(kept)
-        )
-
     lo, hi = 0, config.e_t
     while lo < hi:
         mid = (lo + hi) // 2
-        if value(mid + 1) > value(mid):
+        if _rises(mid / n, 1.0 / n, allowance, geom):
             lo = mid + 1
         else:
             hi = mid
-    width = FRONTIER_WINDOW + n // 2**20
-    best = -math.inf
-    best_e = 0
-    for e in range(max(0, lo - width), min(config.e_t, lo + width) + 1):
-        t_f = value(e)
-        if t_f > best:
-            best = t_f
-            best_e = e
-    return FrontierResult(t_f=best, argmax_e=best_e, xi=allowance)
+    kept = 1.0 - lo / n
+    t_f = n * kept * _renyi_envelope(lo / n + allowance, geom) + (
+        allowance * n * math.sqrt(kept)
+    )
+    return FrontierResult(t_f=t_f, argmax_e=lo, xi=allowance)
 
 
 def compression_level(config: DistillationConfig, geom: SignalGeometry) -> int:
     """Privacy-amplification compression s = ceil(t_F + q + nu + g)."""
     return config.compression(defense_frontier(config, geom).t_f)
-
-
-def _golden_section_max(
-    fn, lo: float, hi: float, rel_tol: float = 1e-10
-) -> float:
-    """Maximizer of a unimodal fn on [lo, hi], to rel_tol of the width."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    tol = rel_tol * (hi - lo)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 def _capacity_points(
@@ -339,18 +318,21 @@ def _capacity_points(
     """Capacity at each error rate, with one E* solve for all of them."""
     for error_rate in error_rates:
         probe.check_error_rate(error_rate)
-
-    def gain(e_prime: float) -> float:
-        # g on [0, E_pk], where I* = I.
-        return (1.0 - e_prime) * optimum.optimal_renyi_bits(e_prime, geom)
-
-    e_star = _golden_section_max(gain, 0.0, optimum.peak_error_rate(geom))
+    # E* by bisection over floats, with a step below E*'s last place that
+    # does not underflow to 0.
+    lo, hi = 0.0, optimum.peak_error_rate(geom)
+    step = max(hi * 2.0**-70, math.ulp(0.0))
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if _rises(mid, step, 0.0, geom) else (lo, mid)
+        mid = 0.5 * (lo + hi)
     points = []
     for error_rate in error_rates:
-        best_x = min(error_rate, e_star)
+        best_x = min(error_rate, lo)
+        gain = (1.0 - best_x) * optimum.optimal_renyi_bits(best_x, geom)
         points.append(CapacityPoint(
             error_rate=error_rate,
-            capacity=0.5 * (1.0 - error_rate - gain(best_x)),
+            capacity=0.5 * (1.0 - error_rate - gain),
             inner_argmax=best_x,
         ))
     return points
@@ -365,8 +347,9 @@ def asymptotic_capacity(
     [0, 1/2), also above the family's :func:`optimum.max_error_rate`.
     g(E) = (1 - E) I(E) rises from 0 and peaks once on [0, E_pk], at E*
     (its slope at E_pk is -1), and (1 - E) I*(E) = 1 - E falls beyond
-    E_pk, so the inner maximum is g(min(E, E*)).  E* is located by golden
-    section on [0, E_pk] to 1e-10 E_pk; past it C' falls with slope -1/2.
+    E_pk, so the inner maximum is g(min(E, E*)).  E* is located by
+    bisection on the exact sign of g's rise over a step far below its
+    last place, to a few ulps; past it C' falls with slope -1/2.
     """
     return _capacity_points([error_rate], geom)[0]
 

@@ -202,8 +202,7 @@ def peak_error_rate(geom: SignalGeometry) -> float:
 
 def _branch_formula(target_error: float, trig_sq: float) -> float:
     """[1 + (1 - 2 / trig_sq) E] / (1 - E), unchecked."""
-    inv_sq = 1.0 / trig_sq
-    return (1.0 + (1.0 - 2.0 * inv_sq) * target_error) / (1.0 - target_error)
+    return (1.0 + (1.0 - 2.0 / trig_sq) * target_error) / (1.0 - target_error)
 
 
 def csc_branch_overlap(target_error: float, geom: SignalGeometry) -> float:
@@ -259,6 +258,24 @@ def optimal_renyi_bits(target_error: float, geom: SignalGeometry) -> float:
     """Maximum Renyi gain log2(2 - Q_min^2) at fixed alpha: the
     ``renyi_bits`` of :func:`optimal_overlap`, with the same checks."""
     return probe.renyi_info(_branch_minimum(target_error, geom))
+
+
+def renyi_step(error_rate: float, step: float, geom: SignalGeometry) -> float:
+    """I*(E + w) - I*(E) for I*(E) = I(min(E, E_pk)), without cancellation.
+
+    Over the step w, clamped at E_pk, Q_min falls by d = (2/s - 2) w /
+    ((1 - E)(1 - E - w)), s = :func:`max_error_rate`, so the gain rises
+    by log1p(d (2Q - d) / (2 - Q^2)) / ln 2.
+    """
+    peak = peak_error_rate(geom)
+    if error_rate >= peak:
+        return 0.0
+    step = min(step, peak - error_rate)
+    s = max_error_rate(geom)
+    kept = 1.0 - error_rate
+    drop = (2.0 / s - 2.0) * step / (kept * (kept - step))
+    q = _branch_formula(error_rate, s)
+    return math.log1p(drop * (2.0 * q - drop) / (2.0 - q * q)) / math.log(2.0)
 
 
 def _family_constant(target_error: float, geom: SignalGeometry) -> float:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, TypeVar
 
@@ -166,7 +167,9 @@ def replace(value: _T, **changes: Any) -> _T:
 class SignalGeometry:
     """Signal-basis geometry: the half-angle alpha in radians.
 
-    alpha must lie in the open interval (0, pi/4).  The derived angle
+    alpha must lie in the open interval (0, pi/4), with sin^2(2 alpha)
+    and cos^2(2 alpha) above 2 / float max (alpha >~ 5.3e-155), so that
+    the optimum's branch formula stays finite.  The derived angle
     between the two nonorthogonal signal polarization states is
     theta_bar = pi/2 - 2*alpha; alpha = pi/8 is the standard protocol with
     45 degrees between the bases.  The derived angles are computed once
@@ -179,6 +182,15 @@ class SignalGeometry:
         if not 0.0 < self.alpha < math.pi / 4:
             raise DomainError(
                 f"alpha must lie in (0, pi/4); got {self.alpha!r}"
+            )
+        # The optimum's branch formula divides 2 by one of these.
+        two_alpha = 2.0 * self.alpha
+        if min(math.sin(two_alpha) ** 2, math.cos(two_alpha) ** 2) <= (
+            2.0 / sys.float_info.max
+        ):
+            raise DomainError(
+                f"alpha = {self.alpha!r} lies too close to 0 or pi/4: "
+                "2 / sin^2(2 alpha) or 2 / cos^2(2 alpha) is not finite"
             )
 
     @cached_property

@@ -12,6 +12,10 @@ from qkdprobe import ProbeParams, SignalGeometry, mu_from_constraint
 from qkdprobe.errors import InfeasibleConstraintError, SingularLambdaError
 
 PI = math.pi
+# The smallest alpha SignalGeometry accepts: the first float whose
+# sin^2(2 alpha) exceeds 2 / float max, so that 2 / sin^2(2 alpha) is
+# finite (found by bisection over the floats).
+SMALLEST_ALPHA = 5.273843307431501e-155
 
 
 @pytest.fixture

@@ -224,6 +224,25 @@ class TestOptimal:
         q8 = json.loads(out8)["results"]["overlap"]
         assert q9 < q8
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimal", "--error-rate", "0"],
+            ["frontier", "--n", "1000", "--errors", "10", "--p-fail", "0.01"],
+            ["capacity", "--e-max", "0.1", "--steps", "3", "--format", "json"],
+        ],
+        ids=["optimal", "frontier", "capacity"],
+    )
+    def test_alpha_whose_branch_factor_overflows_exits_2(self, capsys, argv):
+        # sin^2(2 alpha) is 0 at 1e-300; 2 / sin^2(2 alpha) overflows at
+        # 1e-160 and 1e-170.  1e-150 is accepted.
+        for alpha in ("1e-300", "1e-170", "1e-160"):
+            code, out, err = run_cli(capsys, *argv, "--alpha", alpha)
+            assert code == 2 and out == ""
+            assert f"alpha = {float(alpha)!r} " in err
+        code, out, _ = run_cli(capsys, *argv, "--alpha", "1e-150")
+        assert code == 0 and json.loads(out)
+
 
 class TestVerify:
     def test_clean_run_and_replay(self, capsys):

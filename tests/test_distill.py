@@ -28,7 +28,6 @@ from qkdprobe.distill import (
     CapacityPoint,
     FrontierResult,
     PaCheckResult,
-    _golden_section_max,
     _linspace,
     _renyi_envelope,
     binary_entropy,
@@ -40,6 +39,8 @@ from qkdprobe.optimum import (
     peak_error_rate,
 )
 from qkdprobe.probe import renyi_info
+
+from conftest import SMALLEST_ALPHA
 
 PI = math.pi
 ORACLE_ALPHAS = [PI / 12, PI / 10, PI / 8, PI / 6]
@@ -315,6 +316,180 @@ ERFCINV_TABLE = {
 }
 
 
+# The exact maximizer argmax_e and maximum t_F of the frontier's maximand
+# f(e) = n (1 - e/n) I*(e/n + xi) + xi n sqrt(1 - e/n) over the integers
+# e in [0, e_t], from mpmath at mp.dps = 60 with alpha and p_fail as their
+# exact binary values:
+#     s = sin(2a)^2 (a <= pi/8) or cos(2a)^2; k = 1 - 2/s; E_pk = s/(2 - s)
+#     xi = erfinv(1 - p) / sqrt(2 n)
+#     I*(E) = log2(2 - Q^2), Q = (1 + k E')/(1 - E'), E' = min(E, E_pk)
+#     x* = the root of h'(x), h(x) = f(n x)/n, by 250 bisections of [0, 1/2]
+#         (h' with the analytic dI/dE = -2 Q (1 + k) / ((1 - E)^2 (2 - Q^2)
+#         ln 2), 0 past E_pk)
+#     argmax_e = the e in floor(n x*) + {-1, 0, 1, 2}, clamped to [0, e_t],
+#         with the largest f(e); t_F = mp.nstr(f(argmax_e), 40)
+# Rows: (alpha, n, e_t, p_fail, argmax_e, t_F).
+FRONTIER_TABLE = [
+    (PI / 10, 10**4, 10**4 // 20, 0.01,
+     500, 5159.496308149322251335606356285950774426),
+    (PI / 10, 10**4, 10**4 // 20, 1e-10,
+     500, 6447.797273647569874749135655752318640782),
+    (PI / 10, 10**4, 10**4, 0.01,
+     1714, 8278.5407122457277354356400734049207584),
+    (PI / 10, 10**4, 10**4, 1e-10,
+     1522, 8650.720309379968315718329199093595627562),
+    (PI / 10, 10**6, 10**6 // 20, 0.01,
+     50000, 430420.4189437600946116085067685247669703),
+    (PI / 10, 10**6, 10**6 // 20, 1e-10,
+     50000, 445266.8248907046819087131548725442238848),
+    (PI / 10, 10**6, 10**6, 0.01,
+     182772, 805878.7876694778325241539593694416409101),
+    (PI / 10, 10**6, 10**6, 1e-10,
+     180859, 809556.855728587485033613694572973599479),
+    (PI / 10, 10**8, 10**8 // 20, 0.01,
+     5000000, 42147791.74064445711096527388220180113295),
+    (PI / 10, 10**8, 10**8 // 20, 1e-10,
+     5000000, 42298401.23149359428351242300200195343238),
+    (PI / 10, 10**8, 10**8, 0.01,
+     18391190, 80368948.27393435622384651823890592706983),
+    (PI / 10, 10**8, 10**8, 1e-10,
+     18372057, 80405684.75638523915971266915819460185701),
+    (PI / 10, 10**10, 10**10 // 20, 0.01,
+     500000000, 4205796337.311805191018594128640022627709),
+    (PI / 10, 10**10, 10**10 // 20, 1e-10,
+     500000000, 4207304599.232960694429885691089118604716),
+    (PI / 10, 10**10, 10**10, 0.01,
+     1840258897, 8034706348.179875739690650951546080771232),
+    (PI / 10, 10**10, 10**10, 1e-10,
+     1840067570, 8035073668.758273853072751363574245678583),
+    (PI / 10, 10**12, 10**12 // 20, 0.01,
+     50000000000, 420489764881.2504143743505503889542257301),
+    (PI / 10, 10**12, 10**12 // 20, 1e-10,
+     50000000000, 420504849669.6710508601511526801139728752),
+    (PI / 10, 10**12, 10**12, 0.01,
+     184037288502, 803448750851.8920674319840088540305381813),
+    (PI / 10, 10**12, 10**12, 1e-10,
+     184035375236, 803452424013.425133570161910773984772922),
+    (PI / 10, 10**15, 10**15 // 20, 0.01,
+     50000000000000, 420480094781682.5091007539468805756077616),
+    (PI / 10, 10**15, 10**15 // 20, 1e-10,
+     50000000000000, 420480571811958.3729520988273021203083639),
+    (PI / 10, 10**15, 10**15, 0.01,
+     184038514987485, 803446396201472.3983012171655960932786779),
+    (PI / 10, 10**15, 10**15, 1e-10,
+     184038454484682, 803446512356888.4136055975253047272819812),
+    (PI / 8, 10**4, 10**4 // 20, 0.01,
+     500, 3188.059366977766260996128930744608535974),
+    (PI / 8, 10**4, 10**4 // 20, 1e-10,
+     500, 4189.53518776449311746688229629460621387),
+    (PI / 8, 10**4, 10**4, 0.01,
+     2646, 7175.226331945648011553608525148257553779),
+    (PI / 8, 10**4, 10**4, 1e-10,
+     2460, 7532.683094950977889125995203902078915342),
+    (PI / 8, 10**6, 10**6 // 20, 0.01,
+     50000, 256327.2521518518449384357068287650018317),
+    (PI / 8, 10**6, 10**6 // 20, 1e-10,
+     50000, 266966.6199587543429739614725633123996529),
+    (PI / 8, 10**6, 10**6, 0.01,
+     275710, 696440.3306771274696764238369264276972702),
+    (PI / 8, 10**6, 10**6, 1e-10,
+     273851, 699967.6688277552013214593438188541660105),
+    (PI / 8, 10**8, 10**8 // 20, 0.01,
+     5000000, 24995876.70956882916298067497817126737056),
+    (PI / 8, 10**8, 10**8 // 20, 1e-10,
+     5000000, 25102926.18937261085220875142850918092534),
+    (PI / 8, 10**8, 10**8, 0.01,
+     27681774, 69434099.07614538112300617712513913223958),
+    (PI / 8, 10**8, 10**8, 1e-10,
+     27663186, 69469324.66318301770015963408259480974726),
+    (PI / 8, 10**10, 10**10 // 20, 0.01,
+     500000000, 2493206897.488460396772644902837844934676),
+    (PI / 8, 10**10, 10**10 // 20, 1e-10,
+     500000000, 2494278051.572463310892627387428111248627),
+    (PI / 8, 10**10, 10**10, 0.01,
+     2769284778, 6941311460.679468870905890746077880592707),
+    (PI / 8, 10**10, 10**10, 1e-10,
+     2769098901, 6941663668.697639697803767916815917211044),
+    (PI / 8, 10**12, 10**12 // 20, 0.01,
+     50000000000, 249256869702.0915958904729127038238549832),
+    (PI / 8, 10**12, 10**12 // 20, 1e-10,
+     50000000000, 249267581902.5699021208139643248469674103),
+    (PI / 8, 10**12, 10**12, 0.01,
+     276939551880, 694110162491.9670510393144625494698457978),
+    (PI / 8, 10**12, 10**12, 1e-10,
+     276937693118, 694113684524.2907679140553322694221250485),
+    (PI / 8, 10**15, 10**15 // 20, 0.01,
+     50000000000000, 249250002693156.8561866862694995145638335),
+    (PI / 8, 10**15, 10**15 // 20, 1e-10,
+     50000000000000, 249250341444924.0544631113929751635967478),
+    (PI / 8, 10**15, 10**15, 0.01,
+     276940743426255, 694107904721974.7181370135678589772323558),
+    (PI / 8, 10**15, 10**15, 1e-10,
+     276940684647021, 694108016098253.2346757488068551039053687),
+    (PI / 6, 10**4, 10**4 // 20, 0.01,
+     500, 6931.527450093331066064089192085113632434),
+    (PI / 6, 10**4, 10**4 // 20, 1e-10,
+     500, 8270.733074496657745509551882709880556706),
+    (PI / 6, 10**4, 10**4, 0.01,
+     1177, 8881.627972500128891011104045561160939657),
+    (PI / 6, 10**4, 10**4, 1e-10,
+     984, 9260.902471770135602786629593131037388431),
+    (PI / 6, 10**6, 10**6 // 20, 0.01,
+     50000, 596164.0090558558603416660708984288397506),
+    (PI / 6, 10**6, 10**6 // 20, 1e-10,
+     50000, 613417.6658674823426852833387228047555692),
+    (PI / 6, 10**6, 10**6, 0.01,
+     129253, 865757.8212781489985288771259187656574479),
+    (PI / 6, 10**6, 10**6, 1e-10,
+     127322, 869508.4036442724690390764082490831619055),
+    (PI / 6, 10**8, 10**8 // 20, 0.01,
+     5000000, 58568954.05522051117358165115887908866874),
+    (PI / 6, 10**8, 10**8 // 20, 1e-10,
+     5000000, 58745793.79559235660600493405307565030537),
+    (PI / 6, 10**8, 10**8, 0.01,
+     13040291, 86352524.06211106147738768787302645146806),
+    (PI / 6, 10**8, 10**8, 1e-10,
+     13020982, 86389987.30056332089937239206330623143688),
+    (PI / 6, 10**10, 10**10 // 20, 0.01,
+     500000000, 5846339864.00046417416479653465272779072),
+    (PI / 6, 10**10, 10**10 // 20, 1e-10,
+     500000000, 5848112620.943284374327668928410184136278),
+    (PI / 6, 10**10, 10**10, 0.01,
+     1305179427, 8633020621.091792496492726328573550215546),
+    (PI / 6, 10**10, 10**10, 1e-10,
+     1304986341, 8633395210.847653074532800911329759629344),
+    (PI / 6, 10**12, 10**12 // 20, 0.01,
+     50000000000, 584528349525.3652056739857240483022599115),
+    (PI / 6, 10**12, 10**12 // 20, 1e-10,
+     50000000000, 584546081460.1131949509923372353791531955),
+    (PI / 6, 10**12, 10**12, 0.01,
+     130529446416, 863279745053.8260262423309510649133134256),
+    (PI / 6, 10**12, 10**12, 1e-10,
+     130527515550, 863283490908.7516139652337031831366866721),
+    (PI / 6, 10**15, 10**15 // 20, 0.01,
+     50000000000000, 584516982382028.3216738846974636205221427),
+    (PI / 6, 10**15, 10**15 // 20, 1e-10,
+     50000000000000, 584517543129894.6932216041685842306781562),
+    (PI / 6, 10**15, 10**15, 0.01,
+     130530684182775, 863277343803771.0376796329886454895767456),
+    (PI / 6, 10**15, 10**15, 1e-10,
+     130530623123444, 863277462257959.4702099720242571247635841),
+]
+
+# The capacity's inner maximizer E*, the root of g'(E) = -I(E) + (1 - E)
+# I'(E) on (0, E_pk), g = (1 - E) I(E), with I and I' as in FRONTIER_TABLE;
+# from mpmath at mp.dps = 80, alpha as its exact binary value, by 300
+# bisections of [0, E_pk]: mp.nstr(root, 40).
+INNER_ARGMAX_TABLE = {
+    1e-6: 1.999999999998560563603541459849256387999e-12,
+    PI / 20: 0.04848118176407113000809802935389492828811,
+    PI / 10: 0.1840385550388890658591871236248027538135,
+    PI / 8: 0.2769407823366976856743307680113816072993,
+    PI / 6: 0.130530724602587589947342815437214159624,
+    PI / 4 - 1e-6: 2.000000000236048082597382716386689688501e-12,
+}
+
+
 class TestErrorFunction:
     def test_domain(self):
         # xi inverts erf at y = 1 - p, so erfinv's domain edges y = 1
@@ -402,7 +577,8 @@ def inner_gain(error_rate, geom):
 
 def grid_capacity(error_rate, geom, step=1e-4):
     """Reference capacity: the inner maximum over a dense grid on [0, E],
-    refined by golden section around the best grid point."""
+    refined by scipy's bounded scalar minimizer around the best grid
+    point."""
 
     def gain(e_prime):
         return inner_gain(e_prime, geom)
@@ -416,7 +592,12 @@ def grid_capacity(error_rate, geom, step=1e-4):
         k = int(np.argmax([gain(e) for e in grid]))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        best_x = _golden_section_max(gain, lo, hi)
+        best_x = scipy.optimize.minimize_scalar(
+            lambda x: -gain(x),
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": 1e-12},
+        ).x
         if gain(grid[k]) > gain(best_x):
             best_x = grid[k]
     return 0.5 * (1.0 - error_rate - gain(best_x))
@@ -444,6 +625,46 @@ class TestRenyiEnvelope:
             assert type(value) is float and value == 1.0
 
 
+# The edges of the frontier's accepted domain: the extreme alphas, pi/8
+# and its neighbours; the extreme counts; the smallest p_fail whose half
+# is still positive, and the largest below 1.
+FRONTIER_EDGE_ALPHAS = [
+    SMALLEST_ALPHA,
+    1e-150,
+    math.nextafter(PI / 8, 0.0),
+    PI / 8,
+    math.nextafter(PI / 8, 1.0),
+    math.nextafter(PI / 4, 0.0),
+]
+FRONTIER_EDGE_COUNTS = [1, 2, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1]
+FRONTIER_EDGE_P_FAILS = [2.0 * math.ulp(0.0), 0.5, math.nextafter(1.0, 0.0)]
+
+
+def counted_frontier(config, geom):
+    """defense_frontier and the number of Renyi envelopes it evaluated."""
+    calls = []
+
+    def counted(error_rate, geom):
+        calls.append(error_rate)
+        return envelope_gain(error_rate, geom)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distill, "_renyi_envelope", counted)
+        return defense_frontier(config, geom), len(calls)
+
+
+@st.composite
+def frontier_counts(draw):
+    """(n, e_t, e_t') with 0 <= e_t <= e_t' <= n, drawn toward the edges."""
+    n = draw(
+        st.sampled_from(FRONTIER_EDGE_COUNTS) | st.integers(1, 2**63 - 1)
+    )
+    error_counts = st.sampled_from([0, 1, n // 2, n - 1, n]) | st.integers(
+        0, n
+    )
+    return (n, *sorted([draw(error_counts), draw(error_counts)]))
+
+
 class TestFrontierOracle:
     """The bisected frontier against the per-count loop, bit for bit."""
 
@@ -465,25 +686,22 @@ class TestFrontierOracle:
         p_fail=st.floats(1e-10, 0.99),
     )
     @settings(max_examples=60, deadline=None)
+    # At n = 2000 and p_fail = 0.1 the peak is interior for e_t = 1400 and
+    # at e_t itself for e_t = 50, at every oracle alpha.
+    @example(alpha=PI / 12, n=2000, fraction=0.7, p_fail=0.1)
+    @example(alpha=PI / 12, n=2000, fraction=0.025, p_fail=0.1)
+    @example(alpha=PI / 10, n=2000, fraction=0.7, p_fail=0.1)
+    @example(alpha=PI / 10, n=2000, fraction=0.025, p_fail=0.1)
+    @example(alpha=PI / 8, n=2000, fraction=0.7, p_fail=0.1)
+    @example(alpha=PI / 8, n=2000, fraction=0.025, p_fail=0.1)
+    @example(alpha=PI / 6, n=2000, fraction=0.7, p_fail=0.1)
+    @example(alpha=PI / 6, n=2000, fraction=0.025, p_fail=0.1)
     def test_matches_loop_sweep(self, alpha, n, fraction, p_fail):
         geom = SignalGeometry(alpha)
         config = DistillationConfig(
             n=n, e_t=int(fraction * n), p_fail=p_fail
         )
         assert defense_frontier(config, geom) == loop_frontier(config, geom)
-
-    @pytest.mark.parametrize("width", [0, 1, 7, 256])
-    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
-    def test_window_does_not_change_result(self, monkeypatch, width, alpha):
-        # With no window at all, the bisection alone finds the loop's
-        # first maximum: inside [0, e_t], and at e_t itself.
-        geom = SignalGeometry(alpha)
-        monkeypatch.setattr(distill, "FRONTIER_WINDOW", width)
-        for e_t, inside in ((1400, True), (50, False)):
-            config = DistillationConfig(n=2000, e_t=e_t, p_fail=0.1)
-            want = loop_frontier(config, geom)
-            assert (want.argmax_e < e_t) is inside
-            assert defense_frontier(config, geom) == want
 
     @given(
         alpha=st.floats(1e-3, PI / 4 - 1e-3),
@@ -501,48 +719,52 @@ class TestFrontierOracle:
         assert np.diff(values, 2).max() <= 8.0 * math.ulp(1.0)
 
     @pytest.mark.parametrize(
-        "alpha, p_fail", [(PI / 10, 0.01), (PI / 8, 1e-10), (PI / 6, 0.5)]
+        "alpha, n, e_t, p_fail, argmax_e, t_f",
+        FRONTIER_TABLE,
+        ids=[f"{a:.6f}-{n}-{e}-{p}" for a, n, e, p, _, _ in FRONTIER_TABLE],
     )
-    def test_large_n_matches_wide_window(self, alpha, p_fail):
-        # At n = 10^10 the per-count loop is out of reach.  The reference
-        # is the loop over 2^16 counts on either side of the maximizer of
-        # f(x), found on the continuum independently of the library.
-        geom = SignalGeometry(alpha)
-        n = 10**10
-        config = DistillationConfig(n=n, e_t=n, p_fail=p_fail)
-        allowance = xi(n, p_fail)
-        peak = scipy.optimize.minimize_scalar(
-            lambda x: -frontier_per_bit(x, allowance, geom),
-            bounds=(0.0, 1.0),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        center = round(peak.x * n)
-        window = range(center - 2**16, center + 2**16 + 1)
-        want = loop_frontier(config, geom, counts=window)
-        assert window[0] < want.argmax_e < window[-1]
-        got = defense_frontier(config, geom)
-        assert got == want
-        # Nothing on a strided subsample of all counts beats it.
-        strided = range(0, n + 1, n // 1000)
-        assert got.t_f >= loop_frontier(config, geom, counts=strided).t_f
+    def test_matches_high_precision_table(
+        self, alpha, n, e_t, p_fail, argmax_e, t_f
+    ):
+        # Beyond the per-count loop's reach, and without its ties: the
+        # exact maximizer at every n below 2^53.
+        config = DistillationConfig(n=n, e_t=e_t, p_fail=p_fail)
+        got = defense_frontier(config, SignalGeometry(alpha))
+        assert got.argmax_e == argmax_e
+        assert math.isclose(got.t_f, t_f, rel_tol=4e-15)
 
-    def test_sublinear_in_error_count(self, monkeypatch):
+    def test_sublinear_in_error_count(self):
+        # One Renyi envelope per bisection step and one for t_F, at most
+        # ceil(log2(e_t + 1)) + 1 = e_t.bit_length() + 1 in all.
         geom = SignalGeometry(PI / 8)
-        n = 10**8
-        config = DistillationConfig(n=n, e_t=n, p_fail=0.01)
-        want = defense_frontier(config, geom)
-        calls = []
+        for n in (10**8, 10**12, 2**63 - 1):
+            config = DistillationConfig(n=n, e_t=n, p_fail=0.01)
+            got, calls = counted_frontier(config, geom)
+            assert got == defense_frontier(config, geom)
+            assert 0 < calls <= config.e_t.bit_length() + 1
 
-        def counted(error_rate, geom):
-            calls.append(error_rate)
-            return envelope_gain(error_rate, geom)
-
-        monkeypatch.setattr(distill, "_renyi_envelope", counted)
-        assert defense_frontier(config, geom) == want
-        width = distill.FRONTIER_WINDOW + n // 2**20
-        bisection = 2 * math.ceil(math.log2(config.e_t + 1))
-        assert len(calls) <= bisection + 2 * width + 1
+    @given(
+        alpha=st.sampled_from(FRONTIER_EDGE_ALPHAS)
+        | st.floats(SMALLEST_ALPHA, PI / 4, exclude_max=True),
+        counts=frontier_counts(),
+        p_fail=st.sampled_from(FRONTIER_EDGE_P_FAILS)
+        | st.floats(FRONTIER_EDGE_P_FAILS[0], FRONTIER_EDGE_P_FAILS[-1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_whole_accepted_domain(self, alpha, counts, p_fail):
+        # Every accepted (alpha, n, e_t, p_fail) answers within the call
+        # bound, and t_F does not fall as e_t rises beyond rounding.
+        geom = SignalGeometry(alpha)
+        n, lower, upper = counts
+        t_values = []
+        for e_t in (lower, upper):
+            config = DistillationConfig(n=n, e_t=e_t, p_fail=p_fail)
+            got, calls = counted_frontier(config, geom)
+            assert 0 <= got.argmax_e <= e_t
+            assert config.compression(got.t_f) >= got.t_f
+            assert calls <= e_t.bit_length() + 1
+            t_values.append(got.t_f)
+        assert t_values[0] <= t_values[1] * (1.0 + 4e-15)
 
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
     def test_never_below_clamped_frontier(self, alpha):
@@ -604,6 +826,12 @@ class TestCapacityOracle:
             assert type(got.capacity) is float
             assert abs(got.capacity - want) <= 1e-12
             assert got.capacity <= want + 1e-15
+
+    @pytest.mark.parametrize("alpha", sorted(INNER_ARGMAX_TABLE))
+    def test_inner_argmax_to_the_last_place(self, alpha):
+        root = INNER_ARGMAX_TABLE[alpha]
+        star = asymptotic_capacity(0.49, SignalGeometry(alpha)).inner_argmax
+        assert abs(star - root) <= 4.0 * math.ulp(root)
 
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
     def test_linear_past_inner_argmax(self, alpha):
@@ -836,6 +1064,18 @@ class TestAsymptoticCapacity:
             < capacities[PI / 8]
         )
 
+    @pytest.mark.parametrize("alpha", [SMALLEST_ALPHA, 1e-153, 1e-150])
+    def test_smallest_alphas(self, alpha):
+        # E_pk is at most ~2e-300 here, and the gain reaches 1 bit within
+        # ~E_pk^2 of it, so E* is E_pk to rounding and C'(0.49) is
+        # (1 - 0.49 - 1) / 2.
+        geom = SignalGeometry(alpha)
+        point = asymptotic_capacity(0.49, geom)
+        assert math.isclose(
+            point.inner_argmax, peak_error_rate(geom), rel_tol=1e-12
+        )
+        assert math.isclose(point.capacity, -0.245, abs_tol=1e-15)
+
     def test_regression_pins(self, geom_pi8):
         for target, expected in CAPACITY_PINS.items():
             assert math.isclose(
@@ -940,16 +1180,20 @@ class TestCapacityCurve:
         assert list(map(float.hex, points)) == list(map(float.hex, expected))
 
     def test_one_inner_solve_per_curve(self, geom_pi8, monkeypatch):
+        # The E* bisection's steps for one point, and for 40.
         calls = []
-        solve = distill._golden_section_max
+        rises = distill._rises
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return solve(*args, **kwargs)
+            return rises(*args)
 
-        monkeypatch.setattr(distill, "_golden_section_max", counted)
+        monkeypatch.setattr(distill, "_rises", counted)
+        asymptotic_capacity(0.1, geom_pi8)
+        one_point = len(calls)
+        calls.clear()
         capacity_curve(geom_pi8, 0.0, 0.3, 40)
-        assert len(calls) == 1
+        assert 0 < len(calls) == one_point
 
 
 class TestBinaryEntropy:

@@ -27,6 +27,8 @@ from qkdprobe.errors import (
 )
 from qkdprobe.optimum import mu_eliminated_q
 
+from conftest import SMALLEST_ALPHA
+
 PI = math.pi
 
 # The worked nonoptimized example point: alpha just above pi/8 with
@@ -70,6 +72,18 @@ class TestSignalGeometry:
     def test_rejects_out_of_range_alpha(self, alpha):
         with pytest.raises(DomainError):
             SignalGeometry(alpha)
+
+    def test_rejects_alpha_whose_branch_factor_overflows(self):
+        # 2 / sin^2(2 alpha) overflows, or sin^2(2 alpha) is 0, below
+        # SMALLEST_ALPHA; above it every alpha up to pi/8 is accepted.
+        for alpha in (
+            5e-324, 1e-300, 1e-160, 1e-155, math.nextafter(SMALLEST_ALPHA, 0)
+        ):
+            with pytest.raises(DomainError, match=f"alpha = {alpha!r} "):
+                SignalGeometry(alpha)
+        for alpha in (SMALLEST_ALPHA, 1e-154, 1e-150):
+            geom = SignalGeometry(alpha)
+            assert math.isfinite(2.0 / geom.sin_sq_two_alpha)
 
     def test_interchange_examples(self):
         assert math.isclose(
