@@ -20,8 +20,8 @@ and ``evaluate`` need.  Every other subcommand imports the modules it
 runs when it is dispatched: ``optimal`` loads ``optimum``, ``verify``
 loads ``search``, ``capacity`` and ``frontier`` load ``distill``, and
 ``simulate`` and ``sweep`` load ``simulate``.  Only ``possibilities``
-loads ``roots``, for its polynomial root scans.  numpy is loaded only by
-the subcommands that work on arrays: ``verify`` and ``possibilities``.
+loads ``roots``, for its polynomial roots.  numpy is loaded only by the
+one subcommand that works on arrays, ``verify``.  ``possibilities``,
 ``evaluate``, ``optimal``, ``capacity``, ``frontier``, ``--help`` and
 ``--version`` run on plain floats, and ``simulate`` and ``sweep`` draw
 numpy's seeded stream from the ``simulate`` module's own port of it, so

@@ -298,7 +298,9 @@ def optimal_parameter_families(
     additional family
 
     * SET_PHI_NEG: sin(2 phi) = -1, sin(2 mu) sin^2(lam) = 1 - 4E +
-      cos^2(lam); lam free on the window cos(2 lam) <= 4E - 1.
+      cos^2(lam); lam free on the window cos(2 lam) <= 4E - 1, and theta
+      free, since cos(2 phi) = 0 makes c = 0 and theta drops out of E
+      and Q.
 
     Upper branch (alpha > pi/8): the same constraint sets with
     csc -> sec describe the optimum in the relabeled-state frame.  In the
@@ -337,7 +339,7 @@ def optimal_parameter_families(
                         "sin(2 phi) = -1, sin(2 mu) sin^2(lam) = "
                         "1 - 4E + cos^2(lam)"
                     ),
-                    free_parameters=("lam",),
+                    free_parameters=("lam", "theta"),
                 )
             )
         return families
@@ -457,9 +459,9 @@ def sample_params(
         mu = _arcsine_angle(
             (1.0 - 4.0 * target_error + cos_sq_lam) / sin_sq_lam, "sin(2 mu)"
         )
-        # theta is free in the defining constraint but is pinned at 0 so
-        # samples carry the canonical coefficient form c = 0, d = 1.
-        return ProbeParams(lam=lam, mu=mu, theta=0.0, phi=0.75 * math.pi)
+        return ProbeParams(
+            lam=lam, mu=mu, theta=choices.get("theta", 0.0), phi=0.75 * math.pi
+        )
     raise DomainError(f"unknown family tag {family.tag!r}")
 
 
@@ -702,8 +704,8 @@ def possibility_d_feasibility(
     E = 1/2) are excluded.  ``feasible`` is True only if some chain
     matches within 1e-6.
     """
-    # Imported here: only possibility (D) solves polynomials, and roots
-    # brings numpy with it.
+    # Imported here: only possibility (D) solves polynomials, so no other
+    # call pays for compiling roots at start-up.
     from .roots import real_roots_in_interval
 
     e_grid = list(e_grid)

@@ -4,12 +4,12 @@ Two solvers live here:
 
 * :func:`cardano_roots` -- the closed-form depressed-cubic construction,
   returning all three complex roots of a cubic.
-* :func:`real_roots_in_interval` -- a companion-free real-root finder for
-  arbitrary-degree polynomials on a closed interval: dense sign-change
-  bracketing plus bisection, with Newton polishing and deflation-driven
-  rescans so tangent (even-multiplicity) roots are not missed.  Each scan
-  samples the polynomial in one numpy pass and finds its sign changes and
-  local minima of |p| with array masks.
+* :func:`real_roots_in_interval` -- the real roots of an arbitrary-degree
+  polynomial on a closed interval, from its derivative chain: p is
+  monotone between the sign changes of p', so bisection over those
+  pieces finds every sign change, and Newton polishing from the extrema
+  of p finds the tangent (even-multiplicity) roots.  No sampling, and
+  plain floats throughout.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, LeadingZeroError
 
@@ -132,32 +130,49 @@ def _bisect(coeffs: Sequence[float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _deflate(coeffs: Sequence[float], root: float) -> list[float]:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1] * root)
-    return out
+def _crossings(
+    coeffs: Sequence[float], knots: Sequence[float]
+) -> list[float | None]:
+    """Per piece between consecutive knots, over which p is monotone, the
+    sign change of p there, bisected, or None where p keeps its sign."""
+    values = [polynomial_value(coeffs, x) for x in knots]
+    return [
+        _bisect(coeffs, a, b) if (f_a < 0.0) != (f_b < 0.0) else None
+        for a, b, f_a, f_b in zip(knots, knots[1:], values, values[1:])
+    ]
+
+
+def _sign_changes(
+    coeffs: Sequence[float], lo: float, hi: float
+) -> list[float]:
+    """The roots in [lo, hi] where p changes sign, ascending.
+
+    p is monotone between consecutive sign changes of p', so each such
+    piece holds at most one sign change of p.  A linear p is solved
+    directly.
+    """
+    if len(coeffs) == 2:
+        x = -coeffs[1] / coeffs[0]
+        return [x] if lo <= x <= hi else []
+    knots = [lo, *_sign_changes(_derivative(coeffs), lo, hi), hi]
+    return [x for x in _crossings(coeffs, knots) if x is not None]
 
 
 def real_roots_in_interval(
-    coeffs: Sequence[float],
-    lo: float = -1.0,
-    hi: float = 1.0,
-    *,
-    samples: int = 2001,
+    coeffs: Sequence[float], lo: float = -1.0, hi: float = 1.0
 ) -> list[float]:
     """Real roots of a polynomial on [lo, hi], ascending, deduplicated.
 
-    The polynomial is sampled densely; every strict sign change is
-    bisected down to a 1e-12 bracket and Newton-polished.  Found roots are
-    deflated out and the lower-degree remainder is rescanned, which
-    recovers tangent roots that produce no sign change.  Every candidate
-    must satisfy |p(root)| <= 1e-9 * max|coeff| against the original
-    polynomial to be reported.  Raises :class:`DomainError` unless
-    ``samples >= 2``, ``lo < hi`` and every coefficient is finite.
+    The extrema of p, the sign changes of p' found by
+    :func:`_sign_changes`, split [lo, hi] into pieces over which p is
+    monotone, and each sign change of p in a piece is bisected down to a
+    1e-12 bracket.  The candidates are these sign changes, every extremum
+    where p keeps its sign on both sides (a possible tangent root), and
+    the two ends.  Each is Newton-polished and must satisfy |p(root)| <=
+    1e-9 * max|coeff| to be reported; a candidate within 1e-8 of an
+    accepted root counts as that root.  Raises :class:`DomainError`
+    unless ``lo < hi`` and every coefficient is finite.
     """
-    if samples < 2:
-        raise DomainError(f"samples must be at least 2; got {samples!r}")
     if not lo < hi:
         raise DomainError(f"need lo < hi; got [{lo!r}, {hi!r}]")
     coeffs = [float(c) for c in coeffs]
@@ -167,52 +182,23 @@ def real_roots_in_interval(
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return []
-    scale = max(abs(c) for c in coeffs)
-    accept_tol = 1e-9 * max(scale, 1e-300)
-    step = (hi - lo) / (samples - 1)
-    # lo + i*step and np.polyval's Horner steps round exactly as the
-    # scalar loop over polynomial_value would.
-    xs = lo + np.arange(samples) * step
-
-    def scan(poly: Sequence[float]) -> list[float]:
-        with np.errstate(over="ignore"):
-            values = np.polyval(poly, xs)  # as silent as float overflow
-        mags = np.abs(values)
-        # Scaled by the finite samples: an inf one would flag every sample.
-        scale = mags[np.isfinite(mags)].max(initial=0.0)
-        zero = mags <= 1e-13 * max(scale, 1e-300)
-        negative = values < 0.0
-        change = np.concatenate(([False], negative[1:] != negative[:-1]))
-        found = [
-            float(xs[i]) if zero[i]
-            else _bisect(poly, float(xs[i - 1]), float(xs[i]))
-            for i in np.flatnonzero(zero | change).tolist()
-        ]
-        # Tangent (even-multiplicity) roots produce no sign change; launch
-        # Newton from every interior local minimum of |p| and let the
-        # residual acceptance filter discard the non-roots.
-        inner = mags[1:-1]
-        minima = (inner < mags[:-2]) & (inner <= mags[2:])
-        found.extend(xs[1:-1][minima].tolist())
-        return found
-
+    accept_tol = 1e-9 * max(max(abs(c) for c in coeffs), 1e-300)
+    extrema = (
+        _sign_changes(_derivative(coeffs), lo, hi) if len(coeffs) > 2 else []
+    )
+    crossings = _crossings(coeffs, [lo, *extrema, hi])
+    # An extremum beside a sign change is no tangent root, even where p
+    # is within the acceptance tolerance of 0 there.
+    tangents = [
+        x
+        for x, left, right in zip(extrema, crossings, crossings[1:])
+        if left is None and right is None
+    ]
     roots: list[float] = []
-    work = coeffs
-    for _ in range(len(coeffs)):  # at most degree deflation rounds
-        candidates = scan(work)
-        fresh: list[float] = []
-        for x in candidates:
-            x = _newton_polish(coeffs, x, lo, hi)
-            if abs(polynomial_value(coeffs, x)) > accept_tol:
-                continue
-            if all(abs(x - r) > 1e-8 for r in roots) and all(
-                abs(x - r) > 1e-8 for r in fresh
-            ):
-                fresh.append(x)
-        if not fresh:
-            break
-        roots.extend(fresh)
-        for x in fresh:
-            if len(work) > 2:
-                work = _deflate(work, x)
+    for x in [*(c for c in crossings if c is not None), *tangents, lo, hi]:
+        x = _newton_polish(coeffs, x, lo, hi)
+        if abs(polynomial_value(coeffs, x)) > accept_tol:
+            continue
+        if all(abs(x - r) > 1e-8 for r in roots):
+            roots.append(x)
     return sorted(roots)

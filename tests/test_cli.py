@@ -267,6 +267,17 @@ class TestVerify:
         assert payload["results"]["violations"] == 0
         assert payload["inputs"]["seed"] == 3
 
+    def test_rows_judged_at_their_own_error_rate(self, capsys):
+        # Near pi/4 the attainable E stops at cos^2(2a) ~ 1.07e-13, so the
+        # clamp on sin(2 mu) moves rows off E = 0 far enough to reach
+        # Q = -1; judged at the target they would be 10 violations.
+        code, out, _ = run_cli(
+            capsys, "verify", "--alpha", "0.785398", "--error-rate", "0",
+            "--resolution", "9", "--restarts", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["violations"] == 0
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--alpha", "pi/8", "--error-rate", "0.2",
@@ -1320,9 +1331,10 @@ LOADED_MODULES = {
     "simulate": _DISTILL_MODULES | {"qkdprobe.simulate"},
     "sweep": _DISTILL_MODULES | {"qkdprobe.simulate"},
 }
-# The calls that work on arrays; the rest, the seeded simulator among
-# them, run on floats and integers and must not import numpy.
-NUMPY_CALLS = {"verify", "possibilities"}
+# The call that works on arrays; the rest, the seeded simulator and the
+# root finder among them, run on floats and integers and must not import
+# numpy.
+NUMPY_CALLS = {"verify"}
 
 LOADED_SCRIPT = """
 import json, sys

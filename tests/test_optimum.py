@@ -242,6 +242,28 @@ class TestFamilies:
         q = overlap(coefficients(params2), geom_pi8)
         assert abs(q - 0.5) < 1e-12
 
+    def test_phi_neg_theta_free(self, geom_pi8):
+        # On sin(2 phi) = -1 at pi/8, c = 0 and theta drops out of E and
+        # Q: every (lam, theta) across the window attains the optimum.
+        thetas = (0.0, 0.3, 0.7, 1.2, 2.0, 3.0)
+        for target in (0.15, 0.2, 0.24):
+            families = optimal_parameter_families(target, geom_pi8)
+            phi_neg = family_by_tag(families, FamilyTag.SET_PHI_NEG)
+            assert phi_neg.free_parameters == ("lam", "theta")
+            q_min = optimal_overlap(target, geom_pi8).overlap
+            lo, hi = phi_neg_lambda_window(target)
+            for lam in np.linspace(lo, hi, 19)[1:-1].tolist():
+                for theta in thetas:
+                    params = sample_params(
+                        phi_neg, target, geom_pi8, {"lam": lam, "theta": theta}
+                    )
+                    assert params.theta == theta
+                    coeffs = coefficients(params)
+                    # cos(2 phi) is cos(3 pi / 2) ~ -1.8e-16 in floats.
+                    assert abs(coeffs.c) <= 2e-16
+                    assert abs(error_rate(coeffs, geom_pi8) - target) <= 4.5e-16
+                    assert abs(overlap(coeffs, geom_pi8) - q_min) <= 4.5e-16
+
     def test_phi_neg_lambda_window(self, geom_pi8):
         lo, hi = phi_neg_lambda_window(0.05)
         families = optimal_parameter_families(0.05, geom_pi8)

@@ -82,6 +82,24 @@ class TestConstrainedScan:
             assert report.violations == 0
             assert report.samples_evaluated >= 10_000
 
+    def test_nodes_judged_at_their_own_error_rate(self):
+        # At this alpha all of E's range, [0, cos^2(2a) ~ 1.07e-13], lies
+        # inside the scan's clamp on sin(2 mu), and Q_min falls from 1 to
+        # -1 across it.  Rows below Q_min at the target sit on or above
+        # Q_min at their own E, up to E's rounding.
+        geom = SignalGeometry(0.785398)
+        config = SearchConfig(geom, 0.0, grid_resolution=9, random_restarts=2)
+        blocks = []
+        report = constrained_scan(config, sink=blocks.append)
+        rows = np.vstack(blocks)
+        below = rows[:, 5] < report.analytic_q - config.tolerance
+        assert np.count_nonzero(below) == 10
+        assert report.violations == 0
+        reference = search_module._analytic_reference(
+            rows[below, 4] + 8 * 2.0**-52, geom
+        )
+        assert np.all(rows[below, 5] >= reference - config.tolerance)
+
     def test_deterministic(self, geom_pi8):
         config = SearchConfig(
             geom=geom_pi8,
