@@ -274,6 +274,26 @@ class TestRealRootOracles:
         roots = real_roots_in_interval([1.0, 0.0, 0.0], -1.5, 1.5)
         assert len(roots) == 1 and abs(roots[0]) < 1e-12
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_double_root_at_an_end(self, lo, hi):
+        # The extremum of x^2 is an end of the interval, with no piece of
+        # the interval on one side of it.
+        roots = real_roots_in_interval([1.0, 0.0, 0.0], lo, hi)
+        assert len(roots) == 1 and abs(roots[0]) < 1e-12
+
+    @pytest.mark.parametrize(
+        "coeffs,lo,hi,expected",
+        [
+            ([1.0, 0.0, -1.0], -1.0, 1.0, [-1.0, 1.0]),
+            ([1.0, 0.0, -0.25], -0.5, 0.5, [-0.5, 0.5]),
+            ([1.0, -0.5], 0.5, 1.0, [0.5]),
+        ],
+    )
+    def test_roots_at_the_ends(self, coeffs, lo, hi, expected):
+        # p is 0 at an end, so no piece shows a sign change there; the
+        # ends are candidates of their own.
+        assert real_roots_in_interval(coeffs, lo, hi) == expected
+
     def test_extremum_between_close_roots_is_no_root(self):
         # x^2 - 1e-12 is within the acceptance tolerance at its minimum,
         # but changes sign on both sides of it: two roots, not three.
