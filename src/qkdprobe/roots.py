@@ -7,9 +7,8 @@ Two solvers live here:
 * :func:`real_roots_in_interval` -- the real roots of an arbitrary-degree
   polynomial on a closed interval, from its derivative chain: p is
   monotone between the sign changes of p', so bisection over those
-  pieces finds every sign change, and Newton polishing from the extrema
-  of p finds the tangent (even-multiplicity) roots.  No sampling, and
-  plain floats throughout.
+  pieces finds every sign change, and any tangent (even-multiplicity)
+  root is an extremum of p.  No sampling; plain floats throughout.
 """
 
 from __future__ import annotations
@@ -130,14 +129,28 @@ def _bisect(coeffs: Sequence[float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _is_rounding(coeffs: Sequence[float], x: float) -> bool:
+    """Whether p(x) is 0 up to rounding: |p(x)| is at most (n + 1) 2^-52
+    sum |c_k x^k|, just above Horner's rounding bound for degree n
+    (Higham, eq. 5.3), and that bound is finite."""
+    scale = polynomial_value([abs(c) for c in coeffs], abs(x))
+    bound = len(coeffs) * 2.0**-52 * scale
+    return abs(polynomial_value(coeffs, x)) <= bound < math.inf
+
+
 def _crossings(
     coeffs: Sequence[float], knots: Sequence[float]
 ) -> list[float | None]:
     """Per piece between consecutive knots, over which p is monotone, the
-    sign change of p there, bisected, or None where p keeps its sign."""
+    sign change of p there, bisected, or None where p keeps its sign.  An
+    inner knot (an extremum of p) where p is 0 up to rounding counts as
+    0: a sign change beside it is rounding."""
     values = [polynomial_value(coeffs, x) for x in knots]
+    for i in range(1, len(knots) - 1):
+        if _is_rounding(coeffs, knots[i]):
+            values[i] = 0.0
     return [
-        _bisect(coeffs, a, b) if (f_a < 0.0) != (f_b < 0.0) else None
+        _bisect(coeffs, a, b) if f_a < 0.0 < f_b or f_b < 0.0 < f_a else None
         for a, b, f_a, f_b in zip(knots, knots[1:], values, values[1:])
     ]
 
@@ -145,12 +158,8 @@ def _crossings(
 def _sign_changes(
     coeffs: Sequence[float], lo: float, hi: float
 ) -> list[float]:
-    """The roots in [lo, hi] where p changes sign, ascending.
-
-    p is monotone between consecutive sign changes of p', so each such
-    piece holds at most one sign change of p.  A linear p is solved
-    directly.
-    """
+    """The roots in [lo, hi] where p changes sign, ascending; a linear p
+    is solved directly."""
     if len(coeffs) == 2:
         x = -coeffs[1] / coeffs[0]
         return [x] if lo <= x <= hi else []
@@ -166,12 +175,14 @@ def real_roots_in_interval(
     The extrema of p, the sign changes of p' found by
     :func:`_sign_changes`, split [lo, hi] into pieces over which p is
     monotone, and each sign change of p in a piece is bisected down to a
-    1e-12 bracket.  The candidates are these sign changes, every extremum
-    where p keeps its sign on both sides (a possible tangent root), and
-    the two ends.  Each is Newton-polished and must satisfy |p(root)| <=
-    1e-9 * max|coeff| to be reported; a candidate within 1e-8 of an
-    accepted root counts as that root.  Raises :class:`DomainError`
-    unless ``lo < hi`` and every coefficient is finite.
+    1e-12 bracket and Newton-polished.  The candidates are these roots,
+    each extremum where p changes sign on neither side (a possible
+    tangent root, not polished: Newton's method would only wander where
+    p is rounding), and the polish from each end where p is 0 up to
+    rounding.  A candidate is reported if |p(x)| <= 1e-9 * max|coeff| and
+    it lies more than 1e-8 from every root already taken.  Raises
+    :class:`DomainError` unless ``lo < hi`` and every coefficient is
+    finite.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi; got [{lo!r}, {hi!r}]")
@@ -187,18 +198,20 @@ def real_roots_in_interval(
         _sign_changes(_derivative(coeffs), lo, hi) if len(coeffs) > 2 else []
     )
     crossings = _crossings(coeffs, [lo, *extrema, hi])
-    # An extremum beside a sign change is no tangent root, even where p
-    # is within the acceptance tolerance of 0 there.
-    tangents = [
+    ends = [x for x in (lo, hi) if _is_rounding(coeffs, x)]
+    candidates = [
+        _newton_polish(coeffs, x, lo, hi)
+        for x in [*crossings, *ends]
+        if x is not None
+    ] + [
         x
         for x, left, right in zip(extrema, crossings, crossings[1:])
         if left is None and right is None
     ]
     roots: list[float] = []
-    for x in [*(c for c in crossings if c is not None), *tangents, lo, hi]:
-        x = _newton_polish(coeffs, x, lo, hi)
-        if abs(polynomial_value(coeffs, x)) > accept_tol:
-            continue
-        if all(abs(x - r) > 1e-8 for r in roots):
+    for x in candidates:
+        if abs(polynomial_value(coeffs, x)) <= accept_tol and all(
+            abs(x - r) > 1e-8 for r in roots
+        ):
             roots.append(x)
     return sorted(roots)

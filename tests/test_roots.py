@@ -53,6 +53,31 @@ def planted_polynomials(draw):
     return coeffs.tolist(), lo, hi, inside
 
 
+@st.composite
+def planted_double_roots(draw):
+    """(coeffs, lo, hi, roots): a double root in [lo, hi], at least 1e-3
+    from either end, and up to two simple roots in and around [lo, hi],
+    all at least 1e-2 apart, times an optional root-free quadratic."""
+    lo = draw(st.floats(min_value=-3.0, max_value=1.0))
+    hi = lo + draw(st.floats(min_value=0.05, max_value=4.0))
+    double = draw(st.floats(min_value=lo + 1e-3, max_value=hi - 1e-3))
+    others = draw(
+        st.lists(
+            st.floats(min_value=lo - 0.5, max_value=hi + 0.5), max_size=2
+        )
+    )
+    points = sorted([double, *others])
+    assume(all(b - a >= 1e-2 for a, b in zip(points, points[1:])))
+    assume(all(abs(r - lo) >= 1e-3 and abs(r - hi) >= 1e-3 for r in others))
+    coeffs = np.poly([double, double, *others]) * draw(
+        st.sampled_from([1.0, -1.0, 0.01, 250.0])
+    )
+    if draw(st.booleans()):
+        coeffs = np.polymul(coeffs, [1.0, 0.0, draw(st.floats(0.01, 4.0))])
+    inside = [r for r in points if lo <= r <= hi]
+    return coeffs.tolist(), lo, hi, inside
+
+
 def residual_scale(coeffs):
     return max(abs(c) for c in coeffs)
 
@@ -228,6 +253,16 @@ class TestRealRootOracles:
         for got, want in zip(roots, planted):
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
+    @given(planted_double_roots())
+    @settings(max_examples=300, deadline=None)
+    def test_planted_double_roots(self, case):
+        # Each planted root comes back once, the double one within 1e-7.
+        coeffs, lo, hi, planted = case
+        roots = real_roots_in_interval(coeffs, lo, hi)
+        assert len(roots) == len(planted), (roots, planted)
+        for got, want in zip(roots, planted):
+            assert math.isclose(got, want, rel_tol=1e-7, abs_tol=1e-7)
+
     @pytest.mark.parametrize(
         "alpha", [PI / 10, PI / 9, PI / 6, PI / 5, PI / 8 - 1e-3, PI / 8 + 1e-3]
     )
@@ -299,3 +334,75 @@ class TestRealRootOracles:
         # but changes sign on both sides of it: two roots, not three.
         roots = real_roots_in_interval([1.0, 0.0, -1e-12])
         assert_allclose(roots, [-1e-6, 1e-6], rtol=1e-12)
+
+    def test_shallow_extremum_between_roots_is_no_root(self):
+        # p is 1.3e-9 at its maximum between the second and third roots,
+        # within the acceptance tolerance of 1.7e-9, but it changes sign on
+        # both sides of it.
+        planted = [
+            0.4173578706579208,
+            0.42420525147321914,
+            0.4282248291094218,
+            0.46196165261357586,
+        ]
+        roots = real_roots_in_interval(np.poly(planted).tolist())
+        assert_allclose(roots, planted, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "coeffs,expected",
+        [
+            # x^2 - (1 + 2e-10): Newton's method from either end runs out
+            # of [-1, 1], though |p(+-1)| is within the tolerance.
+            ([1.0, 0.0, -(1.0 + 2e-10)], []),
+            # (x - (1 + 1e-14)) (x + 5): p(1) = -6e-14.
+            (np.poly([1.0 + 1e-14, -5.0]).tolist(), []),
+        ],
+    )
+    def test_root_just_outside_is_not_reported_at_an_end(
+        self, coeffs, expected
+    ):
+        assert real_roots_in_interval(coeffs) == expected
+
+    @pytest.mark.parametrize(
+        "double,others,scale,quadratic",
+        [
+            (0.3123456, [0.33, -0.5], 1.0, None),
+            # p rounds to exactly 0 around the double root, and is
+            # negative on both sides.
+            (-0.40697737783253096, [-1.2489940333313618], -1.0, None),
+            # p rounds to below 0 around the double root.
+            (
+                0.6540389714566077,
+                [-0.3012669398626211, -0.019535547551120747],
+                0.01,
+                None,
+            ),
+            (
+                0.7031681544222563,
+                [-0.7635081295494572, 1.1072550703595527],
+                250.0,
+                None,
+            ),
+            (-0.5825095089020167, [], -1.0, 0.5),
+            (
+                -0.8569653946693957,
+                [0.2826526343208313, 1.0810104520049886],
+                1.0,
+                None,
+            ),
+            (0.95, [0.93], 1.0, 2.0),
+            (-0.1, [-0.05, -0.16], 0.01, 0.01),
+            (1 / 3, [0.36, -0.9], 250.0, None),
+        ],
+    )
+    def test_double_root_reported_once(self, double, others, scale, quadratic):
+        # scale (x - double)^2 prod (x - other) [(x^2 + quadratic)]: the
+        # float polynomial is rounding near the double root, where it may
+        # change sign twice within ~1e-8.
+        coeffs = np.poly([double, double, *others]) * scale
+        if quadratic is not None:
+            coeffs = np.polymul(coeffs, [1.0, 0.0, quadratic])
+        expected = sorted([double, *(x for x in others if -1 <= x <= 1)])
+        roots = real_roots_in_interval(coeffs.tolist())
+        assert len(roots) == len(expected), roots
+        assert_allclose(roots, expected, rtol=0, atol=1e-7)

@@ -96,9 +96,37 @@ class TestConstrainedScan:
         assert np.count_nonzero(below) == 10
         assert report.violations == 0
         reference = search_module._analytic_reference(
-            rows[below, 4] + 8 * 2.0**-52, geom
+            rows[below, 4] + search_module._E_ROUNDING, geom
         )
         assert np.all(rows[below, 5] >= reference - config.tolerance)
+
+    def test_planted_violation_counts_at_a_steep_alpha(self, monkeypatch):
+        # The ten rows of the test above lie on Q_min at their own E to
+        # 2.3e-19 (a 40-digit evaluation of their angles).  Lowered by 1e-2,
+        # each is a true violation.  Here dQ_min/dE ~ -1.9e13, so E's
+        # rounding allowance moves the reference by 1.9e13 * _E_ROUNDING
+        # (6e-3), and by 3.3e-2 if it were eight ulps of 1.
+        geom = SignalGeometry(0.785398)
+        config = SearchConfig(geom, 0.0, grid_resolution=9, random_restarts=2)
+        below = search_module._analytic_reference(0.0, geom) - 1e-6
+        nodes = probe._constrained_nodes
+        points = search_module._singular_lambda_points
+
+        def lowered_nodes(*args):
+            sin_two_mu, error, q, feasible = nodes(*args)
+            return sin_two_mu, error, np.where(q < below, q - 1e-2, q), feasible
+
+        def lowered_points(*args):
+            return [
+                (*row[:5], row[5] - 1e-2 if row[5] < below else row[5])
+                for row in points(*args)
+            ]
+
+        monkeypatch.setattr(probe, "_constrained_nodes", lowered_nodes)
+        monkeypatch.setattr(
+            search_module, "_singular_lambda_points", lowered_points
+        )
+        assert constrained_scan(config).violations == 10
 
     def test_deterministic(self, geom_pi8):
         config = SearchConfig(
@@ -292,8 +320,17 @@ def full_plane_scan(config, sink):
         if not q_feasible.size:
             return
         state["samples"] += q_feasible.size
+        # Below the formula at the target and at the node's own E, moved
+        # up by E's rounding allowance.
+        own_error = np.broadcast_to(columns[4], q.shape)[feasible]
+        own_reference = search_module._analytic_reference(
+            own_error + search_module._E_ROUNDING, geom
+        )
         state["violations"] += int(
-            (q_feasible < analytic_q - config.tolerance).sum()
+            (
+                (q_feasible < analytic_q - config.tolerance)
+                & (q_feasible < own_reference - config.tolerance)
+            ).sum()
         )
         k = int(np.argmin(q))
         if q.flat[k] < state["best_q"]:
