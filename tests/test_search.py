@@ -114,7 +114,8 @@ class TestConstrainedScan:
 
         def lowered_nodes(*args):
             sin_two_mu, error, q, feasible = nodes(*args)
-            return sin_two_mu, error, np.where(q < below, q - 1e-2, q), feasible
+            q = np.where(q < below, q - 1e-2, q)
+            return sin_two_mu, error, q, feasible
 
         def lowered_points(*args):
             return [
