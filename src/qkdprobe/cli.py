@@ -8,8 +8,11 @@ order, angles as ``{radians, over_pi}``, except those that pick the
 command or place its output (``--out``, ``--samples-out``, ``--format``)
 and those left unset, so replaying the echoed inputs reproduces the
 output byte for byte.  Floats serialize with 17 significant digits in
-JSON and 12 in CSV.  Exit codes: 0 success, 1 property violation
-(verify), 2 usage or domain error.
+JSON and 12 in CSV.  Each output has one renderer: :func:`render_json`
+the JSON envelope, :func:`_csv` the CSV tables of ``capacity``,
+``frontier`` and ``sweep``, and :func:`_float_rows` the blocks of the
+``verify --samples-out`` CSV.  Exit codes: 0 success, 1 property
+violation (verify), 2 usage or domain error.
 
 Angles are accepted as raw radians or as multiples of pi: ``0.3927``,
 ``0.125pi``, ``pi/8``, ``3pi/4``.
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import os
 import re
@@ -46,8 +48,6 @@ from .errors import QkdProbeError
 from .probe import ProbeParams, SignalGeometry, asdict
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import simulate
 
 # The values of optimum.FamilyTag, written out so that parsing the
@@ -92,34 +92,30 @@ _JSON_ESCAPES = str.maketrans(
 )
 
 
-def _json_render(obj: Any, depth: int, indent: int = 2) -> str:
-    # A numpy scalar can exist only once numpy is loaded, so the numpy
-    # type checks run only then and never import it.
-    np = sys.modules.get("numpy")
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
+def _json_render(obj: Any, depth: int) -> str:
+    pad = "  " * (depth + 1)
+    close_pad = "  " * depth
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{pad}"{key}": {_json_render(val, depth + 1, indent)}'
+            f'{pad}"{key}": {_json_render(val, depth + 1)}'
             for key, val in obj.items()
         )
         return "{\n" + items + "\n" + close_pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
         items = ",\n".join(
-            f"{pad}{_json_render(val, depth + 1, indent)}" for val in seq
+            f"{pad}{_json_render(val, depth + 1)}" for val in obj
         )
         return "[\n" + items + "\n" + close_pad + "]"
-    if isinstance(obj, bool) or (np and isinstance(obj, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, int) or (np and isinstance(obj, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, float) or (np and isinstance(obj, np.floating)):
-        return _fmt_json(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_json(obj)
     if obj is None:
         return "null"
     return f'"{str(obj).translate(_JSON_ESCAPES)}"'
@@ -189,43 +185,20 @@ def _write_output(text: str, out: str | None) -> None:
         handle.write(text)
 
 
-def _csv(
-    header: Sequence[str],
-    blocks: Iterable[np.ndarray | Sequence[Sequence[Any]]],
-) -> str:
-    """Header, then the rows of each block (see :func:`_csv_block`)."""
-    return ",".join(header) + "\n" + "".join(map(_csv_block, blocks))
+def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """One table: the header, then one line per row, floats as %.12g and
+    anything else as str()."""
+    lines = [",".join(header)]
+    lines += [
+        ",".join("%.12g" % v if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def _csv_block(block: np.ndarray | Sequence[Sequence[Any]]) -> str:
-    """The rows of one block: floats as %.12g, anything else as str().
-
-    A block is a 2-D float array (see :func:`_float_rows`) or a list of
-    rows, where each run of rows with one type signature is rendered with
-    one %-format repeated once per row.
-    """
-    # As in _json_render: numpy objects exist only once numpy is loaded.
-    np = sys.modules.get("numpy")
-    if np and isinstance(block, np.ndarray):
-        return _float_rows(block)
-    floats = (float, np.floating) if np else float
-    parts = []
-    for kinds, rows in itertools.groupby(
-        map(tuple, block), key=lambda row: tuple(map(type, row))
-    ):
-        rows = list(rows)
-        fmt = ",".join(
-            "%.12g" if issubclass(kind, floats) else "%s"
-            for kind in kinds
-        ) + "\n"
-        parts.append(
-            (fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
-        )
-    return "".join(parts)
-
-
-def _float_rows(block: np.ndarray) -> str:
-    """The rows of a 2-D float array, every value as %.12g.
+def _float_rows(block: Any) -> str:
+    """The rows of one of the scan's sink blocks, a 2-D float array, every
+    value as %.12g.
 
     A column with fewer distinct values than half its rows (a scan
     plane's lam, theta, phi and E) has each distinct value, told apart by
@@ -318,9 +291,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Any]:
     else:
         # Each sink block is rendered and written as it arrives.
         with _output(args.samples_out) as handle:
-            handle.write(_csv(("lam", "theta", "phi", "mu", "E", "Q"), []))
+            handle.write("lam,theta,phi,mu,E,Q\n")
             report = search.constrained_scan(
-                config, sink=lambda block: handle.write(_csv_block(block))
+                config, sink=lambda block: handle.write(_float_rows(block))
             )
     return 1 if report.violations > 0 else 0, {
         "best_q": report.best_q,
@@ -353,7 +326,7 @@ def cmd_capacity(args: argparse.Namespace) -> tuple[int, Any]:
         rows.append(
             (args.alpha, point.error_rate, q_opt, i_opt, point.capacity)
         )
-    return 0, _csv(("alpha", "E", "Q_opt", "I_opt", "capacity"), [rows])
+    return 0, _csv(("alpha", "E", "Q_opt", "I_opt", "capacity"), rows)
 
 
 def _int_list(text: str) -> list[int]:
@@ -395,7 +368,7 @@ def cmd_frontier(args: argparse.Namespace) -> tuple[int, Any]:
         rows.append((n, e_t, args.p_fail, frontier.xi, frontier.t_f,
                      frontier.argmax_e, config.compression(frontier.t_f)))
     if args.format == "csv":
-        return 0, _csv(("n", "e_T", "p", "xi", "t_F", "argmax_e", "s"), [rows])
+        return 0, _csv(("n", "e_T", "p", "xi", "t_F", "argmax_e", "s"), rows)
     results = [
         {
             "n": n,
@@ -495,7 +468,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, Any]:
             "empirical_rate",
             "analytic_capacity",
         ),
-        [rows],
+        rows,
     )
 
 

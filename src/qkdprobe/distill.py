@@ -88,6 +88,10 @@ class DistillationConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise DomainError(f"{name} must be finite and non-negative")
+        # t_F is far below the float maximum, so a finite sum keeps
+        # ceil(t_F + q + nu + g) finite.
+        if not math.isfinite(self.q_leak + self.nu + self.g):
+            raise DomainError("q_leak + nu + g must be finite")
 
     def compression(self, t_f: float) -> int:
         """Privacy-amplification compression s = ceil(t_f + q + nu + g)."""
@@ -361,6 +365,8 @@ def capacity_curve(
 
     E* depends only on alpha, so it is solved once for the whole curve.
     """
+    probe.check_error_rate(e_min)
+    probe.check_error_rate(e_max)
     if steps < 1:
         raise DomainError("steps must be positive")
     if e_max < e_min:

@@ -608,7 +608,9 @@ def _constrained_nodes(lam, theta_trig, phi_trig, target_error, s2):
     d, cross_term = _shared_terms(
         sin_sq_lam, cos_sq_lam, cos_two_theta, sin_two_phi
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero or tiny s2 sin^2(lam) gives an infinite or NaN rhs, which the
+    # feasibility test below refuses.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rhs = _constraint_sin_two_mu(
             sin_sq_lam,
             cos_sq_lam,

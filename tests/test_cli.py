@@ -31,6 +31,7 @@ from qkdprobe import (
 )
 from qkdprobe.cli import (
     _csv,
+    _float_rows,
     _write_output,
     main,
     parse_angle,
@@ -40,7 +41,7 @@ from qkdprobe import cli as cli_module
 from qkdprobe.errors import QkdProbeError, SingularLambdaError
 from qkdprobe.search import _singular_lambda_points
 
-from conftest import fresh_interpreter
+from conftest import SMALLEST_ALPHA, fresh_interpreter
 
 PI = math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -428,19 +429,16 @@ class TestCsvRenderer:
         rows = [
             (3, True, "x", 0.1, np.float64(1.0 / 3.0)),
             (-7, False, "%s,%d", math.inf, np.float64(-math.inf)),
-            (0, np.bool_(True), "", math.nan, np.float64(math.nan)),
-            (np.int64(2**40), True, "-0", -0.0, np.float64(-0.0)),
+            (0, True, "", math.nan, np.float64(math.nan)),
+            (2**40, True, "-0", -0.0, np.float64(-0.0)),
             (10**20, False, "y", 1e-300, np.float64(1e300)),
             (1, 2, 3, 4, 5),  # a column may change type between rows
-            [1e-300, 1e300, -1e300, 5e-324, np.float32(0.1)],
+            [1e-300, 1e300, -1e300, 5e-324, 0.1],
             (1.0, "a", 2, np.float64(2.5e-7), False),
         ]
-        assert _csv(header, [rows]) == per_value_csv(header, rows)
-        assert _csv(header, [iter(rows)]) == per_value_csv(header, rows)
-        split = [rows[:3], rows[3:]]
-        assert _csv(header, split) == per_value_csv(header, rows)
+        assert _csv(header, rows) == per_value_csv(header, rows)
+        assert _csv(header, iter(rows)) == per_value_csv(header, rows)
         assert _csv(header, []) == "int,bool,str,float,np\n"
-        assert _csv(header, [[]]) == "int,bool,str,float,np\n"
 
     def test_float_blocks_match_per_value_rendering(self):
         # The scan's sink blocks: float64 arrays, one %-format per block.
@@ -455,14 +453,10 @@ class TestCsvRenderer:
             rng.uniform(0.0, math.pi, (257, 6)),
             np.empty((0, 6)),
         ]
-        header = ("lam", "theta", "phi", "mu", "E", "Q")
-        rows = [row for block in blocks for row in block.tolist()]
-        assert _csv(header, blocks) == per_value_csv(header, rows)
-        # Array and list blocks mix, as the verify CSV and capacity use.
-        mixed = [blocks[1], [(1, "x", 0.5, -0.0, math.nan, 2)], blocks[2]]
-        mixed_rows = [blocks[1].tolist()[0], mixed[1][0],
-                      blocks[2].tolist()[0]]
-        assert _csv(header, mixed) == per_value_csv(header, mixed_rows)
+        for block in blocks:
+            assert _float_rows(block) == per_value_csv(
+                SAMPLE_HEADER, block.tolist()
+            ).partition("\n")[2]
 
     def test_repeated_float_columns_match_per_value_rendering(self):
         # Columns with few distinct values are formatted once per value,
@@ -484,9 +478,10 @@ class TestCsvRenderer:
             np.repeat(block[:2], 2, axis=0),  # half distinct: per value
             np.empty((0, 6)),
         ]
-        header = ("lam", "theta", "phi", "mu", "E", "Q")
-        rows = [row for b in blocks for row in b.tolist()]
-        assert _csv(header, blocks) == per_value_csv(header, rows)
+        for block in blocks:
+            assert _float_rows(block) == per_value_csv(
+                SAMPLE_HEADER, block.tolist()
+            ).partition("\n")[2]
 
 
 class TestCapacity:
@@ -647,6 +642,12 @@ class TestFrontier:
         assert code == 2 and out == ""
         assert "underflows" in err
 
+    def test_leakage_sum_overflow_exits_2(self, capsys):
+        # Each leakage term is finite; their sum is not.
+        code, out, err = run_cli(capsys, *LEAKAGE_OVERFLOW)
+        assert code == 2 and out == ""
+        assert err == "error: q_leak + nu + g must be finite\n"
+
     def test_control_character_in_count_is_valid_json(self, capsys):
         # int() strips the tab; the echo keeps --n as given.
         code, out, _ = run_cli(
@@ -686,6 +687,74 @@ class TestFrontier:
         geom = SignalGeometry(PI / 8)
         for config, row in zip(calls, rows):
             assert int(row[6]) == compression_level(config, geom)
+
+
+# The edges of the accepted inputs: the extreme alphas, pi/8 and its
+# neighbours, and 0.785398, where cos^2(2 alpha) ~ 1e-13.
+EDGE_ALPHAS = [
+    SMALLEST_ALPHA,
+    1e-150,
+    math.nextafter(PI / 8, 0.0),
+    PI / 8,
+    math.nextafter(PI / 8, 1.0),
+    0.785398,
+    math.nextafter(PI / 4, 0.0),
+]
+LEAKAGE_OVERFLOW = [
+    "frontier", "--alpha", "pi/8", "--n", "10", "--errors", "1",
+    "--p-fail", "0.1", "--q-leak", "1e308", "--nu", "1e308",
+]
+
+
+def edge_calls():
+    """argv of every call in the CLI edge table."""
+    calls = [LEAKAGE_OVERFLOW, ["capacity", "--alpha", "pi/8", "--e-max",
+                                "inf", "--steps", "3"]]
+    for alpha in EDGE_ALPHAS:
+        geom = SignalGeometry(alpha)
+        top = optimum.max_error_rate(geom)
+        rates = [0.0, top, math.nextafter(top, 0.0),
+                 optimum.peak_error_rate(geom), 0.49,
+                 math.nextafter(0.5, 0.0)]
+        at = ["--alpha", repr(alpha)]
+        for rate in rates:
+            given = [*at, "--error-rate", repr(rate)]
+            attack = [*given, "--p-fail", "0.01"]
+            calls += [
+                ["optimal", *given],
+                ["possibilities", *given],
+                ["verify", *given, "--resolution", "9", "--restarts", "3"],
+                ["simulate", "--m", "1000", *attack, "--family", "set_e"],
+                ["simulate", "--m", str(2**63 - 1), *attack, "--four-state",
+                 "--family", "set_h"],
+            ]
+        for n in (1, 2**53, 2**63 - 1):
+            for e_t in (0, n):
+                for p_fail in (1e-323, math.nextafter(1.0, 0.0), 0.5):
+                    calls.append(["frontier", *at, "--n", str(n), "--errors",
+                                  str(e_t), "--p-fail", repr(p_fail)])
+        for e_max in ("0", "1e-300", "0.4999999"):
+            for fmt in ("csv", "json"):
+                calls.append(["capacity", *at, "--e-max", e_max, "--steps",
+                              "5", "--format", fmt])
+    return calls
+
+
+class TestEdgeTable:
+    """Each subcommand at the edges of its accepted inputs answers or
+    exits 2 with an error line: no traceback, and its JSON parses."""
+
+    @pytest.mark.parametrize("argv", edge_calls(), ids=" ".join)
+    def test_answers_or_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            return
+        assert code == 0 and err == ""
+        if out.startswith("{"):
+            json.loads(out)
+        else:  # a CSV table: every line has the header's columns
+            assert len({line.count(",") for line in out.splitlines()}) == 1
 
 
 class TestSimulateCommand:
@@ -1023,8 +1092,10 @@ class TestStreamedSamples:
             sink=blocks.append,
         )
         assert len(blocks) > 1
-        expected = _csv(SAMPLE_HEADER, blocks).encode()
-        assert (tmp_path / "samples.csv").read_bytes() == expected
+        expected = "lam,theta,phi,mu,E,Q\n" + "".join(map(_float_rows, blocks))
+        assert (tmp_path / "samples.csv").read_bytes() == expected.encode()
+        rows = [row for block in blocks for row in block.tolist()]
+        assert expected == per_value_csv(SAMPLE_HEADER, rows)
 
     def test_memory_stays_bounded_by_a_block(
         self, capsys, tmp_path, monkeypatch
@@ -1051,7 +1122,7 @@ class TestStreamedSamples:
         if existing:
             (tmp_path / "samples.csv").write_text("old")
         rendered = []
-        render = cli_module._csv_block
+        render = cli_module._float_rows
 
         def fail_on_third(block):
             if len(rendered) == 2:
@@ -1059,7 +1130,7 @@ class TestStreamedSamples:
             rendered.append(block)
             return render(block)
 
-        monkeypatch.setattr(cli_module, "_csv_block", fail_on_third)
+        monkeypatch.setattr(cli_module, "_float_rows", fail_on_third)
         with pytest.raises(RuntimeError, match="render failed"):
             main(verify_samples_argv("pi/8", 0.2, 3, resolution=9))
         assert len(rendered) == 2

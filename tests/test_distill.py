@@ -1020,6 +1020,18 @@ class TestCompressionLevel:
         with pytest.raises(DomainError):
             DistillationConfig(n=10, e_t=1, p_fail=0.5, nu=-1.0)
 
+    def test_leakage_sum_must_be_finite(self, geom_pi8):
+        # Each term is finite and the sum is not: s would be ceil(inf).
+        with pytest.raises(DomainError, match=r"q_leak \+ nu \+ g"):
+            DistillationConfig(
+                n=10, e_t=1, p_fail=0.1, q_leak=1e308, nu=1e308
+            )
+        # The largest finite sums still compress.
+        config = DistillationConfig(
+            n=10, e_t=1, p_fail=0.1, q_leak=1e308, nu=7e307
+        )
+        assert compression_level(config, geom_pi8) == math.ceil(1.7e308)
+
     @pytest.mark.parametrize(
         "field, n, e_t",
         [
@@ -1178,6 +1190,15 @@ class TestCapacityCurve:
             expected = np.linspace(start, stop, num).tolist()
         points = _linspace(start, stop, num)
         assert list(map(float.hex, points)) == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize(
+        "e_min, e_max, given",
+        [(0.0, math.inf, "inf"), (-math.inf, 0.1, "-inf")],
+    )
+    def test_refused_rate_is_named(self, geom_pi8, e_min, e_max, given):
+        # The bounds are checked as given, before the grid is spread.
+        with pytest.raises(DomainError, match=f"; got {given}$"):
+            capacity_curve(geom_pi8, e_min, e_max, 5)
 
     def test_one_inner_solve_per_curve(self, geom_pi8, monkeypatch):
         # The E* bisection's steps for one point, and for 40.
