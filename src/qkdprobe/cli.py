@@ -488,8 +488,21 @@ def cmd_possibilities(args: argparse.Namespace) -> tuple[int, Any]:
     ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads an argument starting with '-' as a
+    value, not an option, where it starts like a number or an angle:
+    '-1e-3', '-.5', '-inf', '-nan', '-pi/8'.  The value then reaches the
+    option's own checks.  Subparsers are built with this class too."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d|\.\d|inf|nan|pi)", re.IGNORECASE
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkdprobe",
         description=(
             "Entangling-probe attack evaluation, optimization, "

@@ -16,7 +16,10 @@ The module also houses:
 
 * constructors for every family of probe parameters attaining the
   optimum, including the extra sin(2 phi) = -1 family that exists only at
-  alpha = pi/8;
+  alpha = pi/8.  On the lower branch a family is the angle it pins
+  (``_PINNED``); the other angles among (lam, theta, phi) are free, and mu
+  comes from the error-rate constraint through the kernel behind
+  :func:`probe.mu_from_constraint`;
 * the three stationarity residuals of the constant-E overlap in
   (lambda, theta, phi), built from bracket functions f1, f2, f3;
 * the twelve-way case analysis of the stationarity conditions
@@ -283,6 +286,27 @@ def _family_constant(target_error: float, geom: SignalGeometry) -> float:
     return 1.0 - 2.0 * target_error / max_error_rate(geom)
 
 
+# The angle each lower-branch family pins; the angles among (lam, theta,
+# phi) it leaves unpinned are its free parameters, and an unchosen one
+# takes its default.  mu follows from the error-rate constraint.
+_DEFAULT_ANGLES = {"lam": math.pi / 2, "theta": 0.0, "phi": 0.0}
+_PINNED = {
+    FamilyTag.SET_E: {"lam": math.pi / 2},
+    FamilyTag.SET_H: {"theta": 0.0},
+    FamilyTag.SET_PHI_NEG: {"phi": 0.75 * math.pi},
+}
+_LOWER_CONSTRAINTS = {
+    FamilyTag.SET_E: "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a)",
+    FamilyTag.SET_H: (
+        "cos(2 theta) = 1, sin(2 mu) sin^2(lam) = "
+        "1 - 2E csc^2(2a) - cos^2(lam) sin(2 phi)"
+    ),
+    FamilyTag.SET_PHI_NEG: (
+        "sin(2 phi) = -1, sin(2 mu) sin^2(lam) = 1 - 4E + cos^2(lam)"
+    ),
+}
+
+
 def optimal_parameter_families(
     target_error: float, geom: SignalGeometry
 ) -> list[OptimumFamily]:
@@ -314,35 +338,20 @@ def optimal_parameter_families(
     """
     _check_attainable(target_error, geom)
     if branch_for(geom) is Branch.CSC:
-        families = [
-            OptimumFamily(
-                tag=FamilyTag.SET_E,
-                constraint_description=(
-                    "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a)"
-                ),
-                free_parameters=("theta", "phi"),
-            ),
-            OptimumFamily(
-                tag=FamilyTag.SET_H,
-                constraint_description=(
-                    "cos(2 theta) = 1, sin(2 mu) sin^2(lam) = "
-                    "1 - 2E csc^2(2a) - cos^2(lam) sin(2 phi)"
-                ),
-                free_parameters=("lam", "phi"),
-            ),
-        ]
+        tags = [FamilyTag.SET_E, FamilyTag.SET_H]
         if abs(geom.alpha - math.pi / 8) < SEAM_TOL:
-            families.append(
-                OptimumFamily(
-                    tag=FamilyTag.SET_PHI_NEG,
-                    constraint_description=(
-                        "sin(2 phi) = -1, sin(2 mu) sin^2(lam) = "
-                        "1 - 4E + cos^2(lam)"
-                    ),
-                    free_parameters=("lam", "theta"),
-                )
+            tags.append(FamilyTag.SET_PHI_NEG)
+        return [
+            OptimumFamily(
+                tag=tag,
+                constraint_description=_LOWER_CONSTRAINTS[tag],
+                free_parameters=tuple(
+                    name for name in _DEFAULT_ANGLES
+                    if name not in _PINNED[tag]
+                ),
             )
-        return families
+            for tag in tags
+        ]
     return [
         OptimumFamily(
             tag=FamilyTag.SET_E,
@@ -364,16 +373,6 @@ def optimal_parameter_families(
             free_parameters=(),
         ),
     ]
-
-
-def _arcsine_angle(value: float, what: str) -> float:
-    """Smallest angle x in [0, pi] with sin(2 x) = value."""
-    branches = probe._half_arcsine(value)
-    if branches is None:
-        raise OutOfDomainError(
-            f"{what} = {value!r} leaves [-1, 1]; the family is empty here"
-        )
-    return branches[0]
 
 
 def _upper_branch_params(
@@ -398,14 +397,19 @@ def sample_params(
 ) -> ProbeParams:
     """Concrete probe parameters from a family constraint set.
 
-    ``free_choices`` maps each name in ``family.free_parameters`` to an
-    angle in [0, pi]; missing names default to pi/2 for lam and 0 for
-    theta/phi.  Unknown names are rejected.  The returned parameters
-    satisfy the family constraint to 1e-10 and reproduce both the target
-    error rate and the optimum overlap.
+    A lower-branch family is the angle it pins: lam = pi/2 (SET_E),
+    theta = 0 (SET_H) or phi = 3 pi/4 (SET_PHI_NEG).  ``free_choices``
+    maps each name in ``family.free_parameters`` to an angle in [0, pi];
+    missing names default to pi/2 for lam and 0 for theta/phi.  Unknown
+    names are rejected.  mu is then solved from the error-rate constraint
+    by the body of :func:`probe.mu_from_constraint`, so a sample's mu is
+    the one every other route gives at its (lam, theta, phi), and the
+    sample reproduces both the target error rate and the optimum
+    overlap.  Where sin(lam) ~ 0, mu has no effect and is reported as
+    pi/4, if the point already meets the target to 1e-10.
 
-    Raises OutOfDomainError when the requested free angles push a
-    required arcsine argument out of [-1, 1].
+    Raises OutOfDomainError when no mu meets the target at the requested
+    free angles.
     """
     choices = dict(free_choices or {})
     unknown = set(choices) - set(family.free_parameters)
@@ -418,51 +422,34 @@ def sample_params(
     if branch_for(geom) is Branch.SEC:
         return _upper_branch_params(target_error, geom)
 
-    k = _family_constant(target_error, geom)
-    if family.tag is FamilyTag.SET_E:
-        mu = _arcsine_angle(k, "sin(2 mu)")
-        return ProbeParams(
-            lam=math.pi / 2,
-            mu=mu,
-            theta=choices.get("theta", 0.0),
-            phi=choices.get("phi", 0.0),
+    if (
+        family.tag is FamilyTag.SET_PHI_NEG
+        and abs(geom.alpha - math.pi / 8) >= SEAM_TOL
+    ):
+        raise OutOfDomainError(
+            "the sin(2 phi) = -1 family exists only at alpha = pi/8"
         )
-    if family.tag is FamilyTag.SET_H:
-        lam = choices.get("lam", math.pi / 2)
-        phi = choices.get("phi", 0.0)
-        sin_sq_lam = math.sin(lam) ** 2
-        cos_sq_lam = math.cos(lam) ** 2
-        rhs = k - cos_sq_lam * math.sin(2.0 * phi)
-        if sin_sq_lam <= probe.SINGULAR_SIN_LAMBDA:
-            # mu drops out entirely; the constraint must already hold.
-            if abs(rhs) > 1e-10:
-                raise OutOfDomainError(
-                    f"sin(lam) = 0 but the residual constraint {rhs!r} != 0; "
-                    "choose phi with sin(2 phi) = 1 - 2E csc^2(2a)"
-                )
-            return ProbeParams(lam=lam, mu=math.pi / 4, theta=0.0, phi=phi)
-        mu = _arcsine_angle(rhs / sin_sq_lam, "sin(2 mu)")
-        return ProbeParams(lam=lam, mu=mu, theta=0.0, phi=phi)
-    if family.tag is FamilyTag.SET_PHI_NEG:
-        if abs(geom.alpha - math.pi / 8) >= SEAM_TOL:
+    angles = {**_DEFAULT_ANGLES, **choices, **_PINNED[family.tag]}
+    lam, theta, phi = angles["lam"], angles["theta"], angles["phi"]
+    sin_lam = math.sin(lam)
+    if abs(sin_lam) <= probe.SINGULAR_SIN_LAMBDA:
+        # mu drops out entirely; the point must already meet the target.
+        params = ProbeParams(lam=lam, mu=math.pi / 4, theta=theta, phi=phi)
+        error = probe.error_rate(probe.coefficients(params), geom)
+        if abs(error - target_error) > 1e-10:
             raise OutOfDomainError(
-                "the sin(2 phi) = -1 family exists only at alpha = pi/8"
+                f"sin(lam) = 0 but the point induces error rate {error!r}, "
+                f"not {target_error!r}; no mu changes that"
             )
-        lam = choices.get("lam", math.pi / 2)
-        sin_sq_lam = math.sin(lam) ** 2
-        cos_sq_lam = math.cos(lam) ** 2
-        if sin_sq_lam <= probe.SINGULAR_SIN_LAMBDA:
-            raise OutOfDomainError(
-                "sin(lam) = 0 cannot satisfy sin(2 mu) sin^2(lam) = "
-                "1 - 4E + cos^2(lam) for E < 1/2"
-            )
-        mu = _arcsine_angle(
-            (1.0 - 4.0 * target_error + cos_sq_lam) / sin_sq_lam, "sin(2 mu)"
+        return params
+    rhs, mu = probe._solve_mu(
+        lam, sin_lam, theta, phi, target_error, geom.sin_sq_two_alpha
+    )
+    if mu is None:
+        raise OutOfDomainError(
+            f"sin(2 mu) = {rhs!r} leaves [-1, 1]; the family is empty here"
         )
-        return ProbeParams(
-            lam=lam, mu=mu, theta=choices.get("theta", 0.0), phi=0.75 * math.pi
-        )
-    raise DomainError(f"unknown family tag {family.tag!r}")
+    return ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
 
 
 def phi_neg_lambda_window(target_error: float) -> tuple[float, float]:

@@ -186,13 +186,11 @@ def constrained_scan(
     violations = 0
     samples = 0
 
-    def take(
-        columns: tuple, feasible: np.ndarray, to_mu=probe.fold_mu
-    ) -> None:
-        """Count one block of nodes; the columns (lam, theta, phi, m, E, Q)
-        broadcast to the shape of Q and feasible, Q is inf off it, and
-        to_mu(m) gives mu.  Only a new best and the sink's rows read the
-        columns other than Q."""
+    def take(columns: tuple, feasible: np.ndarray) -> None:
+        """Count one block of nodes; the columns (lam, theta, phi,
+        sin 2mu, E, Q) broadcast to the shape of Q and feasible, and Q is
+        inf off it.  Only a new best and the sink's rows read the columns
+        other than Q, and probe.fold_mu turns their sin 2mu into mu."""
         nonlocal best_q, best_angles, violations, samples
         count = int(np.count_nonzero(feasible))
         if not count:
@@ -212,10 +210,12 @@ def constrained_scan(
             lam, theta, phi, m = (
                 np.broadcast_to(c, q.shape).flat[k] for c in columns[:4]
             )
-            best_angles = [float(v) for v in (lam, theta, phi, to_mu(m))]
+            best_angles = [
+                float(v) for v in (lam, theta, phi, probe.fold_mu(m))
+            ]
         if sink is not None:
             rows = [np.broadcast_to(c, q.shape)[feasible] for c in columns]
-            rows[3] = to_mu(rows[3])
+            rows[3] = probe.fold_mu(rows[3])
             sink(np.column_stack(rows))
 
     s2 = geom.sin_sq_two_alpha
@@ -225,13 +225,11 @@ def constrained_scan(
     nodes = grid.tolist()
     for lam in nodes:
         if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
-            # These rows carry mu itself, not sin(2 mu).
             rows = _singular_lambda_points(lam, nodes, target, geom)
-            take(
-                np.array(rows).reshape(-1, 6).T,
-                np.full(len(rows), True),
-                to_mu=np.asarray,
-            )
+            columns = np.array(rows).reshape(-1, 6).T
+            # Their mu = pi/4 is sin(2 mu) = 1: fold_mu(1.0) is pi/4.
+            columns[3] = 1.0
+            take(columns, np.full(len(rows), True))
         else:
             sin_two_mu, e, q, feasible = probe._constrained_nodes(
                 lam, theta_trig, phi_trig, target, s2

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -7,10 +8,13 @@ import os
 import shlex
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdprobe import (
     DistillationConfig,
@@ -98,6 +102,47 @@ class TestAngleParsing:
             main(["optimal", "--alpha", "pi/0", "--error-rate", "0.1"])
         assert exit_info.value.code == 2
         assert "divides by zero" in capsys.readouterr().err
+
+
+class TestSignedValues:
+    """An option value that starts with '-' like a number or an angle
+    reaches the option's own check, which names it, instead of stopping
+    in argparse with "expected one argument"."""
+
+    CAPACITY = [
+        "capacity", "--alpha", "pi/8", "--e-max", "0.1", "--steps", "3",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            ([*CAPACITY, "--e-min", "-inf"], "got -inf"),
+            ([*CAPACITY, "--e-min", "-1e-3"], "got -0.001"),
+            ([*CAPACITY, "--e-min", "-.5"], "got -0.5"),
+            (["optimal", "--alpha", "-pi/8", "--error-rate", "0.1"],
+             f"got {-PI / 8!r}"),
+            (["optimal", "--alpha", "-0.125PI", "--error-rate", "0.1"],
+             f"got {-PI / 8!r}"),
+            (["optimal", "--alpha", "pi/8", "--error-rate", "-NaN"],
+             "got nan"),
+        ],
+    )
+    def test_exits_2_naming_the_value(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err
+
+    def test_other_dash_arguments_stay_options(self, capsys):
+        # '-x' reads as no number, so it is an unknown option as before,
+        # and -h still asks for help.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.CAPACITY, "--e-min", "-x"])
+        assert exit_info.value.code == 2
+        assert "--e-min: expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimal", "-h"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qkdprobe optimal")
 
 
 class TestJsonRendering:
@@ -912,6 +957,64 @@ class TestSimulateCommand:
         )
         assert code == 2 and out == ""
         assert "--q-fraction must be finite and non-negative" in err
+
+
+_FAMILIES = [tag.value for tag in FamilyTag]
+
+
+@st.composite
+def simulate_calls(draw):
+    """argv of a family-attack simulate call anywhere in its accepted
+    domain: alpha at the edges or anywhere in (0, pi/4), E at the family
+    edges or anywhere in [0, 1/2), m up to 2**63 - 1, every family, both
+    samplers and both leakage models."""
+    alpha = draw(st.sampled_from(EDGE_ALPHAS) | st.floats(
+        SMALLEST_ALPHA, math.nextafter(PI / 4, 0.0)
+    ))
+    geom = SignalGeometry(alpha)
+    rate = draw(st.sampled_from([
+        0.0, optimum.max_error_rate(geom), optimum.peak_error_rate(geom),
+        0.49,
+    ]) | st.floats(0.0, 0.5, exclude_max=True))
+    argv = [
+        "simulate",
+        "--m", str(draw(st.integers(1, 2**63 - 1))),
+        "--alpha", repr(alpha),
+        "--p-fail", repr(draw(st.floats(0.0, 1.0, exclude_min=True,
+                                        exclude_max=True))),
+        "--seed", str(draw(st.integers(0, 2**64 - 1))),
+        "--family", draw(st.sampled_from(_FAMILIES)),
+        "--error-rate", repr(rate),
+    ]
+    if draw(st.booleans()):
+        argv.append("--four-state")
+    if draw(st.booleans()):
+        argv += ["--q-model", "binary-entropy", "--q-fraction",
+                 repr(draw(st.floats(0.0, 1.0) | st.floats(0.0, 1e308)))]
+    return argv
+
+
+class TestSimulateDomain:
+    @settings(max_examples=300, deadline=None)
+    @given(simulate_calls())
+    def test_answers_or_exits_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            return
+        assert code == 0 and err.getvalue() == ""
+        results = json.loads(out.getvalue())["results"]
+        m = int(argv[argv.index("--m") + 1])
+        assert 0 <= results["e_t"] <= results["n"] <= m
+        assert results["final_key_len"] == max(
+            0, results["n"] - results["e_t"] - results["s"]
+        )
+        assert 0.0 <= results["empirical_error"] <= 1.0
 
 
 class TestSweepCommand:

@@ -26,7 +26,11 @@ from qkdprobe import (
     sec_branch_overlap,
     stationarity_residuals,
 )
-from qkdprobe.errors import DomainError, OutOfDomainError
+from qkdprobe.errors import (
+    DomainError,
+    InfeasibleConstraintError,
+    OutOfDomainError,
+)
 from qkdprobe.optimum import (
     constant_error_overlap,
     lambda_cubic_coefficients,
@@ -292,6 +296,50 @@ class TestFamilies:
         )
         q = overlap(coefficients(params), geom_pi8)
         assert abs(q - (3.0 - 2.0 / 0.9)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [PI / 8, PI / 10, PI / 9])
+    def test_samples_are_pinned_angles_with_the_constraint_mu(self, alpha):
+        # Each lower-branch family pins one angle and frees the other two;
+        # mu is mu_from_constraint's at the sample's angles, bit for bit,
+        # and where no mu exists both routes refuse.
+        geom = SignalGeometry(alpha)
+        rng = np.random.default_rng([24, int(alpha * 1e6)])
+        pins = {
+            FamilyTag.SET_E: ("lam", PI / 2),
+            FamilyTag.SET_H: ("theta", 0.0),
+            FamilyTag.SET_PHI_NEG: ("phi", 0.75 * PI),
+        }
+        solved = refused = 0
+        for target in np.linspace(0.0, max_error_rate(geom), 13).tolist():
+            for family in optimal_parameter_families(target, geom):
+                pinned, value = pins[family.tag]
+                assert family.free_parameters == tuple(
+                    name for name in ("lam", "theta", "phi") if name != pinned
+                )
+                for _ in range(30):
+                    choices = {
+                        name: rng.uniform(0.0, PI)
+                        for name in family.free_parameters
+                    }
+                    try:
+                        params = sample_params(family, target, geom, choices)
+                    except OutOfDomainError:
+                        angles = {**choices, pinned: value}
+                        with pytest.raises(InfeasibleConstraintError):
+                            mu_from_constraint(
+                                angles["lam"], angles["theta"],
+                                angles["phi"], target, geom,
+                            )
+                        refused += 1
+                        continue
+                    solved += 1
+                    assert getattr(params, pinned) == value
+                    for name, chosen in choices.items():
+                        assert getattr(params, name) == chosen
+                    assert params.mu == mu_from_constraint(
+                        params.lam, params.theta, params.phi, target, geom
+                    )
+        assert solved > 500 and refused > 50
 
     @pytest.mark.parametrize("target", [0.05, 0.2])
     def test_samples_reproduce_everything(self, target, geom_pi8):
