@@ -84,6 +84,7 @@ _EXPORTS = {
         "run",
         "sweep",
     ),
+    "stream": (),
 }
 
 # Name -> the submodule that defines it; a submodule maps to itself.

@@ -22,13 +22,14 @@ Importing this module loads only ``qkdprobe.probe`` and
 and ``evaluate`` need.  Every other subcommand imports the modules it
 runs when it is dispatched: ``optimal`` loads ``optimum``, ``verify``
 loads ``search``, ``capacity`` and ``frontier`` load ``distill``, and
-``simulate`` and ``sweep`` load ``simulate``.  Only ``possibilities``
-loads ``roots``, for its polynomial roots.  numpy is loaded only by the
-one subcommand that works on arrays, ``verify``.  ``possibilities``,
-``evaluate``, ``optimal``, ``capacity``, ``frontier``, ``--help`` and
-``--version`` run on plain floats, and ``simulate`` and ``sweep`` draw
-numpy's seeded stream from the ``simulate`` module's own port of it, so
-none of them imports numpy.
+``simulate`` and ``sweep`` load ``simulate``; ``search`` and
+``simulate`` bring ``stream``, the package's plain-Python port of numpy's
+seeded stream.  Only ``possibilities`` loads ``roots``, for its polynomial
+roots.  numpy is loaded only by the one subcommand that works on arrays,
+``verify``, and never ``numpy.random``.  ``possibilities``, ``evaluate``,
+``optimal``, ``capacity``, ``frontier``, ``--help`` and ``--version`` run
+on plain floats, and ``simulate`` and ``sweep`` on floats and the seeded
+stream, so none of them imports numpy.
 """
 
 from __future__ import annotations

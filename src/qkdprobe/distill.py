@@ -175,9 +175,10 @@ def pa_empirical_check(
     information.  ``holds`` allows three Monte Carlo standard errors.
 
     The matrices are numpy's ``default_rng(seed).integers(0, 2, size=(l -
-    s, l))``, one per hash in turn, drawn bit for bit by the simulator's
-    pure-Python generator, and output bit i of outcome x is the parity of
-    x's bits j (bit j of weight 2^j) under row i.
+    s, l))``, one per hash in turn, drawn bit for bit by the package's
+    plain-Python port of that stream, :mod:`qkdprobe.stream`, and output
+    bit i of outcome x is the parity of x's bits j (bit j of weight 2^j)
+    under row i.
     """
     for name, value in (
         ("l_bits", l_bits),
@@ -197,8 +198,8 @@ def pa_empirical_check(
         raise DomainError("hash_count must be positive")
     if seed < 0:
         raise DomainError("seed must be non-negative")
-    # Imported here: simulate imports this module.
-    from .simulate import _Generator
+    # Imported here: only this check draws from the seeded stream.
+    from .stream import _Generator
 
     probs = [float(p) for p in source]
     renyi = renyi_information(probs, l_bits)

@@ -46,6 +46,9 @@ from .probe import ProbeParams, SignalGeometry, value_type
 
 # alpha values within this distance of pi/8 count as the branch seam.
 SEAM_TOL = 1e-12
+# Error rates up to this fraction above max_error_rate count as attaining
+# it: the rounding of a maximum computed another way.
+ATTAIN_REL_TOL = 1e-12
 # Roots x = sin(2 phi) with |cos^2 2a + sin^2 2a * x| below this are
 # ghosts of the overall Lambda factor removed from the cubic-in-Lambda
 # (Lambda = 0 would force E = 1/2) and are excluded from joint-root
@@ -225,11 +228,11 @@ def sec_branch_overlap(target_error: float, geom: SignalGeometry) -> float:
 
 
 def _check_attainable(target_error: float, geom: SignalGeometry) -> float:
-    """Raise unless E lies in [0, 1/2) and up to :func:`max_error_rate`;
-    returns that maximum."""
+    """Raise unless E lies in [0, 1/2) and up to :func:`max_error_rate`,
+    give or take ATTAIN_REL_TOL of it; returns that maximum."""
     probe.check_error_rate(target_error)
     e_max = max_error_rate(geom)
-    if target_error > e_max + SEAM_TOL:
+    if target_error > e_max * (1.0 + ATTAIN_REL_TOL):
         raise OutOfDomainError(
             f"error rate {target_error!r} exceeds the attainable maximum "
             f"{e_max!r} at alpha = {geom.alpha!r}"
@@ -238,9 +241,15 @@ def _check_attainable(target_error: float, geom: SignalGeometry) -> float:
 
 
 def _branch_minimum(target_error: float, geom: SignalGeometry) -> float:
-    """Q_min at this alpha."""
+    """Q_min at this alpha: -1 from E_max on.
+
+    The formula's slope at E_max is -2 / (E_max (1 - E_max)), so an E
+    let past E_max falls far below -1 at a small E_max; E is held at
+    E_max, and the formula's rounding there is clamped at -1.
+    """
     # The branch's trig factor, sin^2 2a or cos^2 2a, is E_max itself.
-    return _branch_formula(target_error, _check_attainable(target_error, geom))
+    e_max = _check_attainable(target_error, geom)
+    return max(-1.0, _branch_formula(min(target_error, e_max), e_max))
 
 
 def optimal_overlap(
@@ -764,7 +773,7 @@ def enumerate_possibilities(
     at_seam = abs(geom.alpha - math.pi / 8) < SEAM_TOL
     feasibility_note = (
         ""
-        if target_error <= geom.sin_sq_two_alpha + SEAM_TOL
+        if target_error <= geom.sin_sq_two_alpha * (1.0 + ATTAIN_REL_TOL)
         else "; unrealizable here (E > sin^2 2a puts |sin 2mu| > 1)"
     )
 

@@ -19,8 +19,8 @@ strategies are provided:
 derivative-free simplex search, re-solving mu at every step.  Both
 simplex searches run on this module's own Nelder-Mead, a step-for-step
 port of scipy's with the standard coefficients, so qkdprobe needs only
-numpy at run time; :func:`constrained_scan` and :func:`penalty_scan`
-import it when first called, and :func:`refine` never does.  Every
+numpy at run time, and only :func:`constrained_scan` imports it, when
+first called, for its arrays.  Every
 route (grid planes, sin(lam) = 0 planes, simplex objectives, penalty
 finals) evaluates on floats or float arrays through the one body of the
 probe formulas, in the order the public scalar functions use, so every
@@ -29,9 +29,13 @@ and ``error_rate`` give; a ``ProbeParams`` is built only for a point a
 search returns.
 
 All randomness derives from the config seed through counter-based
-splitting, so identical configs produce bit-identical reports; grid and
-restart evaluations are independent and are merged by (min Q, then first
-in lexicographic grid order).
+splitting, so identical configs produce bit-identical reports.  The k
+restarts are numpy's ``default_rng([seed, 1]).uniform(0, pi, (k, 3))``
+and the penalty starts its ``default_rng([seed, 2]).uniform(0, pi,
+(max(k, 1), 4))``, drawn by :mod:`qkdprobe.stream`, the package's
+plain-Python port of that stream, at ~3 us a restart.  Grid and restart
+evaluations are independent and are merged by (min Q, then first in
+lexicographic grid order).
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .errors import (
     InfeasibleConstraintError,
 )
 from .probe import ProbeParams, SignalGeometry, value_type
+from .stream import _Generator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -236,10 +241,10 @@ def constrained_scan(
             )
             take((lam, theta, phi, sin_two_mu, e, q), feasible)
 
-    rng = np.random.default_rng([config.seed, _RESTART_STREAM])
-    lam, theta, phi = rng.uniform(
-        0.0, math.pi, size=(config.random_restarts, 3)
-    ).T
+    restarts = _Generator(config.seed, _RESTART_STREAM).uniform(
+        math.pi, 3 * config.random_restarts
+    )
+    lam, theta, phi = np.array(restarts).reshape(-1, 3).T
     sin_two_mu, e, q, feasible = probe.constrained_observables(
         lam, theta, phi, target, geom
     )
@@ -450,8 +455,6 @@ def _penalty_finals(
     """Raw Nelder-Mead finals (Q, E, angles) of the penalty objective, the
     four angles (lam, mu, theta, phi) folded into [0, pi); a final whose
     overlap radicand is non-positive is dropped."""
-    import numpy as np
-
     s2 = config.geom.sin_sq_two_alpha
     target = config.target_error
 
@@ -462,13 +465,16 @@ def _penalty_finals(
         q, e = point
         return q + penalty_weight * (e - target) ** 2
 
-    rng = np.random.default_rng([config.seed, _PENALTY_STREAM])
     n_starts = max(1, config.random_restarts)
+    starts = _Generator(config.seed, _PENALTY_STREAM).uniform(
+        math.pi, 4 * n_starts
+    )
     finals: list[tuple[float, float, list[float]]] = []
     evaluations = 0
-    for x0 in rng.uniform(0.0, math.pi, size=(n_starts, 4)):
+    for i in range(0, len(starts), 4):
         x, _, spent = _nelder_mead(
-            objective, x0, xatol=1e-10, fatol=1e-13, maxfev=10_000
+            objective, starts[i:i + 4], xatol=1e-10, fatol=1e-13,
+            maxfev=10_000,
         )
         evaluations += spent
         angles = [v % math.pi for v in x]

@@ -759,6 +759,7 @@ def edge_calls():
         geom = SignalGeometry(alpha)
         top = optimum.max_error_rate(geom)
         rates = [0.0, top, math.nextafter(top, 0.0),
+                 math.nextafter(top, 1.0), top + 1e-13,
                  optimum.peak_error_rate(geom), 0.49,
                  math.nextafter(0.5, 0.0)]
         at = ["--alpha", repr(alpha)]
@@ -797,7 +798,9 @@ class TestEdgeTable:
             return
         assert code == 0 and err == ""
         if out.startswith("{"):
-            json.loads(out)
+            results = json.loads(out)["results"]
+            if argv[0] == "optimal":
+                assert results["overlap"] >= -1.0
         else:  # a CSV table: every line has the header's columns
             assert len({line.count(",") for line in out.splitlines()}) == 1
 
@@ -1447,16 +1450,18 @@ from qkdprobe import cli, search
 
 statistics_on_import = "statistics" in sys.modules
 examples, start = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-for argv in examples:
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
 config = search.SearchConfig(
     qkdprobe.SignalGeometry(start[0]), start[1], random_restarts=2, seed=3
 )
 q, params = search.refine(qkdprobe.ProbeParams(*start[2:]), config)
 penalty = search.penalty_scan(config, 1e5)
+numpy_after_simplex = "numpy" in sys.modules
+for argv in examples:
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
 print(json.dumps({
     "statistics_on_import": statistics_on_import,
+    "numpy_after_simplex": numpy_after_simplex,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "refine": [q, params.lam, params.mu, params.theta, params.phi],
     "penalty": [penalty.best_q, penalty.samples_evaluated],
@@ -1493,21 +1498,23 @@ print(json.dumps({"pa_holds": pa.holds, "numpy": "numpy" in sys.modules}))
 _CLI_MODULES = {"qkdprobe", "qkdprobe.cli", "qkdprobe.errors", "qkdprobe.probe"}
 _OPTIMUM_MODULES = _CLI_MODULES | {"qkdprobe.optimum"}
 _DISTILL_MODULES = _OPTIMUM_MODULES | {"qkdprobe.distill"}
+_SEEDED_MODULES = {"qkdprobe.simulate", "qkdprobe.stream"}
 LOADED_MODULES = {
     "evaluate": _CLI_MODULES,
     "--version": _CLI_MODULES,
     "--help": _CLI_MODULES,
     "optimal": _OPTIMUM_MODULES,
     "possibilities": _OPTIMUM_MODULES | {"qkdprobe.roots"},
-    "verify": _OPTIMUM_MODULES | {"qkdprobe.search"},
+    "verify": _OPTIMUM_MODULES | {"qkdprobe.search", "qkdprobe.stream"},
     "capacity": _DISTILL_MODULES,
     "frontier": _DISTILL_MODULES,
-    "simulate": _DISTILL_MODULES | {"qkdprobe.simulate"},
-    "sweep": _DISTILL_MODULES | {"qkdprobe.simulate"},
+    "simulate": _DISTILL_MODULES | _SEEDED_MODULES,
+    "sweep": _DISTILL_MODULES | _SEEDED_MODULES,
 }
 # The call that works on arrays; the rest, the seeded simulator and the
 # root finder among them, run on floats and integers and must not import
-# numpy.
+# numpy.  Even verify draws its restarts from the package's own stream,
+# so no call loads numpy.random.
 NUMPY_CALLS = {"verify"}
 
 LOADED_SCRIPT = """
@@ -1521,6 +1528,7 @@ except SystemExit as exc:
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "qkdprobe")
 print(json.dumps({"code": code, "loaded": loaded,
                   "numpy": "numpy" in sys.modules,
+                  "numpy.random": "numpy.random" in sys.modules,
                   "dataclasses": "dataclasses" in sys.modules,
                   "inspect": "inspect" in sys.modules}),
       file=sys.stderr)
@@ -1545,6 +1553,7 @@ class TestStartup:
         assert report["code"] == 0, child.stderr
         assert set(report["loaded"]) == LOADED_MODULES[argv[0]]
         assert report["numpy"] == (argv[0] in NUMPY_CALLS)
+        assert report["numpy.random"] is False
         # The value types are built without dataclasses, which imports
         # inspect; numpy imports inspect itself, so only the numpy-free
         # calls can go without it.
@@ -1575,7 +1584,8 @@ class TestStartup:
 
     def test_readme_examples_load_no_scipy(self, tmp_path):
         # A fresh interpreter: pytest itself has loaded scipy here.  Not
-        # one scipy module loads, not even for refine and penalty_scan.
+        # one scipy module loads, not even for refine and penalty_scan,
+        # and those two, run first, load no numpy either.
         examples = (GOLDEN / "readme_argv.json").read_text()
         geom = SignalGeometry(PI / 8)
         lam, theta, phi = 0.4 * PI, 0.2 * PI, 0.6 * PI
@@ -1588,6 +1598,7 @@ class TestStartup:
         assert child.returncode == 0, child.stderr
         report = json.loads(child.stdout)
         assert report["statistics_on_import"] is False
+        assert report["numpy_after_simplex"] is False
         assert report["scipy"] == []
         config = SearchConfig(geom, 0.2, random_restarts=2, seed=3)
         q, params = refine(ProbeParams(*start[2:]), config)

@@ -99,6 +99,32 @@ class TestOptimalOverlap:
                 f"{max_error_rate(geom)!r} at alpha = {PI / 12!r}"
             )
 
+    @pytest.mark.parametrize("alpha", [1e-7, PI / 10, PI / 6, 0.7])
+    def test_just_past_the_maximum(self, alpha):
+        # At E_max and the floats above it up to E_max + 1e-12, each call
+        # answers with Q_min >= -1 or refuses naming the maximum.  The
+        # formula falls fast past E_max: at alpha = 1e-7, E_max ~ 4e-14,
+        # it reads -4 at E = 1e-13, which an absolute slack would accept.
+        geom = SignalGeometry(alpha)
+        top = max_error_rate(geom)
+        rates = [top]
+        while rates[-1] < top + 1e-12 and len(rates) < 500:
+            rates.append(math.nextafter(rates[-1], 1.0))
+        rates += [top + d for d in (1e-13, 5e-13, 1e-12)] + [1e-13]
+        answered = 0
+        for rate in rates:
+            try:
+                best = optimal_overlap(rate, geom)
+            except OutOfDomainError as info:
+                assert f"attainable maximum {top!r}" in str(info)
+                continue
+            answered += 1
+            assert best.overlap >= -1.0, rate
+            if rate >= top:
+                assert best.overlap <= -1.0 + 1e-12, rate
+            assert best.renyi_bits == optimal_renyi_bits(rate, geom)
+        assert answered >= 1  # E_max itself is attained
+
     def test_error_rate_domain(self, geom_pi8):
         # Every entry point that takes an error rate rejects it with the
         # same class and message.

@@ -9,7 +9,7 @@ import qkdprobe
 from conftest import fresh_interpreter
 
 SUBMODULES = ("distill", "errors", "optimum", "probe", "roots", "search",
-              "simulate")
+              "simulate", "stream")
 
 # The package's public names as they were listed before loading went lazy.
 ALL = [

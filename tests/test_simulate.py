@@ -24,12 +24,8 @@ from qkdprobe import distill
 from qkdprobe import run as run_simulation
 from qkdprobe import sweep as run_sweep
 from qkdprobe.errors import DegenerateRunError, DomainError, OutOfDomainError
-from qkdprobe.simulate import (
-    _derived_seed,
-    _Generator,
-    _stirling_bound,
-    resolve_attack,
-)
+from qkdprobe.simulate import _derived_seed, resolve_attack
+from qkdprobe.stream import _Generator, _stirling_bound
 from qkdprobe import simulate
 
 PI = math.pi
@@ -389,6 +385,31 @@ class TestSeededStream:
                 ).ravel().tolist(), (seed, rows, cols)
             assert ours.binomial(1000, 0.3) == oracle.binomial(1000, 0.3)
             assert ours.bits(3) == oracle.integers(0, 2, size=3).tolist()
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 3000])
+    @pytest.mark.parametrize("stream", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_uniform_equals_numpy(self, seed, stream, count):
+        # The seeding and shape of the scan restarts and penalty starts.
+        for high in (PI, 1.0, 0.0):
+            assert _Generator(seed, stream).uniform(high, count) == (
+                np.random.default_rng([seed, stream])
+                .uniform(0.0, high, size=count).tolist()
+            ), high
+
+    def test_uniform_keeps_the_kept_half_word(self):
+        # A double takes a whole 64-bit output, so the high half kept by
+        # an odd number of bits is still the next bit after it.
+        for seed in range(50):
+            ours, oracle = _Generator(seed), np.random.default_rng(seed)
+            for count in (3, 1, 0, 4):
+                assert ours.bits(count) == oracle.integers(
+                    0, 2, size=count
+                ).tolist()
+                assert ours.uniform(PI, count) == oracle.uniform(
+                    0.0, PI, size=count
+                ).tolist()
+            assert ours.binomial(1000, 0.3) == oracle.binomial(1000, 0.3)
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed_refused_as_numpy(self, seed):
