@@ -45,7 +45,7 @@ import tempfile
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, probe
-from .errors import QkdProbeError
+from .errors import OutOfDomainError, QkdProbeError
 from .probe import ProbeParams, SignalGeometry, asdict
 
 if TYPE_CHECKING:
@@ -317,13 +317,13 @@ def cmd_capacity(args: argparse.Namespace) -> tuple[int, Any]:
         return 0, [asdict(point) for point in points]
     # The optimum exists only up to the family maximum; the capacity is
     # defined beyond it.
-    top = optimum.max_error_rate(geom)
     rows = []
     for point in points:
-        q_opt = i_opt = math.nan
-        if point.error_rate <= top:
+        try:
             best = optimum.optimal_overlap(point.error_rate, geom)
             q_opt, i_opt = best.overlap, best.renyi_bits
+        except OutOfDomainError:
+            q_opt = i_opt = math.nan
         rows.append(
             (args.alpha, point.error_rate, q_opt, i_opt, point.capacity)
         )

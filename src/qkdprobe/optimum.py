@@ -227,9 +227,9 @@ def sec_branch_overlap(target_error: float, geom: SignalGeometry) -> float:
     return _branch_formula(target_error, geom.cos_sq_two_alpha)
 
 
-def _check_attainable(target_error: float, geom: SignalGeometry) -> float:
+def _check_attainable(target_error: float, geom: SignalGeometry) -> None:
     """Raise unless E lies in [0, 1/2) and up to :func:`max_error_rate`,
-    give or take ATTAIN_REL_TOL of it; returns that maximum."""
+    give or take ATTAIN_REL_TOL of it."""
     probe.check_error_rate(target_error)
     e_max = max_error_rate(geom)
     if target_error > e_max * (1.0 + ATTAIN_REL_TOL):
@@ -237,19 +237,24 @@ def _check_attainable(target_error: float, geom: SignalGeometry) -> float:
             f"error rate {target_error!r} exceeds the attainable maximum "
             f"{e_max!r} at alpha = {geom.alpha!r}"
         )
-    return e_max
 
 
-def _branch_minimum(target_error: float, geom: SignalGeometry) -> float:
-    """Q_min at this alpha: -1 from E_max on.
+def _q_min(error: float, geom: SignalGeometry) -> float:
+    """Q_min at this alpha for any E >= 0, unchecked: -1 from E_max on.
 
     The formula's slope at E_max is -2 / (E_max (1 - E_max)), so an E
     let past E_max falls far below -1 at a small E_max; E is held at
     E_max, and the formula's rounding there is clamped at -1.
     """
     # The branch's trig factor, sin^2 2a or cos^2 2a, is E_max itself.
-    e_max = _check_attainable(target_error, geom)
-    return max(-1.0, _branch_formula(min(target_error, e_max), e_max))
+    e_max = max_error_rate(geom)
+    return max(-1.0, _branch_formula(min(error, e_max), e_max))
+
+
+def _branch_minimum(target_error: float, geom: SignalGeometry) -> float:
+    """:func:`_q_min` at an error rate :func:`_check_attainable` admits."""
+    _check_attainable(target_error, geom)
+    return _q_min(target_error, geom)
 
 
 def optimal_overlap(

@@ -61,6 +61,9 @@ IDENTITY_TOL = 1e-12
 SINGULAR_SIN_LAMBDA = 1e-12
 # Roundoff slack allowed when clamping an arcsine argument to [-1, 1].
 ARCSINE_CLAMP_TOL = 1e-10
+# pi/4 - float(pi/4); 3 times it is 3pi/4 - float(3pi/4).  Added to a
+# float difference, exact where small, it keeps a tiny sine precise.
+_QUARTER_PI_TAIL = 3.061616997868383e-17
 
 _T = TypeVar("_T")
 
@@ -412,6 +415,26 @@ def error_rate(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     )[0]
 
 
+def _angle_error_rate(
+    lam: float, mu: float, theta: float, phi: float, geom: SignalGeometry
+) -> float:
+    """E at four float angles as a sum of non-negative terms, which keeps
+    the relative precision :func:`error_rate` loses near E = 0: E =
+    [(1 - d) cos^2 2a + (1 - a) sin^2 2a] / 2, 1 - d = 2 cos^2(lam)
+    sin^2(theta), 1 - a = 2 sin^2(lam) sin^2(pi/4 - mu) + 2 cos^2(lam)
+    [sin^2(theta) sin^2(3pi/4 - phi) + cos^2(theta) sin^2(pi/4 - phi)]."""
+    quarter, tail = 0.25 * math.pi, _QUARTER_PI_TAIL
+    cos_sq_lam = math.cos(lam) ** 2
+    sin_sq_theta = math.sin(theta) ** 2
+    plus_term = math.sin(3.0 * quarter - phi + 3.0 * tail) ** 2
+    minus_term = math.sin(quarter - phi + tail) ** 2
+    return cos_sq_lam * sin_sq_theta * geom.cos_sq_two_alpha + (
+        math.sin(lam) ** 2 * math.sin(quarter - mu + tail) ** 2
+        + cos_sq_lam
+        * (sin_sq_theta * plus_term + math.cos(theta) ** 2 * minus_term)
+    ) * geom.sin_sq_two_alpha
+
+
 def overlap_radicand(half_sum, c, s2: float):
     """half_sum^2 - c^2 s2/4 with s2 = sin^2(2a): the overlap's squared
     denominator.
@@ -464,8 +487,6 @@ def mu_from_constraint(
     phi: float,
     target_error: float,
     geom: SignalGeometry,
-    *,
-    alternate_branch: bool = False,
 ) -> float:
     """Solve for mu so the probe induces the target error rate.
 
@@ -477,10 +498,8 @@ def mu_from_constraint(
                                  - cos^2(lam) cos 2theta sin 2phi)
                     - 2 E ] / (sin^2(2a) sin^2(lam))
 
-    The arcsine is double-valued on [0, pi]; the default branch returns
-    the solution with cos(2 mu) >= 0, ``alternate_branch=True`` the one
-    with cos(2 mu) <= 0.  Both produce identical observables, since mu
-    enters them only through sin(2 mu).
+    Of the two solutions in [0, pi], which share sin(2 mu) and with it
+    every observable, this returns the one with cos(2 mu) >= 0.
 
     Raises:
         SingularLambdaError: sin(lam) ~ 0, so mu is unobservable; use the
@@ -496,13 +515,7 @@ def mu_from_constraint(
             f"sin(lam) = {sin_lam!r} ~ 0: mu has no effect on any observable"
         )
     rhs, mu = _solve_mu(
-        lam,
-        sin_lam,
-        theta,
-        phi,
-        target_error,
-        geom.sin_sq_two_alpha,
-        alternate_branch,
+        lam, sin_lam, theta, phi, target_error, geom.sin_sq_two_alpha
     )
     if mu is None:
         raise InfeasibleConstraintError(
@@ -519,7 +532,6 @@ def _solve_mu(
     phi: float,
     target_error: float,
     s2: float,
-    alternate_branch: bool = False,
 ) -> tuple[float, float | None]:
     """(sin 2mu demanded, mu) at float angles, sin_lam = sin(lam) nonzero.
 
@@ -541,7 +553,7 @@ def _solve_mu(
         s2,
     )
     branches = _half_arcsine(rhs)
-    return rhs, None if branches is None else branches[alternate_branch]
+    return rhs, None if branches is None else branches[0]
 
 
 def _half_arcsine(value: float) -> tuple[float, float] | None:

@@ -61,13 +61,6 @@ _RESTART_STREAM = 1
 _PENALTY_STREAM = 2
 # Objective value assigned to infeasible points (Q itself lies in [-1, 1]).
 _INFEASIBLE = 4.0
-# The rounding error allowed in a scan node's E: the largest error
-# measured, 2.86e-16, rounded up.  It was measured against a 40-digit
-# evaluation of the nodes' own angles, over the 986 nodes that 124 scans
-# re-judge at seven alphas within 1e-5 of pi/4, where Q_min is steepest.
-# The branch formula falls with E, so a node is judged at the largest E
-# its rounding allows.
-_E_ROUNDING = 3e-16
 
 
 @value_type
@@ -108,18 +101,6 @@ class SearchReport:
     analytic_q: float
     violations: int
     samples_evaluated: int
-
-
-def _analytic_reference(error: float, geom: SignalGeometry) -> float:
-    """Branch formula value at an error rate: the violation reference.
-
-    Evaluated raw so scans remain meaningful for error rates beyond the
-    attainable family domain (where the formula is vacuously below every
-    sample), and unchecked, so a raw penalty final just past E = 1/2
-    still has a reference.  The branch's trig factor, sin^2 2a or
-    cos^2 2a, is the attainable maximum error rate itself.
-    """
-    return optimum._branch_formula(error, optimum.max_error_rate(geom))
 
 
 def _singular_lambda_points(
@@ -164,10 +145,10 @@ def constrained_scan(
     random points; mu is solved from the constraint everywhere (the
     sin(lam) = 0 planes switch to phi elimination).  Reports the minimum
     overlap found, the matching parameters, and how many samples fell
-    below the branch formula at their own error rate, up to its rounding,
-    by more than the configured tolerance.  Only a sample below the
-    formula at the target is judged again at its own E, so a scan with
-    none costs nothing extra.
+    below Q_min, held at -1 from the family maximum E on, at their own
+    error rate by more than the configured tolerance.  Only a sample
+    below Q_min at the target is judged again, at the E of its own
+    angles, so a scan with none costs nothing extra.
 
     ``sink``, if given, receives every evaluated sample as rows
     (lam, theta, phi, mu, E, Q) of a float array, one call per block:
@@ -183,8 +164,9 @@ def constrained_scan(
     geom = config.geom
     target = config.target_error
     grid = np.linspace(0.0, math.pi, config.grid_resolution)
-    analytic_q = _analytic_reference(target, geom)
-    below = analytic_q - config.tolerance
+    analytic_q = optimum._q_min(target, geom)
+    tolerance = config.tolerance
+    below = analytic_q - tolerance
 
     best_q = math.inf
     best_angles: list[float] | None = None
@@ -194,8 +176,8 @@ def constrained_scan(
     def take(columns: tuple, feasible: np.ndarray) -> None:
         """Count one block of nodes; the columns (lam, theta, phi,
         sin 2mu, E, Q) broadcast to the shape of Q and feasible, and Q is
-        inf off it.  Only a new best and the sink's rows read the columns
-        other than Q, and probe.fold_mu turns their sin 2mu into mu."""
+        inf off it.  A new best, the sink's rows and low nodes alone read
+        the other columns; probe.fold_mu turns their sin 2mu into mu."""
         nonlocal best_q, best_angles, violations, samples
         count = int(np.count_nonzero(feasible))
         if not count:
@@ -204,11 +186,12 @@ def constrained_scan(
         samples += count
         low = q < below
         if low.any():
-            # Judged again at each node's own E, which the clamp on
-            # sin(2 mu) moves off the target.
-            e = np.broadcast_to(columns[4], q.shape)[low] + _E_ROUNDING
-            reference = _analytic_reference(e, geom) - config.tolerance
-            violations += int(np.count_nonzero(q[low] < reference))
+            # The clamp on sin(2 mu) moves a node's E off the target.
+            rows = [np.broadcast_to(c, q.shape)[low] for c in columns]
+            rows[3] = probe.fold_mu(rows[3])
+            for lam, theta, phi, mu, _, q_node in zip(*rows):
+                e = probe._angle_error_rate(lam, mu, theta, phi, geom)
+                violations += int(q_node < optimum._q_min(e, geom) - tolerance)
         k = int(np.argmin(q))
         if q.flat[k] < best_q:
             best_q = float(q.flat[k])
@@ -526,12 +509,12 @@ def penalty_scan(
     violations = sum(
         1
         for q, e, _ in candidates
-        if q < _analytic_reference(e, geom) - config.tolerance
+        if q < optimum._q_min(e, geom) - config.tolerance
     )
     return SearchReport(
         best_q=best_q,
         best_params=ProbeParams(*best_angles),
-        analytic_q=_analytic_reference(target, geom),
+        analytic_q=optimum._q_min(target, geom),
         violations=violations,
         samples_evaluated=evaluations,
     )

@@ -529,6 +529,12 @@ class TestCsvRenderer:
             ).partition("\n")[2]
 
 
+# pi/10's family maximum E, sin^2(pi/5), one ulp up.
+PI10_TOP_UP = repr(
+    math.nextafter(optimum.max_error_rate(SignalGeometry(PI / 10)), 1.0)
+)
+
+
 class TestCapacity:
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
@@ -580,11 +586,20 @@ class TestCapacity:
         payload = json.loads(out)
         assert len(payload["results"]) == 2
 
-    def test_csv_above_family_maximum(self, capsys):
+    @pytest.mark.parametrize(
+        "e_range, nan_rows",
+        [
+            (("--e-max", "0.4", "--steps", "9"), [False] * 7 + [True] * 2),
+            # One ulp past E_max lies within the rounding optimal accepts.
+            (("--e-min", PI10_TOP_UP, "--e-max", PI10_TOP_UP, "--steps",
+              "1"), [False]),
+        ],
+        ids=["past_top", "one_ulp_past_top"],
+    )
+    def test_csv_above_family_maximum(self, capsys, e_range, nan_rows):
         # The optimum exists up to sin^2(pi/5) ~ 0.345 at pi/10, but the
         # capacity is defined on all of [0, 1/2).
-        argv = ("capacity", "--alpha", "pi/10", "--e-max", "0.4",
-                "--steps", "9")
+        argv = ("capacity", "--alpha", "pi/10", *e_range)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -593,10 +608,14 @@ class TestCapacity:
         assert [row[4] for row in rows] == [
             fmt_csv(point["capacity"]) for point in points
         ]
-        top = optimum.max_error_rate(SignalGeometry(PI / 10))
-        above = [point["error_rate"] > top for point in points]
-        assert above == [False] * 7 + [True] * 2
-        assert [row[2:4] == ["nan", "nan"] for row in rows] == above
+        assert [row[2:4] == ["nan", "nan"] for row in rows] == nan_rows
+        geom = SignalGeometry(PI / 10)
+        for point, row, nan in zip(points, rows, nan_rows):
+            if not nan:
+                best = optimum.optimal_overlap(point["error_rate"], geom)
+                assert row[2:4] == [
+                    fmt_csv(best.overlap), fmt_csv(best.renyi_bits)
+                ]
 
 
 class TestFrontier:
@@ -799,8 +818,11 @@ class TestEdgeTable:
         assert code == 0 and err == ""
         if out.startswith("{"):
             results = json.loads(out)["results"]
+            # Every overlap is at least -1, also Q_min above E_max.
             if argv[0] == "optimal":
                 assert results["overlap"] >= -1.0
+            if argv[0] == "verify":
+                assert results["analytic_q"] >= -1.0
         else:  # a CSV table: every line has the header's columns
             assert len({line.count(",") for line in out.splitlines()}) == 1
 

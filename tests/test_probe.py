@@ -195,6 +195,163 @@ class TestDetectionProbabilities:
             )
 
 
+# E at float angles, from mpmath at mp.dps = 120 with alpha and the
+# angles as their exact binary values, through the coefficients:
+#     s2 = sin(2a)^2; d = sin(lam)^2 + cos(lam)^2 cos(2 theta)
+#     a = sin(lam)^2 sin(2 mu) + cos(lam)^2 cos(2 theta) sin(2 phi)
+#     E = mp.nstr((1 - d + (d - a) s2) / 2, 50)
+# The rows are scan rows (lam, theta, phi, mu) of constrained_scan at
+# grid_resolution 9 with 2 restarts, seed 0.  Rows: (alpha, lam, theta,
+# phi, mu, E).
+ANGLE_ERROR_TABLE = [
+    # alpha = 0.785398, E = 0.0: the 10 rows below Q_min at E and
+    # every 40th of its 111 rows
+    (0.785398, 0.0, 0.0,
+     0.7853981633974483, 0.7853981633974483,
+     9.373498641635608924649114059975104328501475971478e-34),
+    (0.785398, 0.0, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.0679490440337256031997049103967262555867157134314e-13),
+    (0.785398, 0.39269908169872414, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     9.1155152751583192169447019090609425966336005200188e-14),
+    (0.785398, 0.7853981633974483, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     5.3397452201686283430104866522862575088800266857167e-14),
+    (0.785398, 1.1780972450961724, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.5639751651789372775445533972777781742374901884143e-14),
+    (0.785398, 1.5707963267948966, 0.7853981633974483,
+     2.748893571891069, 0.7853981633974483,
+     2.8120495924908829669433851312376125160606687646485e-33),
+    (0.785398, 1.5707963267948966, 2.748893571891069,
+     0.7853981633974483, 0.7853981633974483,
+     1.4864367019020554075163453727836469244962109169297e-33),
+    (0.785398, 1.9634954084936207, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.5639751651789363527476109653676305502033758462697e-14),
+    (0.785398, 2.356194490192345, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     5.3397452201686270351501082239084647635872164926827e-14),
+    (0.785398, 2.748893571891069, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     9.1155152751583182921477594771506817176379451280936e-14),
+    (0.785398, 3.141592653589793, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.0679490440337256031997049103967102389164539738424e-13),
+    # alpha = 0.785398, E = 1e-14: the 10 rows below Q_min at E and
+    # every 40th of its 111 rows
+    (0.785398, 0.0, 0.0,
+     0.7853980634374201, 0.7853981633974483,
+     9.9920072326129057216157027869853074604983714061704e-15),
+    (0.785398, 0.0, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.0679490440337256031997049103967262555867157134314e-13),
+    (0.785398, 0.39269908169872414, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     9.1155152751583192169447019090609425966336005200188e-14),
+    (0.785398, 0.7853981633974483, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     5.3397452201686283430104866522862575088800266857167e-14),
+    (0.785398, 1.1780972450961724, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.5639751651789372775445533972777781742374901884143e-14),
+    (0.785398, 1.5707963267948966, 0.7853981633974483,
+     2.748893571891069, 0.7853980634374201,
+     9.9920072326129057234904025153125920709503562833089e-15),
+    (0.785398, 1.5707963267948966, 2.748893571891069,
+     0.7853981633974483, 0.7853980634374201,
+     9.9920072326129057221647896247237645115233165248549e-15),
+    (0.785398, 1.9634954084936207, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.5639751651789363527476109653676305502033758462697e-14),
+    (0.785398, 2.356194490192345, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     5.3397452201686270351501082239084647635872164926827e-14),
+    (0.785398, 2.748893571891069, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     9.1155152751583182921477594771506817176379451280936e-14),
+    (0.785398, 3.141592653589793, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.0679490440337256031997049103967102389164539738424e-13),
+    # alpha = PI / 4 - 3e-9, E = 0.0: the 10 rows below Q_min at E and
+    # every 40th of its 111 rows
+    (PI / 4 - 3e-9, 0.0, 0.0,
+     0.7853981633974483, 0.7853981633974483,
+     9.373498641636609629094508909061235719940281192698e-34),
+    (PI / 4 - 3e-9, 0.0, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     3.600000136302429787734872765863141941028778518731e-17),
+    (PI / 4 - 3e-9, 0.39269908169872414, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     3.0727923224771866880394511889967321639632327218683e-17),
+    (PI / 4 - 3e-9, 0.7853981633974483, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.8000000681512150509531456874347610854355277923894e-17),
+    (PI / 4 - 3e-9, 1.1780972450961724, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     5.2720781382524334930250401721702462046845000916075e-18),
+    (PI / 4 - 3e-9, 1.5707963267948966, 0.7853981633974483,
+     2.748893571891069, 0.7853981633974483,
+     2.8120495924909830373879246161671464109139170807712e-33),
+    (PI / 4 - 3e-9, 1.5707963267948966, 2.748893571891069,
+     0.7853981633974483, 0.7853981633974483,
+     1.4864367019021554779608848576922600636400914389418e-33),
+    (PI / 4 - 3e-9, 1.9634954084936207, 1.5707963267948966,
+     2.356194490192345, 0.7853981559468677,
+     5.2653809876833659305223934228499038796610486500097e-17),
+    (PI / 4 - 3e-9, 2.356194490192345, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     1.8000000681512146100802813021541932076411518415201e-17),
+    (PI / 4 - 3e-9, 2.748893571891069, 1.5707963267948966,
+     2.356194490192345, 0.7853981504926641,
+     5.5116182950552724863588379924901146468669516044957e-17),
+    (PI / 4 - 3e-9, 3.141592653589793, 1.5707963267948966,
+     2.356194490192345, 0.7853981633974483,
+     3.6000001363024297877348727658630879496745584828342e-17),
+    # alpha = PI / 8, E = 0.15: the 0 rows below Q_min at E and
+    # every 40th of its 299 rows
+    (PI / 8, 0.0, 0.0,
+     0.2057584230337439, 0.7853981633974483,
+     1.5000000000000004455778380292626970653544854676164e-1),
+    (PI / 8, 1.1780972450961724, 0.39269908169872414,
+     1.1780972450961724, 0.2239619856886504,
+     1.4999999999999999529978487615356501087694605107725e-1),
+    (PI / 8, 1.1780972450961724, 1.9634954084936207,
+     2.748893571891069, 0.3709813005475403,
+     1.4999999999999992616397350861702941958292118491307e-1),
+    (PI / 8, 1.5707963267948966, 0.39269908169872414,
+     0.7853981633974483, 0.20575842303374395,
+     1.500000000000000191193785597882622317998750369033e-1),
+    (PI / 8, 1.5707963267948966, 1.9634954084936207,
+     2.356194490192345, 0.20575842303374395,
+     1.5000000000000001911937855978826355741276562573119e-1),
+    (PI / 8, 1.9634954084936207, 0.39269908169872414,
+     0.39269908169872414, 0.22396198568865028,
+     1.5000000000000003535663653821328936293249740402523e-1),
+    (PI / 8, 1.9634954084936207, 1.9634954084936207,
+     1.9634954084936207, 0.3709813005475401,
+     1.4999999999999996198224571357740364916962960416216e-1),
+    (PI / 8, 2.356194490192345, 2.748893571891069,
+     0.39269908169872414, 0.3173234576037595,
+     1.5000000000000000298661093437404520747050730194516e-1),
+    # alpha = 1e-5, E = 1e-10: the 0 rows below Q_min at E and
+    # every 40th of its 157 rows
+    (1e-5, 0.0, 0.0,
+     0.261799363875572, 0.7853981633974483,
+     1.0000000827403711637938190569924092539488081235929e-10),
+    (1e-5, 1.5707963267948966, 0.0,
+     0.7853981633974483, 0.2617993877606594,
+     1.0000000000000001626871866650626388809433919095147e-10),
+    (1e-5, 1.5707963267948966, 1.5707963267948966,
+     2.356194490192345, 0.2617993877606594,
+     1.0000000000000001626872241590571904297854334525072e-10),
+    (1e-5, 1.9634954084936207, 0.0,
+     0.39269908169872414, 0.2415158173729221,
+     1.000000000000000151488585946350283959736696689431e-10),
+]
+
+
 class TestErrorRate:
     def test_zero_for_identity(self):
         geom = SignalGeometry(0.11 * PI)
@@ -222,6 +379,16 @@ class TestErrorRate:
                 + probs.p_ubar_ubar
             )
             assert abs(error_rate(coeffs, geom_pi8) - ratio) < 1e-12
+
+    @pytest.mark.parametrize("row", ANGLE_ERROR_TABLE)
+    def test_angle_form_within_four_ulps(self, row):
+        # At 0.785398 E's range is [0, 1.07e-13] and at pi/4 - 3e-9
+        # [0, 3.6e-17], while the coefficient form is off by up to
+        # 1.4e-17 and 5.8e-17 there; the sum of non-negative terms keeps
+        # E to a few ulps.
+        alpha, lam, theta, phi, mu, exact = row
+        e = probe._angle_error_rate(lam, mu, theta, phi, SignalGeometry(alpha))
+        assert abs(e - exact) <= max(1e-22, 4 * math.ulp(exact))
 
 
 class TestOverlap:
@@ -306,30 +473,17 @@ class TestMuFromConstraint:
         )
         assert abs(mu / PI - 0.156816) < 1e-5
 
-    def test_both_branches_solve_constraint(self, geom_pi8):
+    def test_default_branch_solves_constraint(self, geom_pi8):
         for target in (0.05, 0.2, 0.3):
-            default = mu_from_constraint(
+            mu = mu_from_constraint(
                 0.4 * PI, 0.2 * PI, 0.6 * PI, target, geom_pi8
             )
-            other = mu_from_constraint(
-                0.4 * PI,
-                0.2 * PI,
-                0.6 * PI,
-                target,
-                geom_pi8,
-                alternate_branch=True,
+            assert math.cos(2 * mu) >= -1e-12
+            params = ProbeParams(
+                lam=0.4 * PI, mu=mu, theta=0.2 * PI, phi=0.6 * PI
             )
-            assert math.isclose(
-                math.sin(2 * default), math.sin(2 * other), abs_tol=1e-12
-            )
-            assert math.cos(2 * default) >= -1e-12
-            assert math.cos(2 * other) <= 1e-12
-            for mu in (default, other):
-                params = ProbeParams(
-                    lam=0.4 * PI, mu=mu, theta=0.2 * PI, phi=0.6 * PI
-                )
-                e = error_rate(coefficients(params), geom_pi8)
-                assert abs(e - target) < 1e-12
+            e = error_rate(coefficients(params), geom_pi8)
+            assert abs(e - target) < 1e-12
 
     def test_singular_lambda_refused(self, geom_pi8):
         with pytest.raises(SingularLambdaError):

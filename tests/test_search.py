@@ -32,7 +32,7 @@ from qkdprobe.errors import (
     SingularLambdaError,
 )
 from qkdprobe.probe import constrained_observables, fold_mu
-from qkdprobe import probe
+from qkdprobe import optimum, probe
 from qkdprobe import search as search_module
 from qkdprobe.search import (
     _constrained_point,
@@ -86,7 +86,7 @@ class TestConstrainedScan:
         # At this alpha all of E's range, [0, cos^2(2a) ~ 1.07e-13], lies
         # inside the scan's clamp on sin(2 mu), and Q_min falls from 1 to
         # -1 across it.  Rows below Q_min at the target sit on or above
-        # Q_min at their own E, up to E's rounding.
+        # Q_min at the E of their own angles.
         geom = SignalGeometry(0.785398)
         config = SearchConfig(geom, 0.0, grid_resolution=9, random_restarts=2)
         blocks = []
@@ -95,39 +95,49 @@ class TestConstrainedScan:
         below = rows[:, 5] < report.analytic_q - config.tolerance
         assert np.count_nonzero(below) == 10
         assert report.violations == 0
-        reference = search_module._analytic_reference(
-            rows[below, 4] + search_module._E_ROUNDING, geom
-        )
-        assert np.all(rows[below, 5] >= reference - config.tolerance)
+        for lam, theta, phi, mu, _, q in rows[below].tolist():
+            e = probe._angle_error_rate(lam, mu, theta, phi, geom)
+            assert q >= optimum._q_min(e, geom) - config.tolerance
 
     def test_planted_violation_counts_at_a_steep_alpha(self, monkeypatch):
-        # The ten rows of the test above lie on Q_min at their own E to
-        # 2.3e-19 (a 40-digit evaluation of their angles).  Lowered by 1e-2,
-        # each is a true violation.  Here dQ_min/dE ~ -1.9e13, so E's
-        # rounding allowance moves the reference by 1.9e13 * _E_ROUNDING
-        # (6e-3), and by 3.3e-2 if it were eight ulps of 1.
+        # The ten rows of the test above, each lowered by 1e-2, are true
+        # violations.
         geom = SignalGeometry(0.785398)
         config = SearchConfig(geom, 0.0, grid_resolution=9, random_restarts=2)
-        below = search_module._analytic_reference(0.0, geom) - 1e-6
-        nodes = probe._constrained_nodes
-        points = search_module._singular_lambda_points
-
-        def lowered_nodes(*args):
-            sin_two_mu, error, q, feasible = nodes(*args)
-            q = np.where(q < below, q - 1e-2, q)
-            return sin_two_mu, error, q, feasible
-
-        def lowered_points(*args):
-            return [
-                (*row[:5], row[5] - 1e-2 if row[5] < below else row[5])
-                for row in points(*args)
-            ]
-
-        monkeypatch.setattr(probe, "_constrained_nodes", lowered_nodes)
-        monkeypatch.setattr(
-            search_module, "_singular_lambda_points", lowered_points
+        planted = plant_low_nodes(
+            monkeypatch, config, lambda row: row[5] - 1e-2
         )
+        assert planted == 10
         assert constrained_scan(config).violations == 10
+
+    @pytest.mark.parametrize("resolution", [9, 13])
+    @pytest.mark.parametrize(
+        "alpha", [0.785398, PI / 4 - 3e-9], ids=["0.785398", "pi/4-3e-9"]
+    )
+    def test_planted_violation_just_below_own_optimum_counts(
+        self, monkeypatch, alpha, resolution
+    ):
+        # Q_min falls across E's whole range, [0, cos^2(2a)], at a slope
+        # of -2 / cos^2(2a): -1.9e13 at 0.785398 and -5.6e16 at
+        # pi/4 - 3e-9.  A node planted 2e-6 below Q_min at the E of its
+        # own angles counts only if that E is right to ~5e-20 and ~2e-23;
+        # a shift of E by 3e-16, the allowance the scan once added, would
+        # hide each one.  A node is planted relative to its own Q_min, as
+        # some lie more than the tolerance above it.
+        geom = SignalGeometry(alpha)
+        config = SearchConfig(
+            geom, 0.0, grid_resolution=resolution, random_restarts=2
+        )
+        assert constrained_scan(config).violations == 0
+
+        def just_below(row):
+            lam, theta, phi, mu, _, _ = row
+            e = probe._angle_error_rate(lam, mu, theta, phi, geom)
+            return optimum._q_min(e, geom) - 2e-6
+
+        planted = plant_low_nodes(monkeypatch, config, just_below)
+        assert planted >= 10
+        assert constrained_scan(config).violations == planted
 
     def test_deterministic(self, geom_pi8):
         config = SearchConfig(
@@ -263,6 +273,41 @@ class TestConstrainedScan:
         ) < 1e-13
 
 
+def plant_low_nodes(monkeypatch, config, lowered):
+    """Make the scan see each node below Q_min at the target at Q =
+    lowered(row) instead, row its (lam, theta, phi, mu, E, Q) in an
+    unchanged scan; returns how many nodes were planted.
+
+    The scan meets these nodes in the order its sink receives them, so
+    the patched kernels hand out the planted values in that order."""
+    blocks = []
+    report = constrained_scan(config, sink=blocks.append)
+    rows = np.vstack(blocks)
+    below = report.analytic_q - config.tolerance
+    values = [lowered(row) for row in rows[rows[:, 5] < below].tolist()]
+    planted = iter(values)
+    nodes = probe._constrained_nodes
+    points = search_module._singular_lambda_points
+
+    def lowered_nodes(*args):
+        sin_two_mu, error, q, feasible = nodes(*args)
+        low = q < below
+        q[low] = [next(planted) for _ in range(np.count_nonzero(low))]
+        return sin_two_mu, error, q, feasible
+
+    def lowered_points(*args):
+        return [
+            (*row[:5], next(planted)) if row[5] < below else row
+            for row in points(*args)
+        ]
+
+    monkeypatch.setattr(probe, "_constrained_nodes", lowered_nodes)
+    monkeypatch.setattr(
+        search_module, "_singular_lambda_points", lowered_points
+    )
+    return len(values)
+
+
 def full_plane_observables(lam, theta, phi, target, geom):
     """(mu, E, Q, feasible) on every node, each formula written out in
     full: the array kernel as it was before the scan computed only what
@@ -307,12 +352,35 @@ def full_plane_observables(lam, theta, phi, target, geom):
     return mu, error, q, feasible
 
 
-def full_plane_scan(config, sink):
+def full_plane_error(lam, mu, theta, phi, geom):
+    """E at the angles as a sum of non-negative terms, over arrays:
+    probe._angle_error_rate written out in full."""
+    quarter, tail = 0.25 * PI, probe._QUARTER_PI_TAIL
+    return np.cos(lam) ** 2 * np.sin(theta) ** 2 * geom.cos_sq_two_alpha + (
+        np.sin(lam) ** 2 * np.sin(quarter - mu + tail) ** 2
+        + np.cos(lam) ** 2
+        * (
+            np.sin(theta) ** 2 * np.sin(3.0 * quarter - phi + 3.0 * tail) ** 2
+            + np.cos(theta) ** 2 * np.sin(quarter - phi + tail) ** 2
+        )
+    ) * geom.sin_sq_two_alpha
+
+
+def full_plane_q_min(error, geom):
+    """Q_min over arrays of E: the branch formula at min(E, E_max), held
+    at -1 from E_max on."""
+    e_max = optimum.max_error_rate(geom)
+    held = np.minimum(error, e_max)
+    return np.maximum(-1.0, (1.0 + (1.0 - 2.0 / e_max) * held) / (1.0 - held))
+
+
+def full_plane_scan(config, sink, q_min=full_plane_q_min):
     """constrained_scan over full_plane_observables: every column of every
-    node computed, the feasible ones copied out before counting."""
+    node computed, the feasible ones copied out before counting, and every
+    one judged at the E of its angles."""
     geom, target = config.geom, config.target_error
     grid = np.linspace(0.0, PI, config.grid_resolution)
-    analytic_q = search_module._analytic_reference(target, geom)
+    analytic_q = float(q_min(target, geom))
     state = {"best_q": math.inf, "best": None, "violations": 0, "samples": 0}
 
     def take(columns, feasible):
@@ -321,12 +389,12 @@ def full_plane_scan(config, sink):
         if not q_feasible.size:
             return
         state["samples"] += q_feasible.size
-        # Below the formula at the target and at the node's own E, moved
-        # up by E's rounding allowance.
-        own_error = np.broadcast_to(columns[4], q.shape)[feasible]
-        own_reference = search_module._analytic_reference(
-            own_error + search_module._E_ROUNDING, geom
+        # Below Q_min at the target and at the E of the node's angles.
+        lam, theta, phi, mu = (
+            np.broadcast_to(c, q.shape)[feasible] for c in columns[:4]
         )
+        own_error = full_plane_error(lam, mu, theta, phi, geom)
+        own_reference = q_min(own_error, geom)
         state["violations"] += int(
             (
                 (q_feasible < analytic_q - config.tolerance)
@@ -425,11 +493,11 @@ def test_scan_violations_match_full_plane_oracle(monkeypatch):
         full_plane_scan(config, blocks.append)
         for level in np.quantile(np.vstack(blocks)[:, 5], [0.5, 0.9]):
             monkeypatch.setattr(
-                search_module,
-                "_analytic_reference",
-                lambda error, geom: float(level),
+                optimum, "_q_min", lambda error, geom: float(level)
             )
-            expected = full_plane_scan(config, lambda block: None)
+            expected = full_plane_scan(
+                config, lambda block: None, lambda error, geom: level
+            )
             report = constrained_scan(config)
             assert 0 < report.violations < report.samples_evaluated
             assert report == expected
@@ -1014,13 +1082,15 @@ class TestPenaltyScan:
     ):
         # Two raw finals 5e-5 above the target, both below the optimum
         # at the target: only the one below the optimum at its own E is
-        # a violation.  Near E = 1/2 their E passes 1/2.
+        # a violation.  Near E = 1/2 their E passes E_max = 1/2, where
+        # Q_min is held at -1.
         def optimum_pi8(error):
-            return (1.0 - 3.0 * error) / (1.0 - error)
+            held = min(error, 0.5)
+            return max(-1.0, (1.0 - 3.0 * held) / (1.0 - held))
 
         e = target + 5e-5
         own = optimum_pi8(e)
-        assert own < optimum_pi8(target) - 1e-4
+        assert own + 1e-7 < optimum_pi8(target) - 1e-5
         angles = [0.4 * PI, 0.3, 0.2 * PI, 0.6 * PI]
         planted = [(own - 1e-3, e, angles), (own + 1e-7, e, angles)]
         monkeypatch.setattr(
