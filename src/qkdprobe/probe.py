@@ -213,10 +213,6 @@ class SignalGeometry:
     def cos_sq_two_alpha(self) -> float:
         return math.cos(2.0 * self.alpha) ** 2
 
-    def interchanged(self) -> "SignalGeometry":
-        """Geometry after interchanging the roles of the two signal states."""
-        return SignalGeometry(math.pi / 4 - self.alpha)
-
 
 @value_type
 class ProbeParams:
@@ -479,6 +475,19 @@ def _constraint_sin_two_mu(
         + s2 * (d - cross_term)
         - 2.0 * target_error
     ) / (s2 * sin_sq_lam)
+
+
+def _face_cos_sq_lam(sin_two_mu, cos_two_theta, sin_two_phi, target_error, s2):
+    """cos^2(lam) that meets the target error rate on the face sin(2 mu) =
+    +-1; floats.  2E runs linearly in cos^2(lam) from s2 (1 - sin 2mu) at
+    lam = pi/2 to B = (1 - cos 2theta) + s2 cos 2theta (1 - sin 2phi) at
+    lam = 0, so cos^2(lam) is 2E / B on the +1 face and 2(E - s2) /
+    (B - 2 s2) on the -1 face; inf where the two ends are equal."""
+    at_half_pi = s2 * (1.0 - sin_two_mu)
+    b = (1.0 - cos_two_theta) + s2 * cos_two_theta * (1.0 - sin_two_phi)
+    if b == at_half_pi:
+        return math.inf
+    return (2.0 * target_error - at_half_pi) / (b - at_half_pi)
 
 
 def mu_from_constraint(

@@ -15,18 +15,18 @@ strategies are provided:
 * :func:`penalty_scan` releases all four angles and penalizes the squared
   error-rate mismatch, covering the space without any elimination.
 
-:func:`refine` polishes any feasible starting point with a
-derivative-free simplex search, re-solving mu at every step.  Both
-simplex searches run on this module's own Nelder-Mead, a step-for-step
+:func:`refine` and :func:`penalty_scan` share one polish to the target
+error rate: mu is re-solved at (lam, theta, phi), or where none exists
+lam is solved in closed form on the face sin(2 mu) = +-1 the solve
+points past.  Both run on this module's own Nelder-Mead, a step-for-step
 port of scipy's with the standard coefficients, so qkdprobe needs only
 numpy at run time, and only :func:`constrained_scan` imports it, when
-first called, for its arrays.  Every
-route (grid planes, sin(lam) = 0 planes, simplex objectives, penalty
-finals) evaluates on floats or float arrays through the one body of the
-probe formulas, in the order the public scalar functions use, so every
-value equals what ``mu_from_constraint``, ``coefficients``, ``overlap``
-and ``error_rate`` give; a ``ProbeParams`` is built only for a point a
-search returns.
+first called, for its arrays.  Every route (grid planes, sin(lam) = 0
+planes, faces, simplex objectives) evaluates on floats or float arrays
+through the one body of the probe formulas, in the order the public
+scalar functions use, so every value equals what ``mu_from_constraint``,
+``coefficients``, ``overlap`` and ``error_rate`` give; a ``ProbeParams``
+is built only for a point a search returns.
 
 All randomness derives from the config seed through counter-based
 splitting, so identical configs produce bit-identical reports.  The k
@@ -112,10 +112,11 @@ def _singular_lambda_points(
     """Feasible samples on a sin(lam) = 0 plane via phi elimination, as
     rows (lam, theta, phi, mu, E, Q).
 
-    With sin(lam) = 0 the error rate pins sin(2 phi) given theta; both
-    cos(2 phi) sign branches are evaluated since they differ through the
-    skew coefficient c.  mu is unobservable and reported as pi/4.  A
-    point whose overlap radicand is non-positive is dropped.
+    With sin(lam) = 0 the error rate pins 1 - sin(2 phi) = 2(E - sin^2
+    theta) / (s2 cos 2theta) given theta, a form in which no O(1) terms
+    cancel; both cos(2 phi) sign branches are evaluated since they differ
+    through the skew coefficient c.  mu is unobservable and reported as
+    pi/4.  A point whose overlap radicand is non-positive is dropped.
     """
     s2 = geom.sin_sq_two_alpha
     mu = math.pi / 4
@@ -124,9 +125,8 @@ def _singular_lambda_points(
         cos_two_theta = math.cos(2.0 * theta)
         if abs(cos_two_theta) < 1e-12:
             continue
-        sin_two_phi = 1.0 - (2.0 * target_error - 1.0 + cos_two_theta) / (
-            s2 * cos_two_theta
-        )
+        two_e_gap = 2.0 * (target_error - math.sin(theta) ** 2)
+        sin_two_phi = 1.0 - two_e_gap / (s2 * cos_two_theta)
         for phi in probe._half_arcsine(sin_two_phi) or ():
             point = _overlap_and_error((lam, mu, theta, phi), s2)
             if point is not None:
@@ -257,7 +257,9 @@ def _constrained_point(
     All observables are pi-periodic in each angle, so the angles are
     folded into [0, pi).  mu is solved from the constraint; on the
     singular sin(lam) = 0 planes the better phi-elimination branch is
-    taken instead.  None marks a point no probe setting makes feasible.
+    taken instead.  Where no mu exists, lam moves in closed form onto the
+    face sin(2 mu) = +-1 the solve points past, mu = pi/4 or 3pi/4, in
+    its half of [0, pi).  None: no such lam, or a non-positive radicand.
     """
     lam = float(lam) % math.pi
     theta = float(theta) % math.pi
@@ -270,9 +272,16 @@ def _constrained_point(
         lam, theta, phi, mu, _, q = min(rows, key=lambda row: row[5])
         return q, lam, mu, theta, phi
     s2 = geom.sin_sq_two_alpha
-    _, mu = probe._solve_mu(lam, sin_lam, theta, phi, target, s2)
+    rhs, mu = probe._solve_mu(lam, sin_lam, theta, phi, target, s2)
     if mu is None:
-        return None
+        face = math.copysign(1.0, rhs)
+        cos_sq_lam = probe._face_cos_sq_lam(
+            face, math.cos(2.0 * theta), math.sin(2.0 * phi), target, s2
+        )
+        if not 0.0 <= cos_sq_lam <= 1.0:
+            return None
+        lam = math.acos(math.copysign(math.sqrt(cos_sq_lam), math.cos(lam)))
+        mu = 0.25 * math.pi if face > 0.0 else 0.75 * math.pi
     point = _overlap_and_error((lam, mu, theta, phi), s2)
     if point is None:
         return None
@@ -407,7 +416,8 @@ def refine(
     """Simplex polish of a feasible starting point at fixed error rate.
 
     Nelder-Mead over (lam, theta, phi) with mu re-solved per evaluation,
-    run until the simplex diameter falls below 1e-9 or 10^4 evaluations.
+    or lam moved onto a sin(2 mu) = +-1 face where no mu exists, run
+    until the simplex diameter falls below 1e-9 or 10^4 evaluations.
     Returns the best (Q, params) evaluated, so the overlap never exceeds
     the starting value.
     """
@@ -434,10 +444,9 @@ def refine(
 
 def _penalty_finals(
     config: SearchConfig, penalty_weight: float
-) -> tuple[list[tuple[float, float, list[float]]], int]:
-    """Raw Nelder-Mead finals (Q, E, angles) of the penalty objective, the
-    four angles (lam, mu, theta, phi) folded into [0, pi); a final whose
-    overlap radicand is non-positive is dropped."""
+) -> tuple[list[list[float]], int]:
+    """Raw Nelder-Mead finals of the penalty objective, the four angles
+    (lam, mu, theta, phi) folded into [0, pi), and the evaluations spent."""
     s2 = config.geom.sin_sq_two_alpha
     target = config.target_error
 
@@ -452,7 +461,7 @@ def _penalty_finals(
     starts = _Generator(config.seed, _PENALTY_STREAM).uniform(
         math.pi, 4 * n_starts
     )
-    finals: list[tuple[float, float, list[float]]] = []
+    finals: list[list[float]] = []
     evaluations = 0
     for i in range(0, len(starts), 4):
         x, _, spent = _nelder_mead(
@@ -460,10 +469,7 @@ def _penalty_finals(
             maxfev=10_000,
         )
         evaluations += spent
-        angles = [v % math.pi for v in x]
-        point = _overlap_and_error(angles, s2)
-        if point is not None:
-            finals.append((*point, angles))
+        finals.append([v % math.pi for v in x])
     return finals, evaluations
 
 
@@ -473,48 +479,33 @@ def penalty_scan(
     """Minimize Q + w (E - target)^2 over all four probe angles.
 
     A pure penalty minimizer parks the error rate at target + O(1/w), so
-    each Nelder-Mead final is additionally polished to the target at its
-    (lam, theta, phi), exactly as :func:`refine` evaluates a point (mu
-    re-solved, or phi eliminated on a sin(lam) = 0 plane); the report
-    covers polished points together with any raw final already within
-    1e-4 of the target.  Each candidate is a violation if its overlap
-    lies below the branch formula at its own error rate by more than the
-    tolerance: a raw final sits slightly off the target, where the
-    optimum differs.  penalty_weight must be finite and positive.
+    the report covers each Nelder-Mead final polished to the target at
+    its (lam, theta, phi), exactly as :func:`refine` evaluates a point;
+    one is a violation if its overlap lies below Q_min at the target by
+    more than the tolerance.  penalty_weight must be finite and positive.
     """
     if not 0.0 < penalty_weight < math.inf:
         raise DomainError(
             f"penalty_weight must be finite and positive; got "
             f"{penalty_weight!r}"
         )
-    target = config.target_error
-    geom = config.geom
     finals, evaluations = _penalty_finals(config, penalty_weight)
-
-    # (Q, E, (lam, mu, theta, phi)) of each candidate; a polished point
-    # sits at the target.
-    candidates: list[tuple[float, float, Sequence[float]]] = []
-    for q, e, angles in finals:
-        if abs(e - target) < 1e-4:
-            candidates.append((q, e, angles))
-        lam, _, theta, phi = angles
-        polished = _constrained_point(lam, theta, phi, target, geom)
-        if polished is not None:
-            candidates.append((polished[0], target, polished[1:]))
-    if not candidates:
+    polished = [
+        _constrained_point(lam, theta, phi, config.target_error, config.geom)
+        for lam, _, theta, phi in finals
+    ]
+    polished = [point for point in polished if point is not None]
+    if not polished:
         raise EmptyFeasibleSetError(
             "no penalty-scan final reached the target error rate"
         )
-    best_q, _, best_angles = min(candidates, key=lambda item: item[0])
-    violations = sum(
-        1
-        for q, e, _ in candidates
-        if q < optimum._q_min(e, geom) - config.tolerance
-    )
+    best_q, *best_angles = min(polished, key=lambda point: point[0])
+    analytic_q = optimum._q_min(config.target_error, config.geom)
+    below = analytic_q - config.tolerance
     return SearchReport(
         best_q=best_q,
         best_params=ProbeParams(*best_angles),
-        analytic_q=optimum._q_min(target, geom),
-        violations=violations,
+        analytic_q=analytic_q,
+        violations=sum(1 for q, *_ in polished if q < below),
         samples_evaluated=evaluations,
     )

@@ -324,6 +324,19 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["results"]["violations"] == 0
 
+    def test_small_alpha_rows_sit_on_the_target(self, capsys):
+        # At alpha = 1e-5 the scan's best is a sin(lam) = 0 row; its phi
+        # elimination must hold E = 1e-10 to the last digits, or best_q
+        # lands on Q_min at a different E.
+        code, out, _ = run_cli(
+            capsys, "verify", "--alpha", "1e-5", "--error-rate", "1e-10",
+            "--resolution", "9", "--restarts", "2",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert abs(results["best_q"] - results["analytic_q"]) <= 1e-15
+        assert results["violations"] == 0
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--alpha", "pi/8", "--error-rate", "0.2",

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qkdprobe import (
@@ -84,24 +82,6 @@ class TestSignalGeometry:
         for alpha in (SMALLEST_ALPHA, 1e-154, 1e-150):
             geom = SignalGeometry(alpha)
             assert math.isfinite(2.0 / geom.sin_sq_two_alpha)
-
-    def test_interchange_examples(self):
-        assert math.isclose(
-            SignalGeometry(PI / 8).interchanged().alpha, PI / 8
-        )
-        assert math.isclose(
-            SignalGeometry(PI / 9).interchanged().alpha, 5 * PI / 36
-        )
-        assert math.isclose(
-            SignalGeometry(PI / 5).interchanged().alpha, PI / 20
-        )
-
-    @given(st.floats(min_value=1e-6, max_value=PI / 4 - 1e-6))
-    @settings(max_examples=200, deadline=None)
-    def test_interchange_is_involution(self, alpha):
-        geom = SignalGeometry(alpha)
-        twice = geom.interchanged().interchanged()
-        assert abs(twice.alpha - alpha) < 1e-15
 
     @pytest.mark.parametrize("alpha", [PI / 20, PI / 9, PI / 8, PI / 5])
     def test_derived_angles_are_cached_formulas(self, alpha):

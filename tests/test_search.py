@@ -571,6 +571,25 @@ class TestRefine:
         refined_q, _ = refine(start, config)
         assert abs(refined_q - 0.5) < 1e-9
 
+    @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("alpha", [PI / 6, PI / 5, 0.7])
+    def test_upper_branch_attained(self, alpha, fraction):
+        # Above pi/8 the optimum lies on the face sin(2 mu) = 1, which the
+        # polish reaches in closed form: refine from the best scan point
+        # lands on Q_min, where re-solving mu alone stalled above it.
+        geom = SignalGeometry(alpha)
+        target = fraction * geom.cos_sq_two_alpha
+        config = SearchConfig(
+            geom=geom, target_error=target, grid_resolution=40,
+            random_restarts=50,
+        )
+        scan = constrained_scan(config)
+        q, params = refine(scan.best_params, config)
+        assert abs(q - scan.analytic_q) <= 1e-12
+        point = evaluate(params, geom)
+        assert point.overlap == q
+        assert abs(point.error_rate - target) <= 1e-12
+
     @pytest.mark.parametrize(
         "lam,theta,phi",
         [(0.7 * PI, 0.3, 2.2), (0.0, 0.0, 0.5 * math.asin(1.0 - 4.0 * 0.2))],
@@ -612,9 +631,8 @@ def dataclass_singular_rows(lam, thetas, target, geom):
         cos_two_theta = math.cos(2.0 * theta)
         if abs(cos_two_theta) < 1e-12:
             continue
-        sin_two_phi = 1.0 - (2.0 * target - 1.0 + cos_two_theta) / (
-            s2 * cos_two_theta
-        )
+        two_e_gap = 2.0 * (target - math.sin(theta) ** 2)
+        sin_two_phi = 1.0 - two_e_gap / (s2 * cos_two_theta)
         if abs(sin_two_phi) > 1.0 + 1e-10:
             continue
         sin_two_phi = max(-1.0, min(1.0, sin_two_phi))
@@ -631,9 +649,32 @@ def dataclass_singular_rows(lam, thetas, target, geom):
     return rows
 
 
+def dataclass_face_point(lam, theta, phi, target, geom):
+    """(lam, mu) on the face sin(2 mu) = +-1 that meets the target, lam in
+    the half of [0, pi) of the lam given, or None.
+
+    E falls as sin(2 mu) rises, so the +1 face is the one to take where E
+    at mu = pi/4 still lies above the target.  On either face 2E =
+    B cos^2(lam) + s2 (1 - sin 2mu) sin^2(lam), with B = (1 - cos 2theta)
+    + s2 cos 2theta (1 - sin 2phi)."""
+    s2 = geom.sin_sq_two_alpha
+    cos_two_theta = math.cos(2.0 * theta)
+    sin_two_phi = math.sin(2.0 * phi)
+    b = (1.0 - cos_two_theta) + s2 * cos_two_theta * (1.0 - sin_two_phi)
+    at_quarter = ProbeParams(lam=lam, mu=PI / 4, theta=theta, phi=phi)
+    if error_rate(coefficients(at_quarter), geom) > target:
+        cos_sq_lam, mu = 2.0 * target / b, PI / 4
+    else:
+        cos_sq_lam, mu = 2.0 * (target - s2) / (b - 2.0 * s2), 3 * PI / 4
+    if not 0.0 <= cos_sq_lam <= 1.0:
+        return None
+    return math.acos(math.copysign(math.sqrt(cos_sq_lam), math.cos(lam))), mu
+
+
 def dataclass_constrained_point(lam, theta, phi, target, geom):
     """(Q, lam, mu, theta, phi) through mu_from_constraint and the
-    dataclass route, or phi elimination on a sin(lam) = 0 plane."""
+    dataclass route, or phi elimination on a sin(lam) = 0 plane, or the
+    face sin(2 mu) = +-1 where no mu meets the target."""
     lam, theta, phi = (float(v) % PI for v in (lam, theta, phi))
     if abs(math.sin(lam)) <= 1e-12:
         rows = dataclass_singular_rows(lam, [theta], target, geom)
@@ -643,9 +684,15 @@ def dataclass_constrained_point(lam, theta, phi, target, geom):
         return q, lam, mu, theta, phi
     try:
         mu = mu_from_constraint(lam, theta, phi, target, geom)
-        params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
+    except InfeasibleConstraintError:
+        face = dataclass_face_point(lam, theta, phi, target, geom)
+        if face is None:
+            return None
+        lam, mu = face
+    params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
+    try:
         return overlap(coefficients(params), geom), lam, mu, theta, phi
-    except (InfeasibleConstraintError, DegenerateModelError):
+    except DegenerateModelError:
         return None
 
 
@@ -691,9 +738,31 @@ class TestFloatObjectives:
         assert results == [
             dataclass_constrained_point(*x, target, geom) for x in points
         ]
-        assert None in results
+        # Both faces are reached.  Off the sin(lam) = 0 planes a point
+        # finds no lam on the -1 face only where E lies above s2, E at
+        # lam = pi/2 there.
+        mus = [r[2] for r in results if r is not None]
+        assert PI / 4 in mus and 3 * PI / 4 in mus
+        off_planes = results[:2000]
+        assert (None in off_planes) == (target > geom.sin_sq_two_alpha)
         if target <= geom.sin_sq_two_alpha:
             assert any(r is not None and r[1] == 0.0 for r in results)
+        # Every point, a face point too, meets the target and has the
+        # overlap of its angles.
+        for q, *angles in filter(None, results):
+            coeffs = coefficients(ProbeParams(*angles))
+            assert abs(error_rate(coeffs, geom) - target) <= 1e-12
+            assert overlap(coeffs, geom) == q
+
+    def test_face_that_holds_e_fixed(self, geom_pi8):
+        # At theta = 0, phi = pi/4 the +1 face has E = 0 at every lam, so
+        # no cos^2(lam) solves it; at lam = 1e-5 and E = 0 rounding sends
+        # the solve past sin(2 mu) = 1, and the point is dropped.
+        s2 = geom_pi8.sin_sq_two_alpha
+        rhs, mu = probe._solve_mu(1e-5, math.sin(1e-5), 0.0, PI / 4, 0.0, s2)
+        assert rhs > 1.0 + probe.ARCSINE_CLAMP_TOL and mu is None
+        assert probe._face_cos_sq_lam(1.0, 1.0, 1.0, 0.0, s2) == math.inf
+        assert _constrained_point(1e-5, 0.0, PI / 4, 0.0, geom_pi8) is None
 
     @pytest.mark.parametrize("target", [0.05, 0.2, 0.45])
     @pytest.mark.parametrize("alpha", GEOMETRIES)
@@ -721,30 +790,50 @@ class TestFloatObjectives:
             assert rows == []
 
 
+@pytest.mark.parametrize(
+    "alpha,target", [(1e-5, 1e-10), (1e-6, 1e-12), (1e-7, 1e-14)]
+)
+def test_singular_lambda_rows_hold_a_tiny_error_rate(alpha, target):
+    # 1 - sin(2 phi) is solved as 2(E - sin^2 theta) / (s2 cos 2theta), in
+    # which no O(1) terms cancel; the form 1 - (2E - 1 + cos 2theta) /
+    # (s2 cos 2theta) missed E by 8.3e-8, 2.2e-5 and 8.0e-4 relative here.
+    geom = SignalGeometry(alpha)
+    thetas = np.linspace(0.0, PI, 9).tolist()
+    rows = _singular_lambda_points(0.0, thetas, target, geom)
+    assert rows
+    for lam, theta, phi, mu, e, _ in rows:
+        assert abs(e - target) <= 1e-15 * target
+        exact = probe._angle_error_rate(lam, mu, theta, phi, geom)
+        assert abs(exact - target) <= 1e-15 * target
+
+
 # Outputs of refine (from the best point of a 12^3 scan with 20 restarts,
-# seed 5) and of penalty_scan (20 starts, weight 1e5) recorded from the
-# scipy-free Nelder-Mead before the simplex objectives moved to floats:
+# seed 5) and of penalty_scan (20 starts, weight 1e5), first recorded from
+# the scipy-free Nelder-Mead before the simplex objectives moved to floats:
 # (alpha, E, refine Q, refine params, penalty Q, penalty params,
-# penalty evaluations).
+# penalty evaluations).  Since the polish reaches the sin(2 mu) = +-1
+# faces, refine at pi/6 lands on Q_min, and the penalty rows report
+# polished points only, none of them below Q_min; the evaluation counts
+# are unchanged.
 PINNED = [
     (PI / 8, 0.2, 0.4999999999999992,
      (2.284794657156213, 3.106965410606211, 0.0, 0.2963093070999464),
-     0.4999511689484317,
-     (0.4315844174816943, 2.1515593914917814, 3.6703085015687975e-11,
-      1.3447082230487206),
+     0.4999999999999996,
+     (1.4586305480245838, 0.10246541311491952, 2.558799394591915e-09,
+      1.6087420933994947),
      14520),
     (PI / 10, 0.1, 0.5790161797777962,
      (1.4279966607226333, 0.2221466651853085, 0.0, 0.0),
-     0.5789067715186681,
-     (1.570796320191068, 1.3535340614070117, 2.817296222802427,
-      0.6390322858595424),
+     0.5790161797777963,
+     (2.126560192710694, 0.4460476583131298, 3.1415926492493877,
+      2.8768220296420752),
      11126),
-    (PI / 6, 0.15, -0.05817432750936252,
-     (2.4565918678842094, 0.7853981633974483, 1.5854027963453707,
-      2.3595315302748565),
-     -0.059168403572899625,
-     (0.6845496656278285, 0.7853981649051109, 1.5707963185134748,
-      2.356194494788599),
+    (PI / 6, 0.15, -0.05882352941176364,
+     (2.45687345058751, 0.7853981633974483, 1.5707963196544634,
+      2.35619449799328),
+     -0.05882352941176392,
+     (0.6847192030022832, 0.7853981633974483, 1.570796338317804,
+      2.3561944924937244),
      31800),
 ]
 
@@ -958,7 +1047,7 @@ class TestNelderMead:
         )
 
     def test_penalty_finals_follow_scipy(self, geom_pi8, scipy_nelder_mead):
-        # On the penalty scan's own objective: the same finals and
+        # On the penalty scan's own objective: the same folded finals and
         # evaluation count as the scipy route it replaced.
         config = SearchConfig(
             geom=geom_pi8, target_error=0.2, random_restarts=3, seed=7
@@ -978,8 +1067,7 @@ class TestNelderMead:
                 objective, x0, *PENALTY_TOLERANCES, maxfev=10_000
             )
             evaluations += spent
-            folded = [float(v) % PI for v in x]
-            finals.append((*dataclass_free_point(folded, geom_pi8), folded))
+            finals.append([float(v) % PI for v in x])
         assert _penalty_finals(config, weight) == (finals, evaluations)
 
 
@@ -1026,7 +1114,11 @@ class TestPenaltyScan:
         gaps = []
         for weight in (1e2, 1e4, 1e6):
             finals, _ = _penalty_finals(config, weight)
-            gaps.append(np.mean([abs(e - 0.2) for _, e, _ in finals]))
+            errors = [
+                error_rate(coefficients(ProbeParams(*angles)), geom_pi8)
+                for angles in finals
+            ]
+            gaps.append(np.mean([abs(e - 0.2) for e in errors]))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_polishes_final_on_singular_lambda_plane(
@@ -1035,13 +1127,12 @@ class TestPenaltyScan:
         # A final on sin(lam) = 0, off the target by more than 1e-4, is
         # polished through phi elimination, as refine evaluates it.
         final = [0.0, 0.4, 0.0, 0.3]
-        coeffs = coefficients(ProbeParams(*final))
-        e = error_rate(coeffs, geom_pi8)
+        e = error_rate(coefficients(ProbeParams(*final)), geom_pi8)
         assert abs(e - 0.2) > 1e-4
         monkeypatch.setattr(
             search_module,
             "_penalty_finals",
-            lambda config, weight: ([(overlap(coeffs, geom_pi8), e, final)], 7),
+            lambda config, weight: ([final], 7),
         )
         config = SearchConfig(geom=geom_pi8, target_error=0.2, seed=0)
         report = penalty_scan(config, 1e4)
@@ -1067,38 +1158,66 @@ class TestPenaltyScan:
     @pytest.mark.parametrize("seed", range(6))
     def test_no_violations_on_working_code(self, geom_pi8, seed):
         # Raw finals park at E ~ target + 1.6e-5, where the optimum is
-        # lower than at the target; each is held to its own E's optimum.
+        # lower than at the target; only their polished points, at the
+        # target, are reported, and none lies below Q_min there.
         config = SearchConfig(
             geom=geom_pi8, target_error=0.2, random_restarts=4, seed=seed
         )
         finals, _ = _penalty_finals(config, 1e5)
-        assert any(0.0 < e - 0.2 < 1e-4 and q < 0.5 - 1e-6
-                   for q, e, _ in finals)
-        assert penalty_scan(config, 1e5).violations == 0
+        raw = [evaluate(ProbeParams(*angles), geom_pi8) for angles in finals]
+        assert any(0.0 < point.error_rate - 0.2 < 1e-4
+                   and point.overlap < 0.5 - 1e-6 for point in raw)
+        report = penalty_scan(config, 1e5)
+        assert report.violations == 0
+        assert report.best_q >= report.analytic_q - config.tolerance
+
+    @pytest.mark.parametrize(
+        "alpha,target,seed",
+        [(PI / 8, 0.2, seed) for seed in range(6)]
+        + [(PI / 10, 0.1, 0), (PI / 6, 0.15, 0)],
+    )
+    def test_report_is_consistent(self, alpha, target, seed):
+        # The best point sits on the target, and neither it nor any other
+        # reported point lies below Q_min there.
+        geom = SignalGeometry(alpha)
+        config = SearchConfig(
+            geom=geom, target_error=target, random_restarts=4, seed=seed
+        )
+        report = penalty_scan(config, 1e5)
+        point = evaluate(report.best_params, geom)
+        assert abs(point.error_rate - target) <= 1e-12
+        assert point.overlap == report.best_q
+        assert report.violations == 0
+        assert report.best_q >= report.analytic_q - config.tolerance
 
     @pytest.mark.parametrize("target", [0.2, 0.49998])
     def test_planted_candidate_below_its_own_optimum_counts(
         self, geom_pi8, monkeypatch, target
     ):
-        # Two raw finals 5e-5 above the target, both below the optimum
-        # at the target: only the one below the optimum at its own E is
-        # a violation.  Near E = 1/2 their E passes E_max = 1/2, where
-        # Q_min is held at -1.
-        def optimum_pi8(error):
-            held = min(error, 0.5)
-            return max(-1.0, (1.0 - 3.0 * held) / (1.0 - held))
-
-        e = target + 5e-5
-        own = optimum_pi8(e)
-        assert own + 1e-7 < optimum_pi8(target) - 1e-5
-        angles = [0.4 * PI, 0.3, 0.2 * PI, 0.6 * PI]
-        planted = [(own - 1e-3, e, angles), (own + 1e-7, e, angles)]
+        # Two polished points: their own E is the target, so both are
+        # judged against Q_min there, and only the one below it by more
+        # than the tolerance is a violation.  Near E = 1/2 = E_max, Q_min
+        # approaches -1.
+        analytic = (1.0 - 3.0 * target) / (1.0 - target)
+        finals = [[0.1, 0.0, 0.2, 0.3], [0.4, 0.0, 0.5, 0.6]]
+        polished = {
+            0.1: (analytic - 1e-3, 0.1, PI / 4, 0.2, 0.3),
+            0.4: (analytic - 1e-7, 0.4, PI / 4, 0.5, 0.6),
+        }
         monkeypatch.setattr(
             search_module,
             "_penalty_finals",
-            lambda config, weight: (planted, 9),
+            lambda config, weight: (finals, 9),
+        )
+        monkeypatch.setattr(
+            search_module,
+            "_constrained_point",
+            lambda lam, theta, phi, target, geom: polished[lam],
         )
         config = SearchConfig(geom=geom_pi8, target_error=target, seed=0)
         report = penalty_scan(config, 1e5)
+        assert report.analytic_q == pytest.approx(analytic, abs=1e-15)
         assert report.violations == 1
-        assert report.best_q == own - 1e-3
+        assert report.best_q == analytic - 1e-3
+        assert report.best_params == ProbeParams(0.1, PI / 4, 0.2, 0.3)
+        assert report.samples_evaluated == 9
