@@ -34,10 +34,6 @@ class SingularLambdaError(QkdProbeError):
     """sin(lambda) ~ 0, so mu has no effect and cannot be solved for."""
 
 
-class LeadingZeroError(QkdProbeError):
-    """The leading cubic coefficient vanishes; the polynomial is degenerate."""
-
-
 class NotNormalizedError(QkdProbeError):
     """A probability distribution does not sum to one within tolerance."""
 

@@ -700,8 +700,9 @@ def possibility_d_feasibility(
     [-1, 1]: the cubic in sin(2 phi), the cubic in Lambda mapped back
     through x = (Lambda - cos^2 2a)/sin^2 2a, and the quintic.  A solution
     requires either a root common to all three, or the closed-form value
-    x* = 1 - 2E csc^2(2a) to be a root of the latter two (or of the
-    quintic alone).  Ghost roots with Lambda ~ 0 (which would force
+    x* = 1 - 2E csc^2(2a) to be a root of the quintic.  x* need be no
+    more: asking it to be a root of the Lambda cubic too could only widen
+    that chain's residual.  Ghost roots with Lambda ~ 0 (which would force
     E = 1/2) are excluded.  ``feasible`` is True only if some chain
     matches within 1e-6.
     """
@@ -744,14 +745,12 @@ def possibility_d_feasibility(
             default=math.inf,
         )
         x_star = 1.0 - 2.0 * target_error / s2
-        if -1.0 <= x_star <= 1.0:
-            chain_pair = max(
-                _min_distance(x_star, mapped), _min_distance(x_star, quintic)
-            )
-            chain_single = _min_distance(x_star, quintic)
-        else:
-            chain_pair = chain_single = math.inf
-        best = min(best, chain_all, chain_pair, chain_single)
+        chain_single = (
+            _min_distance(x_star, quintic)
+            if -1.0 <= x_star <= 1.0
+            else math.inf
+        )
+        best = min(best, chain_all, chain_single)
     return DFeasibilityReport(
         min_joint_residual=best,
         feasible=best < JOINT_ROOT_TOL,

@@ -1,26 +1,21 @@
 """Polynomial root extraction used by the stationarity analysis.
 
-Two solvers live here:
-
-* :func:`cardano_roots` -- the closed-form depressed-cubic construction,
-  returning all three complex roots of a cubic.
-* :func:`real_roots_in_interval` -- the real roots of an arbitrary-degree
-  polynomial on a closed interval, from its derivative chain: p is
-  monotone between the sign changes of p', so bisection over those
-  pieces finds every sign change, and any tangent (even-multiplicity)
-  root is an extremum of p.  No sampling; plain floats throughout.
+One solver lives here, :func:`real_roots_in_interval`: the real roots of
+an arbitrary-degree polynomial on a closed, finite interval, from its
+derivative chain.  p is monotone between the sign changes of p', so
+bisection over those pieces finds every sign change, and any tangent
+(even-multiplicity) root is an extremum of p.  Possibility (D)'s two
+cubics and its quintic all go through it; its closed-form x* need only
+be a root of the quintic.  No sampling; plain floats throughout.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
-from .errors import DomainError, LeadingZeroError
+from .errors import DomainError
 
-# |a1| below this is treated as a vanishing leading coefficient.
-LEADING_ZERO_TOL = 1e-300
 # Width at which bisection brackets are considered converged.
 BRACKET_WIDTH_TOL = 1e-12
 
@@ -31,63 +26,6 @@ def polynomial_value(coeffs: Sequence[float], x: float) -> float:
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def _principal_cbrt(z: complex) -> complex:
-    if z == 0:
-        return 0.0 + 0.0j
-    return cmath.exp(cmath.log(z) / 3.0)
-
-
-def cardano_roots(
-    a1: float, a2: float, a3: float, a4: float
-) -> tuple[complex, complex, complex]:
-    """All three roots of a1 x^3 + a2 x^2 + a3 x + a4 = 0.
-
-    Uses the depressed-cubic substitution x = t - p/3 with p = a2/a1,
-    q = a3/a1, r = a4/a1, reducing to t^3 + A t + B = 0 where
-    A = (3q - p^2)/3 and B = (2p^3 - 9pq + 27r)/27.  The two cube-root
-    branches c+ and c- of -B/2 +- sqrt(B^2/4 + A^3/27) are combined as
-
-        t  = c+ + c-
-        t± = -(c+ + c-)/2 ± i sqrt(3) (c+ - c-)/2
-
-    with principal complex roots throughout; c- is recovered from the
-    product constraint c+ c- = -A/3 to keep the branches consistent.
-    Roots are returned sorted by real part, then imaginary part.
-    """
-    if abs(a1) < LEADING_ZERO_TOL:
-        raise LeadingZeroError(f"leading coefficient {a1!r} is (near) zero")
-    p = a2 / a1
-    q = a3 / a1
-    r = a4 / a1
-    big_a = (3.0 * q - p * p) / 3.0
-    big_b = (2.0 * p**3 - 9.0 * p * q + 27.0 * r) / 27.0
-    disc = cmath.sqrt(0.25 * big_b * big_b + big_a**3 / 27.0)
-    c_plus = _principal_cbrt(-0.5 * big_b + disc)
-    if abs(c_plus) > 1e-300:
-        c_minus = -big_a / (3.0 * c_plus)
-    else:
-        c_minus = _principal_cbrt(-0.5 * big_b - disc)
-    shift = p / 3.0
-    s = c_plus + c_minus
-    diff = c_plus - c_minus
-    roots = [
-        s - shift,
-        -0.5 * s + 0.5j * math.sqrt(3.0) * diff - shift,
-        -0.5 * s - 0.5j * math.sqrt(3.0) * diff - shift,
-    ]
-    # One Newton step in complex arithmetic sharpens roundoff without
-    # changing which construction produced the roots.
-    polished = []
-    coeffs = (a1, a2, a3, a4)
-    for z in roots:
-        deriv = 3.0 * a1 * z * z + 2.0 * a2 * z + a3
-        if abs(deriv) > 1e-300:
-            z = z - polynomial_value(coeffs, z) / deriv
-        polished.append(z)
-    polished.sort(key=lambda z: (z.real, z.imag))
-    return polished[0], polished[1], polished[2]
 
 
 def _derivative(coeffs: Sequence[float]) -> list[float]:
@@ -181,11 +119,11 @@ def real_roots_in_interval(
     p is rounding), and the polish from each end where p is 0 up to
     rounding.  A candidate is reported if |p(x)| <= 1e-9 * max|coeff| and
     it lies more than 1e-8 from every root already taken.  Raises
-    :class:`DomainError` unless ``lo < hi`` and every coefficient is
-    finite.
+    :class:`DomainError` unless ``lo < hi``, both are finite (an infinite
+    end has no value to bisect from) and every coefficient is finite.
     """
-    if not lo < hi:
-        raise DomainError(f"need lo < hi; got [{lo!r}, {hi!r}]")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"need finite lo < hi; got [{lo!r}, {hi!r}]")
     coeffs = [float(c) for c in coeffs]
     if not all(math.isfinite(c) for c in coeffs):
         raise DomainError(f"coefficients must be finite; got {coeffs!r}")

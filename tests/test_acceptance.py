@@ -47,7 +47,7 @@ from qkdprobe.optimum import (
     quintic_coefficients,
     sin2phi_cubic_coefficients,
 )
-from qkdprobe.roots import cardano_roots, real_roots_in_interval
+from qkdprobe.roots import real_roots_in_interval
 from conftest import draw_constrained_points
 
 PI = math.pi
@@ -276,8 +276,8 @@ def test_criterion_09_root_solvers():
         if abs(cubic[0]) < 0.05:
             cubic[0] = 0.3
         scale = max(abs(c) for c in cubic)
-        for root in cardano_roots(*cubic):
-            value = 0.0 + 0.0j
+        for root in real_roots_in_interval(cubic):
+            value = 0.0
             for c in cubic:
                 value = value * root + c
             ok &= abs(value) < 1e-9 * scale

@@ -112,18 +112,21 @@ class TestConstrainedScan:
 
     @pytest.mark.parametrize("resolution", [9, 13])
     @pytest.mark.parametrize(
-        "alpha", [0.785398, PI / 4 - 3e-9], ids=["0.785398", "pi/4-3e-9"]
+        "alpha",
+        [0.785398, PI / 4 - 3e-9, math.nextafter(PI / 4, 0)],
+        ids=["0.785398", "pi/4-3e-9", "below-pi/4"],
     )
     def test_planted_violation_just_below_own_optimum_counts(
         self, monkeypatch, alpha, resolution
     ):
         # Q_min falls across E's whole range, [0, cos^2(2a)], at a slope
-        # of -2 / cos^2(2a): -1.9e13 at 0.785398 and -5.6e16 at
-        # pi/4 - 3e-9.  A node planted 2e-6 below Q_min at the E of its
-        # own angles counts only if that E is right to ~5e-20 and ~2e-23;
-        # a shift of E by 3e-16, the allowance the scan once added, would
-        # hide each one.  A node is planted relative to its own Q_min, as
-        # some lie more than the tolerance above it.
+        # of -2 / cos^2(2a): -1.9e13 at 0.785398, -5.6e16 at pi/4 - 3e-9
+        # and -2.5e31 at the float just below pi/4, where E's whole range
+        # is 8.0e-32.  A node planted 2e-6 below Q_min at the E of its
+        # own angles counts only if that E is right to ~5e-20, ~2e-23 and
+        # ~8e-38; a shift of E by 3e-16, the allowance the scan once
+        # added, would hide each one.  A node is planted relative to its
+        # own Q_min, as some lie more than the tolerance above it.
         geom = SignalGeometry(alpha)
         config = SearchConfig(
             geom, 0.0, grid_resolution=resolution, random_restarts=2
@@ -586,6 +589,33 @@ class TestRefine:
         scan = constrained_scan(config)
         q, params = refine(scan.best_params, config)
         assert abs(q - scan.analytic_q) <= 1e-12
+        point = evaluate(params, geom)
+        assert point.overlap == q
+        assert abs(point.error_rate - target) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "alpha,target",
+        [
+            (PI / 10, 0.38),
+            (PI / 10, 0.4227),
+            (PI / 10, 0.499),
+            (PI / 20, 0.2),
+            (PI / 20, 0.4),
+        ],
+    )
+    def test_lower_branch_above_family_maximum_attained(self, alpha, target):
+        # Above the family maximum sin^2(2a), Q_min is held at -1, and
+        # refine from the best scan point reaches it on the target E.
+        geom = SignalGeometry(alpha)
+        assert target > optimum.max_error_rate(geom)
+        config = SearchConfig(
+            geom=geom, target_error=target, grid_resolution=40,
+            random_restarts=50, seed=17,
+        )
+        scan = constrained_scan(config)
+        assert scan.analytic_q == -1.0
+        q, params = refine(scan.best_params, config)
+        assert abs(q + 1.0) <= 1e-12
         point = evaluate(params, geom)
         assert point.overlap == q
         assert abs(point.error_rate - target) <= 1e-12
