@@ -41,9 +41,6 @@ _EXPORTS = {
         "OptimumFamily",
         "PossibilityReport",
         "PossibilityStatus",
-        "SignPair",
-        "corner_error_rate",
-        "corner_overlap",
         "csc_branch_overlap",
         "enumerate_possibilities",
         "optimal_overlap",

@@ -12,7 +12,7 @@ JSON and 12 in CSV.  Each output has one renderer: :func:`render_json`
 the JSON envelope, :func:`_csv` the CSV tables of ``capacity``,
 ``frontier`` and ``sweep``, and :func:`_float_rows` the blocks of the
 ``verify --samples-out`` CSV.  Exit codes: 0 success, 1 property
-violation (verify), 2 usage or domain error.
+violation (verify), 2 usage or domain error or an unwritable output.
 
 Angles are accepted as raw radians or as multiples of pi: ``0.3927``,
 ``0.125pi``, ``pi/8``, ``3pi/4``.
@@ -151,7 +151,7 @@ def _output(out: str | None) -> Iterator[TextIO]:
     OUTPUT_DIR/--out atomically once the block completes.
 
     If the block raises, the temporary file is removed and the target is
-    left as it was.
+    left as it was.  An OSError names the target as its filename.
     """
     if out is None:
         yield sys.stdout
@@ -159,9 +159,10 @@ def _output(out: str | None) -> Iterator[TextIO]:
     base_dir = os.environ.get("OUTPUT_DIR", "")
     path = out if os.path.isabs(out) else os.path.join(base_dir, out)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             yield handle
         # mkstemp makes the file 0600; give it the mode a shell redirect
@@ -174,9 +175,11 @@ def _output(out: str | None) -> Iterator[TextIO]:
             mode = 0o666 & ~umask
         os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            exc.filename, exc.filename2 = path, None
         raise
 
 
@@ -628,20 +631,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, results = args.func(args)
-    except QkdProbeError as exc:
+        if not isinstance(results, str):
+            results = render_json(
+                {
+                    "tool_version": __version__,
+                    "command": args.subcommand,
+                    "inputs": _inputs(args),
+                    "results": results,
+                    "warnings": [],
+                }
+            )
+        _write_output(results, args.out)
+    except (QkdProbeError, OSError) as exc:
+        if isinstance(exc, OSError):
+            # Only writing the output touches files; _output names them.
+            exc = f"cannot write {exc.filename or 'stdout'}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(results, str):
-        results = render_json(
-            {
-                "tool_version": __version__,
-                "command": args.subcommand,
-                "inputs": _inputs(args),
-                "results": results,
-                "warnings": [],
-            }
-        )
-    _write_output(results, args.out)
     return code
 
 

@@ -368,6 +368,7 @@ def capacity_curve(
     """
     probe.check_error_rate(e_min)
     probe.check_error_rate(e_max)
+    probe.check_integer("steps", steps)
     if steps < 1:
         raise DomainError("steps must be positive")
     if e_max < e_min:

@@ -25,6 +25,8 @@ The module also houses:
 * the twelve-way case analysis of the stationarity conditions
   (possibilities A through L), with the numeric infeasibility check for
   possibility (D) via its cubic / cubic-in-Lambda / quintic root systems.
+  Its corner points and the constant-E overlap evaluate E and Q through
+  probe's one body, :func:`probe._observables`.
 
 On the branch alpha > pi/8 the minimum is *not* an interior stationary
 point of the constant-E overlap: it sits on the boundary sin(2 mu) = 1 of
@@ -111,48 +113,6 @@ class StationaryResiduals:
     f1: float
     f2: float
     f3: float
-
-
-@value_type
-class SignPair:
-    """Sign choices (cos 2theta, sin 2phi) = (e_theta, e_phi) at corners."""
-
-    e_theta: int
-    e_phi: int
-
-    def __post_init__(self) -> None:
-        if self.e_theta not in (-1, 1) or self.e_phi not in (-1, 1):
-            raise DomainError("sign pair entries must be -1 or +1")
-
-
-def corner_error_rate(pair: SignPair, geom: SignalGeometry) -> float:
-    """Error rate forced at a corner point sin(lam) = sin(2 theta) =
-    cos(2 phi) = 0: E = [1 - e_theta + e_theta (1 - e_phi) sin^2 2a] / 2."""
-    return 0.5 * (
-        1.0
-        - pair.e_theta
-        + pair.e_theta * (1.0 - pair.e_phi) * geom.sin_sq_two_alpha
-    )
-
-
-def corner_overlap(pair: SignPair, geom: SignalGeometry) -> float:
-    """Overlap at a corner point; always +1 (e_phi = +1) or -1 (e_phi = -1).
-
-    Q = [e_phi (1 + e_theta) + e_theta (1 - e_phi) sin^2 2a] /
-        [(1 + e_theta) - e_theta (1 - e_phi) sin^2 2a]
-
-    with the indeterminate (e_theta, e_phi) = (-1, +1) corner resolved to
-    the +1 value shared by the rest of its sign class.
-    """
-    s2 = geom.sin_sq_two_alpha
-    numerator = (
-        pair.e_phi * (1.0 + pair.e_theta)
-        + pair.e_theta * (1.0 - pair.e_phi) * s2
-    )
-    denominator = (1.0 + pair.e_theta) - pair.e_theta * (1.0 - pair.e_phi) * s2
-    if abs(denominator) < 1e-300:
-        return float(pair.e_phi)
-    return numerator / denominator
 
 
 class PossibilityStatus(Enum):
@@ -491,28 +451,6 @@ def _lambda_bracket(
     ) + sin_two_phi * (1.0 + (1.0 - tan_sq) * cos_two_theta)
 
 
-def mu_eliminated_q(
-    lam: float,
-    theta: float,
-    phi: float,
-    target_error: float,
-    geom: SignalGeometry,
-) -> float:
-    """q = a + b + d with mu eliminated through the error-rate constraint.
-
-    q = cos^2(lam) { (2 - tan^2 2a) [cot^2 2a - cos 2theta (sin 2phi +
-    cot^2 2a)] + sin 2phi [1 + (1 - tan^2 2a) cos 2theta] }
-    - 4E csc^2(2a) + 3.
-    """
-    csc_sq = 1.0 / geom.sin_sq_two_alpha
-    return (
-        math.cos(lam) ** 2
-        * _lambda_bracket(math.cos(2.0 * theta), math.sin(2.0 * phi), geom)
-        - 4.0 * csc_sq * target_error
-        + 3.0
-    )
-
-
 def constant_error_overlap(
     lam: float,
     theta: float,
@@ -522,23 +460,26 @@ def constant_error_overlap(
 ) -> float:
     """Overlap as a function of (lam, theta, phi) at fixed error rate.
 
-    Q = [(q - 1)/2 + E] / sqrt((1 - E)^2 - c^2 sin^2(2a)/4) with q from
-    :func:`mu_eliminated_q`.  This is the objective whose stationary
+    sin(2 mu) is solved from the error-rate constraint and left unclipped,
+    so Q stays smooth across |sin 2mu| = 1; the coefficients and Q then
+    come from probe's one body.  This is the objective whose stationary
     points the possibility analysis enumerates; it is evaluated formally
     whether or not a mu realizes the constraint at this point.  The
-    angles lie in [0, pi], as in :class:`ProbeParams`.
+    angles lie in [0, pi], as in :class:`ProbeParams`, with sin(lam)
+    nonzero: where it is 0, mu drops out and sin(2 mu) is 0/0.
     """
-    q = mu_eliminated_q(lam, theta, phi, target_error, geom)
-    # The skew coefficient c does not depend on mu.
-    c = probe.coefficients(ProbeParams(lam, 0.0, theta, phi)).c
-    radicand = probe.overlap_radicand(
-        1.0 - target_error, c, geom.sin_sq_two_alpha
+    s2 = geom.sin_sq_two_alpha
+    sin_two_mu, _ = probe._solve_mu(
+        lam, math.sin(lam), theta, phi, target_error, s2
+    )
+    _, numerator, radicand = probe._observables(
+        *probe._sin_mu_quadruple(lam, sin_two_mu, theta, phi), s2
     )
     if radicand <= 0.0:
         raise DegenerateModelError(
             f"overlap denominator radicand {radicand!r} is non-positive"
         )
-    return (0.5 * (q - 1.0) + target_error) / math.sqrt(radicand)
+    return numerator / math.sqrt(radicand)
 
 
 def stationarity_residuals(
@@ -758,6 +699,41 @@ def possibility_d_feasibility(
     )
 
 
+# The constraints of each possibility that yields the optimum, by label.
+_OPTIMUM_CASES = {
+    "B": "sin(lam) = 0, cos(2 theta) = 1, sin(2 phi) = 1 - 2E csc^2(2a); "
+    "mu free",
+    "E": "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a); theta, phi free",
+    "F": "sin(2 theta) = 0 (f1 = 0 forces cos 2theta = +1), "
+    "cos(2 phi) = 0 with sin(2 phi) = e_phi, sin(2 mu) sin^2(lam) "
+    "= 1 - 2E csc^2(2a) - e_phi cos^2(lam)",
+    "G": "cos(lam) = 0, sin(2 theta) = 0, sin(2 mu) = 1 - 2E csc^2(2a)",
+    "H": "sin(2 theta) = 0 with f3 = 0 forces cos(2 theta) = 1; "
+    "sin(2 mu) sin^2(lam) = 1 - 2E csc^2(2a) - cos^2(lam) sin(2 phi)",
+    "I": "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a); f1 = 0 gives "
+    "cos(2 theta) = 1 or sin(2 phi) = 1 - 2 cot^2(2a)",
+    "K": "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a), sin(2 phi) = "
+    "1 - 2 cot^2(2a)",
+    "L": "f1 = f2 = f3 = 0 forces cos(2 theta) = 1 with cos^2(lam) "
+    "determined by phi; same extremal overlap",
+}
+
+
+def _corner(
+    e_theta: int, e_phi: int, geom: SignalGeometry
+) -> tuple[float, float]:
+    """(E, Q) at the corner sin(lam) = sin(2 theta) = cos(2 phi) = 0 with
+    (cos 2theta, sin 2phi) = (e_theta, e_phi); Q is e_phi.  The (-1, +1)
+    corner forces E = 1, where Q is 0/0 and is resolved to +1."""
+    theta = 0.0 if e_theta > 0 else math.pi / 2
+    phi = math.pi / 4 if e_phi > 0 else 0.75 * math.pi
+    error, numerator, radicand = probe._observables(
+        *probe._angle_quadruple(0.0, math.pi / 4, theta, phi),
+        geom.sin_sq_two_alpha,
+    )
+    return error, numerator / math.sqrt(radicand) if radicand > 0.0 else 1.0
+
+
 def enumerate_possibilities(
     target_error: float, geom: SignalGeometry
 ) -> list[PossibilityReport]:
@@ -769,7 +745,7 @@ def enumerate_possibilities(
     sign-forced error rates, (C) would force E = 1/2, (J) requires
     cot^2(2a) in {0, 1} and so exists only at alpha = pi/8 (where it is
     the sin(2 phi) = -1 family), and (D) is jointly infeasible, verified
-    numerically.
+    numerically.  The reports come in label order.
     """
     probe.check_error_rate(target_error)
     q_ext = csc_branch_overlap(target_error, geom)
@@ -780,33 +756,31 @@ def enumerate_possibilities(
         if target_error <= geom.sin_sq_two_alpha * (1.0 + ATTAIN_REL_TOL)
         else "; unrealizable here (E > sin^2 2a puts |sin 2mu| > 1)"
     )
-
-    corner_summary = "; ".join(
-        f"(e_theta={pair.e_theta:+d}, e_phi={pair.e_phi:+d}): "
-        f"Q={corner_overlap(pair, geom):+.0f} at forced "
-        f"E={corner_error_rate(pair, geom):.6f}"
-        for pair in (
-            SignPair(1, 1),
-            SignPair(1, -1),
-            SignPair(-1, 1),
-            SignPair(-1, -1),
-        )
-    )
     reports = [
+        PossibilityReport(
+            label, PossibilityStatus.YIELDS_OPTIMUM, q_ext,
+            detail + feasibility_note,
+        )
+        for label, detail in _OPTIMUM_CASES.items()
+    ]
+
+    corners = {
+        signs: _corner(*signs, geom)
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    }
+    corner_summary = "; ".join(
+        f"(e_theta={e_theta:+d}, e_phi={e_phi:+d}): "
+        f"Q={q:+.0f} at forced E={error:.6f}"
+        for (e_theta, e_phi), (error, q) in corners.items()
+    )
+    reports += [
         PossibilityReport(
             "A",
             PossibilityStatus.EXCLUDED_ANALYTICALLY,
-            corner_overlap(SignPair(1, 1), geom),
+            corners[1, 1][1],
             "sin(lam) = 0, sin(2 theta) = 0, cos(2 phi) = 0: corner points "
             "reach only |Q| = 1, never the constrained minimum. "
             + corner_summary,
-        ),
-        PossibilityReport(
-            "B",
-            PossibilityStatus.YIELDS_OPTIMUM,
-            q_ext,
-            "sin(lam) = 0, cos(2 theta) = 1, sin(2 phi) = 1 - 2E csc^2(2a); "
-            "mu free" + feasibility_note,
         ),
         PossibilityReport(
             "C",
@@ -842,47 +816,6 @@ def enumerate_possibilities(
             )
         )
 
-    reports += [
-        PossibilityReport(
-            "E",
-            PossibilityStatus.YIELDS_OPTIMUM,
-            q_ext,
-            "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a); theta, phi free"
-            + feasibility_note,
-        ),
-        PossibilityReport(
-            "F",
-            PossibilityStatus.YIELDS_OPTIMUM,
-            q_ext,
-            "sin(2 theta) = 0 (f1 = 0 forces cos 2theta = +1), "
-            "cos(2 phi) = 0 with sin(2 phi) = e_phi, sin(2 mu) sin^2(lam) "
-            "= 1 - 2E csc^2(2a) - e_phi cos^2(lam)" + feasibility_note,
-        ),
-        PossibilityReport(
-            "G",
-            PossibilityStatus.YIELDS_OPTIMUM,
-            q_ext,
-            "cos(lam) = 0, sin(2 theta) = 0, sin(2 mu) = 1 - 2E csc^2(2a)"
-            + feasibility_note,
-        ),
-        PossibilityReport(
-            "H",
-            PossibilityStatus.YIELDS_OPTIMUM,
-            q_ext,
-            "sin(2 theta) = 0 with f3 = 0 forces cos(2 theta) = 1; "
-            "sin(2 mu) sin^2(lam) = 1 - 2E csc^2(2a) - cos^2(lam) "
-            "sin(2 phi)" + feasibility_note,
-        ),
-        PossibilityReport(
-            "I",
-            PossibilityStatus.YIELDS_OPTIMUM,
-            q_ext,
-            "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a); f1 = 0 gives "
-            "cos(2 theta) = 1 or sin(2 phi) = 1 - 2 cot^2(2a)"
-            + feasibility_note,
-        ),
-    ]
-
     if at_seam:
         reports.append(
             PossibilityReport(
@@ -904,21 +837,4 @@ def enumerate_possibilities(
                 f"{cot_sq:.6f}, so no sign choice works",
             )
         )
-
-    reports += [
-        PossibilityReport(
-            "K",
-            PossibilityStatus.YIELDS_OPTIMUM,
-            q_ext,
-            "cos(lam) = 0, sin(2 mu) = 1 - 2E csc^2(2a), sin(2 phi) = "
-            "1 - 2 cot^2(2a)" + feasibility_note,
-        ),
-        PossibilityReport(
-            "L",
-            PossibilityStatus.YIELDS_OPTIMUM,
-            q_ext,
-            "f1 = f2 = f3 = 0 forces cos(2 theta) = 1 with cos^2(lam) "
-            "determined by phi; same extremal overlap" + feasibility_note,
-        ),
-    ]
-    return reports
+    return sorted(reports, key=lambda report: report.label)

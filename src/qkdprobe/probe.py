@@ -330,6 +330,14 @@ def _angle_quadruple(
     lam: float, mu: float, theta: float, phi: float
 ) -> tuple[float, float, float, float]:
     """(a, b, c, d) at four float angles, with ``math`` trig."""
+    return _sin_mu_quadruple(lam, math.sin(2.0 * mu), theta, phi)
+
+
+def _sin_mu_quadruple(
+    lam: float, sin_two_mu: float, theta: float, phi: float
+) -> tuple[float, float, float, float]:
+    """(a, b, c, d) at float lam, theta and phi and a given sin(2 mu), which
+    may leave [-1, 1]; with ``math`` trig."""
     # Square as x * x, like mu_from_constraint: pow(x, 2) can differ from
     # it in the last place, and the two routes must agree bit for bit.
     sin_lam = math.sin(lam)
@@ -340,7 +348,7 @@ def _angle_quadruple(
     return _quadruple(
         sin_sq_lam,
         cos_sq_lam,
-        math.sin(2.0 * mu),
+        sin_two_mu,
         math.sin(2.0 * theta),
         sin_two_phi,
         math.cos(2.0 * phi),

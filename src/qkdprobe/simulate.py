@@ -52,16 +52,20 @@ class QLeakModel:
     kind: Literal["zero", "binary_entropy"]
     fraction: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("zero", "binary_entropy"):
+            raise DomainError(f"unknown leakage kind {self.kind!r}")
+        if not 0.0 <= self.fraction < math.inf:
+            raise DomainError(
+                "leakage fraction must be finite and non-negative"
+            )
+
     @staticmethod
     def zero() -> "QLeakModel":
         return QLeakModel(kind="zero")
 
     @staticmethod
     def binary_entropy(fraction: float) -> "QLeakModel":
-        if not 0.0 <= fraction < math.inf:
-            raise DomainError(
-                "leakage fraction must be finite and non-negative"
-            )
         return QLeakModel(kind="binary_entropy", fraction=fraction)
 
     def leakage_bits(self, n: int, empirical_error: float) -> float:
@@ -76,6 +80,10 @@ class FamilyAttack:
 
     tag: FamilyTag
     target_error: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.tag, FamilyTag):
+            raise DomainError(f"tag must be a FamilyTag; got {self.tag!r}")
 
 
 @value_type
@@ -102,6 +110,8 @@ class SimulationConfig:
             raise DomainError("p_fail must lie in (0, 1)")
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
+        if not isinstance(self.attack, (ProbeParams, FamilyAttack)):
+            raise DomainError("attack must be ProbeParams or a FamilyAttack")
 
 
 @value_type

@@ -1171,6 +1171,31 @@ class TestOutputFile:
         assert json.loads(target.read_text())["command"] == "optimal"
         assert target.stat().st_mode & 0o777 == 0o640
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimal", "--alpha", "pi/8", "--error-rate", "0.2", "--out"],
+            ["capacity", "--alpha", "pi/8", "--e-max", "0.1", "--steps",
+             "3", "--out"],
+            ["verify", "--alpha", "pi/8", "--error-rate", "0.2",
+             "--resolution", "5", "--samples-out"],
+        ],
+        ids=["optimal", "capacity", "verify"],
+    )
+    def test_directory_target_is_a_usage_error(self, capsys, tmp_path, argv):
+        # Exit 2 with an error line, not a traceback and exit 1, which
+        # verify uses for a property violation.
+        target = tmp_path / "dir"
+        target.mkdir()
+        (target / "kept").write_text("x")
+        code, out, err = run_cli(capsys, *argv, str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: Is a directory\n"
+        assert [p.name for p in target.iterdir()] == ["kept"]
+        assert (target / "kept").read_text() == "x"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
     @pytest.mark.parametrize("stage", ["write", "replace"])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, stage):
         text, error = "lam\n", OSError

@@ -1200,6 +1200,11 @@ class TestCapacityCurve:
         with pytest.raises(DomainError, match=f"; got {given}$"):
             capacity_curve(geom_pi8, e_min, e_max, 5)
 
+    @pytest.mark.parametrize("steps", [2.5, math.nan, 5.0])
+    def test_non_integer_steps_refused(self, geom_pi8, steps):
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            capacity_curve(geom_pi8, 0.0, 0.1, steps)
+
     def test_one_inner_solve_per_curve(self, geom_pi8, monkeypatch):
         # The E* bisection's steps for one point, and for 40.
         calls = []

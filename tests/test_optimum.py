@@ -32,6 +32,7 @@ from qkdprobe.errors import (
     OutOfDomainError,
 )
 from qkdprobe.optimum import (
+    _corner,
     constant_error_overlap,
     lambda_cubic_coefficients,
     max_error_rate,
@@ -505,6 +506,24 @@ class TestStationarity:
             assert abs(residuals.r_theta - scale * grad_theta) < 1e-5
             assert abs(residuals.r_phi - scale * grad_phi) < 1e-5
 
+    @pytest.mark.parametrize("alpha", [PI / 9, PI / 8, PI / 5])
+    def test_constant_error_overlap_is_the_overlap_at_the_solved_mu(
+        self, alpha
+    ):
+        # Wherever a mu meets the target, the constant-E overlap is the
+        # overlap of the probe setting with that mu.
+        geom = SignalGeometry(alpha)
+        rng = np.random.default_rng(131)
+        for _ in range(200):
+            target = rng.uniform(0.0, 0.45)
+            (params,) = draw_constrained_points(rng, geom, target, 1)
+            assert abs(
+                constant_error_overlap(
+                    params.lam, params.theta, params.phi, target, geom
+                )
+                - overlap(coefficients(params), geom)
+            ) < 1e-13
+
 
 class TestPolynomialCoefficients:
     @pytest.mark.parametrize("alpha", [PI / 9, PI / 8, PI / 5, 0.22 * PI])
@@ -588,23 +607,16 @@ class TestPolynomialCoefficients:
 
 
 class TestCornerPoints:
-    def test_overlap_values(self):
-        from qkdprobe import SignPair, corner_error_rate, corner_overlap
-
-        geom = SignalGeometry(PI / 9)
-        for e_theta in (-1, 1):
-            assert corner_overlap(SignPair(e_theta, 1), geom) == 1.0
-            assert corner_overlap(SignPair(e_theta, -1), geom) == -1.0
-        assert corner_error_rate(SignPair(1, 1), geom) == 0.0
-        assert math.isclose(
-            corner_error_rate(SignPair(1, -1), geom), geom.sin_sq_two_alpha
-        )
-
-    def test_sign_validation(self):
-        from qkdprobe import SignPair
-
-        with pytest.raises(DomainError):
-            SignPair(0, 1)
+    @pytest.mark.parametrize("alpha", [PI / 9, PI / 8, PI / 6, 0.7])
+    def test_forced_error_and_overlap(self, alpha):
+        # (E, Q) at each sign corner (cos 2theta, sin 2phi), bit for bit;
+        # the (-1, +1) corner forces E = 1, where Q = 0/0 resolves to +1.
+        geom = SignalGeometry(alpha)
+        s2 = geom.sin_sq_two_alpha
+        assert _corner(1, 1, geom) == (0.0, 1.0)
+        assert _corner(1, -1, geom) == (s2, -1.0)
+        assert _corner(-1, 1, geom) == (1.0, 1.0)
+        assert _corner(-1, -1, geom) == (1.0 - s2, -1.0)
 
 
 class TestPossibilities:

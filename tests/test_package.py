@@ -32,7 +32,6 @@ ALL = [
     "QkdProbeError",
     "SearchConfig",
     "SearchReport",
-    "SignPair",
     "SignalGeometry",
     "SimulationConfig",
     "SimulationReport",
@@ -41,8 +40,6 @@ ALL = [
     "coefficients",
     "compression_level",
     "constrained_scan",
-    "corner_error_rate",
-    "corner_overlap",
     "csc_branch_overlap",
     "defense_frontier",
     "detection_probabilities",

@@ -23,7 +23,6 @@ from qkdprobe.errors import (
     InfeasibleConstraintError,
     SingularLambdaError,
 )
-from qkdprobe.optimum import mu_eliminated_q
 
 from conftest import SMALLEST_ALPHA
 
@@ -423,6 +422,7 @@ class TestQValue:
         # q = a + b + d equals the mu-free expression once mu is solved
         # from the error-rate constraint.
         rng = np.random.default_rng(47)
+        s2 = geom_pi8.sin_sq_two_alpha
         checked = 0
         while checked < 200:
             lam, theta, phi = rng.uniform(0.05 * PI, 0.95 * PI, 3)
@@ -433,7 +433,22 @@ class TestQValue:
                 continue
             params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
             direct = q_value(coefficients(params))
-            eliminated = mu_eliminated_q(lam, theta, phi, target, geom_pi8)
+            # The paper's q with mu eliminated: cos^2(lam) {(2 - tan^2 2a)
+            # [cot^2 2a - cos 2theta (sin 2phi + cot^2 2a)] + sin 2phi
+            # [1 + (1 - tan^2 2a) cos 2theta]} - 4E csc^2(2a) + 3.
+            tan_sq = s2 / (1.0 - s2)
+            cos_two_theta = math.cos(2 * theta)
+            sin_two_phi = math.sin(2 * phi)
+            eliminated = (
+                math.cos(lam) ** 2
+                * (
+                    (2.0 - tan_sq)
+                    * (1 / tan_sq - cos_two_theta * (sin_two_phi + 1 / tan_sq))
+                    + sin_two_phi * (1.0 + (1.0 - tan_sq) * cos_two_theta)
+                )
+                - 4.0 * target / s2
+                + 3.0
+            )
             assert abs(direct - eliminated) < 1e-10
             checked += 1
 
