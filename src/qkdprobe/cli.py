@@ -150,8 +150,9 @@ def _output(out: str | None) -> Iterator[TextIO]:
     """A text handle on stdout, or on a temporary file that replaces
     OUTPUT_DIR/--out atomically once the block completes.
 
-    If the block raises, the temporary file is removed and the target is
-    left as it was.  An OSError names the target as its filename.
+    A directory target is refused before the block runs.  If the block
+    raises, the temporary file is removed and the target is left as it
+    was; an OSError becomes a QkdProbeError that names the target.
     """
     if out is None:
         yield sys.stdout
@@ -161,6 +162,8 @@ def _output(out: str | None) -> Iterator[TextIO]:
     directory = os.path.dirname(path) or "."
     tmp_path = None
     try:
+        if os.path.isdir(path):
+            raise QkdProbeError(f"cannot write {path}: Is a directory")
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
@@ -179,14 +182,8 @@ def _output(out: str | None) -> Iterator[TextIO]:
         if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
         if isinstance(exc, OSError):
-            exc.filename, exc.filename2 = path, None
+            raise QkdProbeError(f"cannot write {path}: {exc.strerror}")
         raise
-
-
-def _write_output(text: str, out: str | None) -> None:
-    """Print to stdout, or write atomically under OUTPUT_DIR/--out."""
-    with _output(out) as handle:
-        handle.write(text)
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -630,22 +627,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, results = args.func(args)
-        if not isinstance(results, str):
-            results = render_json(
-                {
-                    "tool_version": __version__,
-                    "command": args.subcommand,
-                    "inputs": _inputs(args),
-                    "results": results,
-                    "warnings": [],
-                }
-            )
-        _write_output(results, args.out)
+        with _output(args.out) as handle:
+            code, results = args.func(args)
+            if not isinstance(results, str):
+                results = render_json(
+                    {
+                        "tool_version": __version__,
+                        "command": args.subcommand,
+                        "inputs": _inputs(args),
+                        "results": results,
+                        "warnings": [],
+                    }
+                )
+            handle.write(results)
     except (QkdProbeError, OSError) as exc:
         if isinstance(exc, OSError):
-            # Only writing the output touches files; _output names them.
-            exc = f"cannot write {exc.filename or 'stdout'}: {exc.strerror}"
+            # Only writing to stdout gets here: _output names its target.
+            exc = f"cannot write stdout: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

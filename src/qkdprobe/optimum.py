@@ -255,11 +255,6 @@ def renyi_step(error_rate: float, step: float, geom: SignalGeometry) -> float:
     return math.log1p(drop * (2.0 * q - drop) / (2.0 - q * q)) / math.log(2.0)
 
 
-def _family_constant(target_error: float, geom: SignalGeometry) -> float:
-    """K = 1 - 2E csc^2(2a) on the lower branch, csc -> sec on the upper."""
-    return 1.0 - 2.0 * target_error / max_error_rate(geom)
-
-
 # The angle each lower-branch family pins; the angles among (lam, theta,
 # phi) it leaves unpinned are its free parameters, and an unchosen one
 # takes its default.  mu follows from the error-rate constraint.
@@ -305,7 +300,7 @@ def optimal_parameter_families(
     original frame they collapse to the single boundary point
 
         mu = pi/4, theta = pi/2, phi = 3 pi/4,
-        cos(2 lam) = -(1 - 2E sec^2 2a),
+        cos^2(lam) = E sec^2(2a),
 
     (up to lam -> pi - lam), which :func:`sample_params` produces; no
     free parameters remain.
@@ -332,8 +327,8 @@ def optimal_parameter_families(
             constraint_description=(
                 "relabeled frame: cos(lam') = 0, sin(2 mu') = "
                 "1 - 2E sec^2(2a); original frame: mu = pi/4, "
-                "theta = pi/2, phi = 3pi/4, cos(2 lam) = "
-                "-(1 - 2E sec^2(2a))"
+                "theta = pi/2, phi = 3pi/4, cos^2(lam) = "
+                "E sec^2(2a)"
             ),
             free_parameters=(),
         ),
@@ -352,15 +347,14 @@ def optimal_parameter_families(
 def _upper_branch_params(
     target_error: float, geom: SignalGeometry
 ) -> ProbeParams:
-    k = _family_constant(target_error, geom)
-    if abs(k) > 1.0 + probe.ARCSINE_CLAMP_TOL:
+    mu, theta, phi = math.pi / 4, math.pi / 2, 0.75 * math.pi
+    cos_sq_lam = probe._face_cos_sq_lam(mu, theta, phi, target_error, geom)
+    lam = probe._lam_from_cos_sq(cos_sq_lam, 1.0, probe.ARCSINE_CLAMP_TOL)
+    if lam is None:
         raise OutOfDomainError(
-            f"cos(2 lam) = {-k!r} leaves [-1, 1] at alpha = {geom.alpha!r}"
+            f"cos^2(lam) = {cos_sq_lam!r} leaves [0, 1] at {geom}"
         )
-    lam = 0.5 * math.acos(max(-1.0, min(1.0, -k)))
-    return ProbeParams(
-        lam=lam, mu=math.pi / 4, theta=math.pi / 2, phi=0.75 * math.pi
-    )
+    return ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
 
 
 def sample_params(
@@ -380,10 +374,11 @@ def sample_params(
     the one every other route gives at its (lam, theta, phi), and the
     sample reproduces both the target error rate and the optimum
     overlap.  Where sin(lam) ~ 0, mu has no effect and is reported as
-    pi/4, if the point already meets the target to 1e-10.
+    pi/4, if the point already meets the target to 1e-10.  On the upper
+    branch the sample is the face solve's lam at (mu, theta, phi) =
+    (pi/4, pi/2, 3pi/4), cos^2(lam) = E sec^2(2a), to the float lam's limit.
 
-    Raises OutOfDomainError when no mu meets the target at the requested
-    free angles.
+    Raises OutOfDomainError where no mu, or no lam above pi/8, meets E.
     """
     choices = dict(free_choices or {})
     unknown = set(choices) - set(family.free_parameters)
@@ -429,10 +424,10 @@ def sample_params(
 def phi_neg_lambda_window(target_error: float) -> tuple[float, float]:
     """Feasible lam interval for the sin(2 phi) = -1 family at pi/8.
 
-    The arcsine stays in range iff cos(2 lam) <= 4E - 1.
+    The arcsine stays in range iff cos(2 lam) <= 4E - 1, cos^2(lam) <= 2E.
     """
     probe.check_error_rate(target_error)
-    edge = 0.5 * math.acos(max(-1.0, min(1.0, 4.0 * target_error - 1.0)))
+    edge = probe._lam_from_cos_sq(2.0 * target_error, 1.0, 0.0)
     return edge, math.pi - edge
 
 

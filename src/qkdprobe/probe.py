@@ -419,24 +419,27 @@ def error_rate(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     )[0]
 
 
-def _angle_error_rate(
-    lam: float, mu: float, theta: float, phi: float, geom: SignalGeometry
-) -> float:
-    """E at four float angles as a sum of non-negative terms, which keeps
-    the relative precision :func:`error_rate` loses near E = 0: E =
-    [(1 - d) cos^2 2a + (1 - a) sin^2 2a] / 2, 1 - d = 2 cos^2(lam)
-    sin^2(theta), 1 - a = 2 sin^2(lam) sin^2(pi/4 - mu) + 2 cos^2(lam)
-    [sin^2(theta) sin^2(3pi/4 - phi) + cos^2(theta) sin^2(pi/4 - phi)]."""
+def _lam_terms(mu, theta, phi, geom):
+    """(P, M) with E = cos^2(lam) P + sin^2(lam) M at float angles: sums
+    of non-negative terms, which keep the relative precision
+    :func:`error_rate` loses near E = 0.  E = [(1 - d) cos^2 2a + (1 - a)
+    sin^2 2a] / 2, 1 - d = 2 cos^2(lam) sin^2(theta), 1 - a = 2 sin^2(lam)
+    sin^2(pi/4 - mu) + 2 cos^2(lam) [sin^2(theta) sin^2(3pi/4 - phi) +
+    cos^2(theta) sin^2(pi/4 - phi)]."""
     quarter, tail = 0.25 * math.pi, _QUARTER_PI_TAIL
-    cos_sq_lam = math.cos(lam) ** 2
     sin_sq_theta = math.sin(theta) ** 2
-    plus_term = math.sin(3.0 * quarter - phi + 3.0 * tail) ** 2
-    minus_term = math.sin(quarter - phi + tail) ** 2
-    return cos_sq_lam * sin_sq_theta * geom.cos_sq_two_alpha + (
-        math.sin(lam) ** 2 * math.sin(quarter - mu + tail) ** 2
-        + cos_sq_lam
-        * (sin_sq_theta * plus_term + math.cos(theta) ** 2 * minus_term)
-    ) * geom.sin_sq_two_alpha
+    s2 = geom.sin_sq_two_alpha
+    p = sin_sq_theta * geom.cos_sq_two_alpha + s2 * (
+        sin_sq_theta * math.sin(3.0 * quarter - phi + 3.0 * tail) ** 2
+        + math.cos(theta) ** 2 * math.sin(quarter - phi + tail) ** 2
+    )
+    return p, s2 * math.sin(quarter - mu + tail) ** 2
+
+
+def _angle_error_rate(lam, mu, theta, phi, geom):
+    """E at four float angles, to a few ulps also near E = 0."""
+    p, m = _lam_terms(mu, theta, phi, geom)
+    return math.cos(lam) ** 2 * p + math.sin(lam) ** 2 * m
 
 
 def overlap_radicand(half_sum, c, s2: float):
@@ -485,17 +488,22 @@ def _constraint_sin_two_mu(
     ) / (s2 * sin_sq_lam)
 
 
-def _face_cos_sq_lam(sin_two_mu, cos_two_theta, sin_two_phi, target_error, s2):
-    """cos^2(lam) that meets the target error rate on the face sin(2 mu) =
-    +-1; floats.  2E runs linearly in cos^2(lam) from s2 (1 - sin 2mu) at
-    lam = pi/2 to B = (1 - cos 2theta) + s2 cos 2theta (1 - sin 2phi) at
-    lam = 0, so cos^2(lam) is 2E / B on the +1 face and 2(E - s2) /
-    (B - 2 s2) on the -1 face; inf where the two ends are equal."""
-    at_half_pi = s2 * (1.0 - sin_two_mu)
-    b = (1.0 - cos_two_theta) + s2 * cos_two_theta * (1.0 - sin_two_phi)
-    if b == at_half_pi:
+def _face_cos_sq_lam(mu, theta, phi, target_error, geom):
+    """cos^2(lam) = (E - M) / (P - M) (:func:`_lam_terms`) that meets the
+    target error rate at float (mu, theta, phi); inf where P == M."""
+    p, m = _lam_terms(mu, theta, phi, geom)
+    if p == m:
         return math.inf
-    return (2.0 * target_error - at_half_pi) / (b - at_half_pi)
+    return (target_error - m) / (p - m)
+
+
+def _lam_from_cos_sq(cos_sq: float, sign: float, slack: float) -> float | None:
+    """lam in [0, pi] with cos^2(lam) = cos_sq clamped to [0, 1], and
+    cos(lam) of the sign of ``sign``; None beyond slack of [0, 1]."""
+    if not -slack <= cos_sq <= 1.0 + slack:
+        return None
+    cos_lam = math.sqrt(min(1.0, max(0.0, cos_sq)))
+    return math.acos(math.copysign(cos_lam, sign))
 
 
 def mu_from_constraint(

@@ -61,6 +61,8 @@ _RESTART_STREAM = 1
 _PENALTY_STREAM = 2
 # Objective value assigned to infeasible points (Q itself lies in [-1, 1]).
 _INFEASIBLE = 4.0
+# Roundoff slack allowed when clamping a face's cos^2(lam) to [0, 1].
+_FACE_TOL = 1e-15
 
 
 @value_type
@@ -257,9 +259,9 @@ def _constrained_point(
     All observables are pi-periodic in each angle, so the angles are
     folded into [0, pi).  mu is solved from the constraint; on the
     singular sin(lam) = 0 planes the better phi-elimination branch is
-    taken instead.  Where no mu exists, lam moves in closed form onto the
-    face sin(2 mu) = +-1 the solve points past, mu = pi/4 or 3pi/4, in
-    its half of [0, pi).  None: no such lam, or a non-positive radicand.
+    taken instead.  Where the solve asks for |sin(2 mu)| > 1, lam moves in
+    closed form onto the face it points past, mu = pi/4 or 3pi/4, in its
+    half of [0, pi).  None: no such lam, or a non-positive radicand.
     """
     lam = float(lam) % math.pi
     theta = float(theta) % math.pi
@@ -273,15 +275,12 @@ def _constrained_point(
         return q, lam, mu, theta, phi
     s2 = geom.sin_sq_two_alpha
     rhs, mu = probe._solve_mu(lam, sin_lam, theta, phi, target, s2)
-    if mu is None:
-        face = math.copysign(1.0, rhs)
-        cos_sq_lam = probe._face_cos_sq_lam(
-            face, math.cos(2.0 * theta), math.sin(2.0 * phi), target, s2
-        )
-        if not 0.0 <= cos_sq_lam <= 1.0:
+    if abs(rhs) > 1.0:
+        mu = 0.25 * math.pi if rhs > 0.0 else 0.75 * math.pi
+        cos_sq_lam = probe._face_cos_sq_lam(mu, theta, phi, target, geom)
+        lam = probe._lam_from_cos_sq(cos_sq_lam, math.cos(lam), _FACE_TOL)
+        if lam is None:
             return None
-        lam = math.acos(math.copysign(math.sqrt(cos_sq_lam), math.cos(lam)))
-        mu = 0.25 * math.pi if face > 0.0 else 0.75 * math.pi
     point = _overlap_and_error((lam, mu, theta, phi), s2)
     if point is None:
         return None

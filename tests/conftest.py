@@ -42,6 +42,32 @@ def draw_constrained_points(
     return points
 
 
+def exact_face_ends(mu, theta, phi, alpha):
+    """(P, M): E at lam = 0 and at lam = pi/2 to 50 digits, with the angles
+    and alpha as their exact binary values, from the coefficients.  E
+    runs linearly in cos^2(lam) between them."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        s2 = mpmath.sin(2 * mpmath.mpf(alpha)) ** 2
+        cos_two_theta = mpmath.cos(2 * mpmath.mpf(theta))
+        sin_two_mu = mpmath.sin(2 * mpmath.mpf(mu))
+        sin_two_phi = mpmath.sin(2 * mpmath.mpf(phi))
+        # d = cos 2theta and a = cos 2theta sin 2phi at lam = 0, and d = 1
+        # and a = sin 2mu at lam = pi/2; E = (1 - d + (d - a) s2) / 2.
+        p = 1 - cos_two_theta + cos_two_theta * (1 - sin_two_phi) * s2
+        return p / 2, (1 - sin_two_mu) * s2 / 2
+
+
+def exact_error_rate(lam, mu, theta, phi, alpha):
+    """E at four float angles to 50 digits: M + cos^2(lam) (P - M)."""
+    import mpmath
+
+    p, m = exact_face_ends(mu, theta, phi, alpha)
+    with mpmath.workdps(50):
+        return m + mpmath.cos(mpmath.mpf(lam)) ** 2 * (p - m)
+
+
 def fresh_interpreter(script, *args, cwd, env=None):
     """Run script with python -c in a new process that imports qkdprobe
     from this checkout."""

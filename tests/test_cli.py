@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -36,7 +37,7 @@ from qkdprobe import (
 from qkdprobe.cli import (
     _csv,
     _float_rows,
-    _write_output,
+    _output,
     main,
     parse_angle,
     render_json,
@@ -105,13 +106,17 @@ class TestAngleParsing:
 
 
 class TestSignedValues:
-    """An option value that starts with '-' like a number or an angle
-    reaches the option's own check, which names it, instead of stopping
-    in argparse with "expected one argument"."""
+    """A refused option value exits 2 with an error line that names it.
+    One that starts with '-' like a number or an angle reaches the
+    option's own check too, instead of stopping in argparse with
+    "expected one argument"."""
 
     CAPACITY = [
         "capacity", "--alpha", "pi/8", "--e-max", "0.1", "--steps", "3",
     ]
+    FRONTIER = ["frontier", "--alpha", "pi/8", "--p-fail", "0.01"]
+    SIMULATE = ["simulate", "--m", "1000", "--alpha", "pi/8", "--p-fail",
+                "0.01"]
 
     @pytest.mark.parametrize(
         "argv,named",
@@ -125,6 +130,17 @@ class TestSignedValues:
              f"got {-PI / 8!r}"),
             (["optimal", "--alpha", "pi/8", "--error-rate", "-NaN"],
              "got nan"),
+            ([*FRONTIER, "--n", "10,x", "--errors", "1"],
+             "cannot parse integer list '10,x'"),
+            ([*FRONTIER, "--n", ",", "--errors", "1"],
+             "empty integer list ','"),
+            ([*FRONTIER, "--n", "10,20", "--errors", "1,2,3"],
+             "--n and --errors lists must have equal length"),
+            ([*SIMULATE, "--family", "set_e"],
+             "--family requires --error-rate"),
+            (["sweep", *SIMULATE[1:], "--family", "set_e", "--error-rate",
+              "0.05", "--variable", "error-rate", "--values", "0.01,x"],
+             "cannot parse sweep values '0.01,x'"),
         ],
     )
     def test_exits_2_naming_the_value(self, capsys, argv, named):
@@ -1196,19 +1212,51 @@ class TestOutputFile:
         assert (target / "kept").read_text() == "x"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--out"], ["--samples-out"],
+         ["--out", "verify.json", "--samples-out"]],
+        ids=["out", "samples-out", "both"],
+    )
+    def test_directory_target_refused_before_the_scan(
+        self, capsys, tmp_path, monkeypatch, options
+    ):
+        # The scan at resolution 200 takes seconds; a target that cannot
+        # be written is refused first, and named, also when --out is
+        # fine.
+        from qkdprobe import search
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(search, "constrained_scan", no_scan)
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+        code, out, err = run_cli(
+            capsys, "verify", "--alpha", "pi/8", "--error-rate", "0.2",
+            "--resolution", "200", *options, str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("stage", ["write", "replace"])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, stage):
-        text, error = "lam\n", OSError
+        # An OSError comes out as a QkdProbeError naming the target.
+        target = tmp_path / "samples.csv"
+        text, error = "lam\n", QkdProbeError
+        message = f"cannot write {target}: Permission denied"
         if stage == "write":
             # A lone surrogate no encoding can write.
-            text, error = text + "\ud800", UnicodeEncodeError
+            text, error, message = text + "\ud800", UnicodeEncodeError, None
         else:
             def refuse(src, dst):
-                raise OSError("replace refused")
+                raise PermissionError(errno.EACCES, "Permission denied")
 
             monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(error):
-            _write_output(text, str(tmp_path / "samples.csv"))
+        with pytest.raises(error) as info:
+            with _output(str(target)) as handle:
+                handle.write(text)
+        assert message in (None, str(info.value))
         assert list(tmp_path.iterdir()) == []
 
 

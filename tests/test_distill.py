@@ -81,10 +81,15 @@ class TestRenyiInformation:
     def test_not_normalized(self):
         with pytest.raises(NotNormalizedError):
             renyi_information([0.5, 0.6], 1)
+        with pytest.raises(NotNormalizedError, match="non-negative"):
+            renyi_information([1.25, -0.25], 1)
 
     def test_wrong_length(self):
         with pytest.raises(DomainError):
             renyi_information([0.5, 0.25, 0.25], 1)
+        # No count of probabilities fits a negative bit count.
+        with pytest.raises(DomainError, match="bit count must be"):
+            renyi_information([1.0], -1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_refused(self, bad):
@@ -191,19 +196,27 @@ class TestPaEmpiricalCheck:
             pa_empirical_check(15, 3, probs, 10, seed=0)
 
     @pytest.mark.parametrize(
-        "bad",
-        [{"hash_count": 2.5}, {"seed": 1.5}, {"l_bits": 4.0},
-         {"compression_bits": 1.0}, {"seed": np.float64(3.0)},
-         {"seed": None}, {"seed": -1}],
+        "bad,message",
+        [({"hash_count": 2.5}, "hash_count must be an integer"),
+         ({"seed": 1.5}, "seed must be an integer"),
+         ({"l_bits": 4.0}, "l_bits must be an integer"),
+         ({"compression_bits": 1.0}, "compression_bits must be an integer"),
+         ({"seed": np.float64(3.0)}, "seed must be an integer"),
+         ({"seed": None}, "seed must be an integer"),
+         ({"seed": -1}, "seed must be non-negative"),
+         ({"compression_bits": 5}, r"compression must lie in \[0, l\]"),
+         ({"hash_count": 0}, "hash_count must be positive")],
         ids=["hash_count", "float_seed", "l_bits", "compression_bits",
-             "numpy_float_seed", "no_seed", "negative_seed"],
+             "numpy_float_seed", "no_seed", "negative_seed",
+             "compression_above_l", "no_hashes"],
     )
-    def test_bad_inputs_refused(self, bad):
+    def test_bad_inputs_refused(self, bad, message):
         # Counts and seeds must be integers, the seed non-negative: a
-        # missing seed would make the check unrepeatable.
+        # missing seed would make the check unrepeatable.  At least one
+        # hash, and no more compression than l.
         args = dict(l_bits=4, compression_bits=1, source=[1 / 16] * 16,
                     hash_count=10, seed=3)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             pa_empirical_check(**{**args, **bad})
 
     def test_numpy_integer_inputs_accepted(self):
@@ -1199,11 +1212,15 @@ class TestCapacityCurve:
         # The bounds are checked as given, before the grid is spread.
         with pytest.raises(DomainError, match=f"; got {given}$"):
             capacity_curve(geom_pi8, e_min, e_max, 5)
+        with pytest.raises(DomainError, match="e_max must not be below"):
+            capacity_curve(geom_pi8, 0.2, 0.1, 5)
 
     @pytest.mark.parametrize("steps", [2.5, math.nan, 5.0])
     def test_non_integer_steps_refused(self, geom_pi8, steps):
         with pytest.raises(DomainError, match="steps must be an integer"):
             capacity_curve(geom_pi8, 0.0, 0.1, steps)
+        with pytest.raises(DomainError, match="steps must be positive"):
+            capacity_curve(geom_pi8, 0.0, 0.1, 0)
 
     def test_one_inner_solve_per_curve(self, geom_pi8, monkeypatch):
         # The E* bisection's steps for one point, and for 40.
@@ -1228,3 +1245,6 @@ class TestBinaryEntropy:
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == 1.0
         assert math.isclose(binary_entropy(0.11), 0.499916, abs_tol=1e-4)
+        for x in (-0.1, 1.1):
+            with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+                binary_entropy(x)

@@ -42,7 +42,7 @@ from qkdprobe.optimum import (
     quintic_coefficients,
     sin2phi_cubic_coefficients,
 )
-from conftest import draw_constrained_points
+from conftest import draw_constrained_points, exact_error_rate
 
 PI = math.pi
 
@@ -302,6 +302,14 @@ class TestFamilies:
         sample_params(phi_neg, 0.05, geom_pi8, {"lam": 0.5 * (lo + hi)})
         with pytest.raises(OutOfDomainError):
             sample_params(phi_neg, 0.05, geom_pi8, {"lam": lo - 0.05})
+        with pytest.raises(OutOfDomainError, match="only at alpha = pi/8"):
+            sample_params(phi_neg, 0.05, SignalGeometry(PI / 9))
+        # The edge has cos^2(lam) = 2E, also at a small E, where the form
+        # acos(4E - 1) / 2 missed it by 6e-6 relative.
+        for target in (1e-12, 0.05):
+            lo, hi = phi_neg_lambda_window(target)
+            assert abs(math.cos(lo) ** 2 - 2 * target) <= 2e-9 * target
+            assert hi == PI - lo
 
     def test_unknown_free_choice_rejected(self, geom_pi8):
         families = optimal_parameter_families(0.1, geom_pi8)
@@ -423,6 +431,26 @@ class TestUpperBranchFamilies:
             assert abs(error_rate(coeffs, geom) - target) < 1e-10
             assert abs(overlap(coeffs, geom) - q_ref) < 1e-9
 
+    def test_samples_meet_the_error_rate_near_pi_over_4(self):
+        # lam comes from the face solve cos^2(lam) = E / cos^2(2a), which
+        # keeps E to the float lam's own limit, ~2e-10 relative near
+        # lam = pi/2.  The form lam = acos(-K) / 2, K = 1 - 2E sec^2(2a),
+        # cancels in K as E falls, and missed E by up to 5e-5 here.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            alpha = PI / 4 - 10.0 ** rng.uniform(-9.0, math.log10(PI / 8))
+            geom = SignalGeometry(alpha)
+            target = geom.cos_sq_two_alpha * 10.0 ** rng.uniform(-12.0, 0.0)
+            family = optimal_parameter_families(target, geom)[0]
+            params = sample_params(family, target, geom)
+            assert (params.mu, params.theta, params.phi) == (
+                PI / 4, PI / 2, 0.75 * PI
+            )
+            e = exact_error_rate(
+                params.lam, params.mu, params.theta, params.phi, alpha
+            )
+            assert abs(e - target) <= 1e-9 * target
+
     def test_boundary_extremum_is_not_interior_stationary(self):
         # The upper-branch optimum sits on the sin(2 mu) = 1 feasibility
         # boundary: theta and phi residuals vanish, lambda's does not.
@@ -452,6 +480,11 @@ class TestUpperBranchFamilies:
         geom = SignalGeometry(0.2 * PI)
         with pytest.raises(OutOfDomainError):
             optimal_parameter_families(0.3, geom)
+        # sample_params takes the family's E unchecked: above E_max no lam
+        # meets it.
+        family = optimal_parameter_families(0.05, geom)[0]
+        with pytest.raises(OutOfDomainError, match="leaves \\[0, 1\\]"):
+            sample_params(family, 0.3, geom)
 
 
 class TestStationarity:

@@ -42,6 +42,8 @@ from qkdprobe.search import (
     _singular_lambda_points,
 )
 
+from conftest import exact_error_rate, exact_face_ends
+
 PI = math.pi
 
 
@@ -593,6 +595,26 @@ class TestRefine:
         assert point.overlap == q
         assert abs(point.error_rate - target) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.7, PI / 4 - 1e-3])
+    def test_upper_branch_stays_on_the_target(self, alpha):
+        # A solve that asks for sin(2 mu) just past 1 moves onto the face
+        # rather than clip sin(2 mu), which leaves E above the target:
+        # kept within 1e-10 of the face, the simplex settled there, 1.7e-9
+        # and 1.3e-5 below Q_min.
+        geom = SignalGeometry(alpha)
+        target = 0.5 * geom.cos_sq_two_alpha
+        config = SearchConfig(
+            geom=geom, target_error=target, grid_resolution=21,
+            random_restarts=20, seed=17,
+        )
+        scan = constrained_scan(config)
+        q, params = refine(scan.best_params, config)
+        assert q >= scan.analytic_q - 1e-12
+        e = probe._angle_error_rate(
+            params.lam, params.mu, params.theta, params.phi, geom
+        )
+        assert abs(e - target) <= 1e-12 * target
+
     @pytest.mark.parametrize(
         "alpha,target",
         [
@@ -679,32 +701,22 @@ def dataclass_singular_rows(lam, thetas, target, geom):
     return rows
 
 
-def dataclass_face_point(lam, theta, phi, target, geom):
-    """(lam, mu) on the face sin(2 mu) = +-1 that meets the target, lam in
-    the half of [0, pi) of the lam given, or None.
-
-    E falls as sin(2 mu) rises, so the +1 face is the one to take where E
-    at mu = pi/4 still lies above the target.  On either face 2E =
-    B cos^2(lam) + s2 (1 - sin 2mu) sin^2(lam), with B = (1 - cos 2theta)
-    + s2 cos 2theta (1 - sin 2phi)."""
-    s2 = geom.sin_sq_two_alpha
-    cos_two_theta = math.cos(2.0 * theta)
-    sin_two_phi = math.sin(2.0 * phi)
-    b = (1.0 - cos_two_theta) + s2 * cos_two_theta * (1.0 - sin_two_phi)
-    at_quarter = ProbeParams(lam=lam, mu=PI / 4, theta=theta, phi=phi)
-    if error_rate(coefficients(at_quarter), geom) > target:
-        cos_sq_lam, mu = 2.0 * target / b, PI / 4
-    else:
-        cos_sq_lam, mu = 2.0 * (target - s2) / (b - 2.0 * s2), 3 * PI / 4
-    if not 0.0 <= cos_sq_lam <= 1.0:
-        return None
-    return math.acos(math.copysign(math.sqrt(cos_sq_lam), math.cos(lam))), mu
+def dataclass_face(lam, theta, phi, target, geom):
+    """mu of the face sin(2 mu) = +-1 a point moves onto, or None where
+    some mu meets the target.  E falls as sin(2 mu) rises, so it is the +1
+    face where E at mu = pi/4 still lies above the target, and the -1 face
+    where E at mu = 3pi/4 lies below it."""
+    for mu, side in ((PI / 4, 1.0), (3 * PI / 4, -1.0)):
+        params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
+        if side * (error_rate(coefficients(params), geom) - target) > 0.0:
+            return mu
+    return None
 
 
 def dataclass_constrained_point(lam, theta, phi, target, geom):
     """(Q, lam, mu, theta, phi) through mu_from_constraint and the
-    dataclass route, or phi elimination on a sin(lam) = 0 plane, or the
-    face sin(2 mu) = +-1 where no mu meets the target."""
+    dataclass route, or phi elimination on a sin(lam) = 0 plane, or None;
+    for a point that no face (:func:`dataclass_face`) takes."""
     lam, theta, phi = (float(v) % PI for v in (lam, theta, phi))
     if abs(math.sin(lam)) <= 1e-12:
         rows = dataclass_singular_rows(lam, [theta], target, geom)
@@ -712,13 +724,7 @@ def dataclass_constrained_point(lam, theta, phi, target, geom):
             return None
         lam, theta, phi, mu, _, q = min(rows, key=lambda row: row[5])
         return q, lam, mu, theta, phi
-    try:
-        mu = mu_from_constraint(lam, theta, phi, target, geom)
-    except InfeasibleConstraintError:
-        face = dataclass_face_point(lam, theta, phi, target, geom)
-        if face is None:
-            return None
-        lam, mu = face
+    mu = mu_from_constraint(lam, theta, phi, target, geom)
     params = ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
     try:
         return overlap(coefficients(params), geom), lam, mu, theta, phi
@@ -765,9 +771,31 @@ class TestFloatObjectives:
         points += [[lam, t, f] for lam in (0.0, PI, -PI, 2.0 * PI)
                    for t, f in planes]
         results = [_constrained_point(*x, target, geom) for x in points]
-        assert results == [
-            dataclass_constrained_point(*x, target, geom) for x in points
-        ]
+        # Off the faces, the twin's point.  On a face, the twin's face
+        # and a lam in the half of the lam given that solves the face
+        # equation to 4 ulps of its scale, E at the face's ends P and M.
+        faces = 0
+        for x, result in zip(points, results):
+            lam, theta, phi = (v % PI for v in x)
+            face = None
+            if abs(math.sin(lam)) > 1e-12:
+                face = dataclass_face(lam, theta, phi, target, geom)
+            if face is None:
+                assert result == dataclass_constrained_point(
+                    *x, target, geom
+                )
+                continue
+            p, m = exact_face_ends(face, theta, phi, alpha)
+            if not min(p, m) <= target <= max(p, m):
+                assert result is None
+                continue
+            faces += 1
+            assert result[2:] == (face, theta, phi)
+            e = exact_error_rate(*result[1:], alpha)
+            assert abs(e - target) <= 4 * math.ulp(1.0) * max(p, m)
+            if result[1] != PI / 2:
+                assert (result[1] < PI / 2) == (math.cos(lam) > 0.0)
+        assert faces > 500
         # Both faces are reached.  Off the sin(lam) = 0 planes a point
         # finds no lam on the -1 face only where E lies above s2, E at
         # lam = pi/2 there.
@@ -791,7 +819,8 @@ class TestFloatObjectives:
         s2 = geom_pi8.sin_sq_two_alpha
         rhs, mu = probe._solve_mu(1e-5, math.sin(1e-5), 0.0, PI / 4, 0.0, s2)
         assert rhs > 1.0 + probe.ARCSINE_CLAMP_TOL and mu is None
-        assert probe._face_cos_sq_lam(1.0, 1.0, 1.0, 0.0, s2) == math.inf
+        face = probe._face_cos_sq_lam(PI / 4, 0.0, PI / 4, 0.0, geom_pi8)
+        assert face == math.inf
         assert _constrained_point(1e-5, 0.0, PI / 4, 0.0, geom_pi8) is None
 
     @pytest.mark.parametrize("target", [0.05, 0.2, 0.45])
@@ -844,7 +873,9 @@ def test_singular_lambda_rows_hold_a_tiny_error_rate(alpha, target):
 # penalty evaluations).  Since the polish reaches the sin(2 mu) = +-1
 # faces, refine at pi/6 lands on Q_min, and the penalty rows report
 # polished points only, none of them below Q_min; the evaluation counts
-# are unchanged.
+# are unchanged.  The pi/6 row, whose polish lands on the sin(2 mu) = 1
+# face, moved in its last digits when the face solve moved to
+# probe._lam_terms, E's own two terms.
 PINNED = [
     (PI / 8, 0.2, 0.4999999999999992,
      (2.284794657156213, 3.106965410606211, 0.0, 0.2963093070999464),
@@ -859,11 +890,11 @@ PINNED = [
       2.8768220296420752),
      11126),
     (PI / 6, 0.15, -0.05882352941176364,
-     (2.45687345058751, 0.7853981633974483, 1.5707963196544634,
-      2.35619449799328),
-     -0.05882352941176392,
-     (0.6847192030022832, 0.7853981633974483, 1.570796338317804,
-      2.3561944924937244),
+     (2.45687345058751, 0.7853981633974483, 1.5707963313358357,
+      2.356194485795984),
+     -0.0588235294117639,
+     (0.6847192030022832, 0.7853981633974483, 1.5707963234727327,
+      2.3561944928911704),
      31800),
 ]
 

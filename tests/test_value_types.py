@@ -296,6 +296,11 @@ INVALID = [
         {"target_error": 0.5},
     ),
     (
+        search.SearchConfig,
+        search.SearchConfig(probe.SignalGeometry(0.3), 0.1),
+        {"random_restarts": -1},
+    ),
+    (
         distill.DistillationConfig,
         distill.DistillationConfig(100, 5, 0.01),
         {"e_t": 101},
