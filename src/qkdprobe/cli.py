@@ -9,9 +9,9 @@ command or place its output (``--out``, ``--samples-out``, ``--format``)
 and those left unset, so replaying the echoed inputs reproduces the
 output byte for byte.  Floats serialize with 17 significant digits in
 JSON and 12 in CSV.  Each output has one renderer: :func:`render_json`
-the JSON envelope, :func:`_csv` the CSV tables of ``capacity``,
-``frontier`` and ``sweep``, and :func:`_float_rows` the blocks of the
-``verify --samples-out`` CSV.  Exit codes: 0 success, 1 property
+the JSON envelope and :func:`_csv` the CSV tables of ``capacity``,
+``frontier``, ``sweep`` and ``verify --samples-out``, whose rows
+:func:`_csv_rows` writes block by block as the scan hands them over.  Exit codes: 0 success, 1 property
 violation (verify), 2 usage or domain error or an unwritable output.
 
 Angles are accepted as raw radians or as multiples of pi: ``0.3927``,
@@ -25,11 +25,9 @@ loads ``search``, ``capacity`` and ``frontier`` load ``distill``, and
 ``simulate`` and ``sweep`` load ``simulate``; ``search`` and
 ``simulate`` bring ``stream``, the package's plain-Python port of numpy's
 seeded stream.  Only ``possibilities`` loads ``roots``, for its polynomial
-roots.  numpy is loaded only by the one subcommand that works on arrays,
-``verify``, and never ``numpy.random``.  ``possibilities``, ``evaluate``,
-``optimal``, ``capacity``, ``frontier``, ``--help`` and ``--version`` run
-on plain floats, and ``simulate`` and ``sweep`` on floats and the seeded
-stream, so none of them imports numpy.
+roots.  No subcommand imports numpy: ``verify`` scans in plain Python,
+``simulate`` and ``sweep`` draw from the seeded stream, and every other
+call runs on plain floats.
 """
 
 from __future__ import annotations
@@ -54,6 +52,8 @@ if TYPE_CHECKING:
 # The values of optimum.FamilyTag, written out so that parsing the
 # arguments does not import optimum.
 _FAMILY_TAGS = ("set_e", "set_h", "set_phi_neg")
+# Columns of the verify --samples-out CSV, one row per scan node.
+SAMPLE_HEADER = ("lam", "theta", "phi", "mu", "E", "Q")
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\s*\*?\s*pi\s*(?:/\s*"
@@ -187,47 +187,17 @@ def _output(out: str | None) -> Iterator[TextIO]:
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """One table: the header, then one line per row, floats as %.12g and
-    anything else as str()."""
-    lines = [",".join(header)]
-    lines += [
+    """One table: the header, then :func:`_csv_rows`."""
+    return ",".join(header) + "\n" + _csv_rows(rows)
+
+
+def _csv_rows(rows: Iterable[Sequence[Any]]) -> str:
+    """One line per row, floats as %.12g and anything else as str()."""
+    return "".join(
         ",".join("%.12g" % v if isinstance(v, float) else str(v) for v in row)
+        + "\n"
         for row in rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _float_rows(block: Any) -> str:
-    """The rows of one of the scan's sink blocks, a 2-D float array, every
-    value as %.12g.
-
-    A column with fewer distinct values than half its rows (a scan
-    plane's lam, theta, phi and E) has each distinct value, told apart by
-    its bits, formatted once; the text is what formatting every value
-    gives.
-    """
-    import numpy as np
-
-    block = np.asarray(block, dtype=np.float64)
-    count, width = block.shape
-    bits = block.view(np.int64)
-    # One sort of the whole block counts each column's distinct values.
-    ordered = np.sort(bits, axis=0)
-    new = ordered[1:] != ordered[:-1]
-    distinct = 1 + np.count_nonzero(new, axis=0)
-    values: list[Any] = [None] * block.size
-    formats = []
-    for j in range(width):
-        if 2 * distinct[j] < count:
-            unique = ordered[np.concatenate(([True], new[:, j])), j]
-            texts = ["%.12g" % v for v in unique.view(np.float64).tolist()]
-            index = np.searchsorted(unique, bits[:, j])
-            values[j::width] = np.array(texts, dtype=object)[index].tolist()
-            formats.append("%s")
-        else:
-            values[j::width] = block[:, j].tolist()
-            formats.append("%.12g")
-    return ((",".join(formats) + "\n") * count) % tuple(values)
+    )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> tuple[int, Any]:
@@ -292,9 +262,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Any]:
     else:
         # Each sink block is rendered and written as it arrives.
         with _output(args.samples_out) as handle:
-            handle.write("lam,theta,phi,mu,E,Q\n")
+            handle.write(_csv(SAMPLE_HEADER, ()))
             report = search.constrained_scan(
-                config, sink=lambda block: handle.write(_float_rows(block))
+                config, sink=lambda rows: handle.write(_csv_rows(rows))
             )
     return 1 if report.violations > 0 else 0, {
         "best_q": report.best_q,

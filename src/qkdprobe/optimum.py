@@ -411,12 +411,12 @@ def sample_params(
                 f"not {target_error!r}; no mu changes that"
             )
         return params
-    rhs, mu = probe._solve_mu(
-        lam, sin_lam, theta, phi, target_error, geom.sin_sq_two_alpha
-    )
+    u = probe._solve_u(lam, theta, phi, target_error, geom)
+    mu = probe._mu_from_u(u)
     if mu is None:
         raise OutOfDomainError(
-            f"sin(2 mu) = {rhs!r} leaves [-1, 1]; the family is empty here"
+            f"sin^2(pi/4 - mu) = {u!r} leaves [0, 1]; the family is empty "
+            "here"
         )
     return ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
 
@@ -455,20 +455,19 @@ def constant_error_overlap(
 ) -> float:
     """Overlap as a function of (lam, theta, phi) at fixed error rate.
 
-    sin(2 mu) is solved from the error-rate constraint and left unclipped,
-    so Q stays smooth across |sin 2mu| = 1; the coefficients and Q then
-    come from probe's one body.  This is the objective whose stationary
-    points the possibility analysis enumerates; it is evaluated formally
-    whether or not a mu realizes the constraint at this point.  The
-    angles lie in [0, pi], as in :class:`ProbeParams`, with sin(lam)
-    nonzero: where it is 0, mu drops out and sin(2 mu) is 0/0.
+    sin(2 mu) = 1 - 2u is solved from the error-rate constraint, u of
+    :func:`probe.mu_from_constraint`, and left unclipped, so Q stays smooth
+    across |sin 2mu| = 1; the coefficients and Q then come from probe's
+    one body.  This is the objective whose stationary points the
+    possibility analysis enumerates; it is evaluated formally whether or
+    not a mu realizes the constraint at this point.  The angles lie in
+    [0, pi], as in :class:`ProbeParams`, with sin(lam) nonzero: where it
+    is 0, mu drops out and u is 0/0.
     """
     s2 = geom.sin_sq_two_alpha
-    sin_two_mu, _ = probe._solve_mu(
-        lam, math.sin(lam), theta, phi, target_error, s2
-    )
+    u = probe._solve_u(lam, theta, phi, target_error, geom)
     _, numerator, radicand = probe._observables(
-        *probe._sin_mu_quadruple(lam, sin_two_mu, theta, phi), s2
+        *probe._sin_mu_quadruple(lam, 1.0 - 2.0 * u, theta, phi), s2
     )
     if radicand <= 0.0:
         raise DegenerateModelError(

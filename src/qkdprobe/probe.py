@@ -14,20 +14,20 @@ together with the signal geometry: the basis half-angle alpha in
 pi/2 - 2*alpha.  From (a, b, c, d; alpha) the module evaluates the four
 detection probabilities, the induced receiver error rate E, the overlap Q
 of the correlated probe states, and the Renyi information gain
-log2(2 - Q^2).  Each formula is written once over floats or numpy
-arrays: the scalar functions feed it ``math`` values, and
-:func:`constrained_observables` feeds it arrays for whole scans.  E, the
-overlap numerator and the overlap radicand share one body over
-(a, b, c, d, sin^2 2a), which the simplex objectives in ``search`` also
-call on plain floats.  The bodies share their common subterms: (d - a)
-sin^2 2a between E, the numerator and the radicand, sin^2(lam) sin(2 mu)
-between a and b, and d and cos^2(lam) cos(2 theta) sin(2 phi) between the
-coefficients and the constraint on sin(2 mu).  The array form returns
-sin(2 mu) rather than mu, so a scan pays for the arcsine (:func:`fold_mu`)
-only on the nodes it reports.  Only those array kernels
-(:func:`constrained_observables` and the scan bodies behind it, and
-:func:`fold_mu`) import numpy, when first called; the scalar functions
-run on ``math`` alone, so a caller that needs no arrays never loads it.
+log2(2 - Q^2).  E, the overlap numerator and the overlap radicand share
+one body over (a, b, c, d, sin^2 2a), which the simplex objectives in
+``search`` also call on plain floats.
+
+At float angles E is also written as E = cos^2(lam) P + sin^2(lam) M
+(:func:`_lam_terms`), P a function of (theta, phi) and M = sin^2(2a)
+sin^2(pi/4 - mu), each a sum of non-negative terms.  Every solve at fixed
+E reads that form: :func:`mu_from_constraint` solves u = sin^2(pi/4 - mu)
+= M / sin^2(2a), and :func:`_node_minimum`, the kernel of the brute-force
+scan and its simplex polish, minimizes Q over (lam, mu) at fixed
+(theta, phi) in closed form.  With x = cos^2(lam) and u eliminated, Q is
+(A + B x) / sqrt(R0 - C x^2) on an interval of x, so its minimum lies at
+an end of that interval or at one stationary point.  The module runs on
+``math`` alone; nothing in the package imports numpy.
 
 Everything in this module is a pure function of immutable value types and
 is safe for unrestricted concurrent use.  The value types of every module
@@ -43,7 +43,7 @@ import math
 import numbers
 import sys
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import Any, TypeVar
 
 from .errors import (
     DegenerateModelError,
@@ -52,14 +52,12 @@ from .errors import (
     SingularLambdaError,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Tolerance for exact-identity checks (row sums, probability ranges).
 IDENTITY_TOL = 1e-12
 # Guard below which sin(lambda) is treated as zero in mu_from_constraint.
 SINGULAR_SIN_LAMBDA = 1e-12
-# Roundoff slack allowed when clamping an arcsine argument to [-1, 1].
+# Roundoff slack allowed when clamping a solved square of a sine or cosine,
+# u = sin^2(pi/4 - mu) or a face's cos^2(lam), to [0, 1].
 ARCSINE_CLAMP_TOL = 1e-10
 # pi/4 - float(pi/4); 3 times it is 3pi/4 - float(3pi/4).  Added to a
 # float difference, exact where small, it keeps a tiny sine precise.
@@ -291,41 +289,6 @@ def check_integer(name: str, value: object) -> None:
         raise DomainError(f"{name} must be an integer; got {value!r}")
 
 
-def _shared_terms(sin_sq_lam, cos_sq_lam, cos_two_theta, sin_two_phi):
-    """(d, cross_term) from the trig factors; floats or arrays.
-
-    cross_term = cos^2(lam) cos(2 theta) sin(2 phi) enters both a and the
-    constraint on sin(2 mu), and d enters the constraint whole, so each is
-    worked out once per point.
-    """
-    cos_sq_lam_cos_two_theta = cos_sq_lam * cos_two_theta
-    return (
-        sin_sq_lam + cos_sq_lam_cos_two_theta,
-        cos_sq_lam_cos_two_theta * sin_two_phi,
-    )
-
-
-def _quadruple(
-    sin_sq_lam,
-    cos_sq_lam,
-    sin_two_mu,
-    sin_two_theta,
-    sin_two_phi,
-    cos_two_phi,
-    d,
-    cross_term,
-):
-    """(a, b, c, d) from the trig factors and :func:`_shared_terms`; floats
-    or arrays."""
-    sin_sq_lam_sin_two_mu = sin_sq_lam * sin_two_mu
-    return (
-        sin_sq_lam_sin_two_mu + cross_term,
-        sin_sq_lam_sin_two_mu + cos_sq_lam * sin_two_phi,
-        cos_sq_lam * sin_two_theta * cos_two_phi,
-        d,
-    )
-
-
 def _angle_quadruple(
     lam: float, mu: float, theta: float, phi: float
 ) -> tuple[float, float, float, float]:
@@ -338,23 +301,18 @@ def _sin_mu_quadruple(
 ) -> tuple[float, float, float, float]:
     """(a, b, c, d) at float lam, theta and phi and a given sin(2 mu), which
     may leave [-1, 1]; with ``math`` trig."""
-    # Square as x * x, like mu_from_constraint: pow(x, 2) can differ from
-    # it in the last place, and the two routes must agree bit for bit.
     sin_lam = math.sin(lam)
     cos_lam = math.cos(lam)
     sin_sq_lam = sin_lam * sin_lam
     cos_sq_lam = cos_lam * cos_lam
     sin_two_phi = math.sin(2.0 * phi)
-    return _quadruple(
-        sin_sq_lam,
-        cos_sq_lam,
-        sin_two_mu,
-        math.sin(2.0 * theta),
-        sin_two_phi,
-        math.cos(2.0 * phi),
-        *_shared_terms(
-            sin_sq_lam, cos_sq_lam, math.cos(2.0 * theta), sin_two_phi
-        ),
+    cos_sq_lam_cos_two_theta = cos_sq_lam * math.cos(2.0 * theta)
+    sin_sq_lam_sin_two_mu = sin_sq_lam * sin_two_mu
+    return (
+        sin_sq_lam_sin_two_mu + cos_sq_lam_cos_two_theta * sin_two_phi,
+        sin_sq_lam_sin_two_mu + cos_sq_lam * sin_two_phi,
+        cos_sq_lam * math.sin(2.0 * theta) * math.cos(2.0 * phi),
+        sin_sq_lam + cos_sq_lam_cos_two_theta,
     )
 
 
@@ -397,7 +355,7 @@ def detection_probabilities(
 
 def _observables(a, b, c, d, s2):
     """(E, overlap numerator, overlap radicand) from (a, b, c, d) and
-    s2 = sin^2(2a); floats or arrays.
+    s2 = sin^2(2a).
 
     The one body of the error-rate and overlap formulas: the overlap is
     numerator / sqrt(radicand) where the radicand is positive.  E, the
@@ -419,21 +377,40 @@ def error_rate(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
     )[0]
 
 
+def _theta_terms(theta: float) -> tuple[float, float]:
+    """(sin^2 theta, cos^2 theta)."""
+    sin_theta = math.sin(theta)
+    cos_theta = math.cos(theta)
+    return sin_theta * sin_theta, cos_theta * cos_theta
+
+
+def _phi_terms(phi: float) -> tuple[float, float]:
+    """(sin^2(3pi/4 - phi), sin^2(pi/4 - phi)), that is (1 + sin 2phi)/2
+    and (1 - sin 2phi)/2, each kept to its relative precision near 0."""
+    quarter, tail = 0.25 * math.pi, _QUARTER_PI_TAIL
+    plus = math.sin(3.0 * quarter - phi + 3.0 * tail)
+    minus = math.sin(quarter - phi + tail)
+    return plus * plus, minus * minus
+
+
+def _p_term(sin_sq_theta, cos_sq_theta, plus, minus, geom):
+    """P of :func:`_lam_terms` from the :func:`_theta_terms` and
+    :func:`_phi_terms`: E at cos^2(lam) = 1."""
+    return sin_sq_theta * geom.cos_sq_two_alpha + geom.sin_sq_two_alpha * (
+        sin_sq_theta * plus + cos_sq_theta * minus
+    )
+
+
 def _lam_terms(mu, theta, phi, geom):
     """(P, M) with E = cos^2(lam) P + sin^2(lam) M at float angles: sums
     of non-negative terms, which keep the relative precision
     :func:`error_rate` loses near E = 0.  E = [(1 - d) cos^2 2a + (1 - a)
     sin^2 2a] / 2, 1 - d = 2 cos^2(lam) sin^2(theta), 1 - a = 2 sin^2(lam)
     sin^2(pi/4 - mu) + 2 cos^2(lam) [sin^2(theta) sin^2(3pi/4 - phi) +
-    cos^2(theta) sin^2(pi/4 - phi)]."""
-    quarter, tail = 0.25 * math.pi, _QUARTER_PI_TAIL
-    sin_sq_theta = math.sin(theta) ** 2
-    s2 = geom.sin_sq_two_alpha
-    p = sin_sq_theta * geom.cos_sq_two_alpha + s2 * (
-        sin_sq_theta * math.sin(3.0 * quarter - phi + 3.0 * tail) ** 2
-        + math.cos(theta) ** 2 * math.sin(quarter - phi + tail) ** 2
-    )
-    return p, s2 * math.sin(quarter - mu + tail) ** 2
+    cos^2(theta) sin^2(pi/4 - phi)], so M = sin^2(2a) sin^2(pi/4 - mu)."""
+    p = _p_term(*_theta_terms(theta), *_phi_terms(phi), geom)
+    m = math.sin(0.25 * math.pi - mu + _QUARTER_PI_TAIL)
+    return p, geom.sin_sq_two_alpha * (m * m)
 
 
 def _angle_error_rate(lam, mu, theta, phi, geom):
@@ -446,8 +423,7 @@ def overlap_radicand(half_sum, c, s2: float):
     """half_sum^2 - c^2 s2/4 with s2 = sin^2(2a): the overlap's squared
     denominator.
 
-    half_sum is (1 + d + (a - d) s2)/2, which equals 1 - E; floats or
-    arrays.
+    half_sum is (1 + d + (a - d) s2)/2, which equals 1 - E.
     """
     return half_sum * half_sum - 0.25 * c * c * s2
 
@@ -476,18 +452,6 @@ def q_value(coeffs: ProbeCoefficients) -> float:
     return coeffs.a + coeffs.b + coeffs.d
 
 
-def _constraint_sin_two_mu(
-    sin_sq_lam, cos_sq_lam, cos_two_theta, d, cross_term, target_error, s2
-):
-    """sin(2 mu) that meets the target error rate, from the trig factors and
-    :func:`_shared_terms`; floats or arrays."""
-    return (
-        cos_sq_lam * (1.0 - cos_two_theta)
-        + s2 * (d - cross_term)
-        - 2.0 * target_error
-    ) / (s2 * sin_sq_lam)
-
-
 def _face_cos_sq_lam(mu, theta, phi, target_error, geom):
     """cos^2(lam) = (E - M) / (P - M) (:func:`_lam_terms`) that meets the
     target error rate at float (mu, theta, phi); inf where P == M."""
@@ -506,6 +470,31 @@ def _lam_from_cos_sq(cos_sq: float, sign: float, slack: float) -> float | None:
     return math.acos(math.copysign(cos_lam, sign))
 
 
+def _solve_u(lam, theta, phi, target_error, geom):
+    """u = sin^2(pi/4 - mu) = (E - cos^2(lam) P) / (sin^2(2a) sin^2(lam))
+    that meets the target error rate at float (lam, theta, phi), with P of
+    :func:`_lam_terms`; sin(2 mu) = 1 - 2u.  Unclipped; sin(lam) nonzero."""
+    sin_lam = math.sin(lam)
+    cos_lam = math.cos(lam)
+    p = _p_term(*_theta_terms(theta), *_phi_terms(phi), geom)
+    return (target_error - cos_lam * cos_lam * p) / (
+        geom.sin_sq_two_alpha * (sin_lam * sin_lam)
+    )
+
+
+def _mu_from_u(u: float) -> float | None:
+    """mu = pi/4 - asin(sqrt(u)) folded into [0, pi): the solution of
+    sin^2(pi/4 - mu) = u with cos(2 mu) >= 0.  u is clamped to [0, 1];
+    None beyond ARCSINE_CLAMP_TOL of that range."""
+    if not -ARCSINE_CLAMP_TOL <= u <= 1.0 + ARCSINE_CLAMP_TOL:
+        return None
+    arc = math.asin(math.sqrt(min(1.0, max(0.0, u))))
+    # pi/4 - arc, adding back the tail that float pi/4 drops: it matters
+    # where arc, and with it u, is tiny.
+    mu = 0.25 * math.pi - (arc - _QUARTER_PI_TAIL)
+    return mu if mu >= 0.0 else mu + math.pi
+
+
 def mu_from_constraint(
     lam: float,
     theta: float,
@@ -515,22 +504,21 @@ def mu_from_constraint(
 ) -> float:
     """Solve for mu so the probe induces the target error rate.
 
-    Inverts the error-rate relation for sin(2 mu) at fixed
-    (lambda, theta, phi):
+    With E = cos^2(lam) P + sin^2(lam) M (:func:`_lam_terms`) and
+    M = sin^2(2a) sin^2(pi/4 - mu), the constraint fixes
 
-        sin 2mu = [ cos^2(lam) (1 - cos 2theta)
-                    + sin^2(2a) (sin^2(lam) + cos^2(lam) cos 2theta
-                                 - cos^2(lam) cos 2theta sin 2phi)
-                    - 2 E ] / (sin^2(2a) sin^2(lam))
+        u = sin^2(pi/4 - mu) = (E - cos^2(lam) P) / (sin^2(2a) sin^2(lam)),
 
-    Of the two solutions in [0, pi], which share sin(2 mu) and with it
-    every observable, this returns the one with cos(2 mu) >= 0.
+    a ratio of sums of non-negative terms, so no O(1) terms cancel near
+    E = 0 or alpha = pi/4; sin(2 mu) = 1 - 2u.  Of the two solutions in
+    [0, pi], which share sin(2 mu) and with it every observable, this
+    returns the one with cos(2 mu) >= 0, mu = pi/4 - asin(sqrt(u)).
 
     Raises:
-        SingularLambdaError: sin(lam) ~ 0, so mu is unobservable; use the
-            phi-elimination route instead.
+        SingularLambdaError: sin(lam) ~ 0, so mu is unobservable.
         InfeasibleConstraintError: no mu achieves the target error rate at
-            this (lambda, theta, phi).
+            this (lambda, theta, phi): u leaves [0, 1] by more than
+            ARCSINE_CLAMP_TOL.
         DomainError: target error rate outside [0, 1/2).
     """
     check_error_rate(target_error)
@@ -539,161 +527,103 @@ def mu_from_constraint(
         raise SingularLambdaError(
             f"sin(lam) = {sin_lam!r} ~ 0: mu has no effect on any observable"
         )
-    rhs, mu = _solve_mu(
-        lam, sin_lam, theta, phi, target_error, geom.sin_sq_two_alpha
-    )
+    u = _solve_u(lam, theta, phi, target_error, geom)
+    mu = _mu_from_u(u)
     if mu is None:
         raise InfeasibleConstraintError(
-            f"sin(2 mu) would need to be {rhs!r}; no mu achieves error rate "
-            f"{target_error!r} at this (lam, theta, phi)"
+            f"sin^2(pi/4 - mu) would need to be {u!r}; no mu achieves error "
+            f"rate {target_error!r} at this (lam, theta, phi)"
         )
     return mu
 
 
-def _solve_mu(
-    lam: float,
-    sin_lam: float,
-    theta: float,
-    phi: float,
-    target_error: float,
-    s2: float,
-) -> tuple[float, float | None]:
-    """(sin 2mu demanded, mu) at float angles, sin_lam = sin(lam) nonzero.
-
-    The body of :func:`mu_from_constraint` without its checks of the
-    inputs; mu is None where no mu meets the target error rate.
-    """
-    cos_lam = math.cos(lam)
-    sin_sq_lam = sin_lam * sin_lam
-    cos_sq_lam = cos_lam * cos_lam
-    cos_two_theta = math.cos(2.0 * theta)
-    rhs = _constraint_sin_two_mu(
-        sin_sq_lam,
-        cos_sq_lam,
-        cos_two_theta,
-        *_shared_terms(
-            sin_sq_lam, cos_sq_lam, cos_two_theta, math.sin(2.0 * phi)
-        ),
-        target_error,
-        s2,
+def _node_minimum(theta, phi, target_error, geom):
+    """(Q, x): the least overlap over lam and mu at float (theta, phi) and
+    the target error rate, and the x = cos^2(lam) that attains it; None
+    where no (lam, mu) meets the target.  See :func:`_terms_minimum`."""
+    return _terms_minimum(
+        *_theta_terms(theta), *_phi_terms(phi), target_error, geom
     )
-    branches = _half_arcsine(rhs)
-    return rhs, None if branches is None else branches[0]
 
 
-def _half_arcsine(value: float) -> tuple[float, float] | None:
-    """(default, alternate) x in [0, pi) with sin(2 x) = value, cos(2 x) >= 0
-    on the first and <= 0 on the second; value is clamped to [-1, 1], and
-    None is returned beyond ARCSINE_CLAMP_TOL of that range."""
-    if abs(value) > 1.0 + ARCSINE_CLAMP_TOL:
+def _terms_minimum(sin_sq_theta, cos_sq_theta, plus, minus, target, geom):
+    """:func:`_node_minimum` from the :func:`_theta_terms` and
+    :func:`_phi_terms` of (theta, phi), so a scan can work them out once
+    per grid line.
+
+    With x = cos^2(lam), E = x P + (1 - x) M and M = s2 u, s2 = sin^2(2a),
+    u = sin^2(pi/4 - mu) in [0, 1].  Eliminating u leaves Q a function of
+    x alone, Q = (A + B x) / sqrt(R0 - C x^2), where
+
+        A = 1 + E - 2E/s2,   B = 2 sin^2(theta) (cot^2(2a) - minus),
+        R0 = (1 - E)^2,      C = 4 s2 sin^2(theta) cos^2(theta) plus minus,
+
+    (C x^2 = c^2 s2 / 4 and A + B x the overlap numerator), on the x where
+    u lies in [0, 1]: x P <= E and x (s2 - P) <= s2 - E, with x in
+    [0, 1].  That interval's ends are the faces sin(2 mu) = +-1, lam =
+    pi/2 and the sin(lam) = 0 plane.  dQ/dx has the sign of B R0 + A C x,
+    so the minimum lies at an end or at x* = -B R0 / (A C) when A C > 0.
+    Each candidate is evaluated as [(1 + E) - x K - 2w] / sqrt(R0 - C x^2)
+    with K = 2 [sin^2(theta) + cos^2(theta) minus] and w = (1 - x) u =
+    (E - x P) / s2 clamped to [0, 1 - x]: the overlap at the x and u of
+    the candidate, also where rounding leaves E - x P off by more than
+    s2.  Q is held at -1 from below, as :func:`renyi_info` holds it, so
+    rounding never reports an overlap below -1.
+    """
+    s2 = geom.sin_sq_two_alpha
+    p = _p_term(sin_sq_theta, cos_sq_theta, plus, minus, geom)
+    lo, hi = 0.0, 1.0
+    if target < p:
+        hi = target / p
+    if p > s2:
+        if target > s2:
+            lo = (target - s2) / (p - s2)
+            if lo > hi:
+                return None
+    elif target > s2:
         return None
-    half_arc = 0.5 * math.asin(max(-1.0, min(1.0, value)))
-    return (
-        half_arc if half_arc >= 0.0 else half_arc + math.pi,
-        0.5 * math.pi - half_arc,
-    )
+    elif p < s2:
+        edge = (s2 - target) / (s2 - p)
+        if edge < hi:
+            hi = edge
+    r0 = (1.0 - target) * (1.0 - target)
+    c = 4.0 * s2 * sin_sq_theta * cos_sq_theta * plus * minus
+    candidates: tuple[float, ...] = (lo, hi)
+    ac = (1.0 + target - 2.0 * target / s2) * c
+    if ac > 0.0:
+        b = 2.0 * sin_sq_theta * (geom.cos_sq_two_alpha / s2 - minus)
+        stationary = -b * r0 / ac
+        if lo < stationary < hi:
+            candidates = (lo, hi, stationary)
+    k = 2.0 * (sin_sq_theta + cos_sq_theta * minus)
+    best = None
+    for x in candidates:
+        radicand = r0 - c * x * x
+        if radicand <= 0.0:
+            continue
+        w = (target - x * p) / s2
+        if w < 0.0:
+            w = 0.0
+        elif w > 1.0 - x:
+            w = 1.0 - x
+        q = ((1.0 + target) - x * k - 2.0 * w) / math.sqrt(radicand)
+        if best is None or q < best[0]:
+            best = (q, x)
+    if best is None or best[0] >= -1.0:
+        return best
+    return -1.0, best[1]
 
 
-def constrained_observables(
-    lam: float | np.ndarray,
-    theta: float | np.ndarray,
-    phi: float | np.ndarray,
-    target_error: float,
-    geom: SignalGeometry,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of :func:`mu_from_constraint` followed by :func:`evaluate`.
-
-    lam, theta and phi broadcast together; returns (sin 2mu, E, Q,
-    feasible) on their common shape.  feasible is False exactly where the
-    scalar route raises: sin(lam) ~ 0, no mu meets the target error rate,
-    or the overlap radicand is non-positive.  Q is +inf there, and sin 2mu
-    and E are unspecified.  sin 2mu is the solved constraint clipped to
-    [-1, 1]; :func:`fold_mu` turns it into the default-branch mu, so a
-    scan pays for the arcsine only on the nodes it reports.  The
-    coefficients take the solved sin(2 mu) itself rather than the sine of
-    2 mu, so E and Q agree with the scalar route to rounding.
-    target_error must lie in [0, 1/2).
-    """
-    return _constrained_nodes(
-        lam,
-        _double_angle_trig(theta),
-        _double_angle_trig(phi),
-        target_error,
-        geom.sin_sq_two_alpha,
-    )
-
-
-def _double_angle_trig(angle):
-    """(cos 2x, sin 2x) of a float or array angle x."""
-    # Imported here: only the array kernels need numpy.
-    import numpy as np
-
-    return np.cos(2.0 * angle), np.sin(2.0 * angle)
-
-
-def _constrained_nodes(lam, theta_trig, phi_trig, target_error, s2):
-    """The body of :func:`constrained_observables`, given the
-    :func:`_double_angle_trig` factors of theta and phi, so a scan can
-    work them out once for all its lam planes; s2 = sin^2(2a)."""
-    import numpy as np
-
-    cos_two_theta, sin_two_theta = theta_trig
-    cos_two_phi, sin_two_phi = phi_trig
-    sin_lam = np.sin(lam)
-    sin_sq_lam = sin_lam**2
-    cos_sq_lam = np.cos(lam) ** 2
-    d, cross_term = _shared_terms(
-        sin_sq_lam, cos_sq_lam, cos_two_theta, sin_two_phi
-    )
-    # A zero or tiny s2 sin^2(lam) gives an infinite or NaN rhs, which the
-    # feasibility test below refuses.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rhs = _constraint_sin_two_mu(
-            sin_sq_lam,
-            cos_sq_lam,
-            cos_two_theta,
-            d,
-            cross_term,
-            target_error,
-            s2,
-        )
-    feasible = (np.abs(sin_lam) > SINGULAR_SIN_LAMBDA) & (
-        np.abs(rhs) <= 1.0 + ARCSINE_CLAMP_TOL
-    )
-    sin_two_mu = np.clip(rhs, -1.0, 1.0)
-    # Each full-plane array is dropped as soon as it has been read.  A
-    # plane then holds fewer arrays at once, and the allocator serves it
-    # from the chunks the previous plane freed instead of growing the heap
-    # and trimming it again on every plane.
-    del rhs
-    a, b, c, d = _quadruple(
-        sin_sq_lam,
-        cos_sq_lam,
-        sin_two_mu,
-        sin_two_theta,
-        sin_two_phi,
-        cos_two_phi,
-        d,
-        cross_term,
-    )
-    del cross_term
-    error, numerator, radicand = _observables(a, b, c, d, s2)
-    del a, b, c
-    feasible &= radicand > 0.0
-    # Off the feasible nodes the root may be of a negative or a zero;
-    # np.where masks what that gives.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = numerator / np.sqrt(radicand)
-    return sin_two_mu, error, np.where(feasible, q, math.inf), feasible
-
-
-def fold_mu(sin_two_mu: np.ndarray) -> np.ndarray:
-    """mu on the default branch of :func:`mu_from_constraint`, in [0, pi)
-    with cos(2 mu) >= 0, from an array of sin(2 mu) in [-1, 1]."""
-    import numpy as np
-
-    half_arc = 0.5 * np.arcsin(sin_two_mu)
-    return np.where(half_arc >= 0.0, half_arc, half_arc + math.pi)
+def _node_angles(theta, phi, x, target_error, geom):
+    """(lam, mu) at float (theta, phi) and an x = cos^2(lam) of
+    :func:`_node_minimum`: lam = acos(sqrt(x)) in [0, pi/2], and mu from
+    u = (E - x P) / ((1 - x) s2) clamped to [0, 1], pi/4 at x = 1."""
+    u = 0.0
+    if x < 1.0:
+        p = _p_term(*_theta_terms(theta), *_phi_terms(phi), geom)
+        u = (target_error - x * p) / ((1.0 - x) * geom.sin_sq_two_alpha)
+        u = min(1.0, max(0.0, u))
+    return math.acos(math.sqrt(x)), _mu_from_u(u)
 
 
 def renyi_info(q_overlap: float) -> float:

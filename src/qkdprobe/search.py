@@ -5,35 +5,34 @@ parameter space at fixed induced error rate and checks that no sampled
 setting produces an overlap below the branch formula.  Two constraint
 strategies are provided:
 
-* :func:`constrained_scan` grids (lam, theta, phi) and solves mu exactly
-  from the error-rate constraint at every node (switching to the
-  phi-elimination route on the sin(lam) = 0 planes, where mu has no
-  effect).  Each lam plane is one array pass that computes sin(2 mu), E,
-  Q and feasibility; the theta- and phi-only trig is worked out once per
-  scan, and the arcsine that turns sin(2 mu) into mu runs only for a new
-  best node and for the rows handed to a sink;
+* :func:`constrained_scan` grids (theta, phi) and at every node takes the
+  least overlap over (lam, mu) on the target error rate in closed form,
+  through the one kernel :func:`probe._node_minimum`: with x = cos^2(lam)
+  and mu eliminated, Q is a one-line function of x on an interval whose
+  ends are the faces sin(2 mu) = +-1, lam = pi/2 and the sin(lam) = 0
+  plane, so the minimum is an end or one stationary point.  The scan is
+  plain Python; lam and mu are worked out only for the best node, a node
+  below Q_min, and the rows handed to a sink;
 * :func:`penalty_scan` releases all four angles and penalizes the squared
   error-rate mismatch, covering the space without any elimination.
 
-:func:`refine` and :func:`penalty_scan` share one polish to the target
-error rate: mu is re-solved at (lam, theta, phi), or where none exists
-lam is solved in closed form on the face sin(2 mu) = +-1 the solve
-points past.  Both run on this module's own Nelder-Mead, a step-for-step
-port of scipy's with the standard coefficients, so qkdprobe needs only
-numpy at run time, and only :func:`constrained_scan` imports it, when
-first called, for its arrays.  Every route (grid planes, sin(lam) = 0
-planes, faces, simplex objectives) evaluates on floats or float arrays
-through the one body of the probe formulas, in the order the public
-scalar functions use, so every value equals what ``mu_from_constraint``,
-``coefficients``, ``overlap`` and ``error_rate`` give; a ``ProbeParams``
-is built only for a point a search returns.
+:func:`refine` is a Nelder-Mead simplex over (theta, phi) on the same
+kernel, and :func:`penalty_scan` polishes each of its finals through it
+at the final's (theta, phi).  So the scan's best, refine's start and the
+polished penalty points are values of one function, and refine never
+ends above its start.  The simplex is this module's own Nelder-Mead, a
+step-for-step port of scipy's with the standard coefficients; the module
+imports neither scipy nor numpy.  The four-angle penalty objective
+evaluates through probe's one body of the observables, in the order the
+public scalar functions use, so its values equal what ``coefficients``,
+``overlap`` and ``error_rate`` give.
 
 All randomness derives from the config seed through counter-based
 splitting, so identical configs produce bit-identical reports.  The k
-restarts are numpy's ``default_rng([seed, 1]).uniform(0, pi, (k, 3))``
-and the penalty starts its ``default_rng([seed, 2]).uniform(0, pi,
-(max(k, 1), 4))``, drawn by :mod:`qkdprobe.stream`, the package's
-plain-Python port of that stream, at ~3 us a restart.  Grid and restart
+restarts are numpy's ``default_rng([seed, 1]).uniform(0, pi, (k, 2))``,
+rows (theta, phi), and the penalty starts its ``default_rng([seed,
+2]).uniform(0, pi, (max(k, 1), 4))``, drawn by :mod:`qkdprobe.stream`,
+the package's plain-Python port of that stream.  Grid and restart
 evaluations are independent and are merged by (min Q, then first in
 lexicographic grid order).
 """
@@ -42,7 +41,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from . import optimum, probe
 from .errors import (
@@ -53,16 +53,16 @@ from .errors import (
 from .probe import ProbeParams, SignalGeometry, value_type
 from .stream import _Generator
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Substream indices for counter-based seed splitting.
 _RESTART_STREAM = 1
 _PENALTY_STREAM = 2
 # Objective value assigned to infeasible points (Q itself lies in [-1, 1]).
 _INFEASIBLE = 4.0
-# Roundoff slack allowed when clamping a face's cos^2(lam) to [0, 1].
-_FACE_TOL = 1e-15
+
+# A row of the scan's sink: (lam, theta, phi, mu, E, Q).
+SampleRow = tuple[float, float, float, float, float, float]
+# Q of a scan node (theta, phi, Q, x).
+_node_q = itemgetter(2)
 
 
 @value_type
@@ -105,142 +105,99 @@ class SearchReport:
     samples_evaluated: int
 
 
-def _singular_lambda_points(
-    lam: float,
-    thetas: Sequence[float],
-    target_error: float,
-    geom: SignalGeometry,
-) -> list[tuple[float, float, float, float, float, float]]:
-    """Feasible samples on a sin(lam) = 0 plane via phi elimination, as
-    rows (lam, theta, phi, mu, E, Q).
-
-    With sin(lam) = 0 the error rate pins 1 - sin(2 phi) = 2(E - sin^2
-    theta) / (s2 cos 2theta) given theta, a form in which no O(1) terms
-    cancel; both cos(2 phi) sign branches are evaluated since they differ
-    through the skew coefficient c.  mu is unobservable and reported as
-    pi/4.  A point whose overlap radicand is non-positive is dropped.
-    """
-    s2 = geom.sin_sq_two_alpha
-    mu = math.pi / 4
-    rows = []
-    for theta in thetas:
-        cos_two_theta = math.cos(2.0 * theta)
-        if abs(cos_two_theta) < 1e-12:
-            continue
-        two_e_gap = 2.0 * (target_error - math.sin(theta) ** 2)
-        sin_two_phi = 1.0 - two_e_gap / (s2 * cos_two_theta)
-        for phi in probe._half_arcsine(sin_two_phi) or ():
-            point = _overlap_and_error((lam, mu, theta, phi), s2)
-            if point is not None:
-                rows.append((lam, theta, phi, mu, point[1], point[0]))
-    return rows
-
-
 def constrained_scan(
     config: SearchConfig,
     *,
-    sink: Callable[[np.ndarray], None] | None = None,
+    sink: Callable[[list[SampleRow]], None] | None = None,
 ) -> SearchReport:
-    """Grid scan of (lam, theta, phi) at exactly the target error rate.
+    """Grid scan of (theta, phi) at exactly the target error rate.
 
-    Scans a uniform grid over [0, pi]^3 plus ``random_restarts`` uniform
-    random points; mu is solved from the constraint everywhere (the
-    sin(lam) = 0 planes switch to phi elimination).  Reports the minimum
-    overlap found, the matching parameters, and how many samples fell
-    below Q_min, held at -1 from the family maximum E on, at their own
-    error rate by more than the configured tolerance.  Only a sample
-    below Q_min at the target is judged again, at the E of its own
-    angles, so a scan with none costs nothing extra.
+    Scans a uniform grid over [0, pi]^2 plus ``random_restarts`` uniform
+    random (theta, phi) points; at each the kernel
+    :func:`probe._node_minimum` gives the least overlap over (lam, mu) on
+    the target error rate, and a node where no (lam, mu) meets it is
+    skipped.  Reports the minimum overlap found, the matching parameters,
+    and how many nodes fell below Q_min, held at -1 from the family
+    maximum E on, at their own error rate by more than the configured
+    tolerance.  Only a node below Q_min at the target is judged again, at
+    the E of its own angles (:func:`probe._angle_error_rate`), so a scan
+    with none costs nothing extra.  The kernel holds every overlap at -1
+    from below, so ``best_q`` never falls below -1.
 
-    ``sink``, if given, receives every evaluated sample as rows
-    (lam, theta, phi, mu, E, Q) of a float array, one call per block:
-    the lam planes of the grid in lexicographic order, then the random
+    The grid holds the upper branch's optimum point (theta, phi) =
+    (pi/2, 3pi/4) exactly when grid_resolution - 1 is a multiple of 4;
+    without it a scan above alpha = pi/8 ends above Q_min, and
+    :func:`refine` from its best point closes the gap.
+
+    ``sink``, if given, receives every feasible node as rows (lam, theta,
+    phi, mu, E, Q) of Python floats, E at the row's own angles, one list
+    per block: each theta line of the grid in order, then the random
     restarts.  The rows are exactly the samples counted in
     ``samples_evaluated``.
 
     Raises EmptyFeasibleSetError if no sampled point can meet the error
     constraint.
     """
-    import numpy as np
-
     geom = config.geom
     target = config.target_error
-    grid = np.linspace(0.0, math.pi, config.grid_resolution)
     analytic_q = optimum._q_min(target, geom)
     tolerance = config.tolerance
     below = analytic_q - tolerance
 
-    best_q = math.inf
-    best_angles: list[float] | None = None
+    best: tuple[float, float, float, float] | None = None
     violations = 0
     samples = 0
 
-    def take(columns: tuple, feasible: np.ndarray) -> None:
-        """Count one block of nodes; the columns (lam, theta, phi,
-        sin 2mu, E, Q) broadcast to the shape of Q and feasible, and Q is
-        inf off it.  A new best, the sink's rows and low nodes alone read
-        the other columns; probe.fold_mu turns their sin 2mu into mu."""
-        nonlocal best_q, best_angles, violations, samples
-        count = int(np.count_nonzero(feasible))
-        if not count:
+    def take(nodes: list[tuple[float, float, float, float]]) -> None:
+        """Count one block of feasible nodes (theta, phi, Q, x)."""
+        nonlocal best, violations, samples
+        if not nodes:
             return
-        q = columns[-1]
-        samples += count
-        low = q < below
-        if low.any():
-            # The clamp on sin(2 mu) moves a node's E off the target.
-            rows = [np.broadcast_to(c, q.shape)[low] for c in columns]
-            rows[3] = probe.fold_mu(rows[3])
-            for lam, theta, phi, mu, _, q_node in zip(*rows):
-                e = probe._angle_error_rate(lam, mu, theta, phi, geom)
-                violations += int(q_node < optimum._q_min(e, geom) - tolerance)
-        k = int(np.argmin(q))
-        if q.flat[k] < best_q:
-            best_q = float(q.flat[k])
-            lam, theta, phi, m = (
-                np.broadcast_to(c, q.shape).flat[k] for c in columns[:4]
-            )
-            best_angles = [
-                float(v) for v in (lam, theta, phi, probe.fold_mu(m))
-            ]
+        samples += len(nodes)
+        low = min(nodes, key=_node_q)
+        if best is None or low[2] < best[2]:
+            best = low
+        if low[2] < below:
+            for theta, phi, q, x in nodes:
+                if q < below:
+                    lam, mu = probe._node_angles(theta, phi, x, target, geom)
+                    e = probe._angle_error_rate(lam, mu, theta, phi, geom)
+                    violations += q < optimum._q_min(e, geom) - tolerance
         if sink is not None:
-            rows = [np.broadcast_to(c, q.shape)[feasible] for c in columns]
-            rows[3] = probe.fold_mu(rows[3])
-            sink(np.column_stack(rows))
+            sink([_sample_row(*node, config) for node in nodes])
 
-    s2 = geom.sin_sq_two_alpha
-    theta, phi = grid[:, None], grid[None, :]
-    theta_trig = probe._double_angle_trig(theta)
-    phi_trig = probe._double_angle_trig(phi)
-    nodes = grid.tolist()
-    for lam in nodes:
-        if abs(math.sin(lam)) <= probe.SINGULAR_SIN_LAMBDA:
-            rows = _singular_lambda_points(lam, nodes, target, geom)
-            columns = np.array(rows).reshape(-1, 6).T
-            # Their mu = pi/4 is sin(2 mu) = 1: fold_mu(1.0) is pi/4.
-            columns[3] = 1.0
-            take(columns, np.full(len(rows), True))
-        else:
-            sin_two_mu, e, q, feasible = probe._constrained_nodes(
-                lam, theta_trig, phi_trig, target, s2
-            )
-            take((lam, theta, phi, sin_two_mu, e, q), feasible)
+    resolution = config.grid_resolution
+    step = math.pi / (resolution - 1)
+    # np.linspace(0, pi, resolution), node for node.
+    grid = [k * step for k in range(resolution - 1)] + [math.pi]
+    phi_terms = [probe._phi_terms(phi) for phi in grid]
+    minimum = probe._terms_minimum
+    for theta in grid:
+        theta_terms = probe._theta_terms(theta)
+        nodes = []
+        for phi, terms in zip(grid, phi_terms):
+            node = minimum(*theta_terms, *terms, target, geom)
+            if node is not None:
+                nodes.append((theta, phi, *node))
+        take(nodes)
 
     restarts = _Generator(config.seed, _RESTART_STREAM).uniform(
-        math.pi, 3 * config.random_restarts
+        math.pi, 2 * config.random_restarts
     )
-    lam, theta, phi = np.array(restarts).reshape(-1, 3).T
-    sin_two_mu, e, q, feasible = probe.constrained_observables(
-        lam, theta, phi, target, geom
-    )
-    take((lam, theta, phi, sin_two_mu, e, q), feasible)
+    nodes = []
+    for theta, phi in zip(restarts[::2], restarts[1::2]):
+        node = probe._node_minimum(theta, phi, target, geom)
+        if node is not None:
+            nodes.append((theta, phi, *node))
+    take(nodes)
 
-    if best_angles is None:
+    if best is None:
         raise EmptyFeasibleSetError(
             f"no sampled point satisfies E = {config.target_error!r} at "
             f"alpha = {geom.alpha!r}"
         )
-    lam, theta, phi, mu = best_angles
+    theta, phi, best_q, x = best
+    lam, mu = probe._node_angles(theta, phi, x, target, geom)
     return SearchReport(
         best_q=best_q,
         best_params=ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi),
@@ -250,41 +207,37 @@ def constrained_scan(
     )
 
 
-def _constrained_point(
-    lam: float, theta: float, phi: float, target: float, geom: SignalGeometry
-) -> tuple[float, float, float, float, float] | None:
-    """(Q, lam, mu, theta, phi) at (lam, theta, phi) and the target error,
-    or None.
+def _sample_row(
+    theta: float, phi: float, q: float, x: float, config: SearchConfig
+) -> SampleRow:
+    """The sink row (lam, theta, phi, mu, E, Q) of a scan node."""
+    geom = config.geom
+    lam, mu = probe._node_angles(theta, phi, x, config.target_error, geom)
+    e = probe._angle_error_rate(lam, mu, theta, phi, geom)
+    return lam, theta, phi, mu, e, q
 
-    All observables are pi-periodic in each angle, so the angles are
-    folded into [0, pi).  mu is solved from the constraint; on the
-    singular sin(lam) = 0 planes the better phi-elimination branch is
-    taken instead.  Where the solve asks for |sin(2 mu)| > 1, lam moves in
-    closed form onto the face it points past, mu = pi/4 or 3pi/4, in its
-    half of [0, pi).  None: no such lam, or a non-positive radicand.
+
+def _constrained_point(
+    theta: float, phi: float, target: float, geom: SignalGeometry
+) -> tuple[float, float, float, float, float] | None:
+    """(Q, lam, mu, theta, phi) of the kernel's minimum at (theta, phi) on
+    the target error rate, or None where no (lam, mu) meets it.
+
+    All observables are pi-periodic in each angle, so an angle outside
+    [0, pi] is folded into [0, pi); one inside is kept as it is, so a
+    grid node's point is the scan's own.
     """
-    lam = float(lam) % math.pi
-    theta = float(theta) % math.pi
-    phi = float(phi) % math.pi
-    sin_lam = math.sin(lam)
-    if abs(sin_lam) <= probe.SINGULAR_SIN_LAMBDA:
-        rows = _singular_lambda_points(lam, [theta], target, geom)
-        if not rows:
-            return None
-        lam, theta, phi, mu, _, q = min(rows, key=lambda row: row[5])
-        return q, lam, mu, theta, phi
-    s2 = geom.sin_sq_two_alpha
-    rhs, mu = probe._solve_mu(lam, sin_lam, theta, phi, target, s2)
-    if abs(rhs) > 1.0:
-        mu = 0.25 * math.pi if rhs > 0.0 else 0.75 * math.pi
-        cos_sq_lam = probe._face_cos_sq_lam(mu, theta, phi, target, geom)
-        lam = probe._lam_from_cos_sq(cos_sq_lam, math.cos(lam), _FACE_TOL)
-        if lam is None:
-            return None
-    point = _overlap_and_error((lam, mu, theta, phi), s2)
-    if point is None:
+    theta, phi = _fold(theta), _fold(phi)
+    node = probe._node_minimum(theta, phi, target, geom)
+    if node is None:
         return None
-    return point[0], lam, mu, theta, phi
+    q, x = node
+    return (q, *probe._node_angles(theta, phi, x, target, geom), theta, phi)
+
+
+def _fold(angle: float) -> float:
+    angle = float(angle)
+    return angle if 0.0 <= angle <= math.pi else angle % math.pi
 
 
 def _overlap_and_error(
@@ -412,13 +365,18 @@ def _sorted_simplex(
 def refine(
     start: ProbeParams, config: SearchConfig
 ) -> tuple[float, ProbeParams]:
-    """Simplex polish of a feasible starting point at fixed error rate.
+    """Simplex polish of a starting point at fixed error rate.
 
-    Nelder-Mead over (lam, theta, phi) with mu re-solved per evaluation,
-    or lam moved onto a sin(2 mu) = +-1 face where no mu exists, run
-    until the simplex diameter falls below 1e-9 or 10^4 evaluations.
-    Returns the best (Q, params) evaluated, so the overlap never exceeds
-    the starting value.
+    Nelder-Mead over (theta, phi) from the start's (theta, phi), each
+    evaluation the kernel's least overlap over (lam, mu) on the target
+    error rate (:func:`probe._node_minimum`), run until the simplex
+    diameter falls below 1e-9 or 10^4 evaluations.  The start's lam and
+    mu are not read.  Returns the best (Q, params) evaluated, so the
+    overlap never exceeds the kernel's value at the start, which is a
+    scan's ``best_q`` when the start is its ``best_params``.
+
+    Raises InfeasibleConstraintError if no (lam, mu) meets the target at
+    the start's (theta, phi).
     """
     best: tuple[float, float, float, float, float] | None = None
 
@@ -431,7 +389,7 @@ def refine(
             best = point
         return point[0]
 
-    x0 = [start.lam, start.theta, start.phi]
+    x0 = [start.theta, start.phi]
     objective(x0)
     if best is None:
         raise InfeasibleConstraintError(
@@ -479,7 +437,7 @@ def penalty_scan(
 
     A pure penalty minimizer parks the error rate at target + O(1/w), so
     the report covers each Nelder-Mead final polished to the target at
-    its (lam, theta, phi), exactly as :func:`refine` evaluates a point;
+    its (theta, phi), exactly as :func:`refine` evaluates a point;
     one is a violation if its overlap lies below Q_min at the target by
     more than the tolerance.  penalty_weight must be finite and positive.
     """
@@ -490,8 +448,8 @@ def penalty_scan(
         )
     finals, evaluations = _penalty_finals(config, penalty_weight)
     polished = [
-        _constrained_point(lam, theta, phi, config.target_error, config.geom)
-        for lam, _, theta, phi in finals
+        _constrained_point(theta, phi, config.target_error, config.geom)
+        for _, _, theta, phi in finals
     ]
     polished = [point for point in polished if point is not None]
     if not polished:

@@ -68,6 +68,29 @@ def exact_error_rate(lam, mu, theta, phi, alpha):
         return m + mpmath.cos(mpmath.mpf(lam)) ** 2 * (p - m)
 
 
+def exact_overlap(lam, mu, theta, phi, alpha):
+    """Q at four float angles to 50 digits, from the coefficients, with
+    the angles and alpha as their exact binary values."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        lam, mu, theta, phi, alpha = map(
+            mpmath.mpf, (lam, mu, theta, phi, alpha)
+        )
+        s2 = mpmath.sin(2 * alpha) ** 2
+        sin_sq_lam, cos_sq_lam = mpmath.sin(lam) ** 2, mpmath.cos(lam) ** 2
+        sin_two_phi = mpmath.sin(2 * phi)
+        a = sin_sq_lam * mpmath.sin(2 * mu) + cos_sq_lam * mpmath.cos(
+            2 * theta
+        ) * sin_two_phi
+        b = sin_sq_lam * mpmath.sin(2 * mu) + cos_sq_lam * sin_two_phi
+        c = cos_sq_lam * mpmath.sin(2 * theta) * mpmath.cos(2 * phi)
+        d = sin_sq_lam + cos_sq_lam * mpmath.cos(2 * theta)
+        half_sum = (1 + d + (a - d) * s2) / 2
+        numerator = (a + b) / 2 + (d - a) * s2 / 2
+        return numerator / mpmath.sqrt(half_sum**2 - c * c * s2 / 4)
+
+
 def fresh_interpreter(script, *args, cwd, env=None):
     """Run script with python -c in a new process that imports qkdprobe
     from this checkout."""

@@ -35,16 +35,17 @@ from qkdprobe import (
     refine,
 )
 from qkdprobe.cli import (
+    SAMPLE_HEADER,
     _csv,
-    _float_rows,
+    _csv_rows,
     _output,
     main,
     parse_angle,
     render_json,
 )
 from qkdprobe import cli as cli_module
-from qkdprobe.errors import QkdProbeError, SingularLambdaError
-from qkdprobe.search import _singular_lambda_points
+from qkdprobe import probe
+from qkdprobe.errors import QkdProbeError
 
 from conftest import SMALLEST_ALPHA, fresh_interpreter
 
@@ -449,8 +450,8 @@ class TestVerify:
             results["best_q"]
         )
 
-        # The CSV holds the scan's own rows; re-evaluate them at full
-        # precision through the scalar route.
+        # The CSV holds the scan's own rows, each on the target E at its
+        # own angles and with the overlap those angles give.
         geom = SignalGeometry(PI / 8)
         config = SearchConfig(
             geom=geom,
@@ -461,38 +462,23 @@ class TestVerify:
         )
         blocks = []
         constrained_scan(config, sink=blocks.append)
-        rows = [row for block in blocks for row in block.tolist()]
-        header = ("lam", "theta", "phi", "mu", "E", "Q")
-        assert text == per_value_csv(header, rows)
+        rows = [row for block in blocks for row in block]
+        assert text == per_value_csv(SAMPLE_HEADER, rows)
         for lam, theta, phi, mu, e, q in rows:
-            try:
-                scalar_mu = mu_from_constraint(lam, theta, phi, 0.2, geom)
-            except SingularLambdaError:
-                scalar_mu = mu  # phi elimination; mu is unobservable
-            assert abs(scalar_mu - mu) < 1e-12
-            scalar = evaluate(ProbeParams(lam, scalar_mu, theta, phi), geom)
-            assert abs(scalar.error_rate - e) < 1e-12
+            assert e == probe._angle_error_rate(lam, mu, theta, phi, geom)
+            assert abs(e - 0.2) <= 1e-12 * 0.2
+            scalar = evaluate(ProbeParams(lam, mu, theta, phi), geom)
             assert abs(scalar.overlap - q) < 1e-12
 
-        # Grid rows come first, in lexicographic order, exactly at the
-        # nodes where the scalar route is feasible.
-        grid = np.linspace(0.0, PI, resolution)
-        nodes = []
-        for lam in grid:
-            if abs(math.sin(lam)) <= 1e-12:
-                rows = _singular_lambda_points(lam, grid.tolist(), 0.2, geom)
-                nodes += [row[:3] for row in rows]
-                continue
-            for theta in grid:
-                for phi in grid:
-                    try:
-                        mu = mu_from_constraint(lam, theta, phi, 0.2, geom)
-                        evaluate(ProbeParams(lam, mu, theta, phi), geom)
-                    except QkdProbeError:
-                        continue
-                    nodes.append((lam, theta, phi))
-        assert [row[:3] for row in cells[: len(nodes)]] == [
-            [fmt_csv(float(v)) for v in node] for node in nodes
+        # Grid rows come first, in lexicographic (theta, phi) order,
+        # exactly at the nodes where the kernel finds a (lam, mu).
+        grid = np.linspace(0.0, PI, resolution).tolist()
+        nodes = [
+            (theta, phi) for theta in grid for phi in grid
+            if probe._node_minimum(theta, phi, 0.2, geom) is not None
+        ]
+        assert [row[1:3] for row in cells[: len(nodes)]] == [
+            [fmt_csv(v) for v in node] for node in nodes
         ]
         assert len(cells) - len(nodes) <= restarts
 
@@ -514,48 +500,22 @@ class TestCsvRenderer:
         assert _csv(header, iter(rows)) == per_value_csv(header, rows)
         assert _csv(header, []) == "int,bool,str,float,np\n"
 
-    def test_float_blocks_match_per_value_rendering(self):
-        # The scan's sink blocks: float64 arrays, one %-format per block.
+    def test_float_rows_match_per_value_rendering(self):
+        # The samples CSV's rows: Python floats, the special values too,
+        # written block by block.
         special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300,
                    -1e300, 5e-324, 1.0 / 3.0, -2.5e-7, 123456789012.5]
         rng = np.random.default_rng(8)
-        values = np.concatenate([special, rng.standard_normal(60) * 1e3])
-        blocks = [
-            values.reshape(-1, 6),
-            np.array([special[:6]]),  # one-row blocks
-            np.array([special[6:]]),
-            rng.uniform(0.0, math.pi, (257, 6)),
-            np.empty((0, 6)),
-        ]
-        for block in blocks:
-            assert _float_rows(block) == per_value_csv(
-                SAMPLE_HEADER, block.tolist()
+        values = special + (rng.standard_normal(60) * 1e3).tolist()
+        rows = [tuple(values[i:i + 6]) for i in range(0, len(values), 6)]
+        rows += [tuple(row) for row in rng.uniform(0.0, PI, (257, 6)).tolist()]
+        for block in (rows, rows[:1], []):
+            assert _csv_rows(block) == per_value_csv(
+                SAMPLE_HEADER, block
             ).partition("\n")[2]
-
-    def test_repeated_float_columns_match_per_value_rendering(self):
-        # Columns with few distinct values are formatted once per value,
-        # told apart by their bits: -0.0 and 0.0, and NaNs with different
-        # payloads, keep their own text.
-        rng = np.random.default_rng(21)
-        other_nan = np.array([0x7FF8000000000123], dtype=np.int64).view(
-            np.float64
-        )[0]
-        pool = [-0.0, 0.0, math.nan, other_nan, math.inf, 5e-324, 0.1,
-                np.nextafter(0.1, 1.0), 1.0 / 3.0]
-        block = rng.choice(pool, size=(400, 6))
-        block[:, 3] = rng.standard_normal(400)  # distinct: formatted per value
-        block[:, 5] = block[0, 5]  # one value throughout
-        blocks = [
-            block,
-            block[:3],  # too few rows to share any text
-            np.repeat(block[:1], 2, axis=0),
-            np.repeat(block[:2], 2, axis=0),  # half distinct: per value
-            np.empty((0, 6)),
-        ]
-        for block in blocks:
-            assert _float_rows(block) == per_value_csv(
-                SAMPLE_HEADER, block.tolist()
-            ).partition("\n")[2]
+            assert _csv(SAMPLE_HEADER, block) == per_value_csv(
+                SAMPLE_HEADER, block
+            )
 
 
 # pi/10's family maximum E, sin^2(pi/5), one ulp up.
@@ -1275,9 +1235,6 @@ SAMPLE_RUNS = [
     (0.5235987755982988, 0.12401342957062682, 490242075),
     (0.5235987755982988, 0.19803768541798827, 2125400922),
 ]
-SAMPLE_HEADER = ("lam", "theta", "phi", "mu", "E", "Q")
-
-
 def verify_samples_argv(alpha, error, seed, resolution=40):
     return [
         "verify", "--alpha", str(alpha), "--error-rate", repr(error),
@@ -1306,18 +1263,18 @@ class TestStreamedSamples:
             sink=blocks.append,
         )
         assert len(blocks) > 1
-        expected = "lam,theta,phi,mu,E,Q\n" + "".join(map(_float_rows, blocks))
+        expected = "lam,theta,phi,mu,E,Q\n" + "".join(map(_csv_rows, blocks))
         assert (tmp_path / "samples.csv").read_bytes() == expected.encode()
-        rows = [row for block in blocks for row in block.tolist()]
+        rows = [row for block in blocks for row in block]
         assert expected == per_value_csv(SAMPLE_HEADER, rows)
 
     def test_memory_stays_bounded_by_a_block(
         self, capsys, tmp_path, monkeypatch
     ):
-        # Joining the whole CSV peaked at ~19 MiB at resolution 60; one
-        # rendered block takes well under 4 MiB.
+        # Joining the whole CSV would hold all of its ~1.7 MiB at
+        # resolution 160; a rendered theta line takes ~11 KiB.
         monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
-        argv = verify_samples_argv("pi/8", 0.2, 3, resolution=60)
+        argv = verify_samples_argv("pi/8", 0.2, 3, resolution=160)
         tracemalloc.start()
         try:
             code, _, _ = run_cli(capsys, *argv)
@@ -1325,8 +1282,8 @@ class TestStreamedSamples:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert (tmp_path / "samples.csv").stat().st_size > 6 * 2**20
-        assert peak < 4 * 2**20
+        assert (tmp_path / "samples.csv").stat().st_size > 2**20
+        assert peak < 2**18
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failure_mid_stream_leaves_no_file(
@@ -1336,7 +1293,7 @@ class TestStreamedSamples:
         if existing:
             (tmp_path / "samples.csv").write_text("old")
         rendered = []
-        render = cli_module._float_rows
+        render = cli_module._csv_rows
 
         def fail_on_third(block):
             if len(rendered) == 2:
@@ -1344,7 +1301,7 @@ class TestStreamedSamples:
             rendered.append(block)
             return render(block)
 
-        monkeypatch.setattr(cli_module, "_float_rows", fail_on_third)
+        monkeypatch.setattr(cli_module, "_csv_rows", fail_on_third)
         with pytest.raises(RuntimeError, match="render failed"):
             main(verify_samples_argv("pi/8", 0.2, 3, resolution=9))
         assert len(rendered) == 2
@@ -1619,11 +1576,6 @@ LOADED_MODULES = {
     "simulate": _DISTILL_MODULES | _SEEDED_MODULES,
     "sweep": _DISTILL_MODULES | _SEEDED_MODULES,
 }
-# The call that works on arrays; the rest, the seeded simulator and the
-# root finder among them, run on floats and integers and must not import
-# numpy.  Even verify draws its restarts from the package's own stream,
-# so no call loads numpy.random.
-NUMPY_CALLS = {"verify"}
 
 LOADED_SCRIPT = """
 import json, sys
@@ -1660,14 +1612,13 @@ class TestStartup:
         report = json.loads(child.stderr.splitlines()[-1])
         assert report["code"] == 0, child.stderr
         assert set(report["loaded"]) == LOADED_MODULES[argv[0]]
-        assert report["numpy"] == (argv[0] in NUMPY_CALLS)
+        # Every call runs on floats and integers, verify's scan and the
+        # seeded simulator among them.  The value types are built without
+        # dataclasses, which imports inspect.
+        assert report["numpy"] is False
         assert report["numpy.random"] is False
-        # The value types are built without dataclasses, which imports
-        # inspect; numpy imports inspect itself, so only the numpy-free
-        # calls can go without it.
         assert report["dataclasses"] is False
-        if argv[0] not in NUMPY_CALLS:
-            assert report["inspect"] is False
+        assert report["inspect"] is False
 
     def test_distillation_library_loads_no_numpy(self, tmp_path):
         # The key-distillation chain, the privacy-amplification check

@@ -24,7 +24,7 @@ from qkdprobe.errors import (
     SingularLambdaError,
 )
 
-from conftest import SMALLEST_ALPHA
+from conftest import SMALLEST_ALPHA, exact_error_rate
 
 PI = math.pi
 
@@ -493,34 +493,33 @@ class TestMuFromConstraint:
         with pytest.raises(DomainError):
             mu_from_constraint(PI / 2, 0.0, 0.0, 0.5, geom_pi8)
 
-    def test_squares_lambda_like_coefficients(self, geom_pi8, monkeypatch):
-        # Both scalar routes must hand the shared kernels bit-identical
-        # (sin^2 lam, cos^2 lam); pow(x, 2) and x * x differ in the last
-        # place on ~0.1 % of inputs.
-        passed = {"coefficients": [], "constraint": []}
-        quadruple = probe._quadruple
-        constraint = probe._constraint_sin_two_mu
-
-        def spy_quadruple(sin_sq_lam, cos_sq_lam, *rest):
-            passed["coefficients"].append((sin_sq_lam, cos_sq_lam))
-            return quadruple(sin_sq_lam, cos_sq_lam, *rest)
-
-        def spy_constraint(sin_sq_lam, cos_sq_lam, *rest):
-            passed["constraint"].append((sin_sq_lam, cos_sq_lam))
-            return constraint(sin_sq_lam, cos_sq_lam, *rest)
-
-        monkeypatch.setattr(probe, "_quadruple", spy_quadruple)
-        monkeypatch.setattr(probe, "_constraint_sin_two_mu", spy_constraint)
-        rng = np.random.default_rng(2024)
-        for lam in rng.uniform(0.0, PI, 10_000):
-            lam = float(lam)
-            coefficients(ProbeParams(lam=lam, mu=0.4, theta=0.3, phi=1.1))
-            try:
-                mu_from_constraint(lam, 0.3, 1.1, 0.2, geom_pi8)
-            except InfeasibleConstraintError:
-                pass
-        assert len(passed["coefficients"]) == 10_000
-        assert passed["coefficients"] == passed["constraint"]
+    @pytest.mark.parametrize(
+        "alpha",
+        [1e-3, PI / 10, PI / 8, 0.7, PI / 4 - 1e-5, 0.785398, PI / 4 - 1e-9,
+         math.nextafter(PI / 4, 0.0)],
+        ids=repr,
+    )
+    def test_resolved_mu_meets_e_to_50_digits(self, alpha):
+        # The target is the 50-digit E at random float angles; mu is
+        # solved again at (lam, theta, phi).  sin^2(pi/4 - mu) =
+        # (E - cos^2(lam) P) / (sin^2(2a) sin^2(lam)) keeps E to 1e-14
+        # relative (2.4e-15 at worst) up to the float below pi/4; the
+        # sin(2 mu) form, whose O(1) terms cancel, missed by up to 1.2e-11
+        # at 1e-3, 1.9e-13 at pi/10 and 6.9e-14 below pi/4 on these draws.
+        geom = SignalGeometry(alpha)
+        rng = np.random.default_rng([19, int(alpha * 1e9)])
+        solved = 0
+        for lam, mu, theta, phi in rng.uniform(0.0, PI, (300, 4)).tolist():
+            target = float(exact_error_rate(lam, mu, theta, phi, alpha))
+            if not 0.0 < target < 0.5:
+                continue
+            # Every E an angle set has is met again: none is refused.
+            new_mu = mu_from_constraint(lam, theta, phi, target, geom)
+            solved += 1
+            assert math.cos(2.0 * new_mu) >= -1e-12
+            e = exact_error_rate(lam, new_mu, theta, phi, alpha)
+            assert abs(e - target) <= 1e-14 * target
+        assert solved >= 100
 
 
 class TestRenyiInfo:
