@@ -348,7 +348,11 @@ def _upper_branch_params(
     target_error: float, geom: SignalGeometry
 ) -> ProbeParams:
     mu, theta, phi = math.pi / 4, math.pi / 2, 0.75 * math.pi
-    cos_sq_lam = probe._face_cos_sq_lam(mu, theta, phi, target_error, geom)
+    # The scan kernel's upper x end, E / P, but for the M = s2 sin^2(pi/4
+    # - mu) ~ 9e-34 of the float mu, which E / P drops: near alpha = pi/4
+    # E reaches 1e-27, and the sample would then miss it by 2e-7.
+    p, m = probe._lam_terms(mu, theta, phi, geom)
+    cos_sq_lam = (target_error - m) / (p - m)
     lam = probe._lam_from_cos_sq(cos_sq_lam, 1.0, probe.ARCSINE_CLAMP_TOL)
     if lam is None:
         raise OutOfDomainError(
@@ -375,8 +379,8 @@ def sample_params(
     sample reproduces both the target error rate and the optimum
     overlap.  Where sin(lam) ~ 0, mu has no effect and is reported as
     pi/4, if the point already meets the target to 1e-10.  On the upper
-    branch the sample is the face solve's lam at (mu, theta, phi) =
-    (pi/4, pi/2, 3pi/4), cos^2(lam) = E sec^2(2a), to the float lam's limit.
+    branch the sample is (mu, theta, phi) = (pi/4, pi/2, 3pi/4) with
+    cos^2(lam) = E sec^2(2a), to the float lam's limit.
 
     Raises OutOfDomainError where no mu, or no lam above pi/8, meets E.
     """

@@ -57,7 +57,7 @@ IDENTITY_TOL = 1e-12
 # Guard below which sin(lambda) is treated as zero in mu_from_constraint.
 SINGULAR_SIN_LAMBDA = 1e-12
 # Roundoff slack allowed when clamping a solved square of a sine or cosine,
-# u = sin^2(pi/4 - mu) or a face's cos^2(lam), to [0, 1].
+# u = sin^2(pi/4 - mu) or the upper-branch optimum's cos^2(lam), to [0, 1].
 ARCSINE_CLAMP_TOL = 1e-10
 # pi/4 - float(pi/4); 3 times it is 3pi/4 - float(3pi/4).  Added to a
 # float difference, exact where small, it keeps a tiny sine precise.
@@ -205,10 +205,21 @@ class SignalGeometry:
 
     @cached_property
     def sin_sq_two_alpha(self) -> float:
+        """sin^2(2a): from alpha = pi/12 on, where cos(4a) <= 1/2,
+        (1 - cos 4a) / 2, within ~0.75 ulp where the squared sine is off
+        by up to ~1.8 ulp (at pi/8 the float nearest 1/2 - 3.1e-17, where
+        the squared sine is 8e-17 low); the squared sine below."""
+        if self.alpha >= math.pi / 12:
+            return 0.5 * (1.0 - math.cos(4.0 * self.alpha))
         return math.sin(2.0 * self.alpha) ** 2
 
     @cached_property
     def cos_sq_two_alpha(self) -> float:
+        """cos^2(2a): (1 + cos 4a) / 2 up to alpha = pi/6, where cos(4a)
+        >= -1/2, as for :attr:`sin_sq_two_alpha`; the squared cosine
+        above."""
+        if self.alpha <= math.pi / 6:
+            return 0.5 * (1.0 + math.cos(4.0 * self.alpha))
         return math.cos(2.0 * self.alpha) ** 2
 
 
@@ -452,15 +463,6 @@ def q_value(coeffs: ProbeCoefficients) -> float:
     return coeffs.a + coeffs.b + coeffs.d
 
 
-def _face_cos_sq_lam(mu, theta, phi, target_error, geom):
-    """cos^2(lam) = (E - M) / (P - M) (:func:`_lam_terms`) that meets the
-    target error rate at float (mu, theta, phi); inf where P == M."""
-    p, m = _lam_terms(mu, theta, phi, geom)
-    if p == m:
-        return math.inf
-    return (target_error - m) / (p - m)
-
-
 def _lam_from_cos_sq(cos_sq: float, sign: float, slack: float) -> float | None:
     """lam in [0, pi] with cos^2(lam) = cos_sq clamped to [0, 1], and
     cos(lam) of the sign of ``sign``; None beyond slack of [0, 1]."""
@@ -567,8 +569,11 @@ def _terms_minimum(sin_sq_theta, cos_sq_theta, plus, minus, target, geom):
     with K = 2 [sin^2(theta) + cos^2(theta) minus] and w = (1 - x) u =
     (E - x P) / s2 clamped to [0, 1 - x]: the overlap at the x and u of
     the candidate, also where rounding leaves E - x P off by more than
-    s2.  Q is held at -1 from below, as :func:`renyi_info` holds it, so
-    rounding never reports an overlap below -1.
+    s2.  As :func:`renyi_info` does, a Q below -1 by at most IDENTITY_TOL,
+    rounding, is held at -1, and a lower Q is returned as it is.
+
+    Raises DegenerateModelError on a NaN overlap, which only NaN or
+    infinite inputs give.
     """
     s2 = geom.sin_sq_two_alpha
     p = _p_term(sin_sq_theta, cos_sq_theta, plus, minus, geom)
@@ -611,7 +616,14 @@ def _terms_minimum(sin_sq_theta, cos_sq_theta, plus, minus, target, geom):
             best = (q, x)
     if best is None or best[0] >= -1.0:
         return best
-    return -1.0, best[1]
+    if best[0] >= -1.0 - IDENTITY_TOL:
+        return -1.0, best[1]
+    if best[0] < -1.0:
+        return best
+    raise DegenerateModelError(
+        f"overlap is NaN at sin^2(theta) = {sin_sq_theta!r}, (1 + sin 2phi)"
+        f"/2 = {plus!r}, E = {target!r}"
+    )
 
 
 def _node_angles(theta, phi, x, target_error, geom):

@@ -14,13 +14,16 @@ strategies are provided:
   plain Python; lam and mu are worked out only for the best node, a node
   below Q_min, and the rows handed to a sink;
 * :func:`penalty_scan` releases all four angles and penalizes the squared
-  error-rate mismatch, covering the space without any elimination.
+  error-rate mismatch, covering the space without any elimination.  Each
+  final is polished twice onto the target, by mu re-solved at its own
+  lam (:func:`probe.mu_from_constraint`) with Q from the coefficients,
+  which reads no kernel value, and by the kernel's minimum at its
+  (theta, phi); the lower counts.
 
 :func:`refine` is a Nelder-Mead simplex over (theta, phi) on the same
-kernel, and :func:`penalty_scan` polishes each of its finals through it
-at the final's (theta, phi).  So the scan's best, refine's start and the
-polished penalty points are values of one function, and refine never
-ends above its start.  The simplex is this module's own Nelder-Mead, a
+kernel, so the scan's best and refine's start are values of one
+function, and refine never ends above its start.  The simplex is this
+module's own Nelder-Mead, a
 step-for-step port of scipy's with the standard coefficients; the module
 imports neither scipy nor numpy.  The four-angle penalty objective
 evaluates through probe's one body of the observables, in the order the
@@ -49,6 +52,7 @@ from .errors import (
     DomainError,
     EmptyFeasibleSetError,
     InfeasibleConstraintError,
+    SingularLambdaError,
 )
 from .probe import ProbeParams, SignalGeometry, value_type
 from .stream import _Generator
@@ -121,8 +125,10 @@ def constrained_scan(
     maximum E on, at their own error rate by more than the configured
     tolerance.  Only a node below Q_min at the target is judged again, at
     the E of its own angles (:func:`probe._angle_error_rate`), so a scan
-    with none costs nothing extra.  The kernel holds every overlap at -1
-    from below, so ``best_q`` never falls below -1.
+    with none costs nothing extra.  The kernel holds an overlap that
+    rounding puts below -1 by at most ``probe.IDENTITY_TOL`` at -1, so
+    ``best_q`` falls below -1 only if the kernel errs by more, and then
+    that node counts as a violation.
 
     The grid holds the upper branch's optimum point (theta, phi) =
     (pi/2, 3pi/4) exactly when grid_resolution - 1 is a multiple of 4;
@@ -233,6 +239,25 @@ def _constrained_point(
         return None
     q, x = node
     return (q, *probe._node_angles(theta, phi, x, target, geom), theta, phi)
+
+
+def _own_lam_point(
+    lam: float, theta: float, phi: float, config: SearchConfig
+) -> tuple[float, float, float, float, float] | None:
+    """(Q, lam, mu, theta, phi) with mu from :func:`probe.mu_from_constraint`
+    at float (lam, theta, phi) in [0, pi) and Q from the coefficients;
+    None where no mu meets the target or the radicand is non-positive."""
+    geom = config.geom
+    try:
+        mu = probe.mu_from_constraint(
+            lam, theta, phi, config.target_error, geom
+        )
+    except (InfeasibleConstraintError, SingularLambdaError):
+        return None
+    point = _overlap_and_error((lam, mu, theta, phi), geom.sin_sq_two_alpha)
+    if point is None:
+        return None
+    return point[0], lam, mu, theta, phi
 
 
 def _fold(angle: float) -> float:
@@ -436,10 +461,13 @@ def penalty_scan(
     """Minimize Q + w (E - target)^2 over all four probe angles.
 
     A pure penalty minimizer parks the error rate at target + O(1/w), so
-    the report covers each Nelder-Mead final polished to the target at
-    its (theta, phi), exactly as :func:`refine` evaluates a point;
-    one is a violation if its overlap lies below Q_min at the target by
-    more than the tolerance.  penalty_weight must be finite and positive.
+    the report covers each Nelder-Mead final polished to the target: the
+    lower of mu re-solved at its own (lam, theta, phi) and the kernel's
+    minimum over (lam, mu) at its (theta, phi), as :func:`refine`
+    evaluates a point.  The first does not depend on the kernel, so a
+    kernel that overstates Q cannot hide a point below Q_min.  A final is
+    a violation if its overlap lies below Q_min at the target by more
+    than the tolerance.  penalty_weight must be finite and positive.
     """
     if not 0.0 < penalty_weight < math.inf:
         raise DomainError(
@@ -447,16 +475,25 @@ def penalty_scan(
             f"{penalty_weight!r}"
         )
     finals, evaluations = _penalty_finals(config, penalty_weight)
-    polished = [
-        _constrained_point(theta, phi, config.target_error, config.geom)
-        for _, _, theta, phi in finals
-    ]
-    polished = [point for point in polished if point is not None]
+    polished = []
+    for lam, _, theta, phi in finals:
+        points = [
+            point
+            for point in (
+                _own_lam_point(lam, theta, phi, config),
+                _constrained_point(
+                    theta, phi, config.target_error, config.geom
+                ),
+            )
+            if point is not None
+        ]
+        if points:
+            polished.append(min(points, key=itemgetter(0)))
     if not polished:
         raise EmptyFeasibleSetError(
             "no penalty-scan final reached the target error rate"
         )
-    best_q, *best_angles = min(polished, key=lambda point: point[0])
+    best_q, *best_angles = min(polished, key=itemgetter(0))
     analytic_q = optimum._q_min(config.target_error, config.geom)
     below = analytic_q - config.tolerance
     return SearchReport(

@@ -293,10 +293,7 @@ class TestFamilies:
                     # cos(2 phi) is cos(3 pi / 2) ~ -1.8e-16 in floats.
                     assert abs(coeffs.c) <= 2e-16
                     assert abs(error_rate(coeffs, geom_pi8) - target) <= 4.5e-16
-                    # 5 ulps of 0.5: mu comes from P of _lam_terms, whose
-                    # sin^2(theta) + cos^2(theta) rounds by up to an ulp
-                    # that the float coefficients do not see.
-                    assert abs(overlap(coeffs, geom_pi8) - q_min) <= 5.6e-16
+                    assert abs(overlap(coeffs, geom_pi8) - q_min) <= 4.5e-16
                     exact = exact_error_rate(
                         params.lam, params.mu, params.theta, params.phi,
                         PI / 8,

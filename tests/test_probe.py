@@ -89,14 +89,48 @@ class TestSignalGeometry:
         for _ in range(2):  # first read computes, second reads the cache
             assert geom.theta_bar == PI / 2 - 2.0 * alpha
             assert geom.sin_two_alpha == math.sin(2.0 * alpha)
-            assert geom.sin_sq_two_alpha == math.sin(2.0 * alpha) ** 2
-            assert geom.cos_sq_two_alpha == math.cos(2.0 * alpha) ** 2
+            assert geom.sin_sq_two_alpha == (
+                0.5 * (1.0 - math.cos(4.0 * alpha)) if alpha >= PI / 12
+                else math.sin(2.0 * alpha) ** 2
+            )
+            assert geom.cos_sq_two_alpha == (
+                0.5 * (1.0 + math.cos(4.0 * alpha)) if alpha <= PI / 6
+                else math.cos(2.0 * alpha) ** 2
+            )
         # The cache is invisible to equality, hashing and repr.
         assert geom == fresh
         assert hash(geom) == hash(fresh) == hash(SignalGeometry(alpha))
         assert repr(geom) == repr(fresh) == f"SignalGeometry(alpha={alpha!r})"
         assert geom != SignalGeometry(alpha / 2)
         assert len({geom, fresh}) == 1
+
+
+    def test_squared_trig_within_an_ulp(self):
+        # On 2 000 random alphas each square is within 0.75 ulp of its
+        # 50-digit value where it comes from cos(4a), sin^2 from pi/12 on
+        # and cos^2 up to pi/6, and within 2 ulp elsewhere; the squared
+        # sine and cosine reach 1.8 ulp.  At pi/8 both are the floats
+        # nearest 1/2 -+ 3.1e-17.
+        import mpmath
+
+        rng = np.random.default_rng(12)
+        alphas = [PI / 8, PI / 12, PI / 6, math.nextafter(PI / 4, 0)]
+        alphas += rng.uniform(1e-3, PI / 4, 2000).tolist()
+        with mpmath.workdps(50):
+            for alpha in alphas:
+                geom = SignalGeometry(alpha)
+                two_alpha = 2 * mpmath.mpf(alpha)
+                for got, want, double_angle in (
+                    (geom.sin_sq_two_alpha, mpmath.sin(two_alpha) ** 2,
+                     alpha >= PI / 12),
+                    (geom.cos_sq_two_alpha, mpmath.cos(two_alpha) ** 2,
+                     alpha <= PI / 6),
+                ):
+                    bound = 0.75 if double_angle else 2.0
+                    assert abs(got - want) <= bound * math.ulp(got)
+        geom = SignalGeometry(PI / 8)
+        assert geom.sin_sq_two_alpha == math.nextafter(0.5, 0.0)
+        assert geom.cos_sq_two_alpha == 0.5
 
 
 class TestProbeParams:

@@ -80,12 +80,40 @@ class TestConstrainedScan:
             assert report.samples_evaluated == 40 * 40 + 20
             assert abs(report.best_q - report.analytic_q) <= 1e-12
 
+    def test_nodes_judged_at_their_own_error_rate(self, monkeypatch):
+        # At the float just below pi/4 no float angles meet E = E_max / 2:
+        # every row's own angles induce a higher E, where Q_min lies 0.013
+        # to 0.68 lower.  Nodes planted halfway between Q_min at their own
+        # E and Q_min at the target lie below the latter by far more than
+        # the tolerance, and the re-judge, run as it is, forgives each.
+        geom = SignalGeometry(math.nextafter(PI / 4, 0))
+        target = 0.5 * optimum.max_error_rate(geom)
+        config = SearchConfig(geom, target, grid_resolution=9,
+                              random_restarts=2)
+        rows = []
+        report = constrained_scan(config, sink=rows.extend)
+        analytic = report.analytic_q
+        assert report.violations == 0
+        for lam, theta, phi, mu, e, _ in rows:
+            assert e == probe._angle_error_rate(lam, mu, theta, phi, geom)
+            assert optimum._q_min(e, geom) < analytic - 1e-2
+
+        def halfway(row):
+            return 0.5 * (optimum._q_min(row[4], geom) + analytic)
+
+        planted = plant_nodes(monkeypatch, config, halfway)
+        report = constrained_scan(config)
+        assert planted == report.samples_evaluated == len(rows)
+        assert report.best_q < analytic - 1e-2
+        assert report.violations == 0
+
     @pytest.mark.parametrize(
         "alpha", [0.785398, PI / 4 - 3e-9, math.nextafter(PI / 4, 0)],
         ids=["0.785398", "pi/4-3e-9", "below-pi/4"],
     )
+    @pytest.mark.parametrize("resolution", [9, 13])
     def test_planted_violation_just_below_own_optimum_counts(
-        self, monkeypatch, alpha
+        self, monkeypatch, alpha, resolution
     ):
         # Q_min falls across E's whole range, [0, cos^2(2a)], at a slope
         # of -2 / cos^2(2a): -1.9e13 at 0.785398, -5.6e16 at pi/4 - 3e-9
@@ -95,7 +123,9 @@ class TestConstrainedScan:
         # ~8e-38; a shift of E by 3e-16, the allowance the scan once
         # added, would hide each one.
         geom = SignalGeometry(alpha)
-        config = SearchConfig(geom, 0.0, grid_resolution=9, random_restarts=2)
+        config = SearchConfig(
+            geom, 0.0, grid_resolution=resolution, random_restarts=2
+        )
         assert constrained_scan(config).violations == 0
 
         def just_below(row):
@@ -146,10 +176,37 @@ class TestConstrainedScan:
         assert report.best_q < 0.909509
         assert report.violations == 0
 
+    @pytest.mark.parametrize("resolution", [3, 4])
+    def test_no_real_config_is_infeasible(self, resolution):
+        # No valid config leaves the scan without a feasible node.  At
+        # E <= sin^2(2a) every node has lam = pi/2, u = E / sin^2(2a).
+        # Above it, with E < 1/2 < cos^2(2a), a node with sin^2(theta) >=
+        # 1/2 has P >= sin^2(theta) cos^2(2a) + cos^2(theta) sin^2(2a) >=
+        # 1/2 > E, so x in [(E - s2) / (P - s2), E / P] meets E; every
+        # grid has such a theta: pi/2, or a node within pi/6 of it.  The
+        # coarsest grids, without restarts, at E up to just below 1/2:
+        for alpha in (1e-3, PI / 20, PI / 10, PI / 8, 0.7, 0.785398):
+            geom = SignalGeometry(alpha)
+            low = geom.sin_sq_two_alpha
+            edge = min(low, 0.49)
+            for target in (0.5 * edge, 0.5 * (edge + 0.5),
+                           math.nextafter(0.5, 0.0)):
+                lines = resolution
+                if target > low:
+                    lines = sum(
+                        math.sin(k * PI / (resolution - 1)) ** 2 >= 0.5
+                        for k in range(resolution)
+                    )
+                nodes = lines * resolution
+                config = SearchConfig(geom, target, resolution)
+                report = constrained_scan(config)
+                assert report.samples_evaluated >= nodes
+                assert report.violations == 0
+                assert report.best_q >= report.analytic_q - 1e-12
+
     def test_empty_feasible_set(self, monkeypatch):
-        # At theta = pi/2 every E below 1/2 has a (lam, mu), so a scan
-        # with an odd resolution always has a feasible node; a kernel that
-        # finds none anywhere raises.
+        # As no real config is infeasible (above), only a kernel that
+        # finds no node anywhere makes the scan raise.
         for name in ("_terms_minimum", "_node_minimum"):
             monkeypatch.setattr(probe, name, lambda *args: None)
         config = SearchConfig(
@@ -428,7 +485,8 @@ def test_upper_branch_above_family_maximum_reaches_minus_one(alpha, target):
     # Above E_max = cos^2(2a) Q_min is held at -1.  The scan reaches it at
     # resolution 41, and refine from a coarse scan's best does too, where
     # the four-angle polish once stalled 3.4e-8 to 1.65e-7 short.  The
-    # kernel holds Q at -1 from below, so neither falls below it.
+    # kernel holds a Q that rounding puts just below -1 at -1, so neither
+    # falls below it.
     geom = SignalGeometry(alpha)
     assert target > optimum.max_error_rate(geom)
     for resolution in (41, 12):
@@ -445,6 +503,41 @@ def test_upper_branch_above_family_maximum_reaches_minus_one(alpha, target):
             params.lam, params.mu, params.theta, params.phi, geom
         )
         assert abs(e - target) <= 1e-12 * target
+
+
+def test_kernel_holds_only_rounding_at_minus_one():
+    # Above E_max the least overlap at (pi/2, 3pi/4) is -1.  Terms with
+    # sin^2(theta) = 1 + d, as a faulty kernel input might give, push the
+    # kernel's Q to -1 - 2.035 d: within IDENTITY_TOL that is held at -1,
+    # as renyi_info holds it, and beyond it Q is returned as it is.  NaN
+    # input raises instead of reading as -1.
+    geom = SignalGeometry(0.7)
+    assert probe._node_minimum(PI / 2, 0.75 * PI, 0.3, geom)[0] == -1.0
+    assert probe._terms_minimum(
+        1.0 + 1e-13, 0.0, 0.0, 1.0, 0.3, geom
+    )[0] == -1.0
+    for excess in (1e-12, 1e-3):
+        q, _ = probe._terms_minimum(1.0 + excess, 0.0, 0.0, 1.0, 0.3, geom)
+        assert -1.0 - 2.1 * excess < q < -1.0 - 2.0 * excess
+    with pytest.raises(DegenerateModelError, match="NaN"):
+        probe._node_minimum(math.nan, 0.3, 0.3, geom)
+
+
+def test_overlap_below_minus_one_counts_above_family_maximum(monkeypatch):
+    # Above E_max Q_min is -1, so a node counts only below -1 - 1e-6: the
+    # one planted at -1 - 1e-3 does, and the others, left as they are,
+    # do not.
+    geom = SignalGeometry(0.7)
+    assert 0.3 > optimum.max_error_rate(geom)
+    config = SearchConfig(geom, 0.3, grid_resolution=9, random_restarts=2)
+    first = iter([True])
+    plant_nodes(
+        monkeypatch, config,
+        lambda row: -1.0 - 1e-3 if next(first, False) else row[5],
+    )
+    report = constrained_scan(config)
+    assert report.best_q == -1.0 - 1e-3
+    assert report.violations == 1
 
 
 @pytest.mark.parametrize(
@@ -716,16 +809,16 @@ class TestFloatObjectives:
 # unchanged since the simplex left scipy.
 PINNED = [
     (PI / 8, 0.2, 0.4999999999999996,
-     (1.5707963267948966, 0.10067896039516522, 0.0, 0.0),
-     0.4999999999999996,
-     (1.5707963267948966, 0.10067896039516522, 2.1870515254445944,
-      2.3561944995580006),
-     14520),
+     (0.6815847006771037, 2.356194490192345, 0.0, 0.8567979964335799),
+     0.49999999999999967,
+     (0.4315844219322529, 2.561277956384142, 4.376940143657748e-09,
+      1.3447082228836484),
+     14503),
     (PI / 10, 0.1, 0.5790161797777964,
      (1.5707963267948966, 0.2173369021258429, 0.0, 0.0),
-     0.5790161797777964,
-     (1.5707963267948966, 0.2173369021258429, 3.141592605763216,
-      2.011486856433036),
+     0.5790161797777963,
+     (2.126560192710694, 0.44604765831313, 3.1415926492493877,
+      2.8768220296420752),
      11126),
     (PI / 6, 0.15, -0.05882352941176424,
      (0.6847192030022832, 0.7853981633974483, 1.5707963226534545,
@@ -1040,6 +1133,40 @@ class TestPenaltyScan:
         assert (report.best_q, report.best_params) == (q, ProbeParams(*angles))
         assert_on_target(report.best_q, report.best_params, 0.2, PI / 8)
         assert report.samples_evaluated == 7
+
+    @pytest.mark.parametrize(
+        "alpha,target,reach",
+        [(PI / 8, 0.2, 1e-9), (PI / 10, 0.1, 1e-9), (PI / 6, 0.15, 3e-3)],
+    )
+    def test_polish_does_not_rest_on_the_kernel(
+        self, monkeypatch, alpha, target, reach
+    ):
+        # Each final is also polished at its own lam with mu re-solved,
+        # which reads no kernel value: with the kernel overstating every Q
+        # by 1e-2 the report still comes within reach of Q_min, from the
+        # same finals, and with it understating by 1e-2 the finals near
+        # the optimum count.  Above pi/8 the optimum lies on the sin(2 mu)
+        # = 1 face, which a re-solve at a final's own lam meets to ~3e-3.
+        config = SearchConfig(SignalGeometry(alpha), target, 12, 20, 5)
+        honest = penalty_scan(config, 1e5)
+        assert honest.violations == 0
+        kernel = probe._terms_minimum
+        for shift in (1e-2, -1e-2):
+            monkeypatch.setattr(
+                probe, "_terms_minimum",
+                lambda *args, shift=shift: (
+                    lambda node: None if node is None
+                    else (node[0] + shift, node[1])
+                )(kernel(*args)),
+            )
+            report = penalty_scan(config, 1e5)
+            assert report.samples_evaluated == honest.samples_evaluated
+            assert (report.violations > 0) == (shift < 0)
+            if shift > 0:
+                assert -1e-12 <= report.best_q - report.analytic_q <= reach
+                assert_on_target(
+                    report.best_q, report.best_params, target, alpha
+                )
 
     def test_weight_validation(self, geom_pi8):
         config = SearchConfig(geom=geom_pi8, target_error=0.1)
