@@ -373,26 +373,7 @@ def capacity_curve(
         raise DomainError("steps must be positive")
     if e_max < e_min:
         raise DomainError("e_max must not be below e_min")
-    return _capacity_points(_linspace(e_min, e_max, steps), geom)
-
-
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """``num`` >= 1 evenly spaced floats from start to stop, bit for bit
-    ``np.linspace(start, stop, num)``: the i-th is i * step + start, and
-    the last is stop itself."""
-    start, stop = float(start), float(stop)
-    delta = stop - start
-    div = num - 1
-    if div == 0:
-        return [0.0 * delta + start]
-    step = delta / div
-    if step == 0.0:
-        # numpy's branch for a step that underflows: scale i / div instead.
-        points = [i / div * delta + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
-    points[-1] = stop
-    return points
+    return _capacity_points(probe._linspace(e_min, e_max, steps), geom)
 
 
 def binary_entropy(x: float) -> float:

@@ -18,15 +18,17 @@ The module also houses:
   optimum, including the extra sin(2 phi) = -1 family that exists only at
   alpha = pi/8.  On the lower branch a family is the angle it pins
   (``_PINNED``); the other angles among (lam, theta, phi) are free, and mu
-  comes from the error-rate constraint through the kernel behind
-  :func:`probe.mu_from_constraint`;
+  comes from the error-rate constraint through
+  :func:`probe.mu_from_constraint`, the one mu solve;
 * the three stationarity residuals of the constant-E overlap in
-  (lambda, theta, phi), built from bracket functions f1, f2, f3;
+  (lambda, theta, phi), built from bracket functions f1, f2, f3, whose
+  bracket is the overlap numerator over its radicand from probe's one
+  body of the observables, :func:`probe._observables`;
 * the twelve-way case analysis of the stationarity conditions
   (possibilities A through L), with the numeric infeasibility check for
   possibility (D) via its cubic / cubic-in-Lambda / quintic root systems.
-  Its corner points and the constant-E overlap evaluate E and Q through
-  probe's one body, :func:`probe._observables`.
+  Its corner points and the constant-E overlap read E and Q from
+  :func:`probe._angle_point`, the one guarded overlap at four angles.
 
 On the branch alpha > pi/8 the minimum is *not* an interior stationary
 point of the constant-E overlap: it sits on the boundary sin(2 mu) = 1 of
@@ -43,7 +45,13 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from . import probe
-from .errors import DegenerateModelError, DomainError, OutOfDomainError
+from .errors import (
+    DegenerateModelError,
+    DomainError,
+    InfeasibleConstraintError,
+    OutOfDomainError,
+    SingularLambdaError,
+)
 from .probe import ProbeParams, SignalGeometry, value_type
 
 # alpha values within this distance of pi/8 count as the branch seam.
@@ -374,11 +382,11 @@ def sample_params(
     maps each name in ``family.free_parameters`` to an angle in [0, pi];
     missing names default to pi/2 for lam and 0 for theta/phi.  Unknown
     names are rejected.  mu is then solved from the error-rate constraint
-    by the body of :func:`probe.mu_from_constraint`, so a sample's mu is
-    the one every other route gives at its (lam, theta, phi), and the
-    sample reproduces both the target error rate and the optimum
-    overlap.  Where sin(lam) ~ 0, mu has no effect and is reported as
-    pi/4, if the point already meets the target to 1e-10.  On the upper
+    by :func:`probe.mu_from_constraint`, so a sample's mu is the one every
+    other route gives at its (lam, theta, phi), and the sample reproduces
+    both the target error rate and the optimum overlap.  Where sin(lam)
+    ~ 0, mu has no effect and is reported as pi/4, if the point already
+    meets the target to 1e-10.  On the upper
     branch the sample is (mu, theta, phi) = (pi/4, pi/2, 3pi/4) with
     cos^2(lam) = E sec^2(2a), to the float lam's limit.
 
@@ -404,8 +412,9 @@ def sample_params(
         )
     angles = {**_DEFAULT_ANGLES, **choices, **_PINNED[family.tag]}
     lam, theta, phi = angles["lam"], angles["theta"], angles["phi"]
-    sin_lam = math.sin(lam)
-    if abs(sin_lam) <= probe.SINGULAR_SIN_LAMBDA:
+    try:
+        mu = probe.mu_from_constraint(lam, theta, phi, target_error, geom)
+    except SingularLambdaError:
         # mu drops out entirely; the point must already meet the target.
         params = ProbeParams(lam=lam, mu=math.pi / 4, theta=theta, phi=phi)
         error = probe.error_rate(probe.coefficients(params), geom)
@@ -413,15 +422,10 @@ def sample_params(
             raise OutOfDomainError(
                 f"sin(lam) = 0 but the point induces error rate {error!r}, "
                 f"not {target_error!r}; no mu changes that"
-            )
+            ) from None
         return params
-    u = probe._solve_u(lam, theta, phi, target_error, geom)
-    mu = probe._mu_from_u(u)
-    if mu is None:
-        raise OutOfDomainError(
-            f"sin^2(pi/4 - mu) = {u!r} leaves [0, 1]; the family is empty "
-            "here"
-        )
+    except InfeasibleConstraintError as exc:
+        raise OutOfDomainError(f"{exc}; the family is empty here") from None
     return ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi)
 
 
@@ -433,21 +437,6 @@ def phi_neg_lambda_window(target_error: float) -> tuple[float, float]:
     probe.check_error_rate(target_error)
     edge = probe._lam_from_cos_sq(2.0 * target_error, 1.0, 0.0)
     return edge, math.pi - edge
-
-
-def _lambda_bracket(
-    cos_two_theta: float, sin_two_phi: float, geom: SignalGeometry
-) -> float:
-    """The factor of cos^2(lam) in q at fixed error rate.
-
-    (2 - tan^2 2a) [cot^2 2a - cos 2theta (sin 2phi + cot^2 2a)]
-    + sin 2phi [1 + (1 - tan^2 2a) cos 2theta]
-    """
-    tan_sq = geom.sin_sq_two_alpha / geom.cos_sq_two_alpha
-    cot_sq = 1.0 / tan_sq
-    return (2.0 - tan_sq) * (
-        cot_sq - cos_two_theta * (sin_two_phi + cot_sq)
-    ) + sin_two_phi * (1.0 + (1.0 - tan_sq) * cos_two_theta)
 
 
 def constant_error_overlap(
@@ -465,19 +454,22 @@ def constant_error_overlap(
     one body.  This is the objective whose stationary points the
     possibility analysis enumerates; it is evaluated formally whether or
     not a mu realizes the constraint at this point.  The angles lie in
-    [0, pi], as in :class:`ProbeParams`, with sin(lam) nonzero: where it
-    is 0, mu drops out and u is 0/0.
+    [0, pi], as in :class:`ProbeParams`.
+
+    Raises SingularLambdaError where sin(lam) ~ 0, as
+    :func:`probe.mu_from_constraint` does: mu drops out and u is 0/0.
+    Raises DegenerateModelError where the overlap radicand is
+    non-positive.
     """
-    s2 = geom.sin_sq_two_alpha
     u = probe._solve_u(lam, theta, phi, target_error, geom)
-    _, numerator, radicand = probe._observables(
-        *probe._sin_mu_quadruple(lam, 1.0 - 2.0 * u, theta, phi), s2
+    q, _ = probe._angle_point(
+        lam, 1.0 - 2.0 * u, theta, phi, geom.sin_sq_two_alpha
     )
-    if radicand <= 0.0:
+    if q is None:
         raise DegenerateModelError(
-            f"overlap denominator radicand {radicand!r} is non-positive"
+            "overlap denominator radicand is non-positive"
         )
-    return numerator / math.sqrt(radicand)
+    return q
 
 
 def stationarity_residuals(
@@ -487,18 +479,24 @@ def stationarity_residuals(
 
     The error rate entering the bracket functions is computed from the
     point itself, so residuals vanish exactly on the optimum families.
+    The bracket 2 (q - 1 + 2E) / (4 D^2) is read, free of cancellation,
+    as the overlap numerator over its radicand (:func:`probe._observables`);
+    f1's leading term, 2 g_theta g_phi, multiplies those of f3 and f2.
     """
-    coeffs = probe.coefficients(params)
-    e = probe.error_rate(coeffs, geom)
-    q = probe.q_value(coeffs)
     s2 = geom.sin_sq_two_alpha
     cot_sq = 1.0 / (s2 / geom.cos_sq_two_alpha)
-    denom = 4.0 * probe.overlap_radicand(1.0 - e, coeffs.c, s2)
-    if denom <= 0.0:
+    _, numerator, radicand = probe._observables(
+        *probe._angle_quadruple(
+            params.lam, math.sin(2.0 * params.mu), params.theta, params.phi
+        ),
+        s2,
+    )
+    if radicand <= 0.0:
         raise DegenerateModelError(
-            f"stationarity bracket denominator {denom!r} is non-positive"
+            f"stationarity bracket denominator {4.0 * radicand!r} is "
+            "non-positive"
         )
-    bracket = 2.0 * (q - 1.0 + 2.0 * e) / denom
+    bracket = numerator / radicand
 
     sin_lam = math.sin(params.lam)
     cos_lam = math.cos(params.lam)
@@ -510,16 +508,19 @@ def stationarity_residuals(
     sin_sq_two_theta = sin_two_theta * sin_two_theta
     cos_sq_two_phi = cos_two_phi * cos_two_phi
 
+    # 1 - cos 2theta, precise also near theta = 0 and pi (g_phi can be big).
+    g_theta = 2.0 * math.sin(params.theta) ** 2
+    g_phi = sin_two_phi + 2.0 * cot_sq - 1.0
     f1 = (
-        2.0 * _lambda_bracket(cos_two_theta, sin_two_phi, geom)
+        2.0 * g_theta * g_phi
         + bracket * s2 * cos_sq_lam * sin_sq_two_theta * cos_sq_two_phi
     )
     f2 = (
-        2.0 * (sin_two_phi + 2.0 * cot_sq - 1.0)
+        2.0 * g_phi
         + bracket * s2 * cos_sq_lam * cos_two_theta * cos_sq_two_phi
     )
     f3 = (
-        2.0 * (1.0 - cos_two_theta)
+        2.0 * g_theta
         - bracket * s2 * cos_sq_lam * sin_sq_two_theta * sin_two_phi
     )
     return StationaryResiduals(
@@ -725,11 +726,11 @@ def _corner(
     corner forces E = 1, where Q is 0/0 and is resolved to +1."""
     theta = 0.0 if e_theta > 0 else math.pi / 2
     phi = math.pi / 4 if e_phi > 0 else 0.75 * math.pi
-    error, numerator, radicand = probe._observables(
-        *probe._angle_quadruple(0.0, math.pi / 4, theta, phi),
-        geom.sin_sq_two_alpha,
+    # mu = pi/4: sin(2 mu) = 1, as sin(2 * float(pi/4)) is in floats.
+    q, error = probe._angle_point(
+        0.0, 1.0, theta, phi, geom.sin_sq_two_alpha
     )
-    return error, numerator / math.sqrt(radicand) if radicand > 0.0 else 1.0
+    return error, 1.0 if q is None else q
 
 
 def enumerate_possibilities(

@@ -15,19 +15,23 @@ pi/2 - 2*alpha.  From (a, b, c, d; alpha) the module evaluates the four
 detection probabilities, the induced receiver error rate E, the overlap Q
 of the correlated probe states, and the Renyi information gain
 log2(2 - Q^2).  E, the overlap numerator and the overlap radicand share
-one body over (a, b, c, d, sin^2 2a), which the simplex objectives in
-``search`` also call on plain floats.
+one body over (a, b, c, d, sin^2 2a), :func:`_observables`, which the
+public functions and the stationarity bracket read, and so does
+:func:`_angle_point`, the one guarded (Q, E) at four angles that the
+penalty objective, the corner points and the constant-E overlap call.
 
 At float angles E is also written as E = cos^2(lam) P + sin^2(lam) M
 (:func:`_lam_terms`), P a function of (theta, phi) and M = sin^2(2a)
-sin^2(pi/4 - mu), each a sum of non-negative terms.  Every solve at fixed
-E reads that form: :func:`mu_from_constraint` solves u = sin^2(pi/4 - mu)
+sin^2(pi/4 - mu), each a sum of non-negative terms, with one body,
+:func:`_lam_error_rate`.  Every solve at fixed E reads that form:
+:func:`mu_from_constraint`, the one mu solve, solves u = sin^2(pi/4 - mu)
 = M / sin^2(2a), and :func:`_node_minimum`, the kernel of the brute-force
 scan and its simplex polish, minimizes Q over (lam, mu) at fixed
-(theta, phi) in closed form.  With x = cos^2(lam) and u eliminated, Q is
-(A + B x) / sqrt(R0 - C x^2) on an interval of x, so its minimum lies at
-an end of that interval or at one stationary point.  The module runs on
-``math`` alone; nothing in the package imports numpy.
+(theta, phi) in closed form; :func:`_node_point` gives the float angles
+of that minimum and E at them.  With x = cos^2(lam) and u eliminated, Q
+is (A + B x) / sqrt(R0 - C x^2) on an interval of x, so its minimum lies
+at an end of that interval or at one stationary point.  The module runs
+on ``math`` alone; nothing in the package imports numpy.
 
 Everything in this module is a pure function of immutable value types and
 is safe for unrestricted concurrent use.  The value types of every module
@@ -54,7 +58,7 @@ from .errors import (
 
 # Tolerance for exact-identity checks (row sums, probability ranges).
 IDENTITY_TOL = 1e-12
-# Guard below which sin(lambda) is treated as zero in mu_from_constraint.
+# Guard below which sin(lambda) is treated as zero in the solve for mu.
 SINGULAR_SIN_LAMBDA = 1e-12
 # Roundoff slack allowed when clamping a solved square of a sine or cosine,
 # u = sin^2(pi/4 - mu) or the upper-branch optimum's cos^2(lam), to [0, 1].
@@ -300,14 +304,26 @@ def check_integer(name: str, value: object) -> None:
         raise DomainError(f"{name} must be an integer; got {value!r}")
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 1 evenly spaced floats from start to stop, bit for bit
+    ``np.linspace(start, stop, num)``: the i-th is i * step + start, and
+    the last is stop itself."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:
+        # numpy's branch for a step that underflows: scale i / div instead.
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def _angle_quadruple(
-    lam: float, mu: float, theta: float, phi: float
-) -> tuple[float, float, float, float]:
-    """(a, b, c, d) at four float angles, with ``math`` trig."""
-    return _sin_mu_quadruple(lam, math.sin(2.0 * mu), theta, phi)
-
-
-def _sin_mu_quadruple(
     lam: float, sin_two_mu: float, theta: float, phi: float
 ) -> tuple[float, float, float, float]:
     """(a, b, c, d) at float lam, theta and phi and a given sin(2 mu), which
@@ -329,8 +345,9 @@ def _sin_mu_quadruple(
 
 def coefficients(params: ProbeParams) -> ProbeCoefficients:
     """Evaluate the coefficient quadruple (a, b, c, d) at a probe setting."""
+    sin_two_mu = math.sin(2.0 * params.mu)
     return ProbeCoefficients(
-        *_angle_quadruple(params.lam, params.mu, params.theta, params.phi)
+        *_angle_quadruple(params.lam, sin_two_mu, params.theta, params.phi)
     )
 
 
@@ -371,14 +388,26 @@ def _observables(a, b, c, d, s2):
     The one body of the error-rate and overlap formulas: the overlap is
     numerator / sqrt(radicand) where the radicand is positive.  E, the
     numerator and the half-sum 1 - E share t = (d - a) s2; each equals
-    the expanded form bit for bit, since halving is exact.
+    the expanded form bit for bit, since halving is exact.  The radicand
+    is half_sum^2 - c^2 s2 / 4.
     """
     t = (d - a) * s2
-    # The half-sum 1 - E is released as soon as the radicand is formed.
-    radicand = overlap_radicand(0.5 * ((1.0 + d) - t), c, s2)
+    half_sum = 0.5 * ((1.0 + d) - t)
+    radicand = half_sum * half_sum - 0.25 * c * c * s2
     numerator = 0.5 * (a + b) + 0.5 * t
     error = 0.5 * ((1.0 - d) + t)
     return error, numerator, radicand
+
+
+def _angle_point(lam, sin_two_mu, theta, phi, s2):
+    """(Q, E) by :func:`_observables` at float lam, theta, phi, s2 = sin^2 2a
+    and a sin(2 mu) that may leave [-1, 1]; Q is None where D^2 <= 0."""
+    error, numerator, radicand = _observables(
+        *_angle_quadruple(lam, sin_two_mu, theta, phi), s2
+    )
+    if radicand <= 0.0:
+        return None, error
+    return numerator / math.sqrt(radicand), error
 
 
 def error_rate(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
@@ -420,23 +449,24 @@ def _lam_terms(mu, theta, phi, geom):
     sin^2(pi/4 - mu) + 2 cos^2(lam) [sin^2(theta) sin^2(3pi/4 - phi) +
     cos^2(theta) sin^2(pi/4 - phi)], so M = sin^2(2a) sin^2(pi/4 - mu)."""
     p = _p_term(*_theta_terms(theta), *_phi_terms(phi), geom)
+    return p, _m_term(mu, geom)
+
+
+def _m_term(mu, geom):
+    """M of :func:`_lam_terms`: sin^2(2a) sin^2(pi/4 - mu)."""
     m = math.sin(0.25 * math.pi - mu + _QUARTER_PI_TAIL)
-    return p, geom.sin_sq_two_alpha * (m * m)
+    return geom.sin_sq_two_alpha * (m * m)
+
+
+def _lam_error_rate(lam, p, m):
+    """E = cos^2(lam) P + sin^2(lam) M at a float lam: the one body of E
+    at float angles, read by :func:`_angle_error_rate` and the scan."""
+    return math.cos(lam) ** 2 * p + math.sin(lam) ** 2 * m
 
 
 def _angle_error_rate(lam, mu, theta, phi, geom):
     """E at four float angles, to a few ulps also near E = 0."""
-    p, m = _lam_terms(mu, theta, phi, geom)
-    return math.cos(lam) ** 2 * p + math.sin(lam) ** 2 * m
-
-
-def overlap_radicand(half_sum, c, s2: float):
-    """half_sum^2 - c^2 s2/4 with s2 = sin^2(2a): the overlap's squared
-    denominator.
-
-    half_sum is (1 + d + (a - d) s2)/2, which equals 1 - E.
-    """
-    return half_sum * half_sum - 0.25 * c * c * s2
+    return _lam_error_rate(lam, *_lam_terms(mu, theta, phi, geom))
 
 
 def overlap(coeffs: ProbeCoefficients, geom: SignalGeometry) -> float:
@@ -475,8 +505,13 @@ def _lam_from_cos_sq(cos_sq: float, sign: float, slack: float) -> float | None:
 def _solve_u(lam, theta, phi, target_error, geom):
     """u = sin^2(pi/4 - mu) = (E - cos^2(lam) P) / (sin^2(2a) sin^2(lam))
     that meets the target error rate at float (lam, theta, phi), with P of
-    :func:`_lam_terms`; sin(2 mu) = 1 - 2u.  Unclipped; sin(lam) nonzero."""
+    :func:`_lam_terms`; sin(2 mu) = 1 - 2u.  Unclipped.  Raises
+    SingularLambdaError where sin(lam) ~ 0: mu drops out, u is 0/0."""
     sin_lam = math.sin(lam)
+    if abs(sin_lam) <= SINGULAR_SIN_LAMBDA:
+        raise SingularLambdaError(
+            f"sin(lam) = {sin_lam!r} ~ 0: mu has no effect on any observable"
+        )
     cos_lam = math.cos(lam)
     p = _p_term(*_theta_terms(theta), *_phi_terms(phi), geom)
     return (target_error - cos_lam * cos_lam * p) / (
@@ -524,11 +559,6 @@ def mu_from_constraint(
         DomainError: target error rate outside [0, 1/2).
     """
     check_error_rate(target_error)
-    sin_lam = math.sin(lam)
-    if abs(sin_lam) <= SINGULAR_SIN_LAMBDA:
-        raise SingularLambdaError(
-            f"sin(lam) = {sin_lam!r} ~ 0: mu has no effect on any observable"
-        )
     u = _solve_u(lam, theta, phi, target_error, geom)
     mu = _mu_from_u(u)
     if mu is None:
@@ -626,16 +656,20 @@ def _terms_minimum(sin_sq_theta, cos_sq_theta, plus, minus, target, geom):
     )
 
 
-def _node_angles(theta, phi, x, target_error, geom):
-    """(lam, mu) at float (theta, phi) and an x = cos^2(lam) of
-    :func:`_node_minimum`: lam = acos(sqrt(x)) in [0, pi/2], and mu from
-    u = (E - x P) / ((1 - x) s2) clamped to [0, 1], pi/4 at x = 1."""
+def _node_point(theta, phi, x, target_error, geom):
+    """(lam, mu, E) at float (theta, phi) and an x = cos^2(lam) of
+    :func:`_node_minimum`: lam = acos(sqrt(x)) in [0, pi/2], mu from
+    u = (E - x P) / ((1 - x) s2) clamped to [0, 1], pi/4 at x = 1, and E
+    at those float angles, which may leave the target where one ulp of
+    lam or mu moves E by more than it.  P is worked out once."""
+    p = _p_term(*_theta_terms(theta), *_phi_terms(phi), geom)
     u = 0.0
     if x < 1.0:
-        p = _p_term(*_theta_terms(theta), *_phi_terms(phi), geom)
         u = (target_error - x * p) / ((1.0 - x) * geom.sin_sq_two_alpha)
         u = min(1.0, max(0.0, u))
-    return math.acos(math.sqrt(x)), _mu_from_u(u)
+    lam = math.acos(math.sqrt(x))
+    mu = _mu_from_u(u)
+    return lam, mu, _lam_error_rate(lam, p, _m_term(mu, geom))
 
 
 def renyi_info(q_overlap: float) -> float:

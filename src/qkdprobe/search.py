@@ -11,8 +11,9 @@ strategies are provided:
   and mu eliminated, Q is a one-line function of x on an interval whose
   ends are the faces sin(2 mu) = +-1, lam = pi/2 and the sin(lam) = 0
   plane, so the minimum is an end or one stationary point.  The scan is
-  plain Python; lam and mu are worked out only for the best node, a node
-  below Q_min, and the rows handed to a sink;
+  plain Python; lam, mu and the E of those float angles are worked out,
+  by the one body :func:`probe._node_point`, only for the best node, a
+  node below Q_min, and the rows handed to a sink;
 * :func:`penalty_scan` releases all four angles and penalizes the squared
   error-rate mismatch, covering the space without any elimination.  Each
   final is polished twice onto the target, by mu re-solved at its own
@@ -25,10 +26,12 @@ kernel, so the scan's best and refine's start are values of one
 function, and refine never ends above its start.  The simplex is this
 module's own Nelder-Mead, a
 step-for-step port of scipy's with the standard coefficients; the module
-imports neither scipy nor numpy.  The four-angle penalty objective
-evaluates through probe's one body of the observables, in the order the
-public scalar functions use, so its values equal what ``coefficients``,
-``overlap`` and ``error_rate`` give.
+imports neither scipy nor numpy.  The four-angle penalty objective and
+the own-lam polish read Q and E from :func:`probe._angle_point`, probe's
+one body of the observables, in the order the public scalar functions
+use, so its values equal what ``coefficients``, ``overlap`` and
+``error_rate`` give.  The grid is ``np.linspace(0, pi, grid_resolution)``
+node for node, by :func:`probe._linspace`.
 
 All randomness derives from the config seed through counter-based
 splitting, so identical configs produce bit-identical reports.  The k
@@ -124,7 +127,7 @@ def constrained_scan(
     and how many nodes fell below Q_min, held at -1 from the family
     maximum E on, at their own error rate by more than the configured
     tolerance.  Only a node below Q_min at the target is judged again, at
-    the E of its own angles (:func:`probe._angle_error_rate`), so a scan
+    the E of its own angles (:func:`probe._node_point`), so a scan
     with none costs nothing extra.  The kernel holds an overlap that
     rounding puts below -1 by at most ``probe.IDENTITY_TOL`` at -1, so
     ``best_q`` falls below -1 only if the kernel errs by more, and then
@@ -166,16 +169,12 @@ def constrained_scan(
         if low[2] < below:
             for theta, phi, q, x in nodes:
                 if q < below:
-                    lam, mu = probe._node_angles(theta, phi, x, target, geom)
-                    e = probe._angle_error_rate(lam, mu, theta, phi, geom)
+                    e = probe._node_point(theta, phi, x, target, geom)[2]
                     violations += q < optimum._q_min(e, geom) - tolerance
         if sink is not None:
             sink([_sample_row(*node, config) for node in nodes])
 
-    resolution = config.grid_resolution
-    step = math.pi / (resolution - 1)
-    # np.linspace(0, pi, resolution), node for node.
-    grid = [k * step for k in range(resolution - 1)] + [math.pi]
+    grid = probe._linspace(0.0, math.pi, config.grid_resolution)
     phi_terms = [probe._phi_terms(phi) for phi in grid]
     minimum = probe._terms_minimum
     for theta in grid:
@@ -203,7 +202,7 @@ def constrained_scan(
             f"alpha = {geom.alpha!r}"
         )
     theta, phi, best_q, x = best
-    lam, mu = probe._node_angles(theta, phi, x, target, geom)
+    lam, mu, _ = probe._node_point(theta, phi, x, target, geom)
     return SearchReport(
         best_q=best_q,
         best_params=ProbeParams(lam=lam, mu=mu, theta=theta, phi=phi),
@@ -217,9 +216,9 @@ def _sample_row(
     theta: float, phi: float, q: float, x: float, config: SearchConfig
 ) -> SampleRow:
     """The sink row (lam, theta, phi, mu, E, Q) of a scan node."""
-    geom = config.geom
-    lam, mu = probe._node_angles(theta, phi, x, config.target_error, geom)
-    e = probe._angle_error_rate(lam, mu, theta, phi, geom)
+    lam, mu, e = probe._node_point(
+        theta, phi, x, config.target_error, config.geom
+    )
     return lam, theta, phi, mu, e, q
 
 
@@ -238,7 +237,8 @@ def _constrained_point(
     if node is None:
         return None
     q, x = node
-    return (q, *probe._node_angles(theta, phi, x, target, geom), theta, phi)
+    lam, mu, _ = probe._node_point(theta, phi, x, target, geom)
+    return q, lam, mu, theta, phi
 
 
 def _own_lam_point(
@@ -254,28 +254,17 @@ def _own_lam_point(
         )
     except (InfeasibleConstraintError, SingularLambdaError):
         return None
-    point = _overlap_and_error((lam, mu, theta, phi), geom.sin_sq_two_alpha)
-    if point is None:
+    q, _ = probe._angle_point(
+        lam, math.sin(2.0 * mu), theta, phi, geom.sin_sq_two_alpha
+    )
+    if q is None:
         return None
-    return point[0], lam, mu, theta, phi
+    return q, lam, mu, theta, phi
 
 
 def _fold(angle: float) -> float:
     angle = float(angle)
     return angle if 0.0 <= angle <= math.pi else angle % math.pi
-
-
-def _overlap_and_error(
-    angles: Sequence[float], s2: float
-) -> tuple[float, float] | None:
-    """(Q, E) at four float angles, or None where the overlap radicand is
-    non-positive; s2 = sin^2(2 alpha)."""
-    error, numerator, radicand = probe._observables(
-        *probe._angle_quadruple(*angles), s2
-    )
-    if radicand <= 0.0:
-        return None
-    return numerator / math.sqrt(radicand), error
 
 
 class _BudgetSpent(Exception):
@@ -433,10 +422,10 @@ def _penalty_finals(
     target = config.target_error
 
     def objective(x: Sequence[float]) -> float:
-        point = _overlap_and_error([v % math.pi for v in x], s2)
-        if point is None:
+        lam, mu, theta, phi = [v % math.pi for v in x]
+        q, e = probe._angle_point(lam, math.sin(2.0 * mu), theta, phi, s2)
+        if q is None:
             return _INFEASIBLE
-        q, e = point
         return q + penalty_weight * (e - target) ** 2
 
     n_starts = max(1, config.random_restarts)

@@ -129,19 +129,8 @@ class _Generator:
         """numpy's ``uniform(0.0, high, size=count)`` for a finite
         high >= 0, or any shape of count entries read row-major: high * u
         for each next double u (numpy's 0.0 + high * u, whose sum changes
-        no such product).  The steps of :meth:`_next_double` are written
-        out in one loop, and a kept 32-bit half is left kept, as in
-        numpy."""
-        state, inc, mult = self._state, self._inc, _PCG64_MULT
-        draws = []
-        for _ in range(count):
-            state = state * mult + inc & _MASK128
-            value = (state >> 64 ^ state) & _MASK64
-            rot = state >> 122
-            value = (value >> rot | value << 64 - rot) & _MASK64
-            draws.append(high * ((value >> 11) * (1.0 / 9007199254740992.0)))
-        self._state = state
-        return draws
+        no such product).  A kept 32-bit half is left kept, as in numpy."""
+        return [high * self._next_double() for _ in range(count)]
 
     def bits(self, count: int) -> list[int]:
         """numpy's ``integers(0, 2, size=count)``, or any shape of count

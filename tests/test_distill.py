@@ -28,7 +28,6 @@ from qkdprobe.distill import (
     CapacityPoint,
     FrontierResult,
     PaCheckResult,
-    _linspace,
     _renyi_envelope,
     binary_entropy,
 )
@@ -38,7 +37,7 @@ from qkdprobe.optimum import (
     optimal_renyi_bits,
     peak_error_rate,
 )
-from qkdprobe.probe import renyi_info
+from qkdprobe.probe import _linspace, renyi_info
 
 from conftest import SMALLEST_ALPHA
 

@@ -30,6 +30,7 @@ from qkdprobe.errors import (
     DomainError,
     InfeasibleConstraintError,
     OutOfDomainError,
+    SingularLambdaError,
 )
 from qkdprobe.optimum import (
     _corner,
@@ -381,6 +382,26 @@ class TestFamilies:
                     )
         assert solved > 500 and refused > 50
 
+    def test_lower_branch_mu_is_mu_from_constraint(self, geom_pi8):
+        # The lower-branch sample reads mu_from_constraint: where no mu
+        # meets E it refuses, and on the sin(lam) = 0 plane it keeps
+        # mu = pi/4 only if the point already meets E.
+        set_h = family_by_tag(
+            optimal_parameter_families(0.01, geom_pi8), FamilyTag.SET_H
+        )
+        choices = {"lam": 0.3, "phi": 0.75 * PI}
+        with pytest.raises(InfeasibleConstraintError):
+            mu_from_constraint(0.3, 0.0, 0.75 * PI, 0.01, geom_pi8)
+        with pytest.raises(OutOfDomainError, match="the family is empty here"):
+            sample_params(set_h, 0.01, geom_pi8, choices)
+        on_plane = ProbeParams(0.0, PI / 4, 0.0, PI / 2)
+        own = error_rate(coefficients(on_plane), geom_pi8)
+        assert abs(own - 0.25) <= 1e-16
+        choices = {"lam": 0.0, "phi": PI / 2}
+        assert sample_params(set_h, own, geom_pi8, choices) == on_plane
+        with pytest.raises(OutOfDomainError, match="no mu changes that"):
+            sample_params(set_h, 0.2, geom_pi8, choices)
+
     @pytest.mark.parametrize("target", [0.05, 0.2])
     def test_samples_reproduce_everything(self, target, geom_pi8):
         # Error rate, optimum overlap, stationarity, and the canonical
@@ -492,7 +513,81 @@ class TestUpperBranchFamilies:
             sample_params(family, 0.3, geom)
 
 
+def exact_residuals(params, alpha):
+    """(r_lambda, r_theta, r_phi, f1, f2, f3) at float angles to 50 digits,
+    with the angles and alpha as their exact binary values: E from the
+    coefficients, the bracket 2 (q - 1 + 2E) / (4 D^2) and f1's leading
+    factor in their unfactored forms."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        lam, mu, theta, phi, alpha = map(
+            mpmath.mpf,
+            (params.lam, params.mu, params.theta, params.phi, alpha),
+        )
+        s2 = mpmath.sin(2 * alpha) ** 2
+        tan_sq = s2 / mpmath.cos(2 * alpha) ** 2
+        cot_sq = 1 / tan_sq
+        sin_sq_lam, cos_sq_lam = mpmath.sin(lam) ** 2, mpmath.cos(lam) ** 2
+        sin_2t, cos_2t = mpmath.sin(2 * theta), mpmath.cos(2 * theta)
+        sin_2p, cos_2p = mpmath.sin(2 * phi), mpmath.cos(2 * phi)
+        a = sin_sq_lam * mpmath.sin(2 * mu) + cos_sq_lam * cos_2t * sin_2p
+        b = sin_sq_lam * mpmath.sin(2 * mu) + cos_sq_lam * sin_2p
+        c = cos_sq_lam * sin_2t * cos_2p
+        d = sin_sq_lam + cos_sq_lam * cos_2t
+        e = (1 - d + (d - a) * s2) / 2
+        bracket = 2 * (a + b + d - 1 + 2 * e) / (
+            4 * ((1 - e) ** 2 - c * c * s2 / 4)
+        )
+        lam_bracket = (2 - tan_sq) * (cot_sq - cos_2t * (sin_2p + cot_sq)) + (
+            sin_2p * (1 + (1 - tan_sq) * cos_2t)
+        )
+        tail = bracket * s2 * cos_sq_lam
+        f1 = 2 * lam_bracket + tail * sin_2t**2 * cos_2p**2
+        f2 = 2 * (sin_2p + 2 * cot_sq - 1) + tail * cos_2t * cos_2p**2
+        f3 = 2 * (1 - cos_2t) - tail * sin_2t**2 * sin_2p
+        return (
+            mpmath.sin(lam) * mpmath.cos(lam) * f1,
+            sin_2t * cos_sq_lam * f2,
+            cos_sq_lam * cos_2p * f3,
+            f1,
+            f2,
+            f3,
+        )
+
+
 class TestStationarity:
+    def test_residuals_match_fifty_digits(self):
+        # Random constrained points over alpha in (1e-3, pi/4 - 1e-3):
+        # every residual and f within 1e-14 of the 50-digit value, scaled
+        # by max(|value|, 1).  The bracket as numerator / radicand and f1's
+        # factored leading term keep q - 1 + 2E and the cot^2(2a) terms
+        # from cancelling, which cost up to 9e-13 before.  theta spans all
+        # of [0, pi]: near 0 and pi, 1 - cos 2theta taken as a difference
+        # would cost f1 up to ~1e-11 at a small alpha.
+        rng = np.random.default_rng(3000)
+        names = ("r_lambda", "r_theta", "r_phi", "f1", "f2", "f3")
+        checked = 0
+        while checked < 3000:
+            alpha = rng.uniform(1e-3, PI / 4 - 1e-3)
+            geom = SignalGeometry(alpha)
+            lam, mu, phi = rng.uniform(0.05 * PI, 0.95 * PI, 3).tolist()
+            theta = rng.uniform(0.0, PI)
+            target = error_rate(
+                coefficients(ProbeParams(lam, mu, theta, phi)), geom
+            )
+            if not 0.0 <= target < 0.5:
+                continue
+            mu = mu_from_constraint(lam, theta, phi, target, geom)
+            params = ProbeParams(lam, mu, theta, phi)
+            residuals = stationarity_residuals(params, geom)
+            for name, exact in zip(names, exact_residuals(params, alpha)):
+                value = getattr(residuals, name)
+                assert abs(value - exact) <= 1e-14 * max(abs(exact), 1), (
+                    name, params, alpha,
+                )
+            checked += 1
+
     def test_random_point_is_not_stationary(self):
         geom = SignalGeometry(PI / 9)
         params_base = (0.3 * PI, 0.1 * PI, 0.2 * PI)
@@ -543,6 +638,16 @@ class TestStationarity:
             assert abs(residuals.r_lambda + scale * grad_lam) < 1e-5
             assert abs(residuals.r_theta - scale * grad_theta) < 1e-5
             assert abs(residuals.r_phi - scale * grad_phi) < 1e-5
+
+    @pytest.mark.parametrize("lam", [0.0, PI])
+    def test_constant_error_overlap_refuses_sin_lambda_zero(self, lam):
+        # mu drops out on the sin(lam) = 0 plane, where u is 0/0, as
+        # mu_from_constraint says.
+        geom = SignalGeometry(PI / 9)
+        with pytest.raises(SingularLambdaError):
+            constant_error_overlap(lam, 0.3, 0.4, 0.1, geom)
+        with pytest.raises(SingularLambdaError):
+            mu_from_constraint(lam, 0.3, 0.4, 0.1, geom)
 
     @pytest.mark.parametrize("alpha", [PI / 9, PI / 8, PI / 5])
     def test_constant_error_overlap_is_the_overlap_at_the_solved_mu(

@@ -32,7 +32,6 @@ from qkdprobe import search as search_module
 from qkdprobe.search import (
     _constrained_point,
     _nelder_mead,
-    _overlap_and_error,
     _penalty_finals,
 )
 
@@ -151,7 +150,7 @@ class TestConstrainedScan:
         planted = plant_nodes(
             monkeypatch, config, lambda row: analytic - next(depth)
         )
-        monkeypatch.setattr(probe, "_angle_error_rate", lambda *args: 0.2005)
+        monkeypatch.setattr(probe, "_lam_error_rate", lambda *args: 0.2005)
         assert optimum._q_min(0.2005, geom) < analytic - 1.5e-3
         assert constrained_scan(config).violations == planted // 2
 
@@ -382,7 +381,7 @@ def test_kernel_matches_the_lam_plane_oracle(alpha, target):
     [(PI / 10, 0.05), (PI / 8, 0.2), (PI / 6, 0.1), (0.7, 0.3)],
 )
 def test_kernel_point_is_the_overlap_of_its_angles(alpha, target):
-    # The kernel's Q is the overlap of the angles _node_angles gives: to
+    # The kernel's Q is the overlap of the angles _node_point gives: to
     # 1e-12 against a 50-digit evaluation, with E on the target to 1e-12
     # relative.
     geom = SignalGeometry(alpha)
@@ -391,7 +390,7 @@ def test_kernel_point_is_the_overlap_of_its_angles(alpha, target):
         node = probe._node_minimum(theta, phi, target, geom)
         if node is None:
             continue
-        lam, mu = probe._node_angles(theta, phi, node[1], target, geom)
+        lam, mu, _ = probe._node_point(theta, phi, node[1], target, geom)
         assert abs(node[0] - exact_overlap(lam, mu, theta, phi, alpha)) <= 1e-12
         e = exact_error_rate(lam, mu, theta, phi, alpha)
         assert abs(e - target) <= 1e-12 * target
@@ -740,6 +739,14 @@ def dataclass_free_point(angles, geom):
     return q, error_rate(coeffs, geom)
 
 
+def free_point(angles, s2):
+    """(Q, E) of probe._angle_point at four float angles, as the penalty
+    objective calls it, or None where Q is."""
+    lam, mu, theta, phi = angles
+    q, e = probe._angle_point(lam, math.sin(2.0 * mu), theta, phi, s2)
+    return None if q is None else (q, e)
+
+
 GEOMETRIES = [PI / 10, PI / 8, PI / 5]
 
 
@@ -756,7 +763,7 @@ class TestFloatObjectives:
         angles += [[0.0, mu, PI / 2, PI / 4] for mu in (0.0, 0.3, 2.0)]
         angles += [[0.0, mu, t, f] for _, mu, t, f in angles[:200]]
         s2 = geom.sin_sq_two_alpha
-        results = [_overlap_and_error(x, s2) for x in angles]
+        results = [free_point(x, s2) for x in angles]
         assert results == [dataclass_free_point(x, geom) for x in angles]
         assert None in results
         # Unfolded angles, folded into [0, pi) as the penalty finals fold
@@ -764,7 +771,7 @@ class TestFloatObjectives:
         for x in rng.uniform(-2.0 * PI, 3.0 * PI, (300, 4)).tolist():
             folded = [v % PI for v in x]
             assert all(0.0 <= v < PI for v in folded)
-            assert _overlap_and_error(folded, s2) == dataclass_free_point(
+            assert free_point(folded, s2) == dataclass_free_point(
                 folded, geom
             )
 
@@ -786,7 +793,7 @@ class TestFloatObjectives:
             if node is None:
                 assert point is None
                 continue
-            lam, mu = probe._node_angles(*folded, node[1], target, geom)
+            lam, mu, _ = probe._node_point(*folded, node[1], target, geom)
             assert point == (node[0], lam, mu, *folded)
             assert_on_target(
                 point[0], ProbeParams(*point[1:]), target, alpha
