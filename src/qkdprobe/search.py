@@ -457,6 +457,9 @@ def penalty_scan(
     kernel that overstates Q cannot hide a point below Q_min.  A final is
     a violation if its overlap lies below Q_min at the target by more
     than the tolerance.  penalty_weight must be finite and positive.
+
+    Raises EmptyFeasibleSetError if no final polishes onto the target,
+    which above the family maximum can happen with few random_restarts.
     """
     if not 0.0 < penalty_weight < math.inf:
         raise DomainError(

@@ -92,15 +92,20 @@ def exact_overlap(lam, mu, theta, phi, alpha):
 
 
 def fresh_interpreter(script, *args, cwd, env=None):
-    """Run script with python -c in a new process that imports qkdprobe
-    from this checkout."""
+    """Run script, a source string or a Path to a file, in a new
+    ``python -S`` process that imports qkdprobe from this checkout.
+
+    Without site-packages the child can import the standard library and
+    qkdprobe only, as after installing the package with no extras.
+    """
     package_root = Path(qkdprobe.__file__).resolve().parents[1]
     env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package_root), env.get("PYTHONPATH")])
     )
+    source = [str(script)] if isinstance(script, Path) else ["-c", script]
     return subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, "-S", *source, *args],
         capture_output=True,
         text=True,
         cwd=cwd,

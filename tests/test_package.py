@@ -2,11 +2,14 @@
 
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
 import qkdprobe
 from conftest import fresh_interpreter
+
+RUNTIME_ROUTES = Path(__file__).with_name("runtime_routes.py")
 
 SUBMODULES = ("distill", "errors", "optimum", "probe", "roots", "search",
               "simulate", "stream")
@@ -135,3 +138,10 @@ def test_fresh_interpreter_loads_on_access(tmp_path):
     assert report["star"] == sorted(ALL)
     assert report["star_is_origin"] is True
     assert report["submodules"] == dict.fromkeys(SUBMODULES, True)
+
+
+def test_runtime_routes_run_on_the_standard_library(tmp_path):
+    # The script runs without site-packages, where numpy and scipy cannot
+    # be imported at all; a failed assertion's message is in stderr.
+    child = fresh_interpreter(RUNTIME_ROUTES, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr

@@ -26,6 +26,7 @@ from qkdprobe.errors import (
     DegenerateModelError,
     DomainError,
     EmptyFeasibleSetError,
+    InfeasibleConstraintError,
 )
 from qkdprobe import optimum, probe
 from qkdprobe import search as search_module
@@ -624,6 +625,35 @@ class TestRefine:
         refined_q, _ = refine(start, config)
         assert abs(refined_q - 0.5) < 1e-9
 
+    def test_infeasible_start_raises(self):
+        # E = 0.4 lies above E_max = 0.3455 at pi/10, and no (lam, mu)
+        # meets it at (theta, phi) = (0, 0.5).
+        config = SearchConfig(geom=SignalGeometry(PI / 10), target_error=0.4)
+        with pytest.raises(InfeasibleConstraintError, match="cannot meet"):
+            refine(ProbeParams(0.0, 0.0, 0.0, 0.5), config)
+
+    def test_infeasible_node_is_stepped_over(self, monkeypatch):
+        # From (0.15 pi, 49 pi / 60) the simplex meets one (theta, phi)
+        # where no (lam, mu) meets E = 0.4, and still ends at Q = -1 on
+        # the target.
+        infeasible = []
+
+        def counted(*args):
+            point = _constrained_point(*args)
+            infeasible.append(point is None)
+            return point
+
+        monkeypatch.setattr(search_module, "_constrained_point", counted)
+        config = SearchConfig(geom=SignalGeometry(PI / 10), target_error=0.4)
+        q, params = refine(
+            ProbeParams(0.0, 0.0, 0.15 * PI, 49 * PI / 60), config
+        )
+        assert (len(infeasible), sum(infeasible)) == (172, 1)
+        assert abs(q + 1.0) <= 1e-12
+        assert_on_target(q, params, 0.4, PI / 10)
+        angles = (params.lam, params.mu, params.theta, params.phi)
+        assert abs(exact_error_rate(*angles, PI / 10) - 0.4) <= 1.4e-16 * 0.4
+
     @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("alpha", [PI / 6, PI / 5, 0.7])
     def test_upper_branch_attained(self, alpha, fraction):
@@ -1186,6 +1216,18 @@ class TestPenaltyScan:
         config = SearchConfig(geom=geom_pi8, target_error=0.1)
         with pytest.raises(DomainError, match="finite and positive"):
             penalty_scan(config, weight)
+
+    def test_no_final_on_the_target_raises(self):
+        # Above the family maximum a lone start's final can sit where
+        # neither polish meets the target: 31 of 200 one-start scans over
+        # seeds 0-39 at five such (alpha, E), seed 9 at (pi/10, 0.4) the
+        # first.
+        config = SearchConfig(
+            geom=SignalGeometry(PI / 10), target_error=0.4,
+            random_restarts=1, seed=9,
+        )
+        with pytest.raises(EmptyFeasibleSetError, match="no penalty-scan"):
+            penalty_scan(config, 1e5)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_violations_on_working_code(self, geom_pi8, seed):
