@@ -192,12 +192,23 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
 
 def _csv_rows(rows: Iterable[Sequence[Any]]) -> str:
-    """One line per row, floats as %.12g and anything else as str()."""
-    return "".join(
-        ",".join("%.12g" % v if isinstance(v, float) else str(v) for v in row)
-        + "\n"
-        for row in rows
-    )
+    """One line per row, floats as %.12g and anything else as str().
+
+    Each row is written by one %-format, picked by its cell types: a
+    float cell takes %.12g and any other %s, so an integer prints in full
+    and a column may change type between rows."""
+    formats: dict[tuple[type, ...], str] = {}
+    lines = []
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        line = formats.get(types)
+        if line is None:
+            line = formats[types] = ",".join(
+                "%.12g" if issubclass(kind, float) else "%s" for kind in types
+            ) + "\n"
+        lines.append(line % row)
+    return "".join(lines)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> tuple[int, Any]:

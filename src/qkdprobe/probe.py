@@ -25,13 +25,16 @@ At float angles E is also written as E = cos^2(lam) P + sin^2(lam) M
 sin^2(pi/4 - mu), each a sum of non-negative terms, with one body,
 :func:`_lam_error_rate`.  Every solve at fixed E reads that form:
 :func:`mu_from_constraint`, the one mu solve, solves u = sin^2(pi/4 - mu)
-= M / sin^2(2a), and :func:`_node_minimum`, the kernel of the brute-force
-scan and its simplex polish, minimizes Q over (lam, mu) at fixed
-(theta, phi) in closed form; :func:`_node_point` gives the float angles
-of that minimum and E at them.  With x = cos^2(lam) and u eliminated, Q
-is (A + B x) / sqrt(R0 - C x^2) on an interval of x, so its minimum lies
-at an end of that interval or at one stationary point.  The module runs
-on ``math`` alone; nothing in the package imports numpy.
+= M / sin^2(2a), and :func:`_minima`, the one kernel of the brute-force
+scan, its restarts and its simplex polish, minimizes Q over (lam, mu) at
+fixed (theta, phi) in closed form over a whole list of nodes, with
+Q = inf where no (lam, mu) meets E (:func:`_node_minimum` is its one-node
+call); :func:`_terms_point` gives the float angles of that minimum and E
+at them.  With x = cos^2(lam) and u eliminated, Q is (A + B x) /
+sqrt(R0 - C x^2) on an interval of x, so its minimum lies at an end of
+that interval or at one stationary point; where E <= sin^2(2a) every
+interval starts at x = 0, where Q is the same at every node.  The module
+runs on ``math`` alone; nothing in the package imports numpy.
 
 Everything in this module is a pure function of immutable value types and
 is safe for unrestricted concurrent use.  The value types of every module
@@ -572,16 +575,20 @@ def mu_from_constraint(
 def _node_minimum(theta, phi, target_error, geom):
     """(Q, x): the least overlap over lam and mu at float (theta, phi) and
     the target error rate, and the x = cos^2(lam) that attains it; None
-    where no (lam, mu) meets the target.  See :func:`_terms_minimum`."""
-    return _terms_minimum(
-        *_theta_terms(theta), *_phi_terms(phi), target_error, geom
+    where no (lam, mu) meets the target.  A one-node :func:`_minima`."""
+    qs, xs = _minima(
+        [_theta_terms(theta)], [_phi_terms(phi)], target_error, geom
     )
+    return None if qs[0] == math.inf else (qs[0], xs[0])
 
 
-def _terms_minimum(sin_sq_theta, cos_sq_theta, plus, minus, target, geom):
-    """:func:`_node_minimum` from the :func:`_theta_terms` and
-    :func:`_phi_terms` of (theta, phi), so a scan can work them out once
-    per grid line.
+def _minima(theta_terms, phi_terms, target, geom):
+    """(qs, xs): the least overlap over (lam, mu) at the target error rate
+    and the x = cos^2(lam) that attains it, at each node of two parallel
+    lists, the :func:`_theta_terms` and :func:`_phi_terms` of (theta,
+    phi).  The one kernel of the scan, its restarts, :func:`refine`'s
+    simplex and the penalty polish; a node where no (lam, mu) meets the
+    target has Q = inf, and its x means nothing.
 
     With x = cos^2(lam), E = x P + (1 - x) M and M = s2 u, s2 = sin^2(2a),
     u = sin^2(pi/4 - mu) in [0, 1].  Eliminating u leaves Q a function of
@@ -594,75 +601,126 @@ def _terms_minimum(sin_sq_theta, cos_sq_theta, plus, minus, target, geom):
     u lies in [0, 1]: x P <= E and x (s2 - P) <= s2 - E, with x in
     [0, 1].  That interval's ends are the faces sin(2 mu) = +-1, lam =
     pi/2 and the sin(lam) = 0 plane.  dQ/dx has the sign of B R0 + A C x,
-    so the minimum lies at an end or at x* = -B R0 / (A C) when A C > 0.
-    Each candidate is evaluated as [(1 + E) - x K - 2w] / sqrt(R0 - C x^2)
-    with K = 2 [sin^2(theta) + cos^2(theta) minus] and w = (1 - x) u =
-    (E - x P) / s2 clamped to [0, 1 - x]: the overlap at the x and u of
-    the candidate, also where rounding leaves E - x P off by more than
-    s2.  As :func:`renyi_info` does, a Q below -1 by at most IDENTITY_TOL,
+    so the minimum lies at an end or at x* = -B R0 / (A C) when A C > 0;
+    of equal candidates the first of (lo, hi, x*) counts.  Each is
+    evaluated as [(1 + E) - x K - 2w] / sqrt(R0 - C x^2) with K = 2
+    [sin^2(theta) + cos^2(theta) minus] and w = (1 - x) u = (E - x P) / s2
+    clamped to [0, 1 - x]: the overlap at the x and u of the candidate,
+    also where rounding leaves E - x P off by more than s2.  As
+    :func:`renyi_info` does, a Q below -1 by at most IDENTITY_TOL,
     rounding, is held at -1, and a lower Q is returned as it is.
 
-    Raises DegenerateModelError on a NaN overlap, which only NaN or
-    infinite inputs give.
+    s2, cot^2(2a), A, R0 and 1 + E depend on alpha and E alone and are
+    worked out once per call, and so is the overlap at x = 0,
+    [(1 + E) - 2E/s2] / sqrt(R0): where E <= s2 the interval starts at 0,
+    w there is E/s2 whatever P, and each node with lo = 0 reads that one
+    value.  Per node only P, the interval, C, K and the other candidates
+    are left; each value equals the per-node evaluation bit for bit.
+
+    Raises DegenerateModelError where P is NaN and E <= s2, which only NaN
+    or infinite inputs give: there the overlap would be NaN.
     """
     s2 = geom.sin_sq_two_alpha
-    p = _p_term(sin_sq_theta, cos_sq_theta, plus, minus, geom)
-    lo, hi = 0.0, 1.0
-    if target < p:
-        hi = target / p
-    if p > s2:
-        if target > s2:
-            lo = (target - s2) / (p - s2)
-            if lo > hi:
-                return None
-    elif target > s2:
-        return None
-    elif p < s2:
-        edge = (s2 - target) / (s2 - p)
-        if edge < hi:
-            hi = edge
+    cos_sq = geom.cos_sq_two_alpha
+    cot_sq = cos_sq / s2
+    four_s2 = 4.0 * s2
+    one_plus = 1.0 + target
+    big_a = 1.0 + target - 2.0 * target / s2
     r0 = (1.0 - target) * (1.0 - target)
-    c = 4.0 * s2 * sin_sq_theta * cos_sq_theta * plus * minus
-    candidates: tuple[float, ...] = (lo, hi)
-    ac = (1.0 + target - 2.0 * target / s2) * c
-    if ac > 0.0:
-        b = 2.0 * sin_sq_theta * (geom.cos_sq_two_alpha / s2 - minus)
-        stationary = -b * r0 / ac
-        if lo < stationary < hi:
-            candidates = (lo, hi, stationary)
-    k = 2.0 * (sin_sq_theta + cos_sq_theta * minus)
-    best = None
-    for x in candidates:
-        radicand = r0 - c * x * x
-        if radicand <= 0.0:
-            continue
-        w = (target - x * p) / s2
-        if w < 0.0:
-            w = 0.0
-        elif w > 1.0 - x:
-            w = 1.0 - x
-        q = ((1.0 + target) - x * k - 2.0 * w) / math.sqrt(radicand)
-        if best is None or q < best[0]:
-            best = (q, x)
-    if best is None or best[0] >= -1.0:
-        return best
-    if best[0] >= -1.0 - IDENTITY_TOL:
-        return -1.0, best[1]
-    if best[0] < -1.0:
-        return best
-    raise DegenerateModelError(
-        f"overlap is NaN at sin^2(theta) = {sin_sq_theta!r}, (1 + sin 2phi)"
-        f"/2 = {plus!r}, E = {target!r}"
-    )
+    above = target > s2
+    q_zero = math.inf
+    if r0 > 0.0 and not above:
+        q_zero = (one_plus - 2.0 * (target / s2)) / math.sqrt(r0)
+    root = math.sqrt
+    inf, nan = math.inf, math.nan
+    # Each candidate's overlap is written out in place: a loop over a
+    # tuple of candidates made the kernel ~18 % slower.
+    qs: list[float] = []
+    xs: list[float] = []
+    for (sin_sq_theta, cos_sq_theta), (plus, minus) in zip(
+        theta_terms, phi_terms
+    ):
+        p = sin_sq_theta * cos_sq + s2 * (
+            sin_sq_theta * plus + cos_sq_theta * minus
+        )
+        hi = 1.0
+        if target < p:
+            hi = target / p
+        c = four_s2 * sin_sq_theta * cos_sq_theta * plus * minus
+        k = 2.0 * (sin_sq_theta + cos_sq_theta * minus)
+        if above:
+            # Only a node with P > s2 meets E > s2, from x = lo > 0 on.
+            lo = (target - s2) / (p - s2) if p > s2 else inf
+            if lo > hi:
+                qs.append(inf)
+                xs.append(nan)
+                continue
+            best_q = inf
+            radicand = r0 - c * lo * lo
+            if radicand > 0.0:
+                w = (target - lo * p) / s2
+                if w < 0.0:
+                    w = 0.0
+                elif w > 1.0 - lo:
+                    w = 1.0 - lo
+                best_q = (one_plus - lo * k - 2.0 * w) / root(radicand)
+        else:
+            if p < s2:
+                edge = (s2 - target) / (s2 - p)
+                if edge < hi:
+                    hi = edge
+            elif p != p:
+                raise DegenerateModelError(
+                    f"overlap is NaN at sin^2(theta) = {sin_sq_theta!r}, "
+                    f"(1 + sin 2phi)/2 = {plus!r}, E = {target!r}"
+                )
+            lo = 0.0
+            best_q = q_zero
+        best_x = lo
+        radicand = r0 - c * hi * hi
+        if radicand > 0.0:
+            w = (target - hi * p) / s2
+            if w < 0.0:
+                w = 0.0
+            elif w > 1.0 - hi:
+                w = 1.0 - hi
+            q = (one_plus - hi * k - 2.0 * w) / root(radicand)
+            if q < best_q:
+                best_q, best_x = q, hi
+        ac = big_a * c
+        if ac > 0.0:
+            x = -(2.0 * sin_sq_theta * (cot_sq - minus)) * r0 / ac
+            if lo < x < hi:
+                radicand = r0 - c * x * x
+                if radicand > 0.0:
+                    w = (target - x * p) / s2
+                    if w < 0.0:
+                        w = 0.0
+                    elif w > 1.0 - x:
+                        w = 1.0 - x
+                    q = (one_plus - x * k - 2.0 * w) / root(radicand)
+                    if q < best_q:
+                        best_q, best_x = q, x
+        if best_q < -1.0 and best_q >= -1.0 - IDENTITY_TOL:
+            best_q = -1.0
+        qs.append(best_q)
+        xs.append(best_x)
+    return qs, xs
 
 
 def _node_point(theta, phi, x, target_error, geom):
     """(lam, mu, E) at float (theta, phi) and an x = cos^2(lam) of
-    :func:`_node_minimum`: lam = acos(sqrt(x)) in [0, pi/2], mu from
-    u = (E - x P) / ((1 - x) s2) clamped to [0, 1], pi/4 at x = 1, and E
-    at those float angles, which may leave the target where one ulp of
-    lam or mu moves E by more than it.  P is worked out once."""
+    :func:`_node_minimum`; see :func:`_terms_point`."""
     p = _p_term(*_theta_terms(theta), *_phi_terms(phi), geom)
+    return _terms_point(p, x, target_error, geom)
+
+
+def _terms_point(p, x, target_error, geom):
+    """(lam, mu, E) at the P of :func:`_lam_terms` of a node and an x =
+    cos^2(lam) of :func:`_minima`: lam = acos(sqrt(x)) in [0, pi/2], mu
+    from u = (E - x P) / ((1 - x) s2) clamped to [0, 1], pi/4 at x = 1,
+    and E at those float angles, which may leave the target where one ulp
+    of lam or mu moves E by more than it."""
     u = 0.0
     if x < 1.0:
         u = (target_error - x * p) / ((1.0 - x) * geom.sin_sq_two_alpha)

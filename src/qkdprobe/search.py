@@ -7,13 +7,16 @@ strategies are provided:
 
 * :func:`constrained_scan` grids (theta, phi) and at every node takes the
   least overlap over (lam, mu) on the target error rate in closed form,
-  through the one kernel :func:`probe._node_minimum`: with x = cos^2(lam)
-  and mu eliminated, Q is a one-line function of x on an interval whose
-  ends are the faces sin(2 mu) = +-1, lam = pi/2 and the sin(lam) = 0
-  plane, so the minimum is an end or one stationary point.  The scan is
-  plain Python; lam, mu and the E of those float angles are worked out,
-  by the one body :func:`probe._node_point`, only for the best node, a
-  node below Q_min, and the rows handed to a sink;
+  through the one kernel :func:`probe._minima`, called once per theta
+  line and once for all restarts: with x = cos^2(lam) and mu eliminated,
+  Q is a one-line function of x on an interval whose ends are the faces
+  sin(2 mu) = +-1, lam = pi/2 and the sin(lam) = 0 plane, so the minimum
+  is an end or one stationary point; a node where no (lam, mu) meets the
+  target has Q = inf and is skipped.  Where E <= sin^2(2a) every
+  interval starts at x = 0, whose Q the kernel works out once per call.
+  The scan is plain Python; lam, mu and the E of those float angles are
+  worked out, by the one body :func:`probe._terms_point`, only for the
+  best node, a node below Q_min, and the rows handed to a sink;
 * :func:`penalty_scan` releases all four angles and penalizes the squared
   error-rate mismatch, covering the space without any elimination.  Each
   final is polished twice onto the target, by mu re-solved at its own
@@ -47,7 +50,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from . import optimum, probe
@@ -68,8 +72,6 @@ _INFEASIBLE = 4.0
 
 # A row of the scan's sink: (lam, theta, phi, mu, E, Q).
 SampleRow = tuple[float, float, float, float, float, float]
-# Q of a scan node (theta, phi, Q, x).
-_node_q = itemgetter(2)
 
 
 @value_type
@@ -120,18 +122,19 @@ def constrained_scan(
     """Grid scan of (theta, phi) at exactly the target error rate.
 
     Scans a uniform grid over [0, pi]^2 plus ``random_restarts`` uniform
-    random (theta, phi) points; at each the kernel
-    :func:`probe._node_minimum` gives the least overlap over (lam, mu) on
-    the target error rate, and a node where no (lam, mu) meets it is
-    skipped.  Reports the minimum overlap found, the matching parameters,
-    and how many nodes fell below Q_min, held at -1 from the family
-    maximum E on, at their own error rate by more than the configured
-    tolerance.  Only a node below Q_min at the target is judged again, at
-    the E of its own angles (:func:`probe._node_point`), so a scan
-    with none costs nothing extra.  The kernel holds an overlap that
-    rounding puts below -1 by at most ``probe.IDENTITY_TOL`` at -1, so
-    ``best_q`` falls below -1 only if the kernel errs by more, and then
-    that node counts as a violation.
+    random (theta, phi) points; the kernel :func:`probe._minima`, one
+    call per theta line and one for the restarts, gives at each the least
+    overlap over (lam, mu) on the target error rate, and a node where no
+    (lam, mu) meets it (Q = inf) is skipped.  Reports the minimum overlap
+    found, the first in grid order, restarts last, among equals, the
+    matching parameters, and how many nodes fell below Q_min, held at -1
+    from the family maximum E on, at their own error rate by more than
+    the configured tolerance.  Only a node below Q_min at the target is
+    judged again, at the E of its own angles (:func:`probe._node_point`),
+    so a scan with none costs nothing extra.  The kernel holds an overlap
+    that rounding puts below -1 by at most ``probe.IDENTITY_TOL`` at -1,
+    so ``best_q`` falls below -1 only if the kernel errs by more, and
+    then that node counts as a violation.
 
     The grid holds the upper branch's optimum point (theta, phi) =
     (pi/2, 3pi/4) exactly when grid_resolution - 1 is a multiple of 4;
@@ -157,44 +160,50 @@ def constrained_scan(
     violations = 0
     samples = 0
 
-    def take(nodes: list[tuple[float, float, float, float]]) -> None:
-        """Count one block of feasible nodes (theta, phi, Q, x)."""
+    def take(thetas, phis, theta_terms, phi_terms) -> None:
+        """Evaluate and count one block of nodes, parallel lists of (theta,
+        phi) and their terms, by one :func:`probe._minima` call."""
         nonlocal best, violations, samples
-        if not nodes:
+        qs, xs = probe._minima(theta_terms, phi_terms, target, geom)
+        low = min(qs, default=math.inf)
+        if low == math.inf:
             return
-        samples += len(nodes)
-        low = min(nodes, key=_node_q)
-        if best is None or low[2] < best[2]:
-            best = low
-        if low[2] < below:
-            for theta, phi, q, x in nodes:
+        samples += len(qs) - qs.count(math.inf)
+        if best is None or low < best[2]:
+            i = qs.index(low)
+            best = thetas[i], phis[i], low, xs[i]
+        if low < below:
+            for theta, phi, q, x in zip(thetas, phis, qs, xs):
                 if q < below:
                     e = probe._node_point(theta, phi, x, target, geom)[2]
                     violations += q < optimum._q_min(e, geom) - tolerance
         if sink is not None:
-            sink([_sample_row(*node, config) for node in nodes])
+            rows = []
+            for theta, phi, t_terms, p_terms, q, x in zip(
+                thetas, phis, theta_terms, phi_terms, qs, xs
+            ):
+                if q != math.inf:
+                    p = probe._p_term(*t_terms, *p_terms, geom)
+                    lam, mu, e = probe._terms_point(p, x, target, geom)
+                    rows.append((lam, theta, phi, mu, e, q))
+            sink(rows)
 
-    grid = probe._linspace(0.0, math.pi, config.grid_resolution)
+    r = config.grid_resolution
+    grid = probe._linspace(0.0, math.pi, r)
     phi_terms = [probe._phi_terms(phi) for phi in grid]
-    minimum = probe._terms_minimum
     for theta in grid:
-        theta_terms = probe._theta_terms(theta)
-        nodes = []
-        for phi, terms in zip(grid, phi_terms):
-            node = minimum(*theta_terms, *terms, target, geom)
-            if node is not None:
-                nodes.append((theta, phi, *node))
-        take(nodes)
+        take([theta] * r, grid, [probe._theta_terms(theta)] * r, phi_terms)
 
     restarts = _Generator(config.seed, _RESTART_STREAM).uniform(
         math.pi, 2 * config.random_restarts
     )
-    nodes = []
-    for theta, phi in zip(restarts[::2], restarts[1::2]):
-        node = probe._node_minimum(theta, phi, target, geom)
-        if node is not None:
-            nodes.append((theta, phi, *node))
-    take(nodes)
+    thetas, phis = restarts[::2], restarts[1::2]
+    take(
+        thetas,
+        phis,
+        [probe._theta_terms(theta) for theta in thetas],
+        [probe._phi_terms(phi) for phi in phis],
+    )
 
     if best is None:
         raise EmptyFeasibleSetError(
@@ -210,16 +219,6 @@ def constrained_scan(
         violations=violations,
         samples_evaluated=samples,
     )
-
-
-def _sample_row(
-    theta: float, phi: float, q: float, x: float, config: SearchConfig
-) -> SampleRow:
-    """The sink row (lam, theta, phi, mu, E, Q) of a scan node."""
-    lam, mu, e = probe._node_point(
-        theta, phi, x, config.target_error, config.geom
-    )
-    return lam, theta, phi, mu, e, q
 
 
 def _constrained_point(
@@ -322,10 +321,9 @@ def _nelder_mead(
             <= xatol
         ):
             return best, f_best, evaluations
-        xbar = best
-        for x in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, x)]
-        xbar = [a / n for a in xbar]
+        # Each coordinate summed in vertex order, as scipy's np.add.reduce
+        # does; sum() compensates its additions from Python 3.12 on.
+        xbar = [reduce(add, column) / n for column in zip(*sim[:-1])]
         # Each point is (1 + t) xbar - t worst for t = 1, 2, 1/2, -1/2,
         # with the coefficients written out; they round the same way.
         x_new = None
@@ -420,10 +418,13 @@ def _penalty_finals(
     (lam, mu, theta, phi) folded into [0, pi), and the evaluations spent."""
     s2 = config.geom.sin_sq_two_alpha
     target = config.target_error
+    pi = math.pi
 
     def objective(x: Sequence[float]) -> float:
-        lam, mu, theta, phi = [v % math.pi for v in x]
-        q, e = probe._angle_point(lam, math.sin(2.0 * mu), theta, phi, s2)
+        lam, mu, theta, phi = x
+        q, e = probe._angle_point(
+            lam % pi, math.sin(2.0 * (mu % pi)), theta % pi, phi % pi, s2
+        )
         if q is None:
             return _INFEASIBLE
         return q + penalty_weight * (e - target) ** 2

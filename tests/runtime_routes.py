@@ -12,6 +12,7 @@ or after ``pip install -e .`` alone as ``python tests/runtime_routes.py``.
 A failure raises and names what went wrong.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -23,9 +24,9 @@ from pathlib import Path
 
 from qkdprobe.cli import main
 
-README_CALLS = json.loads(
-    (Path(__file__).parent / "golden" / "readme_argv.json").read_text()
-)
+GOLDEN = Path(__file__).parent / "golden"
+README_CALLS = json.loads((GOLDEN / "readme_argv.json").read_text())
+SAMPLE_DIGESTS = json.loads((GOLDEN / "samples_sha256.json").read_text())
 
 
 def answers(argv):
@@ -62,6 +63,12 @@ with tempfile.TemporaryDirectory() as out_dir:
                                     "--error-rate", "0.49",
                                     "--resolution", "9"]))
     assert above_top["results"]["analytic_q"] >= -1, above_top
+    # The samples CSV byte for byte, as the tier-1 tests pin it.
+    for entry in SAMPLE_DIGESTS:
+        answers(entry["argv"])
+        data = (Path(out_dir) / "samples.csv").read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == entry["sha256"], (entry["argv"], digest)
 
 # The distillation chain and the simulator as a library, with the search
 # module imported.

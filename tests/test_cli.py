@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
@@ -1320,6 +1321,27 @@ class TestStreamedSamples:
         assert len(rendered) == 2
         left = {path.name: path.read_text() for path in tmp_path.iterdir()}
         assert left == ({"samples.csv": "old"} if existing else {})
+
+
+SAMPLE_DIGESTS = json.loads((GOLDEN / "samples_sha256.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [(entry["argv"], entry["sha256"]) for entry in SAMPLE_DIGESTS],
+    ids=["readme", "above-e-max-0.7", "above-pi/8-res41"],
+)
+def test_samples_csv_bytes_are_pinned(
+    capsys, tmp_path, monkeypatch, argv, digest
+):
+    # The samples CSV byte for byte: the README call, a call above the
+    # family maximum E and one above alpha = pi/8 on a grid that holds
+    # the upper branch's optimum point.
+    monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = (tmp_path / "samples.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def readme_examples():

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdprobe import (
     FamilyTag,
@@ -207,8 +209,12 @@ class TestConstrainedScan:
     def test_empty_feasible_set(self, monkeypatch):
         # As no real config is infeasible (above), only a kernel that
         # finds no node anywhere makes the scan raise.
-        for name in ("_terms_minimum", "_node_minimum"):
-            monkeypatch.setattr(probe, name, lambda *args: None)
+        monkeypatch.setattr(
+            probe, "_minima",
+            lambda theta_terms, *args: (
+                [math.inf] * len(theta_terms), [math.nan] * len(theta_terms)
+            ),
+        )
         config = SearchConfig(
             geom=SignalGeometry(0.01 * PI),
             target_error=0.3,
@@ -272,16 +278,13 @@ def plant_nodes(monkeypatch, config, lowered):
     values = [lowered(row) for block in blocks for row in block]
     planted = iter(values)
 
-    def lowering(kernel):
-        def lowered_kernel(*args):
-            node = kernel(*args)
-            return None if node is None else (next(planted), node[1])
+    kernel = probe._minima
 
-        return lowered_kernel
-    # _node_minimum, for the restarts, calls _terms_minimum too.
-    monkeypatch.setattr(
-        probe, "_terms_minimum", lowering(probe._terms_minimum)
-    )
+    def lowered_kernel(*args):
+        qs, xs = kernel(*args)
+        return [q if q == math.inf else next(planted) for q in qs], xs
+
+    monkeypatch.setattr(probe, "_minima", lowered_kernel)
     return len(values)
 
 
@@ -513,14 +516,149 @@ def test_kernel_holds_only_rounding_at_minus_one():
     # input raises instead of reading as -1.
     geom = SignalGeometry(0.7)
     assert probe._node_minimum(PI / 2, 0.75 * PI, 0.3, geom)[0] == -1.0
-    assert probe._terms_minimum(
-        1.0 + 1e-13, 0.0, 0.0, 1.0, 0.3, geom
-    )[0] == -1.0
+    assert probe._minima(
+        [(1.0 + 1e-13, 0.0)], [(0.0, 1.0)], 0.3, geom
+    )[0] == [-1.0]
     for excess in (1e-12, 1e-3):
-        q, _ = probe._terms_minimum(1.0 + excess, 0.0, 0.0, 1.0, 0.3, geom)
+        (q,), _ = probe._minima(
+            [(1.0 + excess, 0.0)], [(0.0, 1.0)], 0.3, geom
+        )
         assert -1.0 - 2.1 * excess < q < -1.0 - 2.0 * excess
     with pytest.raises(DegenerateModelError, match="NaN"):
         probe._node_minimum(math.nan, 0.3, 0.3, geom)
+
+
+def node_minimum_oracle(sin_sq_theta, cos_sq_theta, plus, minus, target,
+                        geom):
+    """(Q, x) of one node, or None where no (lam, mu) meets the target: the
+    kernel as it was written per node, with the (alpha, E) constants and
+    the overlap at x = 0 worked out again at each, kept as the oracle for
+    probe._minima."""
+    s2 = geom.sin_sq_two_alpha
+    p = probe._p_term(sin_sq_theta, cos_sq_theta, plus, minus, geom)
+    lo, hi = 0.0, 1.0
+    if target < p:
+        hi = target / p
+    if p > s2:
+        if target > s2:
+            lo = (target - s2) / (p - s2)
+            if lo > hi:
+                return None
+    elif target > s2:
+        return None
+    elif p < s2:
+        edge = (s2 - target) / (s2 - p)
+        if edge < hi:
+            hi = edge
+    r0 = (1.0 - target) * (1.0 - target)
+    c = 4.0 * s2 * sin_sq_theta * cos_sq_theta * plus * minus
+    candidates = (lo, hi)
+    ac = (1.0 + target - 2.0 * target / s2) * c
+    if ac > 0.0:
+        b = 2.0 * sin_sq_theta * (geom.cos_sq_two_alpha / s2 - minus)
+        stationary = -b * r0 / ac
+        if lo < stationary < hi:
+            candidates = (lo, hi, stationary)
+    k = 2.0 * (sin_sq_theta + cos_sq_theta * minus)
+    best = None
+    for x in candidates:
+        radicand = r0 - c * x * x
+        if radicand <= 0.0:
+            continue
+        w = (target - x * p) / s2
+        if w < 0.0:
+            w = 0.0
+        elif w > 1.0 - x:
+            w = 1.0 - x
+        q = ((1.0 + target) - x * k - 2.0 * w) / math.sqrt(radicand)
+        if best is None or q < best[0]:
+            best = (q, x)
+    if best is None or best[0] >= -1.0:
+        return best
+    if best[0] >= -1.0 - probe.IDENTITY_TOL:
+        return -1.0, best[1]
+    if best[0] < -1.0:
+        return best
+    raise DegenerateModelError("overlap is NaN")
+
+
+def assert_minima_match_oracle(theta_terms, phi_terms, target, geom):
+    """probe._minima on the node lists equals the per-node oracle bit for
+    bit, Q = inf where the oracle finds no (lam, mu); returns how many
+    nodes were feasible."""
+    qs, xs = probe._minima(theta_terms, phi_terms, target, geom)
+    assert len(qs) == len(xs) == len(theta_terms)
+    feasible = 0
+    for t_terms, p_terms, q, x in zip(theta_terms, phi_terms, qs, xs):
+        node = node_minimum_oracle(*t_terms, *p_terms, target, geom)
+        if node is None:
+            assert q == math.inf
+        else:
+            assert (q.hex(), x.hex()) == (node[0].hex(), node[1].hex())
+            feasible += 1
+    return feasible
+
+
+MINIMA_ALPHAS = [1e-3, PI / 10, PI / 8, PI / 6, 0.7, PI / 4 - 1e-5, 0.785398]
+
+
+@pytest.mark.parametrize("alpha", MINIMA_ALPHAS)
+@pytest.mark.parametrize("resolution", [13, 40, 41, 120])
+def test_minima_match_the_per_node_kernel(alpha, resolution):
+    # Every node of the scan grid, at E from 0 to twice the family
+    # maximum (held below 1/2), as the scan calls the kernel: one call
+    # per theta line.
+    geom = SignalGeometry(alpha)
+    top = optimum.max_error_rate(geom)
+    grid = probe._linspace(0.0, PI, resolution)
+    phi_terms = [probe._phi_terms(phi) for phi in grid]
+    for scale in (0.0, 0.1, 0.5, 0.9, 1.0, 1.3, 2.0):
+        target = min(scale * top, 0.49)
+        feasible = 0
+        for theta in grid:
+            feasible += assert_minima_match_oracle(
+                [probe._theta_terms(theta)] * resolution, phi_terms,
+                target, geom,
+            )
+        assert feasible > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(1e-6, PI / 4, exclude_max=True),
+    scale=st.floats(0.0, 2.0),
+    nodes=st.lists(
+        st.tuples(st.floats(0.0, PI), st.floats(0.0, PI)), max_size=40
+    ),
+)
+def test_minima_match_the_per_node_kernel_on_random_nodes(
+    alpha, scale, nodes
+):
+    geom = SignalGeometry(alpha)
+    target = min(scale * optimum.max_error_rate(geom), 0.49)
+    assert_minima_match_oracle(
+        [probe._theta_terms(theta) for theta, _ in nodes],
+        [probe._phi_terms(phi) for _, phi in nodes],
+        target, geom,
+    )
+
+
+def test_minima_raise_on_nan_terms_where_the_interval_starts_at_zero():
+    # At E <= sin^2(2a) every node's interval starts at x = 0, whose
+    # overlap the kernel reads once per call, without P; a NaN P still
+    # raises there, as the per-node kernel did.  Above sin^2(2a), where
+    # the per-node kernel found no interval, the node stays infeasible.
+    geom = SignalGeometry(0.7)
+    assert 0.3 < geom.sin_sq_two_alpha
+    nan_terms = [probe._theta_terms(math.nan)], [probe._phi_terms(0.3)]
+    with pytest.raises(DegenerateModelError, match="NaN"):
+        probe._minima(*nan_terms, 0.3, geom)
+    geom = SignalGeometry(0.1)
+    assert 0.3 > geom.sin_sq_two_alpha
+    assert probe._minima(*nan_terms, 0.3, geom)[0] == [math.inf]
+    assert node_minimum_oracle(
+        *nan_terms[0][0], *nan_terms[1][0], 0.3, geom
+    ) is None
 
 
 def test_overlap_below_minus_one_counts_above_family_maximum(monkeypatch):
@@ -1187,14 +1325,13 @@ class TestPenaltyScan:
         config = SearchConfig(SignalGeometry(alpha), target, 12, 20, 5)
         honest = penalty_scan(config, 1e5)
         assert honest.violations == 0
-        kernel = probe._terms_minimum
+        kernel = probe._minima
         for shift in (1e-2, -1e-2):
             monkeypatch.setattr(
-                probe, "_terms_minimum",
+                probe, "_minima",
                 lambda *args, shift=shift: (
-                    lambda node: None if node is None
-                    else (node[0] + shift, node[1])
-                )(kernel(*args)),
+                    lambda qs, xs: ([q + shift for q in qs], xs)
+                )(*kernel(*args)),
             )
             report = penalty_scan(config, 1e5)
             assert report.samples_evaluated == honest.samples_evaluated
